@@ -29,7 +29,6 @@ from .distributions import (
     save_dist,
 )
 from .engine import (
-    BoundedQueueSpec,
     PipelineConfig,
     Strategy,
     read_emissions,
@@ -253,13 +252,6 @@ def cmd_run_pipeline(args) -> int:
         cfg = PipelineConfig()
     if args.strategy:
         cfg.strategy = Strategy.parse(args.strategy)
-    if args.queue_capacity is not None:
-        cfg.queue = BoundedQueueSpec(
-            pages=cfg.queue.pages,
-            page_size=cfg.queue.page_size,
-            tuple_size=cfg.queue.tuple_size,
-            capacity_override=args.queue_capacity,
-        )
     trace = read_trace(args.trace)
     result = run_pipeline(trace, cfg, keep_members=not args.no_members)
     emitted_path = out / "emitted.csv"
@@ -268,19 +260,12 @@ def cmd_run_pipeline(args) -> int:
     stats_path = out / "operator_stats.json"
     _write_json(
         stats_path,
-        {
-            "union": result.union_stats.to_dict(),
-            "aggregate": result.aggregate_stats.to_dict(),
-            "config": cfg.to_dict(),
-        },
+        {"aggregate": result.aggregate_stats.to_dict(), "config": cfg.to_dict()},
     )
     outputs = {"emitted": emitted_path, "stats": stats_path}
     if members_path:
         outputs["members"] = members_path
-    print(
-        f"{len(result.emissions)} emissions from {result.union_stats.tuples_in} tuples "
-        f"({result.union_stats.tuples_dropped} dropped)"
-    )
+    print(f"{len(result.emissions)} emissions from {result.aggregate_stats.tuples_in} tuples")
     _manifest(args, "run-pipeline", outputs, t0, extra_config={"pipeline": cfg.to_dict()})
     return 0
 
@@ -368,11 +353,10 @@ def cmd_compare(args) -> int:
             "residence_avg_s": stats.residence_avg_ms / 1000.0,
         }
 
-    queue = BoundedQueueSpec(tuple_size=tuple_size)
     rows = [
         one_run(
             PipelineConfig(
-                queue=queue,
+                tuple_size=tuple_size,
                 kind="swa",
                 capacity=args.capacity,
                 timeout_s=args.timeout,
@@ -384,7 +368,8 @@ def cmd_compare(args) -> int:
     for w in _ints_csv(args.sliding):
         rows.append(
             one_run(
-                PipelineConfig(queue=queue, kind="sliding", window=w, step=w, strategy=strategy),
+                PipelineConfig(tuple_size=tuple_size, kind="sliding", window=w, step=w,
+                               strategy=strategy),
                 f"sliding_{w}",
             )
         )
@@ -449,12 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--degree-dist", help="JSON degree distribution (default: built-in)")
     sp.add_argument("--span-dist", help="JSON span distribution in seconds (default: built-in)")
 
-    sp = add("run-pipeline", cmd_run_pipeline, "replay a trace through union + aggregate")
+    sp = add("run-pipeline", cmd_run_pipeline,
+             "replay a trace's merged stream through the window aggregate")
     sp.add_argument("--trace", required=True)
     sp.add_argument("--config", help="pipeline config JSON")
     sp.add_argument("--strategy", help="override the config's association strategy")
-    sp.add_argument("--queue-capacity", type=int,
-                    help="override the derived union queue capacity")
     sp.add_argument("--no-members", action="store_true",
                     help="skip the member sidecar (disables later evaluation)")
 

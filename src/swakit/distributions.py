@@ -38,7 +38,6 @@ __all__ = [
     "FitResult",
     "validate_generator",
     "fit_hyper_erlang_em",
-    "matexp",
     "ph_from_mean_scv",
     "dist_to_dict",
     "dist_from_dict",
@@ -383,14 +382,6 @@ class PointMassDist:
 
     def sample(self, n, rng):
         return np.full(n, float(self.value))
-
-
-def matexp(T, x: float) -> np.ndarray:
-    """Matrix exponential expm(T * x) via scaling-and-squaring with Pade."""
-    arr = np.asarray(T, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DistributionError("matexp needs a square matrix")
-    return expm(arr * float(x))
 
 
 def validate_generator(dist: PhaseTypeDist, policy: str = "strict"):

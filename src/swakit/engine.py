@@ -1,5 +1,6 @@
-"""Stream operators: key extraction, bounded-queue union, window aggregation.
+"""Stream operators: key extraction and window aggregation.
 
+Both operators read the single merged stream of :func:`~swakit.trace.replay`.
 Two aggregation operators are provided.  ``aggregate_sliding`` is the
 classic count-based batch: every ``window`` tuples are grouped by key and
 emitted together.  ``aggregate_swa`` keeps one small fixed-capacity window
@@ -19,24 +20,20 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence
 
 from .errors import ConfigError
 from .params import WindowParams
-from .queueing import buffer_capacity
 from .trace import StreamTuple, Trace, replay
 
 __all__ = [
     "Strategy",
     "extract_key",
-    "BoundedQueueSpec",
-    "BoundedQueue",
     "OperatorStats",
     "EmittedInstance",
-    "union",
+    "EmissionRecord",
     "aggregate_swa",
     "aggregate_sliding",
     "PipelineConfig",
@@ -89,120 +86,57 @@ def extract_key(t: StreamTuple, strategy: Strategy) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# bounded queue
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundedQueueSpec:
-    """Page-backed queue sizing: capacity = pages * floor(page_size / tuple_size).
-
-    ``capacity_override`` replaces the derived figure (used to model the
-    per-page bookkeeping overhead that lowers the raw capacity in practice).
-    """
-
-    pages: int = 10
-    page_size: int = 1024
-    tuple_size: int = 135
-    capacity_override: Optional[int] = None
-
-    def __post_init__(self):
-        if self.pages < 1 or self.page_size < 1 or self.tuple_size < 1:
-            raise ConfigError("pages, page_size and tuple_size must all be >= 1")
-        if self.capacity_override is not None and self.capacity_override < 1:
-            raise ConfigError("capacity_override must be >= 1")
-
-    @property
-    def capacity(self) -> int:
-        if self.capacity_override is not None:
-            return self.capacity_override
-        cap = buffer_capacity(self.pages, self.page_size, self.tuple_size)
-        if cap < 1:
-            raise ConfigError(
-                f"tuple_size {self.tuple_size} exceeds page_size {self.page_size}: "
-                "queue capacity would be 0"
-            )
-        return cap
-
-
-class BoundedQueue:
-    """Drop-newest bounded FIFO. ``offer`` returns False when the item is dropped."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ConfigError(f"queue capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._items = deque()
-        self.dropped = 0
-
-    def __len__(self):
-        return len(self._items)
-
-    def offer(self, item) -> bool:
-        if len(self._items) >= self.capacity:
-            self.dropped += 1
-            return False
-        self._items.append(item)
-        return True
-
-    def take(self):
-        return self._items.popleft()
-
-
-# ---------------------------------------------------------------------------
 # operator statistics
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class OperatorStats:
-    """Per-operator accounting sampled at arrivals and emissions.
+    """Per-operator accounting: occupancy at every arrival, residence per emission.
 
-    ``occupancy`` is sampled at every arrival: queue fill for the union,
-    resident tuples for the sliding buffer, open windows for the keyed
-    aggregate.  ``storage_bytes`` is the matching storage estimate
-    (occupancy * tuple_size, or windows * capacity * tuple_size for the
-    keyed aggregate).  ``residence_ms`` collects one sample per emission.
+    Occupancy is resident tuples for the sliding buffer and open windows for
+    the keyed aggregate; ``slot_bytes`` is the storage one unit of occupancy
+    reserves (``tuple_size``, or ``capacity * tuple_size`` for the keyed
+    aggregate).  Occupancy is kept as a running sum and maximum over
+    ``tuples_in`` arrivals; ``residence_ms`` collects one sample per emission.
     """
 
     name: str
+    slot_bytes: int = 0
     tuples_in: int = 0
     tuples_out: int = 0
-    tuples_dropped: int = 0
-    resident: int = 0
-    occupancy: list = field(default_factory=list)
-    storage_bytes: list = field(default_factory=list)
+    occupancy_sum: int = 0
+    occupancy_max: int = 0
     residence_ms: list = field(default_factory=list)
 
-    def _avg(self, xs):
-        return sum(xs) / len(xs) if xs else 0.0
+    def arrive(self, occupancy: int) -> None:
+        self.tuples_in += 1
+        self.occupancy_sum += occupancy
+        if occupancy > self.occupancy_max:
+            self.occupancy_max = occupancy
 
     @property
     def occupancy_avg(self):
-        return self._avg(self.occupancy)
-
-    @property
-    def occupancy_max(self):
-        return max(self.occupancy) if self.occupancy else 0
+        return self.occupancy_sum / self.tuples_in if self.tuples_in else 0.0
 
     @property
     def storage_avg(self):
-        return self._avg(self.storage_bytes)
+        return (self.occupancy_sum * self.slot_bytes) / self.tuples_in if self.tuples_in else 0.0
 
     @property
     def storage_max(self):
-        return max(self.storage_bytes) if self.storage_bytes else 0
+        return self.occupancy_max * self.slot_bytes
 
     @property
     def residence_avg_ms(self):
-        return self._avg(self.residence_ms)
+        xs = self.residence_ms
+        return sum(xs) / len(xs) if xs else 0.0
 
     def check_conservation(self):
-        if self.tuples_in != self.tuples_out + self.tuples_dropped + self.resident:
+        if self.tuples_in != self.tuples_out:
             raise AssertionError(
                 f"{self.name}: conservation violated: in={self.tuples_in} "
-                f"out={self.tuples_out} dropped={self.tuples_dropped} "
-                f"resident={self.resident}"
+                f"out={self.tuples_out}"
             )
 
     def to_dict(self) -> dict:
@@ -210,46 +144,12 @@ class OperatorStats:
             "name": self.name,
             "tuples_in": self.tuples_in,
             "tuples_out": self.tuples_out,
-            "tuples_dropped": self.tuples_dropped,
             "occupancy_avg": self.occupancy_avg,
             "occupancy_max": self.occupancy_max,
             "storage_avg_bytes": self.storage_avg,
             "storage_max_bytes": self.storage_max,
             "residence_avg_ms": self.residence_avg_ms,
         }
-
-
-# ---------------------------------------------------------------------------
-# union
-# ---------------------------------------------------------------------------
-
-
-def union(feeds: Sequence[Sequence[StreamTuple]], queue_spec: BoundedQueueSpec):
-    """Merge partition feeds in timestamp order through a bounded queue.
-
-    Ties are broken by partition index, then input order (the feeds from
-    :func:`~swakit.trace.replay` already carry that order in ``seq``).  The
-    consumer keeps pace in event-time replay, so the queue drains after
-    every arrival; drops can only occur under an artificially stalled
-    consumer, which is exercised directly on :class:`BoundedQueue` in tests.
-    """
-    stats = OperatorStats("union")
-    q = BoundedQueue(queue_spec.capacity)
-    merged = sorted((t for feed in feeds for t in feed), key=lambda t: t.seq)
-    out = []
-    for t in merged:
-        stats.tuples_in += 1
-        stats.occupancy.append(len(q))
-        stats.storage_bytes.append(len(q) * queue_spec.tuple_size)
-        if q.offer(t):
-            out.append(q.take())
-            stats.tuples_out += 1
-            stats.residence_ms.append(0.0)
-        else:
-            stats.tuples_dropped += 1
-    stats.resident = len(q)
-    stats.check_conservation()
-    return out, stats
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +176,23 @@ class EmittedInstance:
     @property
     def span_ms(self) -> int:
         return self.last_ts - self.first_ts
+
+
+@dataclass(frozen=True)
+class EmissionRecord:
+    """One emission read back from disk: the ``emitted.csv`` columns only.
+
+    ``key`` is the key's display string, as written; ``member_seqs`` comes
+    from the member sidecar when one is read.
+    """
+
+    key: str
+    count: int
+    close_reason: str
+    closed_at: int
+    response_avg: float
+    span_ms: int
+    member_seqs: Optional[tuple] = None
 
 
 def _key_str(key) -> str:
@@ -312,7 +229,7 @@ def write_emissions(emissions, path, members_path=None) -> None:
 
 
 def read_emissions(path, members_path=None) -> list:
-    """Read emissions back; member seqs only if a sidecar file is given."""
+    """Read :class:`EmissionRecord` rows back; member seqs only if a sidecar is given."""
     import csv
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -329,21 +246,15 @@ def read_emissions(path, members_path=None) -> list:
             for em, seq in r:
                 members.setdefault(int(em), []).append(int(seq))
     out = []
-    for i, row in enumerate(rows):
-        key, k, reason, closed_at, avg_resp, span = row
-        closed = int(closed_at)
+    for i, (key, k, reason, closed_at, avg_resp, span) in enumerate(rows):
         out.append(
-            EmittedInstance(
-                key=(key,),
+            EmissionRecord(
+                key=key,
                 count=int(k),
                 close_reason=reason,
-                opened_at=closed - int(span),
-                closed_at=closed,
-                first_ts=closed - int(span),
-                last_ts=closed,
+                closed_at=int(closed_at),
                 response_avg=float(avg_resp),
-                response_min=0,
-                response_max=0,
+                span_ms=int(span),
                 member_seqs=tuple(members.get(i, ())) if members_path else None,
             )
         )
@@ -401,7 +312,7 @@ def aggregate_swa(
     ``timeout``.
     """
     timeout_ms = params.timeout_s * 1000
-    stats = OperatorStats("aggregate_swa")
+    stats = OperatorStats("aggregate_swa", slot_bytes=params.capacity * tuple_size)
     open_windows: dict = {}
     expiry = []  # heap of (deadline, seq#, window)
     counter = 0
@@ -441,9 +352,7 @@ def aggregate_swa(
     last_ts = None
     for t in tuples:
         sweep(t.timestamp)
-        stats.tuples_in += 1
-        stats.occupancy.append(len(open_windows))
-        stats.storage_bytes.append(len(open_windows) * params.capacity * tuple_size)
+        stats.arrive(len(open_windows))
         key = extract_key(t, strategy)
         win = open_windows.get(key)
         if win is None:
@@ -463,7 +372,6 @@ def aggregate_swa(
             if not win.closed:
                 emit(win, "timeout", last_ts)
         open_windows.clear()
-    stats.resident = 0
     stats.check_conservation()
     return emissions, stats
 
@@ -493,7 +401,7 @@ def aggregate_sliding(
         raise ConfigError("window must be >= 1")
     if step < 1 or step > window:
         raise ConfigError("step must satisfy 1 <= step <= window")
-    stats = OperatorStats("aggregate_sliding")
+    stats = OperatorStats("aggregate_sliding", slot_bytes=tuple_size)
     buf: List[StreamTuple] = []
     emissions: List[EmittedInstance] = []
     emitted_seqs = set()
@@ -526,9 +434,7 @@ def aggregate_sliding(
                 emitted_seqs.add(m.seq)
 
     for t in tuples:
-        stats.tuples_in += 1
-        stats.occupancy.append(len(buf))
-        stats.storage_bytes.append(len(buf) * tuple_size)
+        stats.arrive(len(buf))
         buf.append(t)
         if len(buf) == window:
             close_batch(buf)
@@ -538,7 +444,6 @@ def aggregate_sliding(
     # a tuple can land in several overlapping batches; conservation is
     # accounted on distinct tuples
     stats.tuples_out = len(emitted_seqs)
-    stats.resident = 0
     stats.check_conservation()
     return emissions, stats
 
@@ -550,9 +455,9 @@ def aggregate_sliding(
 
 @dataclass
 class PipelineConfig:
-    """Declarative pipeline: queue sizing, aggregate choice, strategy."""
+    """Declarative pipeline: tuple size, aggregate choice, strategy."""
 
-    queue: BoundedQueueSpec = field(default_factory=BoundedQueueSpec)
+    tuple_size: int = 135
     kind: str = "swa"
     capacity: int = 13
     timeout_s: int = 22
@@ -561,6 +466,8 @@ class PipelineConfig:
     strategy: Strategy = Strategy.HEAD_TS_IP
 
     def __post_init__(self):
+        if self.tuple_size < 1:
+            raise ConfigError(f"tuple_size must be >= 1, got {self.tuple_size}")
         if self.kind not in ("swa", "sliding"):
             raise ConfigError(f"aggregate kind must be 'swa' or 'sliding', got {self.kind!r}")
         if isinstance(self.strategy, str):
@@ -569,18 +476,9 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
         try:
-            qdoc = doc.get("queue", {})
             adoc = doc["aggregate"]
-            queue = BoundedQueueSpec(
-                pages=int(qdoc.get("pages", 10)),
-                page_size=int(qdoc.get("page_size", 1024)),
-                tuple_size=int(qdoc.get("tuple_size", 135)),
-                capacity_override=(
-                    int(qdoc["capacity_override"]) if "capacity_override" in qdoc else None
-                ),
-            )
             return cls(
-                queue=queue,
+                tuple_size=int(doc.get("queue", {}).get("tuple_size", 135)),
                 kind=adoc.get("kind", "swa"),
                 capacity=int(adoc.get("capacity", 13)),
                 timeout_s=int(adoc.get("timeout_s", 22)),
@@ -593,16 +491,7 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         return {
-            "queue": {
-                "pages": self.queue.pages,
-                "page_size": self.queue.page_size,
-                "tuple_size": self.queue.tuple_size,
-                **(
-                    {"capacity_override": self.queue.capacity_override}
-                    if self.queue.capacity_override is not None
-                    else {}
-                ),
-            },
+            "queue": {"tuple_size": self.tuple_size},
             "aggregate": {
                 "kind": self.kind,
                 "capacity": self.capacity,
@@ -626,29 +515,27 @@ class PipelineConfig:
 @dataclass
 class PipelineResult:
     emissions: list
-    union_stats: OperatorStats
     aggregate_stats: OperatorStats
 
 
 def run_pipeline(trace: Trace, cfg: PipelineConfig, keep_members: bool = True) -> PipelineResult:
-    """Replay a trace through union and the configured aggregate."""
-    feeds = replay(trace, mode="event-time")
-    merged, ustats = union(feeds, cfg.queue)
+    """Replay a trace through the configured aggregate."""
+    stream = replay(trace)
     if cfg.kind == "swa":
         emissions, astats = aggregate_swa(
-            merged,
+            stream,
             WindowParams(cfg.capacity, cfg.timeout_s),
             cfg.strategy,
-            tuple_size=cfg.queue.tuple_size,
+            tuple_size=cfg.tuple_size,
             keep_members=keep_members,
         )
     else:
         emissions, astats = aggregate_sliding(
-            merged,
+            stream,
             cfg.window,
             cfg.step,
             cfg.strategy,
-            tuple_size=cfg.queue.tuple_size,
+            tuple_size=cfg.tuple_size,
             keep_members=keep_members,
         )
-    return PipelineResult(emissions, ustats, astats)
+    return PipelineResult(emissions, astats)

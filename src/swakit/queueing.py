@@ -252,12 +252,16 @@ def _arrival_ph(model: QueueModel) -> PhaseTypeDist:
     return ph
 
 
-def _solve_stationary(rows, cols, vals, size) -> np.ndarray:
-    """Solve pi Q = 0, sum(pi) = 1 from COO triplets of Q; checks the residual."""
+def _check_states(size: int) -> None:
+    """Refuse a chain too large for the direct solve, before it is assembled."""
     if size > MAX_STATES:
         raise StateSpaceError(
             f"state space has {size} states, direct solve capped at {MAX_STATES}"
         )
+
+
+def _solve_stationary(rows, cols, vals, size) -> np.ndarray:
+    """Solve pi Q = 0, sum(pi) = 1 from COO triplets of Q; checks the residual."""
     Q = csr_matrix((vals, (rows, cols)), shape=(size, size))
     A = Q.transpose().tolil()
     A[-1, :] = 1.0
@@ -303,6 +307,7 @@ def solve_ph_ph_1_n(model: QueueModel) -> PerfIndicators:
     Ts, Ts0, as_ = sp.T, sp.exit_rates, sp.alpha
 
     size = m + N * m * n
+    _check_states(size)
 
     def idx0(i):
         return i
@@ -407,6 +412,7 @@ def solve_batch_ph_ph_1_n(model: QueueModel) -> PerfIndicators:
     qmax = N - K  # waiting room while a batch is in service
     n_idle = K * m
     size = n_idle + (qmax + 1) * m * n
+    _check_states(size)
 
     def idle(q, i):
         return q * m + i

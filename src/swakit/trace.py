@@ -3,9 +3,10 @@
 A trace is a set of per-partition, timestamp-sorted invocation tuples.
 Each composite service has a head invocation plus subordinate invocations;
 all tuples of one live instance share a ground-truth label that exists only
-for scoring.  The stream view handed to operators (:func:`stream_partitions`)
-strips the truth label and partition column and exposes a stable global
-sequence number instead, so operators can never key on ground truth.
+for scoring.  The stream handed to operators (:func:`replay`) is one list
+in global timestamp-merged order; it strips the truth label and partition
+column and exposes a stable global sequence number instead, so operators
+can never key on ground truth.
 
 Timestamps are integer milliseconds.  Span distributions are sampled in
 seconds (matching how response times are usually modeled) and converted;
@@ -42,7 +43,6 @@ __all__ = [
     "write_trace",
     "read_trace",
     "replay",
-    "stream_partitions",
     "truth_by_seq",
     "truth_index",
     "default_degree_dist",
@@ -366,6 +366,12 @@ def read_trace(path) -> Trace:
                 raise TraceParseError(f"negative partition {part}", row=row_no)
             while len(parts) <= part:
                 parts.append([])
+            if parts[part] and ts < parts[part][-1].timestamp:
+                raise TraceParseError(
+                    f"timestamp {ts} precedes {parts[part][-1].timestamp} "
+                    f"in partition {part}",
+                    row=row_no,
+                )
             parts[part].append(
                 InvocationTuple(ts, row[1], row[2], row[3], inst_ts, resp, row[6])
             )
@@ -375,25 +381,6 @@ def read_trace(path) -> Trace:
 # ---------------------------------------------------------------------------
 # replay + operator-facing stream view
 # ---------------------------------------------------------------------------
-
-
-def stream_partitions(trace: Trace) -> List[List[StreamTuple]]:
-    """Strip truth/partition columns and assign global sequence numbers."""
-    out: List[List[StreamTuple]] = [[] for _ in trace.partitions]
-    for seq, (_, p, i) in enumerate(_global_order(trace)):
-        t = trace.partitions[p][i]
-        out[p].append(
-            StreamTuple(
-                seq,
-                t.timestamp,
-                t.user_id,
-                t.service_id,
-                t.head_id,
-                t.instance_timestamp,
-                t.response_time,
-            )
-        )
-    return out
 
 
 def truth_by_seq(trace: Trace) -> dict:
@@ -421,20 +408,31 @@ def truth_index(trace: Trace) -> dict:
     }
 
 
-def replay(trace: Trace, mode: str = "event-time") -> List[List[StreamTuple]]:
-    """Deliver the per-partition streams for a pipeline run.
+def replay(trace: Trace) -> List[StreamTuple]:
+    """The operator-facing stream: every tuple once, in global ``seq`` order.
 
-    ``event-time`` drives operator clocks from tuple timestamps (the
-    deterministic mode every experiment uses); ``fast`` delivers the same
-    tuples as quickly as possible and is only meaningful for throughput
-    measurements.  Both validate that each partition is timestamp-sorted.
+    ``seq`` numbers the timestamp merge of the partitions (ties go to the
+    lower partition, then to input order), and operator clocks are driven by
+    tuple timestamps.  Each partition must be timestamp-sorted.
     """
-    if mode not in ("event-time", "fast"):
-        raise ConfigError(f"unknown replay mode {mode!r}")
     for p, part in enumerate(trace.partitions):
         for i in range(1, len(part)):
             if part[i].timestamp < part[i - 1].timestamp:
                 raise ConfigError(
                     f"partition {p} is not timestamp-sorted at position {i}"
                 )
-    return stream_partitions(trace)
+    stream = []
+    for seq, (_, p, i) in enumerate(_global_order(trace)):
+        t = trace.partitions[p][i]
+        stream.append(
+            StreamTuple(
+                seq,
+                t.timestamp,
+                t.user_id,
+                t.service_id,
+                t.head_id,
+                t.instance_timestamp,
+                t.response_time,
+            )
+        )
+    return stream

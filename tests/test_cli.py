@@ -82,7 +82,8 @@ def test_pipeline_then_evaluate_round_trip(capsys, tiny_trace, tmp_path):
     assert (tmp_path / "emitted.csv").exists()
     assert (tmp_path / "emitted_members.csv").exists()
     stats = json.loads((tmp_path / "operator_stats.json").read_text())
-    assert stats["union"]["tuples_dropped"] == 0
+    assert set(stats) == {"aggregate", "config"}
+    assert stats["aggregate"]["tuples_in"] == stats["aggregate"]["tuples_out"]
     assert stats["config"]["aggregate"]["kind"] == "swa"
 
     code, out, _ = run(

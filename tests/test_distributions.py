@@ -21,7 +21,6 @@ from swakit.distributions import (
     dist_to_dict,
     fit_hyper_erlang_em,
     load_dist,
-    matexp,
     ph_from_mean_scv,
     save_dist,
     validate_generator,
@@ -216,15 +215,6 @@ def test_ph_from_mean_scv_matches_targets():
         assert ph.is_valid_generator()
         assert ph.mean() == pytest.approx(mean, rel=1e-9)
         assert ph.scv() == pytest.approx(scv, rel=1e-6)
-
-
-def test_matexp_zero_matrix_is_identity():
-    assert np.allclose(matexp(np.zeros((3, 3)), 2.0), np.eye(3), atol=1e-14)
-
-
-def test_matexp_scalar_case():
-    out = matexp(np.array([[-0.7]]), 3.0)
-    assert out[0, 0] == pytest.approx(math.exp(-2.1), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

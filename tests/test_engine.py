@@ -1,4 +1,4 @@
-"""Stream operators: key extraction, union + bounded queue, both aggregates."""
+"""Stream operators: key extraction, the merged stream, both aggregates."""
 
 import json
 
@@ -6,8 +6,6 @@ import pytest
 
 from swakit.distributions import PointMassDist
 from swakit.engine import (
-    BoundedQueue,
-    BoundedQueueSpec,
     EMITTED_HEADER,
     PipelineConfig,
     Strategy,
@@ -16,12 +14,20 @@ from swakit.engine import (
     extract_key,
     read_emissions,
     run_pipeline,
-    union,
     write_emissions,
 )
 from swakit.errors import ConfigError
 from swakit.params import WindowParams
-from swakit.trace import StreamTuple, TraceConfig, build_catalog, generate_trace, truth_index
+from swakit.trace import (
+    InvocationTuple,
+    StreamTuple,
+    Trace,
+    TraceConfig,
+    build_catalog,
+    generate_trace,
+    replay,
+    truth_index,
+)
 
 from conftest import make_trace
 
@@ -80,54 +86,35 @@ def test_timestamp_strategy_splits_seconds():
 
 
 # ---------------------------------------------------------------------------
-# union and bounded queue
+# union of the partition streams (replay)
 # ---------------------------------------------------------------------------
 
 
+def inv(ts, head="h"):
+    return InvocationTuple(ts, "u", "s", head, ts // 1000, 4, "i")
+
+
 def test_union_two_element_merge():
-    f0 = [st(1, seq=0), st(3, seq=2)]
-    f1 = [st(2, "b", seq=1)]
-    merged, stats = union([f0, f1], BoundedQueueSpec())
+    merged = replay(Trace([[inv(1), inv(3)], [inv(2, "b")]]))
     assert [t.timestamp for t in merged] == [1, 2, 3]
-    assert stats.tuples_in == 3
-    assert stats.tuples_out == 3
-    assert stats.tuples_dropped == 0
+    assert [t.seq for t in merged] == [0, 1, 2]
 
 
 def test_union_timestamp_tie_keeps_partition_order():
-    # stream_partitions assigns seq by (timestamp, partition, input order);
-    # the merge must honor it, so the lower partition wins the tie
-    f0 = [st(5, "x", seq=0)]
-    f1 = [st(5, "y", seq=1)]
-    merged, _ = union([f0, f1], BoundedQueueSpec())
+    # seq is assigned by (timestamp, partition, input order), so the lower
+    # partition wins the tie
+    merged = replay(Trace([[inv(5, "x")], [inv(5, "y")]]))
     assert [t.head_id for t in merged] == ["x", "y"]
 
 
 def test_union_conservation(small_trace):
-    from swakit.trace import stream_partitions
+    # every partition tuple reaches the merged stream exactly once
+    def fields(t):
+        return (t.timestamp, t.user_id, t.service_id, t.head_id, t.instance_timestamp,
+                t.response_time)
 
-    feeds = stream_partitions(small_trace)
-    merged, stats = union(feeds, BoundedQueueSpec())
-    assert len(merged) == small_trace.n_tuples == stats.tuples_in
-    assert [t.seq for t in merged] == sorted(t.seq for t in merged)
-
-
-def test_bounded_queue_drop_newest():
-    q = BoundedQueue(1)
-    assert q.offer("a")
-    assert not q.offer("b")  # full while the consumer stalls: newest dropped
-    assert q.dropped == 1
-    assert q.take() == "a"
-    assert q.offer("c")
-    assert q.take() == "c"
-
-
-def test_queue_spec_capacity():
-    assert BoundedQueueSpec().capacity == 70
-    assert BoundedQueueSpec(pages=4000, page_size=4096, tuple_size=135).capacity == 120_000
-    assert BoundedQueueSpec(capacity_override=60).capacity == 60
-    with pytest.raises(ConfigError):
-        BoundedQueueSpec(pages=2, page_size=100, tuple_size=135).capacity
+    merged = replay(small_trace)
+    assert sorted(map(fields, merged)) == sorted(map(fields, small_trace.all_tuples()))
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +181,7 @@ def test_swa_aggregates_recomputable():
 
 
 def test_swa_key_purity(swa_small_run, small_trace):
-    from swakit.trace import stream_partitions
-
-    merged, _ = union(stream_partitions(small_trace), BoundedQueueSpec())
-    by_seq = {t.seq: t for t in merged}
+    by_seq = {t.seq: t for t in replay(small_trace)}
     for e in swa_small_run.emissions:
         for seq in e.member_seqs:
             assert extract_key(by_seq[seq], Strategy.HEAD_TS_IP) == e.key
@@ -208,7 +192,6 @@ def test_swa_conservation_after_flush(swa_small_run, small_trace):
     total_emitted = sum(e.count for e in swa_small_run.emissions)
     assert stats.tuples_in == small_trace.n_tuples
     assert total_emitted == stats.tuples_in
-    assert stats.tuples_dropped == 0
     stats.check_conservation()
 
 
@@ -221,10 +204,7 @@ def test_swa_resident_windows_bounded_by_open_instances():
     cfg = TraceConfig(instance_count=300, arrival_dist=default_arrival_dist(),
                       span_dist=default_span_dist(), user_pool=900, seed=14)
     trace = generate_trace(cat, cfg)
-    from swakit.trace import stream_partitions
-
-    merged, _ = union(stream_partitions(trace), BoundedQueueSpec())
-    _, stats = aggregate_swa(merged, WindowParams(3, 1000), Strategy.HEAD_TS_IP)
+    _, stats = aggregate_swa(replay(trace), WindowParams(3, 1000), Strategy.HEAD_TS_IP)
 
     truth = truth_index(trace)
     intervals = sorted((i.primary_arrival, i.last_arrival) for i in truth.values())
@@ -265,6 +245,18 @@ def test_sliding_batch_boundary_splits():
     assert lost == 3
 
 
+def test_sliding_occupancy_and_storage_totals():
+    # tumbling batches of four: the buffer holds i % 4 tuples at arrival i
+    tuples = feed(*[(i, "A", "u") for i in range(10)])
+    _, stats = aggregate_sliding(tuples, window=4, step=4, strategy=Strategy.HEAD,
+                                 tuple_size=135)
+    occ = [i % 4 for i in range(10)]
+    assert stats.occupancy_avg == sum(occ) / len(occ)
+    assert stats.occupancy_max == 3
+    assert stats.storage_avg == sum(o * 135 for o in occ) / len(occ)
+    assert stats.storage_max == 3 * 135
+
+
 def test_sliding_window_of_one():
     tuples = feed((0, "A", "u"), (1, "A", "u"), (2, "B", "u"))
     ems, _ = aggregate_sliding(tuples, window=1, step=1, strategy=Strategy.HEAD)
@@ -302,7 +294,7 @@ def test_pipeline_config_from_json(tmp_path):
     cfg = PipelineConfig.from_json(p)
     assert cfg.kind == "swa"
     assert (cfg.capacity, cfg.timeout_s) == (13, 22)
-    assert cfg.queue.capacity == 70
+    assert cfg.tuple_size == 135
     assert cfg.strategy is Strategy.HEAD_TS_IP
     assert cfg.to_dict()["aggregate"]["kind"] == "swa"
 
@@ -310,6 +302,13 @@ def test_pipeline_config_from_json(tmp_path):
 def test_pipeline_config_rejects_bad_kind():
     with pytest.raises(ConfigError):
         PipelineConfig.from_dict({"aggregate": {"kind": "hopping"}})
+
+
+def test_pipeline_config_rejects_bad_tuple_size():
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_dict({"queue": {"tuple_size": 0}, "aggregate": {}})
+    with pytest.raises(ConfigError):
+        PipelineConfig(tuple_size=-1)
 
 
 def test_run_pipeline_deterministic(small_trace):
@@ -322,13 +321,10 @@ def test_run_pipeline_deterministic(small_trace):
 
 
 def test_run_pipeline_stats_structure(swa_small_run):
-    u = swa_small_run.union_stats.to_dict()
     a = swa_small_run.aggregate_stats.to_dict()
-    for doc in (u, a):
-        for key in ("tuples_in", "tuples_out", "tuples_dropped", "occupancy_avg",
-                    "occupancy_max", "storage_avg_bytes", "storage_max_bytes",
-                    "residence_avg_ms"):
-            assert key in doc
+    for key in ("tuples_in", "tuples_out", "occupancy_avg", "occupancy_max",
+                "storage_avg_bytes", "storage_max_bytes", "residence_avg_ms"):
+        assert key in a
     assert a["residence_avg_ms"] >= 0
     # reserved-slot storage accounting: windows x capacity x tuple size
     assert a["storage_max_bytes"] == a["occupancy_max"] * 13 * 135
@@ -344,13 +340,15 @@ def test_emissions_csv_round_trip(swa_small_run, tmp_path):
     assert len(back) == len(swa_small_run.emissions)
     for got, want in zip(back, swa_small_run.emissions):
         # the key survives as its display string; arity lives with the writer
-        assert got.key == ("|".join(str(part) for part in want.key),)
+        assert got.key == "|".join(str(part) for part in want.key)
         assert got.count == want.count
         assert got.close_reason == want.close_reason
         assert got.closed_at == want.closed_at
         assert got.span_ms == want.span_ms
         assert got.member_seqs == tuple(want.member_seqs)
         assert got.response_avg == pytest.approx(want.response_avg, abs=1e-6)
+        # fields that were never written are not invented on the way back
+        assert not hasattr(got, "opened_at") and not hasattr(got, "response_min")
     # writing what we read back reproduces the files byte for byte
     p2 = tmp_path / "e2.csv"
     mp2 = tmp_path / "e2_members.csv"

@@ -184,10 +184,20 @@ def test_batch_chain_agrees_with_simulation():
     assert exact.W == pytest.approx(sim.W, rel=0.02)
 
 
-def test_state_space_guard():
+def test_state_space_guard(monkeypatch):
+    # both exact solvers refuse from the state count alone, before any chain
+    # is assembled or handed to the stationary solve
+    import swakit.queueing
+
+    def never(*args):
+        pytest.fail("an oversized chain reached the stationary solve")
+
+    monkeypatch.setattr(swakit.queueing, "_solve_stationary", never)
     big = ErlangDist(1.0, 10).as_phase_type()
     with pytest.raises(StateSpaceError):
         solve_ph_ph_1_n(QueueModel(big, big, buffer=2000))
+    with pytest.raises(StateSpaceError):
+        solve_batch_ph_ph_1_n(QueueModel(big, big, buffer=2000, batch=(20, 20)))
 
 
 def test_exact_chain_validates_model():

@@ -16,7 +16,6 @@ from swakit.trace import (
     generate_trace,
     read_trace,
     replay,
-    stream_partitions,
     truth_by_seq,
     truth_index,
     write_trace,
@@ -176,6 +175,15 @@ def test_malformed_row_names_row_number(tmp_path):
         read_trace(p)
 
 
+def test_unsorted_partition_names_row_number(tmp_path):
+    p = tmp_path / "unsorted.csv"
+    header = "timestamp_ms,user_id,service_id,head_id,instance_ts_s,response_ms,truth_instance,partition"
+    # partition 0 goes back in time at row 3; partition 1 interleaving is fine
+    p.write_text(header + "\n5,u,s,h,0,5,i,0\n3,u,s,h,0,5,i,1\n4,u,s,h,0,5,i,0\n")
+    with pytest.raises(TraceParseError, match="row 3"):
+        read_trace(p)
+
+
 def test_wrong_header_rejected(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b,c\n")
@@ -197,12 +205,10 @@ def test_header_only_file_is_empty_trace(tmp_path):
 
 
 def test_replay_preserves_count_and_order(small_trace):
-    feeds = replay(small_trace, mode="event-time")
-    fast = replay(small_trace, mode="fast")
-    assert [len(f) for f in feeds] == [len(p) for p in small_trace.partitions]
-    for f, g in zip(feeds, fast):
-        assert [t.seq for t in f] == [t.seq for t in g]
-        assert all(a.timestamp <= b.timestamp for a, b in zip(f, f[1:]))
+    stream = replay(small_trace)
+    assert len(stream) == small_trace.n_tuples
+    assert [t.seq for t in stream] == list(range(len(stream)))
+    assert all(a.timestamp <= b.timestamp for a, b in zip(stream, stream[1:]))
 
 
 def test_replay_rejects_unsorted():
@@ -215,8 +221,7 @@ def test_replay_rejects_unsorted():
 
 
 def test_stream_view_hides_ground_truth(small_trace):
-    feeds = stream_partitions(small_trace)
-    t = feeds[0][0]
+    t = replay(small_trace)[0]
     assert not hasattr(t, "truth_instance")
     assert hasattr(t, "seq")
 
