@@ -47,6 +47,7 @@ __all__ = [
 SWEEP_MS = 100
 
 EMITTED_HEADER = ["key", "k", "close_reason", "closed_at_ms", "avg_response_ms", "span_ms"]
+MEMBERS_HEADER = ["emission", "seq"]
 
 
 class Strategy(Enum):
@@ -222,43 +223,59 @@ def write_emissions(emissions, path, members_path=None) -> None:
     if members_path is not None:
         with open(members_path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["emission", "seq"])
+            w.writerow(MEMBERS_HEADER)
             for i, e in enumerate(emissions):
                 for s in e.member_seqs or ():
                     w.writerow([i, s])
 
 
-def read_emissions(path, members_path=None) -> list:
-    """Read :class:`EmissionRecord` rows back; member seqs only if a sidecar is given."""
+def _read_rows(path, header, parse):
+    """Yield ``parse(*fields)`` for each data row of a CSV file headed by ``header``.
+
+    A bad header, a row of the wrong width or a field ``parse`` rejects
+    raises a ConfigError naming the file and the 1-based row (header
+    excluded).
+    """
     import csv
 
     with open(path, "r", encoding="utf-8", newline="") as fh:
         r = csv.reader(fh)
-        header = next(r, None)
-        if header != EMITTED_HEADER:
-            raise ConfigError(f"bad emissions header {header!r}")
-        rows = list(r)
+        got = next(r, None)
+        if got != header:
+            raise ConfigError(f"{path}: bad header {got!r}, expected {header!r}")
+        for row_no, fields in enumerate(r, 1):
+            if len(fields) != len(header):
+                raise ConfigError(
+                    f"{path}: row {row_no}: {len(fields)} fields, expected {len(header)}"
+                )
+            try:
+                yield parse(*fields)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: row {row_no}: {exc}") from None
+
+
+def read_emissions(path, members_path=None) -> list:
+    """Read :class:`EmissionRecord` rows back; member seqs only if a sidecar is given."""
+    rows = list(_read_rows(
+        path,
+        EMITTED_HEADER,
+        lambda key, k, reason, closed_at, avg_resp, span: dict(
+            key=key,
+            count=int(k),
+            close_reason=reason,
+            closed_at=int(closed_at),
+            response_avg=float(avg_resp),
+            span_ms=int(span),
+        ),
+    ))
     members = {}
     if members_path is not None:
-        with open(members_path, "r", encoding="utf-8", newline="") as fh:
-            r = csv.reader(fh)
-            next(r, None)
-            for em, seq in r:
-                members.setdefault(int(em), []).append(int(seq))
-    out = []
-    for i, (key, k, reason, closed_at, avg_resp, span) in enumerate(rows):
-        out.append(
-            EmissionRecord(
-                key=key,
-                count=int(k),
-                close_reason=reason,
-                closed_at=int(closed_at),
-                response_avg=float(avg_resp),
-                span_ms=int(span),
-                member_seqs=tuple(members.get(i, ())) if members_path else None,
-            )
-        )
-    return out
+        for em, seq in _read_rows(members_path, MEMBERS_HEADER, lambda em, seq: (int(em), int(seq))):
+            members.setdefault(em, []).append(seq)
+    return [
+        EmissionRecord(**row, member_seqs=tuple(members.get(i, ())) if members_path else None)
+        for i, row in enumerate(rows)
+    ]
 
 
 # ---------------------------------------------------------------------------

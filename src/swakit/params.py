@@ -34,18 +34,27 @@ def _check_level(name, value):
         raise ConfigError(f"{name} must lie strictly between 0 and 1, got {value}")
 
 
+def _smallest_covering(cdf, level: float, upper: int, what: str) -> int:
+    """Smallest integer x in 1..upper with cdf(x) >= level.
+
+    A CDF never decreases, so when cdf(upper) misses the level no smaller
+    integer can reach it: the search gives up after that one call.
+    """
+    if cdf(upper) < level:
+        raise NoSolutionError(f"no {what} reaches coverage {level}")
+    for x in range(1, upper):
+        if cdf(x) >= level:
+            return x
+    return upper
+
+
 def estimate_capacity(degree_dist, alpha: float, max_degree: int = 10_000) -> int:
     """Smallest integer n with P(degree <= n) >= alpha.
 
     Raises NoSolutionError if no n up to ``max_degree`` reaches the level.
     """
     _check_level("alpha", alpha)
-    for n in range(1, max_degree + 1):
-        if degree_dist.cdf(n) >= alpha:
-            return n
-    raise NoSolutionError(
-        f"no capacity up to {max_degree} reaches coverage {alpha}"
-    )
+    return _smallest_covering(degree_dist.cdf, alpha, max_degree, f"capacity up to {max_degree}")
 
 
 def estimate_timeout(span_dist, beta: float, max_timeout_s: int = 86_400) -> int:
@@ -56,12 +65,8 @@ def estimate_timeout(span_dist, beta: float, max_timeout_s: int = 86_400) -> int
     ``max_timeout_s``.
     """
     _check_level("beta", beta)
-    target = 1.0 - beta
-    for t in range(1, max_timeout_s + 1):
-        if span_dist.cdf(t) >= target:
-            return t
-    raise NoSolutionError(
-        f"no timeout up to {max_timeout_s}s reaches coverage {target}"
+    return _smallest_covering(
+        span_dist.cdf, 1.0 - beta, max_timeout_s, f"timeout up to {max_timeout_s}s"
     )
 
 

@@ -1,12 +1,21 @@
-"""Performance prediction: exact finite-buffer chains, approximations, DES.
+"""Performance prediction: one exact finite-buffer chain, approximations, DES.
 
-The exact solvers build the continuous-time Markov chain over (occupancy,
-arrival phase, service phase), solve pi Q = 0 directly, and read the
-indicators off the stationary vector.  Loss and busy-at-arrival
-probabilities are arrival-weighted: a state's weight is its stationary
-probability times the arrival-completion intensity of its arrival phase,
-which is what an arriving tuple actually samples (PASTA only covers the
-Poisson special case).
+The exact solver is one continuous-time Markov chain for a single server
+that serves fixed batches of K tuples; plain service is K = 1.  Its states
+come in levels: K idle levels of m arrival phases, then N - K + 1 busy
+levels of m x n (arrival phase, service phase) pairs.  The generator is
+level-structured (a quasi-birth-death process when K = 1), and each of its
+blocks is a Kronecker product of a 0/1 level pattern with the phase-type
+blocks of the arrival and service laws: phase moves T_a ⊗ I + I ⊗ T_s,
+arrival completions t_a alpha_a ⊗ I, service completions I ⊗ t_s alpha_s
+(Neuts, *Matrix-Geometric Solutions in Stochastic Models*, 1981; Latouche
+and Ramaswami, *Introduction to Matrix Analytic Methods in Stochastic
+Modeling*, 1999).  pi Q = 0 is solved directly and the indicators are read
+off the stationary vector.  Loss and busy-at-arrival probabilities are
+arrival-weighted: a state's weight is its stationary probability times the
+arrival-completion intensity of its arrival phase, which is what an
+arriving tuple actually samples (PASTA only covers the Poisson special
+case).
 
 The discrete-event simulator is the independent oracle for all of them:
 same model document, pre-drawn random streams, batch-means confidence
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import bmat, coo_matrix, diags, identity, kron, vstack
 from scipy.sparse.linalg import spsolve
 from scipy import stats as sps
 
@@ -260,15 +269,15 @@ def _check_states(size: int) -> None:
         )
 
 
-def _solve_stationary(rows, cols, vals, size) -> np.ndarray:
-    """Solve pi Q = 0, sum(pi) = 1 from COO triplets of Q; checks the residual."""
-    Q = csr_matrix((vals, (rows, cols)), shape=(size, size))
-    A = Q.transpose().tolil()
-    A[-1, :] = 1.0
+def _solve_stationary(Q) -> np.ndarray:
+    """Solve pi Q = 0, sum(pi) = 1 for a sparse generator Q; checks the residual."""
+    size = Q.shape[0]
+    # the last balance equation is redundant; sum(pi) = 1 takes its place
+    A = vstack([Q.transpose()[:-1], np.ones((1, size))], format="csr")
     b = np.zeros(size)
     b[-1] = 1.0
     try:
-        pi = spsolve(csr_matrix(A), b)
+        pi = spsolve(A, b)
     except Exception as exc:  # SuperLU raises various types
         raise NumericalError(f"stationary solve failed: {exc}") from exc
     if not np.all(np.isfinite(pi)):
@@ -285,8 +294,63 @@ def _solve_stationary(rows, cols, vals, size) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# exact single-service chain
+# exact finite-buffer chain
 # ---------------------------------------------------------------------------
+
+
+def _levels(src, dst, shape):
+    """Level pattern: a 0/1 matrix with a one at (src[k], dst[k]) for each k."""
+    return coo_matrix((np.ones(len(src)), (src, dst)), shape=shape)
+
+
+def _solve_chain(model: QueueModel, K: int) -> PerfIndicators:
+    """Exact single-server chain that serves fixed batches of K tuples.
+
+    The K idle levels q = 0..K-1 (q tuples wait, the server is idle) hold m
+    arrival phases each; the N - K + 1 busy levels q = 0..N-K (q tuples wait
+    while a batch is in service) hold m x n arrival and service phases.
+    """
+    ap = _arrival_ph(model)
+    sp = _as_ph(model.service, "service")
+    N = model.buffer
+    m, n = ap.order, sp.order
+    B = N - K + 1
+    size = K * m + B * m * n
+    _check_states(size)
+
+    Ta = ap.T - np.diag(np.diag(ap.T))  # phase moves
+    Ts = sp.T - np.diag(np.diag(sp.T))
+    arrive = np.outer(ap.exit_rates, ap.alpha)  # t_a alpha_a: an arrival completes
+    served = sp.exit_rates[:, None]  # t_s: a batch completes, the server idles
+    restart = served @ sp.alpha[None, :]  # t_s alpha_s: the next batch starts at once
+    Im, In = identity(m), identity(n)
+    idle, busy = np.arange(K), np.arange(B)
+    idle_idle = kron(identity(K), Ta) + kron(_levels(idle[:-1], idle[1:], (K, K)), arrive)
+    idle_busy = kron(_levels([K - 1], [0], (K, B)), kron(arrive, sp.alpha[None, :]))
+    busy_idle = kron(_levels(busy[:K], busy[:K], (B, K)), kron(Im, served))
+    busy_busy = (
+        kron(identity(B), kron(Ta, In) + kron(Im, Ts))
+        # at the last level the arrival is lost and the arrival process renews
+        + kron(_levels(busy, np.minimum(busy + 1, B - 1), (B, B)), kron(arrive, In))
+        + kron(_levels(busy[K:], busy[K:] - K, (B, B)), kron(Im, restart))
+    )
+    Q = bmat([[idle_idle, idle_busy], [busy_idle, busy_busy]], format="csr")
+    # the diagonal is minus the row sums, which include the lost-arrival self-block
+    Q = Q - diags(np.asarray(Q.sum(axis=1)).ravel())
+    pi = _solve_stationary(Q)
+
+    waitn = np.concatenate([np.repeat(idle, m), np.repeat(busy, m * n)]).astype(float)
+    sysn = waitn + np.repeat([0.0, K], [K * m, B * m * n])
+    aphase = np.concatenate([np.tile(np.arange(m), K), np.tile(np.repeat(np.arange(m), n), B)])
+    L = float(sysn @ pi)
+    Lq = float(waitn @ pi)
+    w = ap.exit_rates[aphase] * pi
+    wt = w.sum()
+    Ploss = float(w[sysn == N].sum() / wt)
+    Pbusy = float(w[K * m :].sum() / wt)
+    lam_acc = (1.0 / ap.mean()) * (1.0 - Ploss)
+    Wq = Lq / lam_acc
+    return PerfIndicators(L, Lq, Wq + sp.mean(), Wq, Pbusy, Ploss)
 
 
 def solve_ph_ph_1_n(model: QueueModel) -> PerfIndicators:
@@ -299,92 +363,7 @@ def solve_ph_ph_1_n(model: QueueModel) -> PerfIndicators:
         raise ConfigError("solve_ph_ph_1_n handles exactly one server and no batching")
     if model.buffer is None:
         raise ConfigError("solve_ph_ph_1_n needs a finite buffer")
-    ap = _arrival_ph(model)
-    sp = _as_ph(model.service, "service")
-    N = model.buffer
-    m, n = ap.order, sp.order
-    Ta, Ta0, aa = ap.T, ap.exit_rates, ap.alpha
-    Ts, Ts0, as_ = sp.T, sp.exit_rates, sp.alpha
-
-    size = m + N * m * n
-    _check_states(size)
-
-    def idx0(i):
-        return i
-
-    def idx(l, i, j):
-        return m + (l - 1) * m * n + i * n + j
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        if v != 0.0:
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-            rows.append(r)
-            cols.append(r)
-            vals.append(-v)
-
-    for i in range(m):
-        for i2 in range(m):
-            if i2 != i and Ta[i, i2] != 0.0:
-                add(idx0(i), idx0(i2), Ta[i, i2])
-        if Ta0[i] > 0.0:
-            for i2 in range(m):
-                for j in range(n):
-                    add(idx0(i), idx(1, i2, j), Ta0[i] * aa[i2] * as_[j])
-
-    for l in range(1, N + 1):
-        for i in range(m):
-            for j in range(n):
-                s = idx(l, i, j)
-                for i2 in range(m):
-                    if i2 != i and Ta[i, i2] != 0.0:
-                        add(s, idx(l, i2, j), Ta[i, i2])
-                if Ta0[i] > 0.0:
-                    for i2 in range(m):
-                        tgt_l = l + 1 if l < N else l  # at capacity: lost, renew phase
-                        add(s, idx(tgt_l, i2, j), Ta0[i] * aa[i2])
-                for j2 in range(n):
-                    if j2 != j and Ts[j, j2] != 0.0:
-                        add(s, idx(l, i, j2), Ts[j, j2])
-                if Ts0[j] > 0.0:
-                    if l == 1:
-                        add(s, idx0(i), Ts0[j])
-                    else:
-                        for j2 in range(n):
-                            add(s, idx(l - 1, i, j2), Ts0[j] * as_[j2])
-
-    pi = _solve_stationary(rows, cols, vals, size)
-
-    level = np.empty(size)
-    level[:m] = 0
-    for l in range(1, N + 1):
-        base = m + (l - 1) * m * n
-        level[base : base + m * n] = l
-    aphase = np.empty(size, dtype=int)
-    aphase[:m] = np.arange(m)
-    for l in range(1, N + 1):
-        base = m + (l - 1) * m * n
-        aphase[base : base + m * n] = np.repeat(np.arange(m), n)
-
-    L = float(level @ pi)
-    Lq = float(np.maximum(level - 1, 0) @ pi)
-    w = Ta0[aphase] * pi
-    wt = w.sum()
-    Ploss = float(w[level == N].sum() / wt)
-    Pbusy = float(w[level >= 1].sum() / wt)
-    lam = 1.0 / ap.mean()
-    lam_acc = lam * (1.0 - Ploss)
-    W = L / lam_acc
-    Wq = W - sp.mean()
-    return PerfIndicators(L, Lq, W, Wq, Pbusy, Ploss)
-
-
-# ---------------------------------------------------------------------------
-# exact fixed-batch chain
-# ---------------------------------------------------------------------------
+    return _solve_chain(model, 1)
 
 
 def solve_batch_ph_ph_1_n(model: QueueModel) -> PerfIndicators:
@@ -401,102 +380,7 @@ def solve_batch_ph_ph_1_n(model: QueueModel) -> PerfIndicators:
         raise ConfigError("exact batch solver requires a == b (use des_simulate for a < b)")
     if model.buffer is None:
         raise ConfigError("batch solver needs a finite buffer")
-    K = a
-    N = model.buffer
-    ap = _arrival_ph(model)
-    sp = _as_ph(model.service, "service")
-    m, n = ap.order, sp.order
-    Ta, Ta0, aa = ap.T, ap.exit_rates, ap.alpha
-    Ts, Ts0, as_ = sp.T, sp.exit_rates, sp.alpha
-
-    qmax = N - K  # waiting room while a batch is in service
-    n_idle = K * m
-    size = n_idle + (qmax + 1) * m * n
-    _check_states(size)
-
-    def idle(q, i):
-        return q * m + i
-
-    def busy(q, i, j):
-        return n_idle + q * m * n + i * n + j
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        if v != 0.0:
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-            rows.append(r)
-            cols.append(r)
-            vals.append(-v)
-
-    for q in range(K):
-        for i in range(m):
-            s = idle(q, i)
-            for i2 in range(m):
-                if i2 != i and Ta[i, i2] != 0.0:
-                    add(s, idle(q, i2), Ta[i, i2])
-            if Ta0[i] > 0.0:
-                for i2 in range(m):
-                    if q + 1 == K:
-                        for j in range(n):
-                            add(s, busy(0, i2, j), Ta0[i] * aa[i2] * as_[j])
-                    else:
-                        add(s, idle(q + 1, i2), Ta0[i] * aa[i2])
-
-    for q in range(qmax + 1):
-        for i in range(m):
-            for j in range(n):
-                s = busy(q, i, j)
-                for i2 in range(m):
-                    if i2 != i and Ta[i, i2] != 0.0:
-                        add(s, busy(q, i2, j), Ta[i, i2])
-                if Ta0[i] > 0.0:
-                    for i2 in range(m):
-                        tq = q + 1 if q < qmax else q  # full system: tuple lost
-                        add(s, busy(tq, i2, j), Ta0[i] * aa[i2])
-                for j2 in range(n):
-                    if j2 != j and Ts[j, j2] != 0.0:
-                        add(s, busy(q, i, j2), Ts[j, j2])
-                if Ts0[j] > 0.0:
-                    if q >= K:
-                        for j2 in range(n):
-                            add(s, busy(q - K, i, j2), Ts0[j] * as_[j2])
-                    else:
-                        add(s, idle(q, i), Ts0[j])
-
-    pi = _solve_stationary(rows, cols, vals, size)
-
-    sysn = np.empty(size)
-    waitn = np.empty(size)
-    aphase = np.empty(size, dtype=int)
-    for q in range(K):
-        for i in range(m):
-            s = idle(q, i)
-            sysn[s] = q
-            waitn[s] = q
-            aphase[s] = i
-    for q in range(qmax + 1):
-        for i in range(m):
-            for j in range(n):
-                s = busy(q, i, j)
-                sysn[s] = q + K
-                waitn[s] = q
-                aphase[s] = i
-
-    L = float(sysn @ pi)
-    Lq = float(waitn @ pi)
-    w = Ta0[aphase] * pi
-    wt = w.sum()
-    full = sysn >= N
-    Ploss = float(w[full].sum() / wt)
-    Pbusy = float(w[n_idle:].sum() / wt)
-    lam = 1.0 / ap.mean()
-    lam_acc = lam * (1.0 - Ploss)
-    Wq = Lq / lam_acc
-    W = Wq + sp.mean()
-    return PerfIndicators(L, Lq, W, Wq, Pbusy, Ploss)
+    return _solve_chain(model, a)
 
 
 # ---------------------------------------------------------------------------

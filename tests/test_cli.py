@@ -112,6 +112,29 @@ def test_pipeline_no_members_blocks_evaluate(capsys, tiny_trace, tmp_path):
     assert "sidecar" in err
 
 
+@pytest.mark.parametrize("name,line,value,expect", [
+    ("emitted.csv", 3, "x", "row 2"),  # the count column
+    ("emitted_members.csv", 5, "y", "row 4"),  # a member seq
+    ("emitted_members.csv", 1, "sequence", "header"),
+])
+def test_corrupt_emissions_exit_two(capsys, tiny_trace, tmp_path, name, line, value, expect):
+    # the error names the file and the 1-based data row (header excluded)
+    code, _, _ = run(
+        capsys, "run-pipeline", "--trace", str(tiny_trace), "--out", str(tmp_path))
+    assert code == 0
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[1] = value
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run(
+        capsys, "evaluate", "--emitted", str(tmp_path / "emitted.csv"),
+        "--trace", str(tiny_trace), "--out", str(tmp_path))
+    assert code == 2
+    assert name in err and expect in err
+
+
 def test_fit_dist_from_values(capsys, tmp_path):
     rng = np.random.default_rng(3)
     samples = rng.gamma(shape=4.0, scale=0.5, size=400)

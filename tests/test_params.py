@@ -77,11 +77,31 @@ def test_returned_value_is_smallest_covering():
         assert t == 1 or SPAN_DIST.cdf(t - 1) < 1 - beta
 
 
+class CountingCdf:
+    """A law whose CDF evaluations are counted."""
+
+    def __init__(self, dist):
+        self.dist = dist
+        self.calls = 0
+
+    def cdf(self, x):
+        self.calls += 1
+        return self.dist.cdf(x)
+
+
 def test_no_solution_raises():
-    with pytest.raises(NoSolutionError):
-        estimate_capacity(DEGREE_DIST, 0.999999, max_degree=5)
-    with pytest.raises(NoSolutionError):
-        estimate_timeout(SPAN_DIST, 0.05, max_timeout_s=3)
+    # a CDF never decreases, so a search whose limit misses the level gives up
+    # without scanning; the last span law's 95% point lies near 300,000 s
+    hopeless = [
+        (estimate_capacity, DEGREE_DIST, 0.999999, {"max_degree": 5}),
+        (estimate_timeout, SPAN_DIST, 0.05, {"max_timeout_s": 3}),
+        (estimate_timeout, ErlangDist(1e-5, 1), 0.05, {}),
+    ]
+    for estimate, dist, level, limit in hopeless:
+        law = CountingCdf(dist)
+        with pytest.raises(NoSolutionError):
+            estimate(law, level, **limit)
+        assert law.calls <= 2
 
 
 def test_threshold_bounds_validated():

@@ -163,17 +163,112 @@ def test_flow_balance_over_mixed_grid():
     assert worst < 1e-6
 
 
-def test_batch_of_one_equals_single():
-    for arr, svc in [(EXP(1.0), EXP(2.0)),
-                     (validate_generator(
-                         PhaseTypeDist([1.0, 0.0],
-                                       [[-1.1215, 0.0001], [0.0, -0.0021]]),
-                         policy="repair")[0],
-                      ErlangDist(10.0, 3))]:
-        a = solve_ph_ph_1_n(QueueModel(arr, svc, buffer=9))
-        b = solve_batch_ph_ph_1_n(QueueModel(arr, svc, buffer=9, batch=(1, 1)))
-        for name in ("L", "Lq", "W", "Wq", "Pbusy", "Ploss"):
-            assert close(getattr(a, name), getattr(b, name)), name
+def brute_force_chain(arrival, service, N, K):
+    """Fixed-batch chain built state by state into a dense generator.
+
+    A state is ("idle", waiting, arrival phase) or ("busy", waiting, arrival
+    phase, service phase); every transition is written out by hand and
+    pi Q = 0 is solved with numpy.linalg.  Returns L, Lq, Pbusy and Ploss,
+    the last two weighted by the arrival-completion intensity.
+    """
+    Ta, ta, aa = arrival.T, -arrival.T.sum(axis=1), arrival.alpha
+    Ts, ts, as_ = service.T, -service.T.sum(axis=1), service.alpha
+    m, n = len(aa), len(as_)
+    states = [("idle", q, i) for q in range(K) for i in range(m)]
+    states += [("busy", q, i, j) for q in range(N - K + 1) for i in range(m) for j in range(n)]
+    index = {s: k for k, s in enumerate(states)}
+    Q = np.zeros((len(states), len(states)))
+
+    def move(src, dst, rate):
+        if dst != src:
+            Q[index[src], index[dst]] += rate
+
+    for s in states:
+        kind, q, i = s[:3]
+        for i2 in range(m):
+            if i2 != i:
+                move(s, s[:2] + (i2,) + s[3:], Ta[i, i2])
+        if kind == "idle":
+            for i2 in range(m):
+                if q + 1 < K:
+                    move(s, ("idle", q + 1, i2), ta[i] * aa[i2])
+                else:
+                    for j in range(n):
+                        move(s, ("busy", 0, i2, j), ta[i] * aa[i2] * as_[j])
+            continue
+        j = s[3]
+        for i2 in range(m):
+            # a full system loses the arrival; the arrival process renews
+            move(s, ("busy", min(q + 1, N - K), i2, j), ta[i] * aa[i2])
+        for j2 in range(n):
+            if j2 != j:
+                move(s, ("busy", q, i, j2), Ts[j, j2])
+        if q >= K:
+            for j2 in range(n):
+                move(s, ("busy", q - K, i, j2), ts[j] * as_[j2])
+        else:
+            move(s, ("idle", q, i), ts[j])
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    A = Q.T.copy()
+    A[-1, :] = 1.0
+    b = np.zeros(len(states))
+    b[-1] = 1.0
+    pi = np.linalg.solve(A, b)
+    waiting = np.array([s[1] for s in states])
+    in_system = np.array([s[1] + (K if s[0] == "busy" else 0) for s in states])
+    weight = pi * np.array([ta[s[2]] for s in states])
+    busy = np.array([s[0] == "busy" for s in states])
+    return {
+        "L": pi @ in_system,
+        "Lq": pi @ waiting,
+        "Pbusy": weight[busy].sum() / weight.sum(),
+        "Ploss": weight[in_system == N].sum() / weight.sum(),
+    }
+
+
+def random_ph(rng, order):
+    """A PH law with random initial vector, phase moves and exit rates."""
+    alpha = rng.dirichlet(np.ones(order))
+    T = rng.uniform(0.0, 2.0, (order, order)) * (rng.random((order, order)) < 0.6)
+    np.fill_diagonal(T, 0.0)
+    exit_rates = rng.uniform(0.2, 3.0, order)
+    np.fill_diagonal(T, -(T.sum(axis=1) + exit_rates))
+    return PhaseTypeDist(alpha, T)
+
+
+def differential_cases():
+    # N == K leaves a single busy level; with K = 1 that is also N == 1
+    rng = np.random.default_rng(2024)
+    cases = []
+    for K in (1, 2, 3):
+        for N in (K, K + 1, K + 4):
+            for draw in range(2):
+                arrival = random_ph(rng, int(rng.integers(1, 4)))
+                service = random_ph(rng, int(rng.integers(1, 4)))
+                cases.append(pytest.param(
+                    arrival, service, N, K,
+                    id=f"K{K}-N{N}-m{arrival.order}-n{service.order}-{draw}",
+                ))
+    # a repaired near-reducible arrival generator with Erlang-3 service
+    p6 = validate_generator(
+        PhaseTypeDist([1.0, 0.0], [[-1.1215, 0.0001], [0.0, -0.0021]]),
+        policy="repair",
+    )[0]
+    cases.append(pytest.param(p6, ErlangDist(10.0, 3).as_phase_type(), 9, 1,
+                              id="repaired-p6-erlang3-N9"))
+    cases.append(pytest.param(EXP(1.0).as_phase_type(), EXP(2.0).as_phase_type(), 9, 1,
+                              id="mm1-N9"))
+    return cases
+
+
+@pytest.mark.parametrize("arrival,service,N,K", differential_cases())
+def test_chain_matches_brute_force(arrival, service, N, K):
+    want = brute_force_chain(arrival, service, N, K)
+    solvers = [solve_batch_ph_ph_1_n] + ([solve_ph_ph_1_n] if K == 1 else [])
+    for solve in solvers:
+        got = solve(QueueModel(arrival, service, buffer=N, batch=(K, K)))
+        for name, value in want.items():
+            assert getattr(got, name) == pytest.approx(value, rel=1e-10, abs=1e-10), name
 
 
 def test_batch_chain_agrees_with_simulation():
@@ -185,14 +280,15 @@ def test_batch_chain_agrees_with_simulation():
 
 
 def test_state_space_guard(monkeypatch):
-    # both exact solvers refuse from the state count alone, before any chain
-    # is assembled or handed to the stationary solve
+    # both exact solvers refuse from the state count alone, before any block
+    # is built or a chain is handed to the stationary solve
     import swakit.queueing
 
-    def never(*args):
-        pytest.fail("an oversized chain reached the stationary solve")
+    def never(*args, **kwargs):
+        pytest.fail("an oversized chain was assembled or solved")
 
-    monkeypatch.setattr(swakit.queueing, "_solve_stationary", never)
+    for name in ("kron", "bmat", "_solve_stationary"):
+        monkeypatch.setattr(swakit.queueing, name, never)
     big = ErlangDist(1.0, 10).as_phase_type()
     with pytest.raises(StateSpaceError):
         solve_ph_ph_1_n(QueueModel(big, big, buffer=2000))
