@@ -244,14 +244,14 @@ def cmd_estimate_params(args) -> int:
 
 def cmd_run_pipeline(args) -> int:
     t0 = time.monotonic()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.config:
         cfg = PipelineConfig.from_json(args.config)
     else:
         cfg = PipelineConfig()
     if args.strategy:
         cfg.strategy = Strategy.parse(args.strategy)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     trace = read_trace(args.trace)
     result = run_pipeline(trace, cfg, keep_members=not args.no_members)
     emitted_path = out / "emitted.csv"
@@ -327,12 +327,23 @@ def cmd_simulate_queue(args) -> int:
 
 def cmd_compare(args) -> int:
     t0 = time.monotonic()
+    # every request is checked before the trace is read
+    gammas = _floats_csv(args.gamma)
+    strategy = Strategy.parse(args.strategy)
+    runs = [(
+        f"swa_{args.capacity}_{args.timeout}",
+        PipelineConfig(tuple_size=args.tuple_size, kind="swa", capacity=args.capacity,
+                       timeout_s=args.timeout, strategy=strategy),
+    )]
+    for w in _ints_csv(args.sliding):
+        runs.append((
+            f"sliding_{w}",
+            PipelineConfig(tuple_size=args.tuple_size, kind="sliding", window=w, step=w,
+                           strategy=strategy),
+        ))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace = read_trace(args.trace)
-    gammas = _floats_csv(args.gamma)
-    strategy = Strategy.parse(args.strategy)
-    tuple_size = args.tuple_size
 
     def one_run(cfg, label):
         result = run_pipeline(trace, cfg, keep_members=True)
@@ -353,26 +364,7 @@ def cmd_compare(args) -> int:
             "residence_avg_s": stats.residence_avg_ms / 1000.0,
         }
 
-    rows = [
-        one_run(
-            PipelineConfig(
-                tuple_size=tuple_size,
-                kind="swa",
-                capacity=args.capacity,
-                timeout_s=args.timeout,
-                strategy=strategy,
-            ),
-            f"swa_{args.capacity}_{args.timeout}",
-        )
-    ]
-    for w in _ints_csv(args.sliding):
-        rows.append(
-            one_run(
-                PipelineConfig(tuple_size=tuple_size, kind="sliding", window=w, step=w,
-                               strategy=strategy),
-                f"sliding_{w}",
-            )
-        )
+    rows = [one_run(cfg, label) for label, cfg in runs]
     doc = {"strategy": strategy.value, "runs": rows}
     cmp_path = out / "compare.json"
     _write_json(cmp_path, doc)

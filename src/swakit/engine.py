@@ -1,7 +1,8 @@
 """Stream operators: key extraction and window aggregation.
 
-Both operators read the single merged stream of :func:`~swakit.trace.replay`.
-Two aggregation operators are provided.  ``aggregate_sliding`` is the
+Both operators read the trace's own merged stream, which
+:func:`~swakit.trace.replay` checks and hands over without a copy.  Two
+aggregation operators are provided.  ``aggregate_sliding`` is the
 classic count-based batch: every ``window`` tuples are grouped by key and
 emitted together.  ``aggregate_swa`` keeps one small fixed-capacity window
 per key: a window opens when the first tuple of its key arrives, closes
@@ -26,7 +27,7 @@ from typing import List, Optional, Sequence
 
 from .errors import ConfigError
 from .params import WindowParams
-from .trace import StreamTuple, Trace, replay
+from .trace import StreamTuple, Trace, read_csv_rows, replay
 
 __all__ = [
     "Strategy",
@@ -229,34 +230,9 @@ def write_emissions(emissions, path, members_path=None) -> None:
                     w.writerow([i, s])
 
 
-def _read_rows(path, header, parse):
-    """Yield ``parse(*fields)`` for each data row of a CSV file headed by ``header``.
-
-    A bad header, a row of the wrong width or a field ``parse`` rejects
-    raises a ConfigError naming the file and the 1-based row (header
-    excluded).
-    """
-    import csv
-
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        r = csv.reader(fh)
-        got = next(r, None)
-        if got != header:
-            raise ConfigError(f"{path}: bad header {got!r}, expected {header!r}")
-        for row_no, fields in enumerate(r, 1):
-            if len(fields) != len(header):
-                raise ConfigError(
-                    f"{path}: row {row_no}: {len(fields)} fields, expected {len(header)}"
-                )
-            try:
-                yield parse(*fields)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: row {row_no}: {exc}") from None
-
-
 def read_emissions(path, members_path=None) -> list:
     """Read :class:`EmissionRecord` rows back; member seqs only if a sidecar is given."""
-    rows = list(_read_rows(
+    rows = list(read_csv_rows(
         path,
         EMITTED_HEADER,
         lambda key, k, reason, closed_at, avg_resp, span: dict(
@@ -270,7 +246,8 @@ def read_emissions(path, members_path=None) -> list:
     ))
     members = {}
     if members_path is not None:
-        for em, seq in _read_rows(members_path, MEMBERS_HEADER, lambda em, seq: (int(em), int(seq))):
+        for em, seq in read_csv_rows(members_path, MEMBERS_HEADER,
+                                     lambda em, seq: (int(em), int(seq))):
             members.setdefault(em, []).append(seq)
     return [
         EmissionRecord(**row, member_seqs=tuple(members.get(i, ())) if members_path else None)
@@ -398,6 +375,13 @@ def aggregate_swa(
 # ---------------------------------------------------------------------------
 
 
+def _check_window(window: int, step: int) -> None:
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
+    if step < 1 or step > window:
+        raise ConfigError(f"need 1 <= step <= window, got step {step}, window {window}")
+
+
 def aggregate_sliding(
     tuples: Sequence[StreamTuple],
     window: int,
@@ -414,10 +398,7 @@ def aggregate_sliding(
     stream.  Batch processing is modeled as a single service event: every
     group in a batch closes at the batch's last arrival.
     """
-    if window < 1:
-        raise ConfigError("window must be >= 1")
-    if step < 1 or step > window:
-        raise ConfigError("step must satisfy 1 <= step <= window")
+    _check_window(window, step)
     stats = OperatorStats("aggregate_sliding", slot_bytes=tuple_size)
     buf: List[StreamTuple] = []
     emissions: List[EmittedInstance] = []
@@ -472,7 +453,7 @@ def aggregate_sliding(
 
 @dataclass
 class PipelineConfig:
-    """Declarative pipeline: tuple size, aggregate choice, strategy."""
+    """Declarative pipeline: tuple size, aggregate choice, strategy; checked when built."""
 
     tuple_size: int = 135
     kind: str = "swa"
@@ -487,6 +468,8 @@ class PipelineConfig:
             raise ConfigError(f"tuple_size must be >= 1, got {self.tuple_size}")
         if self.kind not in ("swa", "sliding"):
             raise ConfigError(f"aggregate kind must be 'swa' or 'sliding', got {self.kind!r}")
+        WindowParams(self.capacity, self.timeout_s)
+        _check_window(self.window, self.step)
         if isinstance(self.strategy, str):
             self.strategy = Strategy.parse(self.strategy)
 

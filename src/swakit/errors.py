@@ -14,16 +14,7 @@ class ConfigError(SwakitError):
 
 
 class TraceParseError(ConfigError):
-    """A trace CSV row failed validation.
-
-    Carries the 1-based row number (header excluded) when known.
-    """
-
-    def __init__(self, message, row=None):
-        if row is not None:
-            message = f"row {row}: {message}"
-        super().__init__(message)
-        self.row = row
+    """A trace CSV failed validation; the message names the file and the row."""
 
 
 class DistributionError(ConfigError):

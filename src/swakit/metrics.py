@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .errors import ConfigError
-from .trace import Trace, truth_by_seq, truth_index
+from .trace import Trace, truth_index
 
 __all__ = [
     "match_instances",
@@ -43,12 +43,13 @@ def _require_members(emissions):
             )
 
 
-def match_instances(emissions, truth_of_seq: Dict[int, str], truth) -> List[Optional[str]]:
+def match_instances(emissions, truth_of_seq, truth) -> List[Optional[str]]:
     """Attribute each emission to a truth instance by member majority.
 
-    Returns one label per emission (None only for empty emissions, which
-    should not occur).  Ties break to the earliest primary arrival, then to
-    the lexicographically smallest label.
+    ``truth_of_seq[seq]`` is a member's label (``Trace.truth``).  Returns one
+    label per emission (None only for empty emissions, which should not
+    occur).  Ties break to the earliest primary arrival, then to the
+    lexicographically smallest label.
     """
     _require_members(emissions)
     out: List[Optional[str]] = []
@@ -57,22 +58,12 @@ def match_instances(emissions, truth_of_seq: Dict[int, str], truth) -> List[Opti
         if not counts:
             out.append(None)
             continue
-        best = max(
+        best = min(
             counts.items(),
-            key=lambda kv: (kv[1], -truth[kv[0]].primary_arrival, _NegStr(kv[0])),
+            key=lambda kv: (-kv[1], truth[kv[0]].primary_arrival, kv[0]),
         )
         out.append(best[0])
     return out
-
-
-class _NegStr(str):
-    """Orders strings descending inside a max() key (so min label wins)."""
-
-    def __lt__(self, other):
-        return str.__gt__(self, other)
-
-    def __gt__(self, other):
-        return str.__lt__(self, other)
 
 
 def completeness(emissions, mapping, truth, gamma: float):
@@ -171,9 +162,8 @@ def evaluate(
     gammas: Sequence[float] = (1.0, 0.85, 0.75),
 ) -> EvaluationReport:
     """Score one run's emissions against the trace's ground truth."""
-    tos = truth_by_seq(trace)
     truth = truth_index(trace)
-    mapping = match_instances(emissions, tos, truth)
+    mapping = match_instances(emissions, trace.truth, truth)
     comp: Dict[float, float] = {}
     counts: Dict[float, tuple] = {}
     for g in gammas:
@@ -182,7 +172,7 @@ def evaluate(
         counts[g] = (integ, total)
     cap, tot, cap_ratio = capture_rate(emissions, trace.n_tuples)
     (hit, ti, rec), (pure, emitted, corr) = recall_and_correct_rate(
-        emissions, mapping, tos, truth
+        emissions, mapping, trace.truth, truth
     )
     return EvaluationReport(
         completeness=comp,

@@ -1,12 +1,12 @@
 """Synthetic invocation traces: catalog, generation, CSV format, replay.
 
-A trace is a set of per-partition, timestamp-sorted invocation tuples.
-Each composite service has a head invocation plus subordinate invocations;
-all tuples of one live instance share a ground-truth label that exists only
-for scoring.  The stream handed to operators (:func:`replay`) is one list
-in global timestamp-merged order; it strips the truth label and partition
-column and exposes a stable global sequence number instead, so operators
-can never key on ground truth.
+A trace is the merged stream plus truth and partition columns, all indexed
+by ``seq``: a tuple's position when the partitions are merged by timestamp,
+then partition, then input order (done once, on generation or read).  Each
+composite service has a head invocation plus subordinate invocations; all
+tuples of one live instance share a ground-truth label that exists only for
+scoring.  The stream's tuples carry no label and no partition, so operators,
+which read it through :func:`replay`, can never key on ground truth.
 
 Timestamps are integer milliseconds.  Span distributions are sampled in
 seconds (matching how response times are usually modeled) and converted;
@@ -16,8 +16,10 @@ arrival distributions are sampled directly in milliseconds.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import Iterable, List
+from dataclasses import dataclass, replace
+from operator import itemgetter
+from sys import intern
+from typing import List
 
 import numpy as np
 
@@ -31,7 +33,6 @@ from .distributions import (
 from .errors import ConfigError, TraceParseError
 
 __all__ = [
-    "InvocationTuple",
     "StreamTuple",
     "ServiceDef",
     "ServiceCatalog",
@@ -43,7 +44,6 @@ __all__ = [
     "write_trace",
     "read_trace",
     "replay",
-    "truth_by_seq",
     "truth_index",
     "default_degree_dist",
     "default_span_dist",
@@ -60,19 +60,6 @@ TRACE_HEADER = [
     "truth_instance",
     "partition",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class InvocationTuple:
-    """One sub-service invocation as recorded in a trace file."""
-
-    timestamp: int
-    user_id: str
-    service_id: str
-    head_id: str
-    instance_timestamp: int
-    response_time: int
-    truth_instance: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,17 +131,15 @@ class TraceConfig:
 
 @dataclass
 class Trace:
-    """Per-partition, timestamp-sorted invocation tuples."""
+    """The merged stream and its truth and partition columns, indexed by ``seq``."""
 
-    partitions: List[List[InvocationTuple]]
+    stream: List[StreamTuple]
+    truth: List[str]
+    partition: List[int]
 
     @property
     def n_tuples(self) -> int:
-        return sum(len(p) for p in self.partitions)
-
-    def all_tuples(self) -> Iterable[InvocationTuple]:
-        for part in self.partitions:
-            yield from part
+        return len(self.stream)
 
 
 @dataclass(frozen=True)
@@ -271,7 +256,7 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
     spans_ms = np.asarray(cfg.span_dist.sample(n, rng), dtype=float) * 1000.0
     users = rng.integers(0, cfg.user_pool, size=n)
 
-    parts: List[List[InvocationTuple]] = [[] for _ in range(catalog.n_partitions)]
+    rows = []
     for i in range(n):
         svc = catalog.services[assignment[i]]
         arr = arrivals[i]
@@ -285,20 +270,34 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
         times = [head_ts] + [int(np.floor(arr + off)) for off in offsets]
         for j in range(svc.degree):
             ts = times[j]
-            parts[svc.partitions[j]].append(
-                InvocationTuple(
-                    timestamp=ts,
-                    user_id=user,
-                    service_id=svc.sub_ids[j],
-                    head_id=svc.head_id,
-                    instance_timestamp=inst_ts,
-                    response_time=max(0, end_ts - ts),
-                    truth_instance=label,
-                )
-            )
-    for p in parts:
-        p.sort(key=lambda t: t.timestamp)  # stable: generation order breaks ties
-    return Trace(parts)
+            rows.append((ts, user, svc.sub_ids[j], svc.head_id, inst_ts,
+                         max(0, end_ts - ts), label, svc.partitions[j]))
+    rows.sort(key=itemgetter(0, 7))  # stable: generation order breaks ties
+    return _merge(rows)
+
+
+def _merge(rows) -> Trace:
+    """Build a trace from rows in ``TRACE_HEADER`` layout, in generation or file order.
+
+    The merged order is a stable sort on (timestamp, partition), so ties keep
+    input order, and a tuple's position in it is its ``seq``.  Rows that come
+    in merged order (``write_trace`` writes them so) are numbered as they
+    come, without holding the rows; any other order is sorted once at the end.
+    """
+    stream, truth, partition = [], [], []
+    merged = True
+    for seq, (ts, user, service, head, inst_ts, resp, label, part) in enumerate(rows):
+        if seq and (ts, part) < (stream[-1].timestamp, partition[-1]):
+            merged = False
+        stream.append(StreamTuple(seq, ts, user, service, head, inst_ts, resp))
+        truth.append(label)
+        partition.append(part)
+    if not merged:
+        order = sorted(range(len(stream)), key=lambda i: (stream[i].timestamp, partition[i]))
+        stream = [replace(stream[i], seq=seq) for seq, i in enumerate(order)]
+        truth = [truth[i] for i in order]
+        partition = [partition[i] for i in order]
+    return Trace(stream, truth, partition)
 
 
 # ---------------------------------------------------------------------------
@@ -306,23 +305,12 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
 # ---------------------------------------------------------------------------
 
 
-def _global_order(trace: Trace):
-    """Merged (partition, index) order: timestamp, then partition, then input order."""
-    entries = []
-    for p, part in enumerate(trace.partitions):
-        for i, t in enumerate(part):
-            entries.append((t.timestamp, p, i))
-    entries.sort()
-    return entries
-
-
 def write_trace(trace: Trace, path) -> None:
-    """Write the trace as a single CSV in global merged order."""
+    """Write the trace as a single CSV in ``seq`` order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_HEADER)
-        for _, p, i in _global_order(trace):
-            t = trace.partitions[p][i]
+        for t, label, part in zip(trace.stream, trace.truth, trace.partition):
             w.writerow(
                 [
                     t.timestamp,
@@ -331,108 +319,99 @@ def write_trace(trace: Trace, path) -> None:
                     t.head_id,
                     t.instance_timestamp,
                     t.response_time,
-                    t.truth_instance,
-                    p,
+                    label,
+                    part,
                 ]
             )
 
 
-def read_trace(path) -> Trace:
-    """Parse a trace CSV, validating structure; errors name the bad row."""
+def read_csv_rows(path, header, parse, error=ConfigError):
+    """Yield ``parse(*fields)`` for each data row of a CSV file headed by ``header``.
+
+    A bad header, a row of the wrong width or a field ``parse`` rejects with
+    a ValueError raises ``error`` naming the file and the 1-based row
+    (header excluded).
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         r = csv.reader(fh)
-        try:
-            header = next(r)
-        except StopIteration:
-            raise TraceParseError("file is empty, expected a header row") from None
-        if header != TRACE_HEADER:
-            raise TraceParseError(
-                f"bad header {header!r}, expected {TRACE_HEADER!r}"
-            )
-        parts: List[List[InvocationTuple]] = []
-        for row_no, row in enumerate(r, start=1):
-            if len(row) != len(TRACE_HEADER):
-                raise TraceParseError(
-                    f"expected {len(TRACE_HEADER)} columns, got {len(row)}", row=row_no
-                )
+        got = next(r, None)
+        if got != header:
+            raise error(f"{path}: bad header {got!r}, expected {header!r}")
+        width = len(header)
+        for row_no, fields in enumerate(r, 1):
+            if len(fields) != width:
+                raise error(f"{path}: row {row_no}: {len(fields)} fields, expected {width}")
             try:
-                ts = int(row[0])
-                inst_ts = int(row[4])
-                resp = int(row[5])
-                part = int(row[7])
+                yield parse(*fields)
             except ValueError as exc:
-                raise TraceParseError(f"non-integer field: {exc}", row=row_no) from None
-            if part < 0:
-                raise TraceParseError(f"negative partition {part}", row=row_no)
-            while len(parts) <= part:
-                parts.append([])
-            if parts[part] and ts < parts[part][-1].timestamp:
-                raise TraceParseError(
-                    f"timestamp {ts} precedes {parts[part][-1].timestamp} "
-                    f"in partition {part}",
-                    row=row_no,
-                )
-            parts[part].append(
-                InvocationTuple(ts, row[1], row[2], row[3], inst_ts, resp, row[6])
-            )
-    return Trace(parts)
+                raise error(f"{path}: row {row_no}: {exc}") from None
+
+
+def read_trace(path) -> Trace:
+    """Parse a trace CSV, validating every row; errors name the file and the row.
+
+    Truth labels are interned, so an instance's tuples share one label
+    object, as in a generated trace; the memory this saves pays for the seq
+    numbers and the truth and partition columns.
+    """
+    last_ts: dict = {}  # partition -> its latest timestamp so far
+
+    def typed(ts, user, service, head, inst_ts, resp, label, part):
+        ts, part = int(ts), int(part)
+        if part < 0:
+            raise ValueError(f"negative partition {part}")
+        prev = last_ts.get(part, ts)
+        if ts < prev:
+            raise ValueError(f"timestamp {ts} precedes {prev} in partition {part}")
+        last_ts[part] = ts
+        return ts, user, service, head, int(inst_ts), int(resp), intern(label), part
+
+    return _merge(read_csv_rows(path, TRACE_HEADER, typed, TraceParseError))
 
 
 # ---------------------------------------------------------------------------
-# replay + operator-facing stream view
+# replay + ground truth
 # ---------------------------------------------------------------------------
-
-
-def truth_by_seq(trace: Trace) -> dict:
-    """Map global sequence number -> ground-truth instance label."""
-    return {
-        seq: trace.partitions[p][i].truth_instance
-        for seq, (_, p, i) in enumerate(_global_order(trace))
-    }
 
 
 def truth_index(trace: Trace) -> dict:
-    """Map truth label -> TruthInstance with degree and arrival bounds."""
+    """Map truth label -> TruthInstance with degree and arrival bounds.
+
+    The stream is timestamp-sorted, so a label's first and last tuples are
+    its primary and last arrivals.  Labels are ordered as a partition-by-
+    partition scan meets them (fit-dist takes its samples in this order).
+    """
     first: dict = {}
     last: dict = {}
     count: dict = {}
-    for t in trace.all_tuples():
-        lbl = t.truth_instance
-        count[lbl] = count.get(lbl, 0) + 1
-        if lbl not in first or t.timestamp < first[lbl]:
+    met: dict = {}  # label -> (lowest partition, first seq in it)
+    for seq, (t, lbl, part) in enumerate(zip(trace.stream, trace.truth, trace.partition)):
+        if lbl in count:
+            count[lbl] += 1
+            if part < met[lbl][0]:
+                met[lbl] = (part, seq)
+        else:
+            count[lbl] = 1
             first[lbl] = t.timestamp
-        if lbl not in last or t.timestamp > last[lbl]:
-            last[lbl] = t.timestamp
+            met[lbl] = (part, seq)
+        last[lbl] = t.timestamp
     return {
-        lbl: TruthInstance(lbl, count[lbl], first[lbl], last[lbl]) for lbl in count
+        lbl: TruthInstance(lbl, count[lbl], first[lbl], last[lbl])
+        for lbl in sorted(count, key=met.__getitem__)
     }
 
 
 def replay(trace: Trace) -> List[StreamTuple]:
     """The operator-facing stream: every tuple once, in global ``seq`` order.
 
-    ``seq`` numbers the timestamp merge of the partitions (ties go to the
-    lower partition, then to input order), and operator clocks are driven by
-    tuple timestamps.  Each partition must be timestamp-sorted.
+    Returns ``trace.stream`` itself, not a copy; operator clocks are driven
+    by its timestamps.  Raises ConfigError when the stream is not numbered
+    0..n-1 or goes back in time (a hand-built trace can be either).
     """
-    for p, part in enumerate(trace.partitions):
-        for i in range(1, len(part)):
-            if part[i].timestamp < part[i - 1].timestamp:
-                raise ConfigError(
-                    f"partition {p} is not timestamp-sorted at position {i}"
-                )
-    stream = []
-    for seq, (_, p, i) in enumerate(_global_order(trace)):
-        t = trace.partitions[p][i]
-        stream.append(
-            StreamTuple(
-                seq,
-                t.timestamp,
-                t.user_id,
-                t.service_id,
-                t.head_id,
-                t.instance_timestamp,
-                t.response_time,
-            )
-        )
+    stream = trace.stream
+    for i, t in enumerate(stream):
+        if t.seq != i:
+            raise ConfigError(f"stream position {i} holds seq {t.seq}")
+        if i and t.timestamp < stream[i - 1].timestamp:
+            raise ConfigError(f"stream goes back in time at seq {i}")
     return stream

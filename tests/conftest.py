@@ -4,18 +4,48 @@ Session scope keeps the expensive full-scale generation and pipeline runs to
 one execution each.
 """
 
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from swakit.engine import PipelineConfig, Strategy, run_pipeline
 from swakit.trace import (
+    TRACE_HEADER,
     TraceConfig,
     build_catalog,
     default_arrival_dist,
     default_degree_dist,
     default_span_dist,
     generate_trace,
+    write_trace,
 )
+
+# property tests draw the same examples on every run and store none
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None,
+                          max_examples=300)
+settings.load_profile("derandomized")
+
+
+def write_trace_rows(path, rows):
+    """Write a trace CSV by hand: ``rows`` in ``TRACE_HEADER`` layout, file order."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([TRACE_HEADER, *rows])
+    return path
+
+
+def write_partition_by_partition(trace, path):
+    """Write ``trace`` with its partitions listed one after the other, highest first.
+
+    Each partition stays sorted, but the interleaving is not the merged
+    order.  Returns the data rows as written (all fields strings).
+    """
+    write_trace(trace, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    rows.sort(key=lambda r: -int(r[7]))  # stable: each partition keeps its order
+    write_trace_rows(path, rows)
+    return rows
 
 
 def make_trace(services, instances, *, seed, repeat=1.0, user_pool=5000,

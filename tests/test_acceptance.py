@@ -229,7 +229,7 @@ def test_c08_association_strategy_ordering(collision_trace, clean_trace):
     ordered = recalls == sorted(recalls) and corrects == sorted(corrects)
 
     triples = {(t.head_id, t.instance_timestamp, t.user_id)
-               for t in clean_trace.all_tuples()}
+               for t in clean_trace.stream}
     distinct = len(triples) == len(truth_index(clean_trace))
     rep = evaluate(_swa(clean_trace, 60, 80).emissions, clean_trace, gammas=(1.0,))
     clean_perfect = rep.recall == 1.0 and rep.correct_rate == 1.0

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, stdout, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -203,6 +204,34 @@ def test_compare_structure(capsys, tiny_trace, tmp_path):
     assert "swa_13_22" in out
 
 
+# digests of a seed-7 toy run over three partitions: any byte drift in the
+# trace, the emissions or the scores shows here
+PINNED = {
+    "trace.csv": "f70ee4acdd241923ffd42f86bead5a3b6ade6317f5e5681efa66cf3a01ebcab8",
+    "emitted.csv": "e20076b7a8752541eee10d112af489ef853ed4953c4dcf6bae2a45f6a5ba06da",
+    "emitted_members.csv": "2383fc94fde64f660301f3c874c58e09a3f9973af75ba676a4b30abaae59ec55",
+    "operator_stats.json": "0d3a86989aaf101a09660241ad30b8a855814f2a6ac52187f94ea836879f4f1b",
+    "evaluation.json": "49f0a2d03016f4a69986de26b072e26c496fdb610d1e7e43500e56b914a7484b",
+    "compare.json": "b72338b2594ea7d9ae0bf8a3ad59602e5f814526233f57e02efbab8fe02abe0c",
+}
+
+
+def test_seeded_artifacts_are_pinned(capsys, tmp_path):
+    out = str(tmp_path)
+    trace = str(tmp_path / "trace.csv")
+    for argv in (
+        ["gen-trace", "--seed", "7", "--instances", "300", "--services", "200",
+         "--partitions", "3", "--user-pool", "400", "--repeat-factor", "1.5"],
+        ["run-pipeline", "--trace", trace],
+        ["evaluate", "--trace", trace, "--emitted", str(tmp_path / "emitted.csv")],
+        ["compare", "--trace", trace, "--sliding", "100,400"],
+    ):
+        assert run(capsys, *argv, "--out", out)[0] == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PINNED}
+    assert got == PINNED
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -253,3 +282,25 @@ def test_state_space_blowup_exits_three(capsys, tmp_path):
     code, _, err = run(capsys, "predict", "--model", str(model), "--out", str(tmp_path))
     assert code == 3
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run-pipeline", "--config", "CONFIG"],
+    ["compare", "--sliding", "0"],
+    ["compare", "--capacity", "0"],
+    ["compare", "--strategy", "nope"],
+], ids=["sliding-window-0", "compare-sliding-0", "compare-capacity-0", "compare-strategy"])
+def test_bad_window_request_exits_two_before_reading(capsys, tmp_path, monkeypatch, argv):
+    def no_read(path):
+        raise AssertionError("the trace was read for a request that cannot run")
+
+    monkeypatch.setattr(cli, "read_trace", no_read)
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"aggregate": {"kind": "sliding", "window": 0}}))
+    out = tmp_path / "out"
+    argv = [str(config) if a == "CONFIG" else a for a in argv]
+    code, _, err = run(capsys, *argv, "--trace", str(tmp_path / "trace.csv"),
+                       "--out", str(out))
+    assert code == 2
+    assert "error" in err
+    assert not out.exists()

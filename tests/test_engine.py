@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as hs
 
 from swakit.distributions import PointMassDist
 from swakit.engine import (
@@ -19,17 +20,16 @@ from swakit.engine import (
 from swakit.errors import ConfigError
 from swakit.params import WindowParams
 from swakit.trace import (
-    InvocationTuple,
     StreamTuple,
-    Trace,
     TraceConfig,
     build_catalog,
     generate_trace,
+    read_trace,
     replay,
     truth_index,
 )
 
-from conftest import make_trace
+from conftest import write_partition_by_partition, write_trace_rows
 
 
 def st(ts, head="h", user="u", seq=0, resp=4):
@@ -90,31 +90,38 @@ def test_timestamp_strategy_splits_seconds():
 # ---------------------------------------------------------------------------
 
 
-def inv(ts, head="h"):
-    return InvocationTuple(ts, "u", "s", head, ts // 1000, 4, "i")
+def inv(ts, head="h", part=0):
+    return (ts, "u", "s", head, ts // 1000, 4, "i", part)
 
 
-def test_union_two_element_merge():
-    merged = replay(Trace([[inv(1), inv(3)], [inv(2, "b")]]))
+def test_union_two_element_merge(tmp_path):
+    # each partition is sorted, but the file lists partition 1 first
+    path = write_trace_rows(tmp_path / "t.csv", [inv(2, "b", 1), inv(1), inv(3)])
+    merged = replay(read_trace(path))
     assert [t.timestamp for t in merged] == [1, 2, 3]
     assert [t.seq for t in merged] == [0, 1, 2]
 
 
-def test_union_timestamp_tie_keeps_partition_order():
+def test_union_timestamp_tie_keeps_partition_order(tmp_path):
     # seq is assigned by (timestamp, partition, input order), so the lower
-    # partition wins the tie
-    merged = replay(Trace([[inv(5, "x")], [inv(5, "y")]]))
+    # partition wins the tie even when the file lists it last
+    path = write_trace_rows(tmp_path / "t.csv", [inv(5, "y", 1), inv(5, "x", 0)])
+    merged = replay(read_trace(path))
     assert [t.head_id for t in merged] == ["x", "y"]
 
 
-def test_union_conservation(small_trace):
+def test_union_conservation(small_trace, tmp_path):
     # every partition tuple reaches the merged stream exactly once
+    path = tmp_path / "t.csv"
+    rows = write_partition_by_partition(small_trace, path)
+
     def fields(t):
         return (t.timestamp, t.user_id, t.service_id, t.head_id, t.instance_timestamp,
                 t.response_time)
 
-    merged = replay(small_trace)
-    assert sorted(map(fields, merged)) == sorted(map(fields, small_trace.all_tuples()))
+    merged = replay(read_trace(path))
+    assert sorted(map(fields, merged)) == sorted(
+        (int(r[0]), r[1], r[2], r[3], int(r[4]), int(r[5])) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +229,75 @@ def test_swa_resident_windows_bounded_by_open_instances():
 
 
 # ---------------------------------------------------------------------------
+# aggregate_swa against a reference written from its contract
+# ---------------------------------------------------------------------------
+
+REF_KEYS = {
+    Strategy.HEAD: lambda t: (t.head_id,),
+    Strategy.HEAD_TS: lambda t: (t.head_id, t.instance_timestamp),
+    Strategy.HEAD_IP: lambda t: (t.head_id, t.user_id),
+    Strategy.HEAD_TS_IP: lambda t: (t.head_id, t.instance_timestamp, t.user_id),
+}
+
+
+def reference_swa(stream, capacity, timeout_s, strategy):
+    """One list per key; event time stepped through every 100 ms boundary.
+
+    A window whose age exceeds the timeout closes at the first sweep past
+    its deadline; sweeps run at every boundary and every arrival.  Windows
+    open in deadline order, so the dict's insertion order is the close order.
+    """
+    timeout_ms = timeout_s * 1000
+    windows = {}  # key -> (opened_at, [seqs])
+    out = []
+
+    def sweep(now):
+        for key, (opened_at, seqs) in list(windows.items()):
+            if opened_at + timeout_ms < now:
+                out.append((key, tuple(seqs), "timeout", now))
+                del windows[key]
+
+    clock = None
+    for t in stream:
+        if clock is not None:
+            boundary = (clock // 100 + 1) * 100
+            while boundary < t.timestamp:
+                sweep(boundary)
+                boundary += 100
+        sweep(t.timestamp)
+        clock = t.timestamp
+        key = REF_KEYS[strategy](t)
+        _, seqs = windows.setdefault(key, (t.timestamp, []))
+        seqs.append(t.seq)
+        if len(seqs) == capacity:
+            out.append((key, tuple(seqs), "full", t.timestamp))
+            del windows[key]
+    for key, (_, seqs) in windows.items():
+        out.append((key, tuple(seqs), "timeout", clock))
+    return out
+
+
+# gaps hit ties (0), boundaries (99-101) and the 1 s / 2 s deadlines exactly
+GAPS = hs.one_of(hs.sampled_from([0, 0, 1, 99, 100, 101, 1000, 2000]),
+                 hs.integers(0, 2500))
+ARRIVALS = hs.lists(hs.tuples(GAPS, hs.sampled_from("ABC"), hs.sampled_from("uv")),
+                    max_size=40)
+
+
+@given(ARRIVALS, hs.integers(1, 4), hs.integers(1, 2), hs.sampled_from(list(Strategy)))
+def test_swa_matches_reference(arrivals, capacity, timeout_s, strategy):
+    stream, ts = [], 0
+    for seq, (gap, head, user) in enumerate(arrivals):
+        ts += gap
+        stream.append(st(ts, head, user, seq=seq))
+    ems, stats = aggregate_swa(stream, WindowParams(capacity, timeout_s), strategy)
+    got = [(e.key, e.member_seqs, e.close_reason, e.closed_at) for e in ems]
+    assert got == reference_swa(stream, capacity, timeout_s, strategy)
+    assert [e.count for e in ems] == [len(e.member_seqs) for e in ems]
+    assert stats.tuples_in == len(stream)
+
+
+# ---------------------------------------------------------------------------
 # sliding (tumbling batch) aggregate
 # ---------------------------------------------------------------------------
 
@@ -309,6 +385,17 @@ def test_pipeline_config_rejects_bad_tuple_size():
         PipelineConfig.from_dict({"queue": {"tuple_size": 0}, "aggregate": {}})
     with pytest.raises(ConfigError):
         PipelineConfig(tuple_size=-1)
+
+
+@pytest.mark.parametrize("fields", [
+    {"capacity": 0}, {"timeout_s": 0}, {"window": 0, "step": 0}, {"window": 10, "step": 11},
+    {"window": 10, "step": 0},
+])
+def test_pipeline_config_rejects_bad_window(fields):
+    with pytest.raises(ConfigError):
+        PipelineConfig(**fields)
+    with pytest.raises(ConfigError):
+        PipelineConfig.from_dict({"aggregate": {"kind": "sliding", **fields}})
 
 
 def test_run_pipeline_deterministic(small_trace):

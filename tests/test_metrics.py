@@ -1,5 +1,7 @@
 """Scoring: attribution, completeness, capture rate, recall, correct rate."""
 
+import random
+
 import pytest
 
 from swakit.engine import EmittedInstance, PipelineConfig, Strategy, run_pipeline
@@ -11,7 +13,7 @@ from swakit.metrics import (
     match_instances,
     recall_and_correct_rate,
 )
-from swakit.trace import TruthInstance, truth_by_seq, truth_index
+from swakit.trace import TruthInstance, truth_index
 
 
 def em(seqs, key=("k",), reason="full"):
@@ -60,6 +62,42 @@ def test_match_double_tie_goes_to_smaller_label():
     tos = {0: "zz", 1: "aa"}
     truth = truth_of(("zz", 1, 7), ("aa", 1, 7))
     assert match_instances([em([0, 1])], tos, truth) == ["aa"]
+
+
+def brute_force_vote(labels, truth):
+    """The documented rule, step by step: most members, then earliest primary, then label."""
+    tally = {}
+    for lbl in labels:
+        tally[lbl] = tally.get(lbl, 0) + 1
+    top = max(tally.values())
+    tied = [lbl for lbl in tally if tally[lbl] == top]
+    earliest = min(truth[lbl].primary_arrival for lbl in tied)
+    return sorted(lbl for lbl in tied if truth[lbl].primary_arrival == earliest)[0]
+
+
+def test_match_agrees_with_brute_force_vote():
+    rng = random.Random(20)
+    count_ties = arrival_ties = 0
+    for _ in range(400):
+        names = rng.sample(["aa", "ab", "b", "ba"], rng.randint(2, 4))
+        # two possible arrivals and counts of 1-2 per label force both ties
+        truth = truth_of(*[(lbl, 4, rng.choice([0, 10])) for lbl in names])
+        tos = []  # seq -> label, a list like Trace.truth
+        ems, member_labels = [], []
+        for _ in range(rng.randint(1, 5)):
+            labels = [lbl for lbl in names for _ in range(rng.randint(1, 2))]
+            rng.shuffle(labels)
+            ems.append(em(range(len(tos), len(tos) + len(labels))))
+            tos.extend(labels)
+            member_labels.append(labels)
+        expect = [brute_force_vote(labels, truth) for labels in member_labels]
+        assert match_instances(ems, tos, truth) == expect
+        for labels in member_labels:
+            top = max(labels.count(lbl) for lbl in names)
+            tied = [lbl for lbl in names if labels.count(lbl) == top]
+            count_ties += len(tied) > 1
+            arrival_ties += len({truth[lbl].primary_arrival for lbl in tied}) < len(tied)
+    assert count_ties > 100 and arrival_ties > 50
 
 
 def test_match_requires_members():
@@ -164,7 +202,7 @@ def test_perfect_run_scores_one_everywhere():
 
 def test_evaluate_matches_brute_force(swa_small_run, small_trace):
     report = evaluate(swa_small_run.emissions, small_trace, gammas=(1.0, 0.85))
-    tos = truth_by_seq(small_trace)
+    tos = small_trace.truth
     truth = truth_index(small_trace)
 
     # independent completeness(gamma=1): per instance, the largest window

@@ -6,7 +6,7 @@ import pytest
 from swakit.distributions import PointMassDist
 from swakit.errors import ConfigError, TraceParseError
 from swakit.trace import (
-    InvocationTuple,
+    StreamTuple,
     Trace,
     TraceConfig,
     build_catalog,
@@ -16,12 +16,11 @@ from swakit.trace import (
     generate_trace,
     read_trace,
     replay,
-    truth_by_seq,
     truth_index,
     write_trace,
 )
 
-from conftest import make_trace
+from conftest import make_trace, write_partition_by_partition, write_trace_rows
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +83,10 @@ def test_zero_span_instance():
         seed=11,
     )
     trace = generate_trace(cat, cfg)
-    tuples = list(trace.all_tuples())
+    tuples = trace.stream
     assert len(tuples) == 3
     assert len({t.timestamp for t in tuples}) == 1
-    assert len({t.truth_instance for t in tuples}) == 1
+    assert len(set(trace.truth)) == 1
     t = tuples[0]
     assert t.instance_timestamp == t.timestamp // 1000
     assert all(t.response_time == 0 for t in tuples)
@@ -96,8 +95,8 @@ def test_zero_span_instance():
 def test_conservation_label_counts_match_degrees(small_trace):
     truth = truth_index(small_trace)
     counts = {}
-    for t in small_trace.all_tuples():
-        counts[t.truth_instance] = counts.get(t.truth_instance, 0) + 1
+    for label in small_trace.truth:
+        counts[label] = counts.get(label, 0) + 1
     assert set(counts) == set(truth)
     for label, inst in truth.items():
         assert counts[label] == inst.degree
@@ -105,20 +104,20 @@ def test_conservation_label_counts_match_degrees(small_trace):
 
 
 def test_tuple_field_invariants(small_trace):
-    for pi, part in enumerate(small_trace.partitions):
-        last = -1
-        for t in part:
-            assert t.instance_timestamp <= t.timestamp // 1000
-            assert t.response_time >= 0
-            assert t.timestamp >= last
-            last = t.timestamp
+    last = {}
+    for t, part in zip(small_trace.stream, small_trace.partition):
+        assert t.instance_timestamp <= t.timestamp // 1000
+        assert t.response_time >= 0
+        assert t.timestamp >= last.get(part, -1)
+        last[part] = t.timestamp
+    assert sorted(last) == [0, 1]
 
 
 def test_repeat_factor_reuses_services(small_trace):
     truth = truth_index(small_trace)
     heads = {}
-    for t in small_trace.all_tuples():
-        heads[t.truth_instance] = t.head_id
+    for t, label in zip(small_trace.stream, small_trace.truth):
+        heads[label] = t.head_id
     # 300 instances over round(300/1.5)=200 services: heads must repeat
     assert len(set(heads.values())) == 200
     assert len(heads) == 300
@@ -142,7 +141,7 @@ def test_union_density_matches_target(full_scale_trace):
     # the shutdown tail (final instances draining) does not skew the mean
     truth = truth_index(full_scale_trace)
     last_primary = max(i.primary_arrival for i in truth.values())
-    ts = sorted(t.timestamp for t in full_scale_trace.all_tuples()
+    ts = sorted(t.timestamp for t in full_scale_trace.stream
                 if t.timestamp <= last_primary)
     mean_gap = (ts[-1] - ts[0]) / (len(ts) - 1)
     assert mean_gap == pytest.approx(0.9457, rel=0.15)
@@ -161,7 +160,7 @@ def test_round_trip_byte_identical(small_trace, tmp_path):
     write_trace(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert back.n_tuples == small_trace.n_tuples
-    assert len(back.partitions) == len(small_trace.partitions)
+    assert back.partition == small_trace.partition
 
 
 def test_malformed_row_names_row_number(tmp_path):
@@ -182,6 +181,20 @@ def test_unsorted_partition_names_row_number(tmp_path):
     p.write_text(header + "\n5,u,s,h,0,5,i,0\n3,u,s,h,0,5,i,1\n4,u,s,h,0,5,i,0\n")
     with pytest.raises(TraceParseError, match="row 3"):
         read_trace(p)
+
+
+def test_large_partition_number_reads_back(tmp_path):
+    # partition numbers are labels, not sizes: reading one costs no memory
+    path = write_trace_rows(tmp_path / "t.csv", [
+        (1, "u", "s", "h", 0, 5, "i", 4_000_000_000),
+        (2, "u", "s", "h", 0, 5, "j", 0),
+        (2, "u", "s", "h", 0, 5, "i", 4_000_000_000),
+    ])
+    back = read_trace(path)
+    assert back.partition == [4_000_000_000, 0, 4_000_000_000]
+    again = tmp_path / "again.csv"
+    write_trace(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_wrong_header_rejected(tmp_path):
@@ -212,12 +225,18 @@ def test_replay_preserves_count_and_order(small_trace):
 
 
 def test_replay_rejects_unsorted():
-    bad = Trace(partitions=[[
-        InvocationTuple(5, "u", "s", "h", 0, 1, "i"),
-        InvocationTuple(2, "u", "s", "h", 0, 1, "i"),
-    ]])
+    # a hand-built trace whose stream goes back in time
+    bad = Trace(
+        stream=[StreamTuple(0, 5, "u", "s", "h", 0, 1), StreamTuple(1, 2, "u", "s", "h", 0, 1)],
+        truth=["i", "i"],
+        partition=[0, 0],
+    )
     with pytest.raises(ConfigError):
         replay(bad)
+    misnumbered = Trace(stream=[StreamTuple(1, 2, "u", "s", "h", 0, 1)], truth=["i"],
+                        partition=[0])
+    with pytest.raises(ConfigError):
+        replay(misnumbered)
 
 
 def test_stream_view_hides_ground_truth(small_trace):
@@ -226,25 +245,30 @@ def test_stream_view_hides_ground_truth(small_trace):
     assert hasattr(t, "seq")
 
 
-def test_global_seq_order_is_merge_order(small_trace):
-    # independent re-derivation of the global order: (timestamp, partition, idx)
+def test_global_seq_order_is_merge_order(small_trace, tmp_path):
+    path = tmp_path / "t.csv"
+    rows = write_partition_by_partition(small_trace, path)
+    # independent re-derivation of the global order: (timestamp, partition,
+    # index within the partition)
     expect = []
-    for pi, part in enumerate(small_trace.partitions):
-        for idx, t in enumerate(part):
-            expect.append((t.timestamp, pi, idx, t.truth_instance))
+    for pi in sorted({int(r[7]) for r in rows}):
+        for idx, r in enumerate(r for r in rows if int(r[7]) == pi):
+            expect.append((int(r[0]), pi, idx, r[6]))
     expect.sort(key=lambda r: (r[0], r[1], r[2]))
-    tos = truth_by_seq(small_trace)
-    assert len(tos) == len(expect)
-    for seq, row in enumerate(expect):
-        assert tos[seq] == row[3]
+    # the trace has timestamp ties across partitions, so the tie rule is tested
+    assert any(a[0] == b[0] and a[1] != b[1] for a, b in zip(expect, expect[1:]))
+    back = read_trace(path)
+    assert back.truth == [row[3] for row in expect]
+    assert back.partition == [row[1] for row in expect]
+    assert back.truth == small_trace.truth
 
 
 def test_truth_index_spans(small_trace):
     truth = truth_index(small_trace)
     arrivals = {}
-    for t in small_trace.all_tuples():
-        lo, hi = arrivals.get(t.truth_instance, (t.timestamp, t.timestamp))
-        arrivals[t.truth_instance] = (min(lo, t.timestamp), max(hi, t.timestamp))
+    for t, label in zip(small_trace.stream, small_trace.truth):
+        lo, hi = arrivals.get(label, (t.timestamp, t.timestamp))
+        arrivals[label] = (min(lo, t.timestamp), max(hi, t.timestamp))
     for label, inst in truth.items():
         lo, hi = arrivals[label]
         assert inst.primary_arrival == lo
