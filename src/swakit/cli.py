@@ -17,6 +17,7 @@ import json
 import logging
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from .errors import (
     StateSpaceError,
     SwakitError,
 )
-from .metrics import evaluate
+from .metrics import check_gamma, evaluate
 from .params import estimate_capacity, estimate_timeout
 from .queueing import des_simulate, load_model, predict
 from .trace import (
@@ -76,7 +77,21 @@ def _write_json(path: Path, doc) -> None:
         fh.write("\n")
 
 
-def _manifest(args, command: str, outputs: dict, t0: float, extra_config=None) -> None:
+@contextmanager
+def stage(stages: dict, name: str, items: int = 0):
+    """Time the block as stage ``name`` of a command; wall time and items add up.
+
+    The block may count more items through the yielded record.
+    """
+    rec = stages.setdefault(name, {"wall_s": 0.0, "items": 0})
+    rec["items"] += items
+    t0 = time.perf_counter()
+    yield rec
+    rec["wall_s"] += time.perf_counter() - t0
+
+
+def _manifest(args, command: str, outputs: dict, t0: float, extra_config=None,
+              stages=None) -> None:
     out_dir = Path(args.out)
     cfg = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -94,7 +109,17 @@ def _manifest(args, command: str, outputs: dict, t0: float, extra_config=None) -
         "outputs": {k: str(v) for k, v in outputs.items()},
         "wall_time_s": round(time.monotonic() - t0, 6),
     }
+    if stages:
+        doc["stages"] = {
+            name: {"wall_s": round(r["wall_s"], 6), "items": r["items"],
+                   "items_per_s": round(r["items"] / r["wall_s"], 3) if r["wall_s"] else 0.0}
+            for name, r in stages.items()
+        }
     _write_json(out_dir / f"{command.replace('-', '_')}_manifest.json", doc)
+
+
+def _gammas(text: str):
+    return [check_gamma(g) for g in _floats_csv(text)]
 
 
 def _floats_csv(text: str):
@@ -252,26 +277,31 @@ def cmd_run_pipeline(args) -> int:
         cfg.strategy = Strategy.parse(args.strategy)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    trace = read_trace(args.trace)
-    result = run_pipeline(trace, cfg, keep_members=not args.no_members)
+    stages: dict = {}
+    with stage(stages, "read") as rec:
+        trace = read_trace(args.trace)
+        rec["items"] += trace.n_tuples
+    with stage(stages, "aggregate", trace.n_tuples):
+        result = run_pipeline(trace, cfg, keep_members=not args.no_members)
     emitted_path = out / "emitted.csv"
     members_path = None if args.no_members else _members_path(emitted_path)
-    write_emissions(result.emissions, emitted_path, members_path)
     stats_path = out / "operator_stats.json"
-    _write_json(
-        stats_path,
-        {"aggregate": result.aggregate_stats.to_dict(), "config": cfg.to_dict()},
-    )
+    with stage(stages, "write", trace.n_tuples):
+        write_emissions(result.emissions, emitted_path, members_path)
+        _write_json(stats_path,
+                    {"aggregate": result.aggregate_stats.to_dict(), "config": cfg.to_dict()})
     outputs = {"emitted": emitted_path, "stats": stats_path}
     if members_path:
         outputs["members"] = members_path
     print(f"{len(result.emissions)} emissions from {result.aggregate_stats.tuples_in} tuples")
-    _manifest(args, "run-pipeline", outputs, t0, extra_config={"pipeline": cfg.to_dict()})
+    _manifest(args, "run-pipeline", outputs, t0, extra_config={"pipeline": cfg.to_dict()},
+              stages=stages)
     return 0
 
 
 def cmd_evaluate(args) -> int:
     t0 = time.monotonic()
+    gammas = _gammas(args.gamma)  # checked before anything is read or created
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     emitted = Path(args.emitted)
@@ -280,14 +310,18 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(
             f"member sidecar {members} not found; rerun run-pipeline without --no-members"
         )
-    emissions = read_emissions(emitted, members)
-    trace = read_trace(args.trace)
-    gammas = _floats_csv(args.gamma)
-    report = evaluate(emissions, trace, gammas)
+    stages: dict = {}
+    with stage(stages, "read") as rec:
+        emissions = read_emissions(emitted, members)
+        trace = read_trace(args.trace)
+        rec["items"] += trace.n_tuples
+    with stage(stages, "score", trace.n_tuples):
+        report = evaluate(emissions, trace, gammas)
     report_path = out / "evaluation.json"
-    _write_json(report_path, report.to_dict())
+    with stage(stages, "write", trace.n_tuples):
+        _write_json(report_path, report.to_dict())
     print(json.dumps(report.to_dict(), sort_keys=True))
-    _manifest(args, "evaluate", {"report": report_path}, t0)
+    _manifest(args, "evaluate", {"report": report_path}, t0, stages=stages)
     return 0
 
 
@@ -328,7 +362,7 @@ def cmd_simulate_queue(args) -> int:
 def cmd_compare(args) -> int:
     t0 = time.monotonic()
     # every request is checked before the trace is read
-    gammas = _floats_csv(args.gamma)
+    gammas = _gammas(args.gamma)
     strategy = Strategy.parse(args.strategy)
     runs = [(
         f"swa_{args.capacity}_{args.timeout}",
@@ -343,11 +377,16 @@ def cmd_compare(args) -> int:
         ))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    trace = read_trace(args.trace)
+    stages: dict = {}
+    with stage(stages, "read") as rec:
+        trace = read_trace(args.trace)
+        rec["items"] += trace.n_tuples
 
     def one_run(cfg, label):
-        result = run_pipeline(trace, cfg, keep_members=True)
-        rep = evaluate(result.emissions, trace, gammas)
+        with stage(stages, "aggregate", trace.n_tuples):
+            result = run_pipeline(trace, cfg, keep_members=True)
+        with stage(stages, "score", trace.n_tuples):
+            rep = evaluate(result.emissions, trace, gammas)
         stats = result.aggregate_stats
         return {
             "label": label,
@@ -367,14 +406,15 @@ def cmd_compare(args) -> int:
     rows = [one_run(cfg, label) for label, cfg in runs]
     doc = {"strategy": strategy.value, "runs": rows}
     cmp_path = out / "compare.json"
-    _write_json(cmp_path, doc)
+    with stage(stages, "write", trace.n_tuples):
+        _write_json(cmp_path, doc)
     for r in rows:
         print(
             f"{r['label']:>16}: complete(1)={r['completeness']['gamma_1']:.4f} "
             f"capture={r['capture_rate']:.4f} occ_avg={r['occupancy_avg']:.1f} "
             f"storage_avg={r['storage_avg_mb']:.3f}MB"
         )
-    _manifest(args, "compare", {"report": cmp_path}, t0)
+    _manifest(args, "compare", {"report": cmp_path}, t0, stages=stages)
     return 0
 
 

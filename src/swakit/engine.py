@@ -12,26 +12,29 @@ close.  Timeouts are detected by sweeps that run on every arrival and every
 100 ms of event time, so a window's close timestamp never depends on how
 long the stream stays silent afterwards.
 
-Operators never see ground-truth labels; they work on
-:class:`~swakit.trace.StreamTuple` and key only on head id, instance
-timestamp, and user id.
+Operators never see ground-truth labels; they read the columns of a
+:class:`~swakit.trace.Stream` and key only on head id, instance timestamp,
+and user id, factorized once per strategy into integer key ids.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .errors import ConfigError
 from .params import WindowParams
-from .trace import StreamTuple, Trace, read_csv_rows, replay
+from .trace import Stream, Trace, read_csv_rows, replay
 
 __all__ = [
     "Strategy",
-    "extract_key",
+    "key_ids",
     "OperatorStats",
     "EmittedInstance",
     "EmissionRecord",
@@ -46,6 +49,7 @@ __all__ = [
 ]
 
 SWEEP_MS = 100
+_SLIDING_RUN = 1 << 20  # member slots per sliding group-by
 
 EMITTED_HEADER = ["key", "k", "close_reason", "closed_at_ms", "avg_response_ms", "span_ms"]
 MEMBERS_HEADER = ["emission", "seq"]
@@ -60,8 +64,11 @@ class Strategy(Enum):
     HEAD_TS_IP = "head_ts_ip"
 
     @property
-    def key_arity(self) -> int:
-        return {"head": 1, "head_ts": 2, "head_ip": 2, "head_ts_ip": 3}[self.value]
+    def fields(self) -> tuple:
+        """The stream columns that form the key, head first."""
+        return {"head": ("head",), "head_ts": ("head", "instance_ts"),
+                "head_ip": ("head", "user"),
+                "head_ts_ip": ("head", "instance_ts", "user")}[self.value]
 
     @classmethod
     def parse(cls, name: str) -> "Strategy":
@@ -74,17 +81,24 @@ class Strategy(Enum):
             ) from None
 
 
-def extract_key(t: StreamTuple, strategy: Strategy) -> tuple:
-    """Build the association key for a tuple under the given strategy."""
-    if strategy is Strategy.HEAD:
-        return (t.head_id,)
-    if strategy is Strategy.HEAD_TS:
-        return (t.head_id, t.instance_timestamp)
-    if strategy is Strategy.HEAD_IP:
-        return (t.head_id, t.user_id)
-    if strategy is Strategy.HEAD_TS_IP:
-        return (t.head_id, t.instance_timestamp, t.user_id)
-    raise ConfigError(f"unknown strategy {strategy!r}")
+def key_ids(stream: Stream, strategy: Strategy):
+    """(key id per seq, key tuple per id) under ``strategy``; computed once per stream.
+
+    Ids run from 0; a key tuple holds the head id, then the instance
+    timestamp and/or the user id, as the strategy asks.
+    """
+    if strategy not in stream.keys:
+        cols = [getattr(stream, f) for f in strategy.fields]
+        ids = np.zeros(len(stream), np.int64)
+        for col in cols:  # the first row of each key comes with the last step
+            _, codes = np.unique(col, return_inverse=True)
+            _, first, ids = np.unique(ids * (codes.max(initial=0) + 1) + codes,
+                                      return_index=True, return_inverse=True)
+        parts = [col[first].tolist() if f == "instance_ts"
+                 else [stream.names[c] for c in col[first].tolist()]
+                 for f, col in zip(strategy.fields, cols)]
+        stream.keys[strategy] = (ids, list(zip(*parts)))
+    return stream.keys[strategy]
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +124,6 @@ class OperatorStats:
     occupancy_sum: int = 0
     occupancy_max: int = 0
     residence_ms: list = field(default_factory=list)
-
-    def arrive(self, occupancy: int) -> None:
-        self.tuples_in += 1
-        self.occupancy_sum += occupancy
-        if occupancy > self.occupancy_max:
-            self.occupancy_max = occupancy
 
     @property
     def occupancy_avg(self):
@@ -198,36 +206,21 @@ class EmissionRecord:
 
 
 def _key_str(key) -> str:
-    if isinstance(key, tuple):
-        return "|".join(str(p) for p in key)
-    return str(key)
+    return "|".join(map(str, key)) if isinstance(key, tuple) else str(key)
 
 
 def write_emissions(emissions, path, members_path=None) -> None:
     """Write the emitted-instance CSV (plus optional member-seq sidecar)."""
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(EMITTED_HEADER)
-        for e in emissions:
-            w.writerow(
-                [
-                    _key_str(e.key),
-                    e.count,
-                    e.close_reason,
-                    e.closed_at,
-                    f"{e.response_avg:.6f}",
-                    e.span_ms,
-                ]
-            )
+        w.writerows((_key_str(e.key), e.count, e.close_reason, e.closed_at,
+                     f"{e.response_avg:.6f}", e.span_ms) for e in emissions)
     if members_path is not None:
         with open(members_path, "w", encoding="utf-8", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(MEMBERS_HEADER)
-            for i, e in enumerate(emissions):
-                for s in e.member_seqs or ():
-                    w.writerow([i, s])
+            w.writerows((i, s) for i, e in enumerate(emissions) for s in e.member_seqs or ())
 
 
 def read_emissions(path, members_path=None) -> list:
@@ -260,37 +253,40 @@ def read_emissions(path, members_path=None) -> list:
 # ---------------------------------------------------------------------------
 
 
-class _Window:
-    __slots__ = ("key", "opened_at", "deadline", "seqs", "first_ts", "last_ts",
-                 "resp_sum", "resp_min", "resp_max", "closed")
+def _emit(stream, seqs, group, keys, closes, keep_members):
+    """Emissions in close order, and their residence samples, from group-bys.
 
-    def __init__(self, key, opened_at, timeout_ms):
-        self.key = key
-        self.opened_at = opened_at
-        self.deadline = opened_at + timeout_ms
-        self.seqs = []
-        self.first_ts = None
-        self.last_ts = None
-        self.resp_sum = 0
-        self.resp_min = None
-        self.resp_max = None
-        self.closed = False
-
-    def add(self, t: StreamTuple):
-        self.seqs.append(t.seq)
-        if self.first_ts is None or t.timestamp < self.first_ts:
-            self.first_ts = t.timestamp
-        if self.last_ts is None or t.timestamp > self.last_ts:
-            self.last_ts = t.timestamp
-        self.resp_sum += t.response_time
-        if self.resp_min is None or t.response_time < self.resp_min:
-            self.resp_min = t.response_time
-        if self.resp_max is None or t.response_time > self.resp_max:
-            self.resp_max = t.response_time
+    Window ``group[i]`` holds seq ``seqs[i]`` (members keep this order) and
+    has key ``keys[group[i]]``.  ``closes`` lists (window, reason, closed_at,
+    opened_at) per emission; an ``opened_at`` of None means the first
+    member's time, with residence measured from the members' mean time.
+    """
+    if not closes:
+        return [], []
+    order = np.argsort(group, kind="stable")
+    seqs = seqs[order]
+    count = np.bincount(group, minlength=len(keys))
+    start = np.cumsum(count) - count
+    ts, resp = stream.timestamp[seqs], stream.response[seqs]
+    cols = [np.minimum.reduceat(ts, start), np.maximum.reduceat(ts, start),
+            np.add.reduceat(ts, start), np.add.reduceat(resp, start),
+            np.minimum.reduceat(resp, start), np.maximum.reduceat(resp, start)]
+    first, last, ts_sum, resp_sum, resp_min, resp_max = (c.tolist() for c in cols)
+    count, start, members = count.tolist(), start.tolist(), seqs.tolist()
+    emissions, residence = [], []
+    for w, reason, closed_at, opened_at in closes:
+        c, s = count[w], start[w]
+        emissions.append(EmittedInstance(
+            keys[w], c, reason, first[w] if opened_at is None else opened_at, closed_at,
+            first[w], last[w], resp_sum[w] / c, resp_min[w], resp_max[w],
+            tuple(members[s:s + c]) if keep_members else None))
+        residence.append(closed_at - ts_sum[w] / c if opened_at is None
+                         else float(closed_at - opened_at))
+    return emissions, residence
 
 
 def aggregate_swa(
-    tuples: Sequence[StreamTuple],
+    stream: Stream,
     params: WindowParams,
     strategy: Strategy,
     tuple_size: int = 135,
@@ -305,67 +301,51 @@ def aggregate_swa(
     still admitted.  End of stream flushes every open window with reason
     ``timeout``.
     """
-    timeout_ms = params.timeout_s * 1000
-    stats = OperatorStats("aggregate_swa", slot_bytes=params.capacity * tuple_size)
-    open_windows: dict = {}
-    expiry = []  # heap of (deadline, seq#, window)
-    counter = 0
-    emissions: List[EmittedInstance] = []
+    ids, key_of = key_ids(stream, strategy)
+    timeout_ms, capacity = params.timeout_s * 1000, params.capacity
+    windows = []  # window id per seq
+    opened, size, key = [], [], []  # per window id, in open order
+    open_by_key: dict = {}
+    expiry = []  # heap of (deadline, window id)
+    closes = []  # (window, reason, closed_at, opened_at) per emission
+    occ_sum = occ_max = 0
 
-    def emit(win: _Window, reason: str, closed_at: int):
-        win.closed = True
-        emissions.append(
-            EmittedInstance(
-                key=win.key,
-                count=len(win.seqs),
-                close_reason=reason,
-                opened_at=win.opened_at,
-                closed_at=closed_at,
-                first_ts=win.first_ts,
-                last_ts=win.last_ts,
-                response_avg=win.resp_sum / len(win.seqs),
-                response_min=win.resp_min,
-                response_max=win.resp_max,
-                member_seqs=tuple(win.seqs) if keep_members else None,
-            )
-        )
-        stats.tuples_out += len(win.seqs)
-        stats.residence_ms.append(float(closed_at - win.opened_at))
+    def close(w, reason, now):
+        del open_by_key[key[w]]
+        closes.append((w, reason, now, opened[w]))
 
-    def sweep(now: int):
+    now = None
+    for now, k in zip(stream.timestamp.tolist(), ids.tolist()):
         # close every window whose deadline passed strictly before `now`;
         # the recorded close time is the earliest sweep that saw it expired
         while expiry and expiry[0][0] < now:
-            _, _, win = heapq.heappop(expiry)
-            if win.closed:
-                continue
-            boundary = (win.deadline // SWEEP_MS + 1) * SWEEP_MS
-            emit(win, "timeout", min(boundary, now))
-            del open_windows[win.key]
+            deadline, w = heapq.heappop(expiry)
+            if open_by_key.get(key[w]) == w:
+                close(w, "timeout", min((deadline // SWEEP_MS + 1) * SWEEP_MS, now))
+        occ = len(open_by_key)
+        occ_sum += occ
+        if occ > occ_max:
+            occ_max = occ
+        w = open_by_key.get(k)
+        if w is None:
+            w = open_by_key[k] = len(opened)
+            opened.append(now)
+            size.append(0)
+            key.append(k)
+            heapq.heappush(expiry, (now + timeout_ms, w))
+        windows.append(w)
+        size[w] += 1
+        if size[w] >= capacity:
+            close(w, "full", now)
+    for _, w in sorted(expiry):  # end of stream: flush in deadline order
+        if open_by_key.get(key[w]) == w:
+            close(w, "timeout", now)
 
-    last_ts = None
-    for t in tuples:
-        sweep(t.timestamp)
-        stats.arrive(len(open_windows))
-        key = extract_key(t, strategy)
-        win = open_windows.get(key)
-        if win is None:
-            win = _Window(key, t.timestamp, timeout_ms)
-            open_windows[key] = win
-            heapq.heappush(expiry, (win.deadline, counter, win))
-            counter += 1
-        win.add(t)
-        if len(win.seqs) >= params.capacity:
-            emit(win, "full", t.timestamp)
-            del open_windows[key]
-        last_ts = t.timestamp
-
-    if last_ts is not None:
-        sweep(last_ts)  # catch 100 ms boundaries between the final arrivals
-        for _, _, win in sorted(expiry):
-            if not win.closed:
-                emit(win, "timeout", last_ts)
-        open_windows.clear()
+    stats = OperatorStats("aggregate_swa", slot_bytes=capacity * tuple_size, tuples_in=len(ids),
+                          occupancy_sum=occ_sum, occupancy_max=occ_max)
+    emissions, stats.residence_ms = _emit(stream, np.arange(len(ids)), np.array(windows, np.int64),
+                                          [key_of[k] for k in key], closes, keep_members)
+    stats.tuples_out = sum(e.count for e in emissions)
     stats.check_conservation()
     return emissions, stats
 
@@ -383,7 +363,7 @@ def _check_window(window: int, step: int) -> None:
 
 
 def aggregate_sliding(
-    tuples: Sequence[StreamTuple],
+    stream: Stream,
     window: int,
     step: int,
     strategy: Strategy,
@@ -396,52 +376,44 @@ def aggregate_sliding(
     appears in exactly one batch); smaller steps re-deliver tuples into
     overlapping batches.  A final partial batch is emitted at end of
     stream.  Batch processing is modeled as a single service event: every
-    group in a batch closes at the batch's last arrival.
+    group in a batch closes at the batch's last arrival.  Groups are emitted
+    batch by batch, in the order their first members arrived.
     """
     _check_window(window, step)
-    stats = OperatorStats("aggregate_sliding", slot_bytes=tuple_size)
-    buf: List[StreamTuple] = []
-    emissions: List[EmittedInstance] = []
-    emitted_seqs = set()
-
-    def close_batch(batch):
-        closed_at = max(t.timestamp for t in batch)
-        groups: dict = {}
-        for t in batch:
-            groups.setdefault(extract_key(t, strategy), []).append(t)
-        for key, members in groups.items():
-            resp = [m.response_time for m in members]
-            ts = [m.timestamp for m in members]
-            emissions.append(
-                EmittedInstance(
-                    key=key,
-                    count=len(members),
-                    close_reason="batch",
-                    opened_at=min(ts),
-                    closed_at=closed_at,
-                    first_ts=min(ts),
-                    last_ts=max(ts),
-                    response_avg=sum(resp) / len(resp),
-                    response_min=min(resp),
-                    response_max=max(resp),
-                    member_seqs=tuple(m.seq for m in members) if keep_members else None,
-                )
-            )
-            stats.residence_ms.append(closed_at - sum(ts) / len(ts))
-            for m in members:
-                emitted_seqs.add(m.seq)
-
-    for t in tuples:
-        stats.arrive(len(buf))
-        buf.append(t)
-        if len(buf) == window:
-            close_batch(buf)
-            buf = buf[step:]
-    if buf:
-        close_batch(buf)
+    ids, key_of = key_ids(stream, strategy)
+    n = len(ids)
+    # the buffer holds i tuples at arrival i until it first fills, then
+    # drops to window - step at every close
+    occ = np.arange(n)
+    occ[window:] = window - step + (occ[window:] - window) % step
+    stats = OperatorStats("aggregate_sliding", slot_bytes=tuple_size, tuples_in=n,
+                          occupancy_sum=int(occ.sum()), occupancy_max=int(occ.max(initial=0)))
+    full = (n - window) // step + 1 if n >= window else 0
+    starts = list(range(0, full * step, step)) + ([full * step] if full * step < n else [])
+    emissions = []
+    seen = np.zeros(n, bool)
+    per_run = max(1, _SLIDING_RUN // window)  # batches grouped together, bounding memory
+    for r in range(0, len(starts), per_run):
+        lo = np.array(starts[r:r + per_run])
+        size = np.minimum(lo + window, n) - lo
+        offset = np.cumsum(size) - size  # of each batch in the run
+        seqs = np.arange(size.sum()) + np.repeat(lo - offset, size)
+        batch = np.repeat(np.arange(len(lo)), size)
+        seen[seqs] = True
+        # one group per (batch, key), numbered in the order of first arrival
+        _, first, group = np.unique(batch * len(key_of) + ids[seqs], return_index=True,
+                                    return_inverse=True)
+        order = np.argsort(first)
+        group, first = np.argsort(order)[group], first[order]
+        closed_at = np.maximum.reduceat(stream.timestamp[seqs], offset)[batch[first]]
+        ems, residence = _emit(stream, seqs, group, [key_of[k] for k in ids[seqs[first]].tolist()],
+                               [(g, "batch", t, None) for g, t in enumerate(closed_at.tolist())],
+                               keep_members)
+        emissions += ems
+        stats.residence_ms += residence
     # a tuple can land in several overlapping batches; conservation is
     # accounted on distinct tuples
-    stats.tuples_out = len(emitted_seqs)
+    stats.tuples_out = int(seen.sum())
     stats.check_conservation()
     return emissions, stats
 
@@ -522,20 +494,9 @@ def run_pipeline(trace: Trace, cfg: PipelineConfig, keep_members: bool = True) -
     """Replay a trace through the configured aggregate."""
     stream = replay(trace)
     if cfg.kind == "swa":
-        emissions, astats = aggregate_swa(
-            stream,
-            WindowParams(cfg.capacity, cfg.timeout_s),
-            cfg.strategy,
-            tuple_size=cfg.tuple_size,
-            keep_members=keep_members,
-        )
-    else:
-        emissions, astats = aggregate_sliding(
-            stream,
-            cfg.window,
-            cfg.step,
-            cfg.strategy,
-            tuple_size=cfg.tuple_size,
-            keep_members=keep_members,
-        )
-    return PipelineResult(emissions, astats)
+        return PipelineResult(*aggregate_swa(
+            stream, WindowParams(cfg.capacity, cfg.timeout_s), cfg.strategy,
+            tuple_size=cfg.tuple_size, keep_members=keep_members))
+    return PipelineResult(*aggregate_sliding(
+        stream, cfg.window, cfg.step, cfg.strategy, tuple_size=cfg.tuple_size,
+        keep_members=keep_members))

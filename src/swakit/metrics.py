@@ -18,14 +18,18 @@ On top of that mapping:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from itertools import chain
+from typing import Dict, Sequence
+
+import numpy as np
 
 from .errors import ConfigError
-from .trace import Trace, truth_index
+from .trace import Trace, TruthTable
 
 __all__ = [
+    "Members",
+    "check_gamma",
     "match_instances",
     "completeness",
     "capture_rate",
@@ -35,77 +39,79 @@ __all__ = [
 ]
 
 
-def _require_members(emissions):
-    for e in emissions:
-        if e.member_seqs is None:
-            raise ConfigError(
-                "emission lacks member tuples; rerun the pipeline in evaluation mode"
-            )
-
-
-def match_instances(emissions, truth_of_seq, truth) -> List[Optional[str]]:
-    """Attribute each emission to a truth instance by member majority.
-
-    ``truth_of_seq[seq]`` is a member's label (``Trace.truth``).  Returns one
-    label per emission (None only for empty emissions, which should not
-    occur).  Ties break to the earliest primary arrival, then to the
-    lexicographically smallest label.
-    """
-    _require_members(emissions)
-    out: List[Optional[str]] = []
-    for e in emissions:
-        counts = Counter(truth_of_seq[s] for s in e.member_seqs)
-        if not counts:
-            out.append(None)
-            continue
-        best = min(
-            counts.items(),
-            key=lambda kv: (-kv[1], truth[kv[0]].primary_arrival, kv[0]),
-        )
-        out.append(best[0])
-    return out
-
-
-def completeness(emissions, mapping, truth, gamma: float):
-    """(integrated, total, ratio) of instances whose best window reaches gamma."""
+def check_gamma(gamma: float) -> float:
+    """``gamma`` itself if it lies in (0, 1]; ConfigError otherwise."""
     if not (0.0 < gamma <= 1.0):
         raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
-    best: Dict[str, int] = {}
-    for e, lbl in zip(emissions, mapping):
-        if lbl is not None and e.count > best.get(lbl, 0):
-            best[lbl] = e.count
-    total = len(truth)
-    integrated = sum(
-        1 for lbl, t in truth.items() if best.get(lbl, 0) / t.degree >= gamma
-    )
+    return gamma
+
+
+@dataclass(frozen=True)
+class Members:
+    """Emissions' member seqs, flattened (``seqs[i]`` is in emission ``owner[i]``), and sizes."""
+
+    seqs: np.ndarray
+    owner: np.ndarray
+    count: np.ndarray
+
+    @classmethod
+    def of(cls, emissions, n_tuples: int) -> "Members":
+        if any(e.member_seqs is None for e in emissions):
+            raise ConfigError("emission lacks member tuples; rerun the pipeline in evaluation mode")
+        sizes = [len(e.member_seqs) for e in emissions]
+        seqs = np.fromiter(chain.from_iterable(e.member_seqs for e in emissions), np.int64,
+                           sum(sizes))
+        outside = seqs[(seqs < 0) | (seqs >= n_tuples)]
+        if outside.size:
+            raise ConfigError(f"emission member seq {outside[0]} is not in the trace")
+        return cls(seqs, np.repeat(np.arange(len(sizes)), sizes),
+                   np.array([e.count for e in emissions], dtype=np.int64))
+
+
+def match_instances(members: Members, truth: TruthTable) -> np.ndarray:
+    """Attribute each emission to a truth label code by member majority (-1: no members).
+
+    Ties break to the earliest primary arrival, then to the lexicographically
+    smallest label.
+    """
+    n_labels = len(truth.labels)
+    pairs, votes = np.unique(members.owner * n_labels + truth.code[members.seqs],
+                             return_counts=True)
+    owner, label = np.divmod(pairs, n_labels)
+    best = np.lexsort((truth.rank[label], truth.primary[label], -votes, owner))
+    best = best[np.diff(owner[best], prepend=-1) != 0]  # the first of each emission
+    mapping = np.full(len(members.count), -1)
+    mapping[owner[best]] = label[best]
+    return mapping
+
+
+def completeness(members: Members, mapping, truth: TruthTable, gamma: float):
+    """(integrated, total, ratio) of instances whose best window reaches gamma."""
+    check_gamma(gamma)
+    best = np.zeros(len(truth.labels), np.int64)
+    hit = mapping >= 0
+    np.maximum.at(best, mapping[hit], members.count[hit])
+    total = len(truth.labels)
+    integrated = int(np.count_nonzero(best / truth.degree >= gamma))
     return integrated, total, (integrated / total if total else 0.0)
 
 
-def capture_rate(emissions, total_tuples: int):
+def capture_rate(members: Members, total_tuples: int):
     """(captured, total, ratio): distinct trace tuples present in any emission."""
-    _require_members(emissions)
-    seen = set()
-    for e in emissions:
-        seen.update(e.member_seqs)
-    return len(seen), total_tuples, (len(seen) / total_tuples if total_tuples else 0.0)
+    seen = len(np.unique(members.seqs))
+    return seen, total_tuples, (seen / total_tuples if total_tuples else 0.0)
 
 
-def recall_and_correct_rate(emissions, mapping, truth_of_seq, truth):
+def recall_and_correct_rate(members: Members, mapping, truth: TruthTable):
     """((hit, total, recall), (pure, emitted, correct_rate))."""
-    _require_members(emissions)
-    hit = set()
-    pure = 0
-    for e, lbl in zip(emissions, mapping):
-        if lbl is None:
-            continue
-        hit.add(lbl)
-        if all(truth_of_seq[s] == lbl for s in e.member_seqs):
-            pure += 1
-    total = len(truth)
-    emitted = len(emissions)
-    recall = len(hit) / total if total else 0.0
+    hit = len(np.unique(mapping[mapping >= 0]))
+    impure = np.unique(members.owner[truth.code[members.seqs] != mapping[members.owner]])
+    pure = int(np.count_nonzero(mapping >= 0)) - len(impure)
+    total = len(truth.labels)
+    emitted = len(mapping)
+    recall = hit / total if total else 0.0
     correct = pure / emitted if emitted else 1.0
-    return (len(hit), total, recall), (pure, emitted, correct)
+    return (hit, total, recall), (pure, emitted, correct)
 
 
 @dataclass
@@ -125,7 +131,7 @@ class EvaluationReport:
     instances: int
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "instances": self.instances,
             "emissions": self.emissions,
             "completeness": {
@@ -153,7 +159,6 @@ class EvaluationReport:
                 "ratio": self.correct_rate,
             },
         }
-        return doc
 
 
 def evaluate(
@@ -161,19 +166,18 @@ def evaluate(
     trace: Trace,
     gammas: Sequence[float] = (1.0, 0.85, 0.75),
 ) -> EvaluationReport:
-    """Score one run's emissions against the trace's ground truth."""
-    truth = truth_index(trace)
-    mapping = match_instances(emissions, trace.truth, truth)
+    """Score one run's emissions against the trace's truth table (built once per trace)."""
+    truth = trace.truth_table
+    members = Members.of(emissions, trace.n_tuples)
+    mapping = match_instances(members, truth)
     comp: Dict[float, float] = {}
     counts: Dict[float, tuple] = {}
     for g in gammas:
-        integ, total, ratio = completeness(emissions, mapping, truth, g)
+        integ, total, ratio = completeness(members, mapping, truth, g)
         comp[g] = ratio
         counts[g] = (integ, total)
-    cap, tot, cap_ratio = capture_rate(emissions, trace.n_tuples)
-    (hit, ti, rec), (pure, emitted, corr) = recall_and_correct_rate(
-        emissions, mapping, trace.truth, truth
-    )
+    cap, tot, cap_ratio = capture_rate(members, trace.n_tuples)
+    (hit, ti, rec), (pure, emitted, corr) = recall_and_correct_rate(members, mapping, truth)
     return EvaluationReport(
         completeness=comp,
         completeness_counts=counts,

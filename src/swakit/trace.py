@@ -1,12 +1,13 @@
 """Synthetic invocation traces: catalog, generation, CSV format, replay.
 
-A trace is the merged stream plus truth and partition columns, all indexed
-by ``seq``: a tuple's position when the partitions are merged by timestamp,
-then partition, then input order (done once, on generation or read).  Each
+A trace is stored as columns indexed by ``seq``, a tuple's position when the
+partitions are merged by timestamp, then partition, then input order (one
+stable sort, on generation or read); strings are integer codes into a
+table.  The operator-facing columns form the :class:`Stream`; truth labels
+and partitions sit beside it on the :class:`Trace`, so operators, which read
+the stream through :func:`replay`, can never key on ground truth.  Each
 composite service has a head invocation plus subordinate invocations; all
-tuples of one live instance share a ground-truth label that exists only for
-scoring.  The stream's tuples carry no label and no partition, so operators,
-which read it through :func:`replay`, can never key on ground truth.
+tuples of one live instance share a label that exists only for scoring.
 
 Timestamps are integer milliseconds.  Span distributions are sampled in
 seconds (matching how response times are usually modeled) and converted;
@@ -16,9 +17,10 @@ arrival distributions are sampled directly in milliseconds.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
-from operator import itemgetter
-from sys import intern
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain, islice
+from operator import itemgetter, methodcaller
 from typing import List
 
 import numpy as np
@@ -33,11 +35,12 @@ from .distributions import (
 from .errors import ConfigError, TraceParseError
 
 __all__ = [
-    "StreamTuple",
+    "Stream",
     "ServiceDef",
     "ServiceCatalog",
     "TraceConfig",
     "Trace",
+    "TruthTable",
     "TruthInstance",
     "build_catalog",
     "generate_trace",
@@ -61,22 +64,29 @@ TRACE_HEADER = [
     "partition",
 ]
 
+READ_CHUNK = 1 << 14  # rows checked and converted together by read_trace
 
-@dataclass(frozen=True, slots=True)
-class StreamTuple:
-    """The operator-facing view of a tuple: no truth label, no partition.
 
-    ``seq`` is the tuple's position in the global timestamp-merged order and
-    is the only way evaluation code can join emissions back to ground truth.
+@dataclass(eq=False)
+class Stream:
+    """The operator-facing columns, indexed by ``seq``: no truth label, no partition.
+
+    ``timestamp``, ``instance_ts`` and ``response`` are int64; ``user``,
+    ``service`` and ``head`` are codes into ``names``.  ``keys`` holds the
+    engine's key ids per strategy, computed on first use.
     """
 
-    seq: int
-    timestamp: int
-    user_id: str
-    service_id: str
-    head_id: str
-    instance_timestamp: int
-    response_time: int
+    timestamp: np.ndarray
+    instance_ts: np.ndarray
+    response: np.ndarray
+    user: np.ndarray
+    service: np.ndarray
+    head: np.ndarray
+    names: List[str]
+    keys: dict = field(default_factory=dict, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
 
 
 @dataclass(frozen=True)
@@ -129,17 +139,52 @@ class TraceConfig:
             raise ConfigError("repeat_factor must be >= 1")
 
 
-@dataclass
-class Trace:
-    """The merged stream and its truth and partition columns, indexed by ``seq``."""
+@dataclass(frozen=True)
+class TruthTable:
+    """Ground truth as arrays: ``code[seq]`` is a tuple's label code, the rest is per code.
 
-    stream: List[StreamTuple]
-    truth: List[str]
-    partition: List[int]
+    ``degree`` counts a label's tuples, ``primary``/``last`` are its first
+    and last timestamps, and ``rank`` is its position in sorted label order.
+    """
+
+    labels: List[str]
+    code: np.ndarray
+    degree: np.ndarray
+    primary: np.ndarray
+    last: np.ndarray
+    rank: np.ndarray
+
+
+@dataclass(eq=False)
+class Trace:
+    """The merged stream plus its truth-label codes and partition column, indexed by ``seq``."""
+
+    stream: Stream
+    truth: np.ndarray  # label code per seq, into ``labels``
+    labels: List[str]
+    partition: np.ndarray
 
     @property
     def n_tuples(self) -> int:
         return len(self.stream)
+
+    @classmethod
+    def from_rows(cls, rows) -> "Trace":
+        """Build a trace from rows in ``TRACE_HEADER`` layout, in any order."""
+        return _build([_columns(rows)])
+
+    @cached_property
+    def truth_table(self) -> TruthTable:
+        """Per-label degree, arrival bounds and rank; built once per trace."""
+        code, ts = self.truth, self.stream.timestamp
+        n = len(self.labels)
+        primary = np.full(n, np.iinfo(np.int64).max)
+        last = np.full(n, np.iinfo(np.int64).min)
+        np.minimum.at(primary, code, ts)
+        np.maximum.at(last, code, ts)
+        rank = np.empty(n, np.int64)
+        rank[sorted(range(n), key=self.labels.__getitem__)] = np.arange(n)
+        return TruthTable(self.labels, code, np.bincount(code, minlength=n), primary, last, rank)
 
 
 @dataclass(frozen=True)
@@ -272,32 +317,44 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
             ts = times[j]
             rows.append((ts, user, svc.sub_ids[j], svc.head_id, inst_ts,
                          max(0, end_ts - ts), label, svc.partitions[j]))
-    rows.sort(key=itemgetter(0, 7))  # stable: generation order breaks ties
-    return _merge(rows)
+    return Trace.from_rows(rows)
 
 
-def _merge(rows) -> Trace:
-    """Build a trace from rows in ``TRACE_HEADER`` layout, in generation or file order.
+def _columns(rows) -> list:
+    return [list(map(itemgetter(i), rows)) for i in range(len(TRACE_HEADER))]
 
-    The merged order is a stable sort on (timestamp, partition), so ties keep
-    input order, and a tuple's position in it is its ``seq``.  Rows that come
-    in merged order (``write_trace`` writes them so) are numbered as they
-    come, without holding the rows; any other order is sorted once at the end.
+
+def _codes(table: dict, col) -> np.ndarray:
+    """Codes of ``col``'s strings in ``table``, which gains the strings it lacked."""
+    fresh = [s for s in dict.fromkeys(col) if s not in table]
+    table.update(zip(fresh, range(len(table), len(table) + len(fresh))))
+    return np.fromiter(map(table.__getitem__, col), np.int32, len(col))
+
+
+def _build(blocks, check=None) -> Trace:
+    """Merge blocks of rows, each as columns in ``TRACE_HEADER`` order, into a trace.
+
+    Integer fields may be ints or their text; ``int`` parses them.  Strings
+    are coded block by block, so a block's strings can go once it is read;
+    ``check(timestamps, partitions)`` sees the input order.  The merge
+    is one stable sort on (timestamp, partition), input order breaking ties.
     """
-    stream, truth, partition = [], [], []
-    merged = True
-    for seq, (ts, user, service, head, inst_ts, resp, label, part) in enumerate(rows):
-        if seq and (ts, part) < (stream[-1].timestamp, partition[-1]):
-            merged = False
-        stream.append(StreamTuple(seq, ts, user, service, head, inst_ts, resp))
-        truth.append(label)
-        partition.append(part)
-    if not merged:
-        order = sorted(range(len(stream)), key=lambda i: (stream[i].timestamp, partition[i]))
-        stream = [replace(stream[i], seq=seq) for seq, i in enumerate(order)]
-        truth = [truth[i] for i in order]
-        partition = [partition[i] for i in order]
-    return Trace(stream, truth, partition)
+    names, labels = {}, {}
+    tables = (None, names, names, names, None, None, labels, None)
+    cols = [[] for _ in TRACE_HEADER]
+    for block in chain(blocks, [[()] * len(TRACE_HEADER)]):  # every column gets an array
+        for acc, table, col in zip(cols, tables, block):
+            acc.append(np.fromiter(map(int, col), np.int64, len(col)) if table is None
+                       else _codes(table, col))
+    cols = [np.concatenate(acc) for acc in cols]
+    if check:
+        check(cols[0], cols[7])
+    order = np.lexsort((cols[7], cols[0]))
+    if (order != np.arange(len(order))).any():
+        cols = [col[order] for col in cols]
+    ts, user, service, head, inst_ts, resp, label, part = cols
+    return Trace(Stream(ts, inst_ts, resp, user, service, head, list(names)), label,
+                 list(labels), part)
 
 
 # ---------------------------------------------------------------------------
@@ -307,22 +364,49 @@ def _merge(rows) -> Trace:
 
 def write_trace(trace: Trace, path) -> None:
     """Write the trace as a single CSV in ``seq`` order."""
+    s = trace.stream
+
+    def text(codes, table):
+        return map(table.__getitem__, codes.tolist())
+
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRACE_HEADER)
-        for t, label, part in zip(trace.stream, trace.truth, trace.partition):
-            w.writerow(
-                [
-                    t.timestamp,
-                    t.user_id,
-                    t.service_id,
-                    t.head_id,
-                    t.instance_timestamp,
-                    t.response_time,
-                    label,
-                    part,
-                ]
-            )
+        w.writerows(zip(s.timestamp.tolist(), text(s.user, s.names), text(s.service, s.names),
+                        text(s.head, s.names), s.instance_ts.tolist(), s.response.tolist(),
+                        text(trace.truth, trace.labels), trace.partition.tolist()))
+
+
+def _blocks(fh):
+    """The data rows of an open trace file, READ_CHUNK at a time, as string columns.
+
+    Raises ValueError at a block holding a row of the wrong width.  Lines
+    are split on commas, which is what the csv module does with them, until
+    a quote or a carriage return outside a line end shows up; from there the
+    csv module reads the rest of the file.
+    """
+    width = len(TRACE_HEADER)
+    while lines := list(islice(fh, READ_CHUNK)):
+        text = "".join(lines)
+        if '"' in text or text.count("\r") != text.count("\r\n"):
+            rows = csv.reader(chain(lines, fh))
+            while block := list(islice(rows, READ_CHUNK)):
+                if set(map(len, block)) != {width}:
+                    raise ValueError
+                yield _columns(block)
+            return
+        if list(map(methodcaller("count", ","), lines)).count(width - 1) != len(lines):
+            raise ValueError
+        fields = text.replace("\r\n", "\n").replace("\n", ",").split(",")[:width * len(lines)]
+        yield [fields[j::width] for j in range(width)]
+
+
+def _check_partitions(ts, part) -> None:
+    """ValueError unless partitions are >= 0 and each one's timestamps never go back."""
+    by_part = np.argsort(part, kind="stable")
+    p, t = part[by_part], ts[by_part]
+    if (part < 0).any() or ((t[1:] < t[:-1]) & (p[1:] == p[:-1])).any():
+        raise ValueError("a partition goes back in time or is negative")
 
 
 def read_csv_rows(path, header, parse, error=ConfigError):
@@ -347,26 +431,41 @@ def read_csv_rows(path, header, parse, error=ConfigError):
                 raise error(f"{path}: row {row_no}: {exc}") from None
 
 
-def read_trace(path) -> Trace:
-    """Parse a trace CSV, validating every row; errors name the file and the row.
-
-    Truth labels are interned, so an instance's tuples share one label
-    object, as in a generated trace; the memory this saves pays for the seq
-    numbers and the truth and partition columns.
-    """
+def _raise_first_fault(path):
+    """Check the file's rows one at a time, as they come, and raise at the first bad one."""
     last_ts: dict = {}  # partition -> its latest timestamp so far
 
-    def typed(ts, user, service, head, inst_ts, resp, label, part):
+    def check(ts, user, service, head, inst_ts, resp, label, part):
         ts, part = int(ts), int(part)
         if part < 0:
             raise ValueError(f"negative partition {part}")
-        prev = last_ts.get(part, ts)
-        if ts < prev:
-            raise ValueError(f"timestamp {ts} precedes {prev} in partition {part}")
+        if ts < last_ts.get(part, ts):
+            raise ValueError(f"timestamp {ts} precedes {last_ts[part]} in partition {part}")
         last_ts[part] = ts
-        return ts, user, service, head, int(inst_ts), int(resp), intern(label), part
+        if not all(-2**63 <= v < 2**63 for v in (ts, int(inst_ts), int(resp), part)):
+            raise ValueError("integer beyond 64 bits")
 
-    return _merge(read_csv_rows(path, TRACE_HEADER, typed, TraceParseError))
+    for _ in read_csv_rows(path, TRACE_HEADER, check, TraceParseError):
+        pass
+
+
+def read_trace(path) -> Trace:
+    """Parse a trace CSV into columns, checking every row; errors name the file and the row.
+
+    Rows are parsed READ_CHUNK at a time and checked together; when a check
+    fails, the rows are checked again one at a time to name the first bad
+    one, as a row-by-row read would.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            line = fh.readline()
+            got = next(csv.reader([line] if line else []), None)
+            if got != TRACE_HEADER:
+                raise TraceParseError(f"{path}: bad header {got!r}, expected {TRACE_HEADER!r}")
+            return _build(_blocks(fh), check=_check_partitions)
+    except (ValueError, OverflowError):
+        _raise_first_fault(path)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -377,41 +476,30 @@ def read_trace(path) -> Trace:
 def truth_index(trace: Trace) -> dict:
     """Map truth label -> TruthInstance with degree and arrival bounds.
 
-    The stream is timestamp-sorted, so a label's first and last tuples are
-    its primary and last arrivals.  Labels are ordered as a partition-by-
-    partition scan meets them (fit-dist takes its samples in this order).
+    Labels are ordered as a partition-by-partition scan meets them: by their
+    lowest partition, then their first seq in it (fit-dist takes its samples
+    in this order).
     """
-    first: dict = {}
-    last: dict = {}
-    count: dict = {}
-    met: dict = {}  # label -> (lowest partition, first seq in it)
-    for seq, (t, lbl, part) in enumerate(zip(trace.stream, trace.truth, trace.partition)):
-        if lbl in count:
-            count[lbl] += 1
-            if part < met[lbl][0]:
-                met[lbl] = (part, seq)
-        else:
-            count[lbl] = 1
-            first[lbl] = t.timestamp
-            met[lbl] = (part, seq)
-        last[lbl] = t.timestamp
-    return {
-        lbl: TruthInstance(lbl, count[lbl], first[lbl], last[lbl])
-        for lbl in sorted(count, key=met.__getitem__)
-    }
+    t = trace.truth_table
+    by_label = np.lexsort((trace.partition, t.code))  # stable: seq order breaks ties
+    first = by_label[np.diff(t.code[by_label], prepend=-1) != 0]
+    met = t.code[first[np.lexsort((first, trace.partition[first]))]]
+    return {t.labels[c]: TruthInstance(t.labels[c], d, lo, hi) for c, d, lo, hi in zip(
+        met.tolist(), t.degree[met].tolist(), t.primary[met].tolist(), t.last[met].tolist())}
 
 
-def replay(trace: Trace) -> List[StreamTuple]:
-    """The operator-facing stream: every tuple once, in global ``seq`` order.
+def replay(trace: Trace) -> Stream:
+    """The operator-facing stream: ``trace.stream`` itself, not a copy.
 
-    Returns ``trace.stream`` itself, not a copy; operator clocks are driven
-    by its timestamps.  Raises ConfigError when the stream is not numbered
-    0..n-1 or goes back in time (a hand-built trace can be either).
+    Operator clocks are driven by its timestamps.  Raises ConfigError when
+    the trace's columns differ in length or the stream goes back in time (a
+    hand-built trace can do either).
     """
-    stream = trace.stream
-    for i, t in enumerate(stream):
-        if t.seq != i:
-            raise ConfigError(f"stream position {i} holds seq {t.seq}")
-        if i and t.timestamp < stream[i - 1].timestamp:
-            raise ConfigError(f"stream goes back in time at seq {i}")
-    return stream
+    s = trace.stream
+    if any(len(col) != len(s) for col in (s.instance_ts, s.response, s.user, s.service, s.head,
+                                          trace.truth, trace.partition)):
+        raise ConfigError("trace columns differ in length")
+    back = np.flatnonzero(np.diff(s.timestamp) < 0)
+    if back.size:
+        raise ConfigError(f"stream goes back in time at seq {back[0] + 1}")
+    return s

@@ -228,8 +228,8 @@ def test_c08_association_strategy_ordering(collision_trace, clean_trace):
     corrects = [scores[s][1] for s in order]
     ordered = recalls == sorted(recalls) and corrects == sorted(corrects)
 
-    triples = {(t.head_id, t.instance_timestamp, t.user_id)
-               for t in clean_trace.stream}
+    s = clean_trace.stream
+    triples = set(zip(s.head.tolist(), s.instance_ts.tolist(), s.user.tolist()))
     distinct = len(triples) == len(truth_index(clean_trace))
     rep = evaluate(_swa(clean_trace, 60, 80).emissions, clean_trace, gammas=(1.0,))
     clean_perfect = rep.recall == 1.0 and rep.correct_rate == 1.0

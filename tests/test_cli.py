@@ -304,3 +304,47 @@ def test_bad_window_request_exits_two_before_reading(capsys, tmp_path, monkeypat
     assert code == 2
     assert "error" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--gamma", "2"],
+    ["compare", "--gamma", "1,0"],
+    ["evaluate", "--gamma", "0", "--emitted", "EMITTED"],
+], ids=["compare-gamma-2", "compare-gamma-0", "evaluate-gamma-0"])
+def test_bad_gamma_exits_two_before_reading(capsys, tmp_path, monkeypatch, argv):
+    def no_read(*args):
+        raise AssertionError("an input was read for a request that cannot run")
+
+    monkeypatch.setattr(cli, "read_trace", no_read)
+    monkeypatch.setattr(cli, "read_emissions", no_read)
+    monkeypatch.setattr(cli, "run_pipeline", no_read)
+    out = tmp_path / "out"
+    argv = [str(tmp_path / "emitted.csv") if a == "EMITTED" else a for a in argv]
+    code, _, err = run(capsys, *argv, "--trace", str(tmp_path / "trace.csv"),
+                       "--out", str(out))
+    assert code == 2
+    assert "gamma must lie in (0, 1]" in err
+    assert not out.exists()
+
+
+def test_manifests_carry_stages(capsys, tiny_trace, tmp_path):
+    n = read_trace(tiny_trace).n_tuples
+    pipe, ev, cmp_out = tmp_path / "pipe", tmp_path / "eval", tmp_path / "cmp"
+    assert run(capsys, "run-pipeline", "--trace", str(tiny_trace), "--out", str(pipe))[0] == 0
+    assert run(capsys, "evaluate", "--emitted", str(pipe / "emitted.csv"),
+               "--trace", str(tiny_trace), "--out", str(ev))[0] == 0
+    assert run(capsys, "compare", "--trace", str(tiny_trace), "--sliding", "50,100",
+               "--out", str(cmp_out))[0] == 0
+    # compare aggregates and scores the trace once per configuration (swa + 2 sliding)
+    expect = {
+        pipe / "run_pipeline_manifest.json": {"read": n, "aggregate": n, "write": n},
+        ev / "evaluate_manifest.json": {"read": n, "score": n, "write": n},
+        cmp_out / "compare_manifest.json": {"read": n, "aggregate": 3 * n, "score": 3 * n,
+                                            "write": n},
+    }
+    for path, items in expect.items():
+        stages = json.loads(path.read_text())["stages"]
+        assert {name: s["items"] for name, s in stages.items()} == items
+        for s in stages.values():
+            assert set(s) == {"wall_s", "items", "items_per_s"}
+            assert s["wall_s"] >= 0 and s["items_per_s"] >= 0

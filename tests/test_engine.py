@@ -1,9 +1,13 @@
 """Stream operators: key extraction, the merged stream, both aggregates."""
 
 import json
+from collections import namedtuple
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as hs
+from hypothesis import example, given, strategies as hs
+
+from swakit import engine
 
 from swakit.distributions import PointMassDist
 from swakit.engine import (
@@ -12,7 +16,7 @@ from swakit.engine import (
     Strategy,
     aggregate_sliding,
     aggregate_swa,
-    extract_key,
+    key_ids,
     read_emissions,
     run_pipeline,
     write_emissions,
@@ -20,7 +24,7 @@ from swakit.engine import (
 from swakit.errors import ConfigError
 from swakit.params import WindowParams
 from swakit.trace import (
-    StreamTuple,
+    Trace,
     TraceConfig,
     build_catalog,
     generate_trace,
@@ -32,21 +36,15 @@ from swakit.trace import (
 from conftest import write_partition_by_partition, write_trace_rows
 
 
-def st(ts, head="h", user="u", seq=0, resp=4):
-    return StreamTuple(
-        timestamp=ts,
-        user_id=user,
-        service_id="s",
-        head_id=head,
-        instance_timestamp=ts // 1000,
-        response_time=resp,
-        seq=seq,
-    )
-
-
 def feed(*specs):
-    """specs: (ts, head, user) triples; seqs assigned in order."""
-    return [st(ts, head, user, seq=i) for i, (ts, head, user) in enumerate(specs)]
+    """A stream from (ts, head, user[, response]) specs in time order; seq = position."""
+    return Trace.from_rows([(ts, user, "s", head, ts // 1000, resp, "i", 0)
+                            for ts, head, user, resp in ((*s, 4)[:4] for s in specs)]).stream
+
+
+def key(stream, strategy, seq):
+    ids, keys = key_ids(stream, strategy)
+    return keys[ids[seq]]
 
 
 # ---------------------------------------------------------------------------
@@ -55,34 +53,43 @@ def feed(*specs):
 
 
 def test_key_arity_and_parse():
-    assert Strategy.HEAD.key_arity == 1
-    assert Strategy.HEAD_TS.key_arity == 2
-    assert Strategy.HEAD_IP.key_arity == 2
-    assert Strategy.HEAD_TS_IP.key_arity == 3
+    assert Strategy.HEAD.fields == ("head",)
+    assert Strategy.HEAD_TS.fields == ("head", "instance_ts")
+    assert Strategy.HEAD_IP.fields == ("head", "user")
+    assert Strategy.HEAD_TS_IP.fields == ("head", "instance_ts", "user")
     assert Strategy.parse("head_ts_ip") is Strategy.HEAD_TS_IP
     with pytest.raises(ConfigError):
         Strategy.parse("head_and_shoulders")
 
 
 def test_extract_key_contents():
-    t = StreamTuple(timestamp=61889000, user_id="192.168.10.28", service_id="s",
-                    head_id="A", instance_timestamp=61889, response_time=1, seq=0)
-    assert extract_key(t, Strategy.HEAD) == ("A",)
-    assert extract_key(t, Strategy.HEAD_TS) == ("A", 61889)
-    assert extract_key(t, Strategy.HEAD_IP) == ("A", "192.168.10.28")
-    assert extract_key(t, Strategy.HEAD_TS_IP) == ("A", 61889, "192.168.10.28")
+    s = feed((61889000, "A", "192.168.10.28"))
+    assert key(s, Strategy.HEAD, 0) == ("A",)
+    assert key(s, Strategy.HEAD_TS, 0) == ("A", 61889)
+    assert key(s, Strategy.HEAD_IP, 0) == ("A", "192.168.10.28")
+    assert key(s, Strategy.HEAD_TS_IP, 0) == ("A", 61889, "192.168.10.28")
 
 
 def test_head_strategy_ignores_user():
-    a = st(1000, "A", "u1")
-    b = st(2000, "A", "u2")
-    assert extract_key(a, Strategy.HEAD) == extract_key(b, Strategy.HEAD)
+    ids, _ = key_ids(feed((1000, "A", "u1"), (2000, "A", "u2")), Strategy.HEAD)
+    assert ids[0] == ids[1]
 
 
 def test_timestamp_strategy_splits_seconds():
-    a = st(1000, "A", "u1")
-    b = st(2000, "A", "u1")
-    assert extract_key(a, Strategy.HEAD_TS) != extract_key(b, Strategy.HEAD_TS)
+    ids, _ = key_ids(feed((1000, "A", "u1"), (2000, "A", "u1")), Strategy.HEAD_TS)
+    assert ids[0] != ids[1]
+
+
+def test_key_ids_dense_and_consistent(small_trace):
+    s = replay(small_trace)
+    for strategy in Strategy:
+        ids, keys = key_ids(s, strategy)
+        assert sorted(set(ids.tolist())) == list(range(len(keys)))
+        cols = {"head": s.head, "user": s.user, "instance_ts": s.instance_ts}
+        rows = list(zip(*(cols[f].tolist() for f in strategy.fields)))
+        # equal ids exactly when the key columns are equal
+        assert len(set(rows)) == len(keys)
+        assert len(set(zip(rows, ids.tolist()))) == len(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +105,8 @@ def test_union_two_element_merge(tmp_path):
     # each partition is sorted, but the file lists partition 1 first
     path = write_trace_rows(tmp_path / "t.csv", [inv(2, "b", 1), inv(1), inv(3)])
     merged = replay(read_trace(path))
-    assert [t.timestamp for t in merged] == [1, 2, 3]
-    assert [t.seq for t in merged] == [0, 1, 2]
+    assert merged.timestamp.tolist() == [1, 2, 3]
+    assert [merged.names[c] for c in merged.head.tolist()] == ["h", "b", "h"]
 
 
 def test_union_timestamp_tie_keeps_partition_order(tmp_path):
@@ -107,7 +114,7 @@ def test_union_timestamp_tie_keeps_partition_order(tmp_path):
     # partition wins the tie even when the file lists it last
     path = write_trace_rows(tmp_path / "t.csv", [inv(5, "y", 1), inv(5, "x", 0)])
     merged = replay(read_trace(path))
-    assert [t.head_id for t in merged] == ["x", "y"]
+    assert [merged.names[c] for c in merged.head.tolist()] == ["x", "y"]
 
 
 def test_union_conservation(small_trace, tmp_path):
@@ -115,12 +122,14 @@ def test_union_conservation(small_trace, tmp_path):
     path = tmp_path / "t.csv"
     rows = write_partition_by_partition(small_trace, path)
 
-    def fields(t):
-        return (t.timestamp, t.user_id, t.service_id, t.head_id, t.instance_timestamp,
-                t.response_time)
+    s = replay(read_trace(path))
 
-    merged = replay(read_trace(path))
-    assert sorted(map(fields, merged)) == sorted(
+    def names(codes):
+        return [s.names[c] for c in codes.tolist()]
+
+    merged = zip(s.timestamp.tolist(), names(s.user), names(s.service), names(s.head),
+                 s.instance_ts.tolist(), s.response.tolist())
+    assert sorted(merged) == sorted(
         (int(r[0]), r[1], r[2], r[3], int(r[4]), int(r[5])) for r in rows)
 
 
@@ -177,8 +186,7 @@ def test_swa_end_of_stream_flush_reason_and_time():
 
 
 def test_swa_aggregates_recomputable():
-    tuples = [st(0, "A", resp=10, seq=0), st(40, "A", resp=2, seq=1),
-              st(90, "A", resp=6, seq=2)]
+    tuples = feed((0, "A", "u", 10), (40, "A", "u", 2), (90, "A", "u", 6))
     ems, _ = aggregate_swa(tuples, WindowParams(3, 22), Strategy.HEAD)
     e = ems[0]
     assert e.response_avg == pytest.approx(6.0)
@@ -188,10 +196,10 @@ def test_swa_aggregates_recomputable():
 
 
 def test_swa_key_purity(swa_small_run, small_trace):
-    by_seq = {t.seq: t for t in replay(small_trace)}
+    s = replay(small_trace)
     for e in swa_small_run.emissions:
         for seq in e.member_seqs:
-            assert extract_key(by_seq[seq], Strategy.HEAD_TS_IP) == e.key
+            assert (s.names[s.head[seq]], s.instance_ts[seq], s.names[s.user[seq]]) == e.key
 
 
 def test_swa_conservation_after_flush(swa_small_run, small_trace):
@@ -232,12 +240,25 @@ def test_swa_resident_windows_bounded_by_open_instances():
 # aggregate_swa against a reference written from its contract
 # ---------------------------------------------------------------------------
 
+# a tuple as the reference operators see it, straight from the drawn specs
+Row = namedtuple("Row", "seq timestamp head_id instance_timestamp user_id response_time")
+
 REF_KEYS = {
     Strategy.HEAD: lambda t: (t.head_id,),
     Strategy.HEAD_TS: lambda t: (t.head_id, t.instance_timestamp),
     Strategy.HEAD_IP: lambda t: (t.head_id, t.user_id),
     Strategy.HEAD_TS_IP: lambda t: (t.head_id, t.instance_timestamp, t.user_id),
 }
+
+
+def drawn(arrivals):
+    """(reference rows, stream) for drawn (gap, head, user[, response]) arrivals."""
+    rows, ts = [], 0
+    for seq, (gap, head, user, *resp) in enumerate(arrivals):
+        ts += gap
+        rows.append(Row(seq, ts, head, ts // 1000, user, resp[0] if resp else 4))
+    stream = feed(*((r.timestamp, r.head_id, r.user_id, r.response_time) for r in rows))
+    return rows, stream
 
 
 def reference_swa(stream, capacity, timeout_s, strategy):
@@ -286,15 +307,12 @@ ARRIVALS = hs.lists(hs.tuples(GAPS, hs.sampled_from("ABC"), hs.sampled_from("uv"
 
 @given(ARRIVALS, hs.integers(1, 4), hs.integers(1, 2), hs.sampled_from(list(Strategy)))
 def test_swa_matches_reference(arrivals, capacity, timeout_s, strategy):
-    stream, ts = [], 0
-    for seq, (gap, head, user) in enumerate(arrivals):
-        ts += gap
-        stream.append(st(ts, head, user, seq=seq))
+    rows, stream = drawn(arrivals)
     ems, stats = aggregate_swa(stream, WindowParams(capacity, timeout_s), strategy)
     got = [(e.key, e.member_seqs, e.close_reason, e.closed_at) for e in ems]
-    assert got == reference_swa(stream, capacity, timeout_s, strategy)
+    assert got == reference_swa(rows, capacity, timeout_s, strategy)
     assert [e.count for e in ems] == [len(e.member_seqs) for e in ems]
-    assert stats.tuples_in == len(stream)
+    assert stats.tuples_in == len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +335,7 @@ def test_sliding_batch_boundary_splits():
     # X has degree 3 but its best group holds only 2 members
     best_x = max(e.count for e in ems if e.key == ("X",))
     assert best_x == 2
-    lost = sum(1 for t in tuples if t.head_id == "X")
-    assert lost == 3
+    assert [tuples.names[c] for c in tuples.head.tolist()].count("X") == 3
 
 
 def test_sliding_occupancy_and_storage_totals():
@@ -351,6 +368,68 @@ def test_sliding_group_count_bounded_by_window():
     ems, _ = aggregate_sliding(tuples, window=4, step=4, strategy=Strategy.HEAD)
     for c in {e.closed_at for e in ems}:
         assert sum(1 for e in ems if e.closed_at == c) <= 4
+
+
+def reference_sliding(rows, window, step, strategy, tuple_size):
+    """A buffer of tuples; each full buffer (and the last, partial one) is one batch.
+
+    Returns the emissions as (key, members, closed_at, response_avg) and the
+    operator statistics as ``OperatorStats.to_dict`` writes them.
+    """
+    buf, out, occupancy, residence, emitted = [], [], [], [], set()
+
+    def close(batch):
+        closed_at = max(t.timestamp for t in batch)
+        groups = {}
+        for t in batch:
+            groups.setdefault(REF_KEYS[strategy](t), []).append(t)
+        for k, members in groups.items():
+            out.append((k, tuple(t.seq for t in members), closed_at,
+                        sum(t.response_time for t in members) / len(members)))
+            residence.append(closed_at - sum(t.timestamp for t in members) / len(members))
+            emitted.update(t.seq for t in members)
+
+    for t in rows:
+        occupancy.append(len(buf))
+        buf.append(t)
+        if len(buf) == window:
+            close(buf)
+            buf = buf[step:]
+    if buf:
+        close(buf)
+    n = len(rows)
+    stats = {
+        "name": "aggregate_sliding",
+        "tuples_in": n,
+        "tuples_out": len(emitted),
+        "occupancy_avg": sum(occupancy) / n if n else 0.0,
+        "occupancy_max": max(occupancy, default=0),
+        "storage_avg_bytes": sum(occupancy) * tuple_size / n if n else 0.0,
+        "storage_max_bytes": max(occupancy, default=0) * tuple_size,
+        "residence_avg_ms": sum(residence) / len(residence) if residence else 0.0,
+    }
+    return out, stats
+
+
+SLIDING_ARRIVALS = hs.lists(hs.tuples(hs.sampled_from([0, 0, 1, 7, 1000]), hs.sampled_from("ABC"),
+                                      hs.sampled_from("uv"), hs.integers(0, 50)), max_size=30)
+
+
+@given(SLIDING_ARRIVALS, hs.integers(1, 12), hs.integers(1, 12), hs.sampled_from(list(Strategy)),
+       hs.sampled_from([1, 5, 1 << 20]))
+@example([(1, "A", "u", 3)] * 10, 1, 1, Strategy.HEAD, 1 << 20)  # window of one
+@example([(1, "A", "u", 3), (0, "B", "v", 5)] * 5, 40, 40, Strategy.HEAD, 1 << 20)  # longer than the stream
+@example([(7, "A", "u", 3), (0, "B", "v", 5), (1, "A", "v", 8)] * 4, 5, 2, Strategy.HEAD_IP, 5)
+def test_sliding_matches_reference(arrivals, window, step, strategy, run):
+    window, step = max(window, step), min(window, step)
+    rows, stream = drawn(arrivals)
+    # ``run`` bounds the member slots grouped at once; small values split the batches up
+    with mock.patch.object(engine, "_SLIDING_RUN", run):
+        ems, stats = aggregate_sliding(stream, window, step, strategy, tuple_size=135)
+    got = [(e.key, e.member_seqs, e.closed_at, e.response_avg) for e in ems]
+    expect, expect_stats = reference_sliding(rows, window, step, strategy, 135)
+    assert got == expect
+    assert stats.to_dict() == expect_stats
 
 
 # ---------------------------------------------------------------------------

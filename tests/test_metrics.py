@@ -7,13 +7,14 @@ import pytest
 from swakit.engine import EmittedInstance, PipelineConfig, Strategy, run_pipeline
 from swakit.errors import ConfigError
 from swakit.metrics import (
+    Members,
     capture_rate,
     completeness,
     evaluate,
     match_instances,
     recall_and_correct_rate,
 )
-from swakit.trace import TruthInstance, truth_index
+from swakit.trace import Trace, truth_index
 
 
 def em(seqs, key=("k",), reason="full"):
@@ -33,12 +34,18 @@ def em(seqs, key=("k",), reason="full"):
     )
 
 
-def truth_of(*entries):
-    """entries: (label, degree, primary_arrival)."""
-    return {
-        lbl: TruthInstance(label=lbl, degree=d, primary_arrival=pa, last_arrival=pa + 1)
-        for lbl, d, pa in entries
-    }
+def labelled(*entries):
+    """A trace of (label, timestamp) tuples, given in seq order (time order)."""
+    return Trace.from_rows([(ts, "u", "s", "h", 0, 1, lbl, 0) for lbl, ts in entries])
+
+
+def scored(entries, emissions):
+    """(members, mapping as labels, truth table) of ``emissions`` over a labelled trace."""
+    trace = labelled(*entries)
+    members = Members.of(emissions, trace.n_tuples)
+    mapping = match_instances(members, trace.truth_table)
+    labels = [trace.labels[c] if c >= 0 else None for c in mapping.tolist()]
+    return members, mapping, labels, trace.truth_table
 
 
 # ---------------------------------------------------------------------------
@@ -47,32 +54,29 @@ def truth_of(*entries):
 
 
 def test_match_majority_wins():
-    tos = {0: "A", 1: "A", 2: "B"}
-    truth = truth_of(("A", 2, 0), ("B", 1, 5))
-    assert match_instances([em([0, 1, 2])], tos, truth) == ["A"]
+    _, _, labels, _ = scored([("A", 0), ("A", 0), ("B", 5)], [em([0, 1, 2])])
+    assert labels == ["A"]
 
 
 def test_match_tie_goes_to_earlier_primary():
-    tos = {0: "A", 1: "B"}
-    truth = truth_of(("A", 1, 50), ("B", 1, 10))
-    assert match_instances([em([0, 1])], tos, truth) == ["B"]
+    _, _, labels, _ = scored([("B", 10), ("A", 50)], [em([0, 1])])
+    assert labels == ["B"]
 
 
 def test_match_double_tie_goes_to_smaller_label():
-    tos = {0: "zz", 1: "aa"}
-    truth = truth_of(("zz", 1, 7), ("aa", 1, 7))
-    assert match_instances([em([0, 1])], tos, truth) == ["aa"]
+    _, _, labels, _ = scored([("zz", 7), ("aa", 7)], [em([0, 1])])
+    assert labels == ["aa"]
 
 
-def brute_force_vote(labels, truth):
+def brute_force_vote(labels, primary):
     """The documented rule, step by step: most members, then earliest primary, then label."""
     tally = {}
     for lbl in labels:
         tally[lbl] = tally.get(lbl, 0) + 1
     top = max(tally.values())
     tied = [lbl for lbl in tally if tally[lbl] == top]
-    earliest = min(truth[lbl].primary_arrival for lbl in tied)
-    return sorted(lbl for lbl in tied if truth[lbl].primary_arrival == earliest)[0]
+    earliest = min(primary[lbl] for lbl in tied)
+    return sorted(lbl for lbl in tied if primary[lbl] == earliest)[0]
 
 
 def test_match_agrees_with_brute_force_vote():
@@ -80,23 +84,24 @@ def test_match_agrees_with_brute_force_vote():
     count_ties = arrival_ties = 0
     for _ in range(400):
         names = rng.sample(["aa", "ab", "b", "ba"], rng.randint(2, 4))
-        # two possible arrivals and counts of 1-2 per label force both ties
-        truth = truth_of(*[(lbl, 4, rng.choice([0, 10])) for lbl in names])
-        tos = []  # seq -> label, a list like Trace.truth
+        # two possible arrivals and counts of 1-2 per label force both ties;
+        # each label's first tuple (at its primary arrival) sits in no emission
+        primary = {lbl: rng.choice([0, 10]) for lbl in names}
+        entries = sorted(((lbl, primary[lbl]) for lbl in names), key=lambda e: e[1])
         ems, member_labels = [], []
         for _ in range(rng.randint(1, 5)):
             labels = [lbl for lbl in names for _ in range(rng.randint(1, 2))]
             rng.shuffle(labels)
-            ems.append(em(range(len(tos), len(tos) + len(labels))))
-            tos.extend(labels)
+            ems.append(em(range(len(entries), len(entries) + len(labels))))
+            entries += [(lbl, 20) for lbl in labels]
             member_labels.append(labels)
-        expect = [brute_force_vote(labels, truth) for labels in member_labels]
-        assert match_instances(ems, tos, truth) == expect
+        expect = [brute_force_vote(labels, primary) for labels in member_labels]
+        assert scored(entries, ems)[2] == expect
         for labels in member_labels:
             top = max(labels.count(lbl) for lbl in names)
             tied = [lbl for lbl in names if labels.count(lbl) == top]
             count_ties += len(tied) > 1
-            arrival_ties += len({truth[lbl].primary_arrival for lbl in tied}) < len(tied)
+            arrival_ties += len({primary[lbl] for lbl in tied}) < len(tied)
     assert count_ties > 100 and arrival_ties > 50
 
 
@@ -105,7 +110,13 @@ def test_match_requires_members():
                            closed_at=0, first_ts=0, last_ts=0, response_avg=1.0,
                            response_min=1, response_max=1, member_seqs=None)
     with pytest.raises(ConfigError):
-        match_instances([bare], {}, {})
+        Members.of([bare], 1)
+
+
+def test_member_outside_trace_rejected():
+    for seq in (-1, 3):
+        with pytest.raises(ConfigError, match="not in the trace"):
+            Members.of([em([0, seq])], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -115,39 +126,32 @@ def test_match_requires_members():
 
 def test_completeness_threshold_arithmetic():
     # degree 15 split 13 + 2: the best window holds 13/15 = 0.8667
-    tos = {i: "A" for i in range(15)}
-    truth = truth_of(("A", 15, 0))
-    ems = [em(range(13)), em(range(13, 15))]
-    mapping = match_instances(ems, tos, truth)
-    assert completeness(ems, mapping, truth, 0.85) == (1, 1, 1.0)
-    assert completeness(ems, mapping, truth, 1.0) == (0, 1, 0.0)
+    members, mapping, _, truth = scored([("A", 0)] * 15, [em(range(13)), em(range(13, 15))])
+    assert completeness(members, mapping, truth, 0.85) == (1, 1, 1.0)
+    assert completeness(members, mapping, truth, 1.0) == (0, 1, 0.0)
 
 
 def test_completeness_counts_foreign_members():
     # B's only window carries one foreign tuple, so its size reaches B's
     # degree even though one true member is missing
-    tos = {0: "B", 1: "B", 2: "A"}
-    truth = truth_of(("A", 3, 0), ("B", 3, 1))
-    ems = [em([0, 1, 2])]
-    mapping = match_instances(ems, tos, truth)
-    assert mapping == ["B"]
-    integrated, total, _ = completeness(ems, mapping, truth, 1.0)
+    entries = [("A", 0), ("B", 1), ("B", 1), ("A", 2), ("A", 2), ("B", 3)]
+    members, mapping, labels, truth = scored(entries, [em([1, 2, 3])])
+    assert labels == ["B"]
+    integrated, total, _ = completeness(members, mapping, truth, 1.0)
     assert (integrated, total) == (1, 2)
 
 
 def test_completeness_gamma_bounds():
-    truth = truth_of(("A", 1, 0))
+    members, mapping, _, truth = scored([("A", 0)], [])
     for g in (0.0, -0.2, 1.2):
         with pytest.raises(ConfigError):
-            completeness([], [], truth, g)
+            completeness(members, mapping, truth, g)
 
 
 def test_completeness_gamma_monotone_synthetic():
-    tos = {0: "A", 1: "A", 2: "A", 3: "B"}
-    truth = truth_of(("A", 4, 0), ("B", 1, 9))
-    ems = [em([0, 1, 2]), em([3])]
-    mapping = match_instances(ems, tos, truth)
-    ratios = [completeness(ems, mapping, truth, g)[2]
+    entries = [("A", 0), ("A", 0), ("A", 0), ("B", 9), ("A", 10)]
+    members, mapping, _, truth = scored(entries, [em([0, 1, 2]), em([3])])
+    ratios = [completeness(members, mapping, truth, g)[2]
               for g in (0.5, 0.75, 0.76, 1.0)]
     assert ratios == sorted(ratios, reverse=True)
     assert ratios[0] == 1.0 and ratios[-1] == 0.5
@@ -159,17 +163,13 @@ def test_completeness_gamma_monotone_synthetic():
 
 
 def test_capture_counts_distinct_tuples():
-    ems = [em([0, 1]), em([1, 2])]
-    assert capture_rate(ems, 10) == (3, 10, 0.3)
+    assert capture_rate(Members.of([em([0, 1]), em([1, 2])], 10), 10) == (3, 10, 0.3)
 
 
 def test_recall_and_correct_synthetic():
-    tos = {0: "A", 1: "A", 2: "B", 3: "C"}
-    truth = truth_of(("A", 2, 0), ("B", 1, 4), ("C", 1, 8))
-    ems = [em([0, 1]), em([2, 3])]  # second is impure
-    mapping = match_instances(ems, tos, truth)
-    (hit, total, rec), (pure, emitted, corr) = recall_and_correct_rate(
-        ems, mapping, tos, truth)
+    entries = [("A", 0), ("A", 0), ("B", 4), ("C", 8)]
+    members, mapping, _, truth = scored(entries, [em([0, 1]), em([2, 3])])  # second is impure
+    (hit, total, rec), (pure, emitted, corr) = recall_and_correct_rate(members, mapping, truth)
     assert (hit, total) == (2, 3)
     assert rec == pytest.approx(2 / 3)
     assert (pure, emitted) == (1, 2)
@@ -177,21 +177,17 @@ def test_recall_and_correct_synthetic():
 
 
 def test_no_emissions_vacuous_rates():
-    truth = truth_of(("A", 1, 0))
-    (hit, total, rec), (pure, emitted, corr) = recall_and_correct_rate(
-        [], [], {}, truth)
+    members, mapping, _, truth = scored([("A", 0)], [])
+    (hit, total, rec), (pure, emitted, corr) = recall_and_correct_rate(members, mapping, truth)
     assert (hit, total, rec) == (0, 1, 0.0)
     assert (pure, emitted, corr) == (0, 0, 1.0)
 
 
 def test_perfect_run_scores_one_everywhere():
-    tos = {0: "A", 1: "A", 2: "B"}
-    truth = truth_of(("A", 2, 0), ("B", 1, 5))
-    ems = [em([0, 1]), em([2])]
-    mapping = match_instances(ems, tos, truth)
-    assert completeness(ems, mapping, truth, 1.0)[2] == 1.0
-    assert capture_rate(ems, 3)[2] == 1.0
-    (_, _, rec), (_, _, corr) = recall_and_correct_rate(ems, mapping, tos, truth)
+    members, mapping, _, truth = scored([("A", 0), ("A", 0), ("B", 5)], [em([0, 1]), em([2])])
+    assert completeness(members, mapping, truth, 1.0)[2] == 1.0
+    assert capture_rate(members, 3)[2] == 1.0
+    (_, _, rec), (_, _, corr) = recall_and_correct_rate(members, mapping, truth)
     assert rec == 1.0 and corr == 1.0
 
 
@@ -202,7 +198,7 @@ def test_perfect_run_scores_one_everywhere():
 
 def test_evaluate_matches_brute_force(swa_small_run, small_trace):
     report = evaluate(swa_small_run.emissions, small_trace, gammas=(1.0, 0.85))
-    tos = small_trace.truth
+    tos = [small_trace.labels[c] for c in small_trace.truth.tolist()]
     truth = truth_index(small_trace)
 
     # independent completeness(gamma=1): per instance, the largest window
@@ -252,3 +248,70 @@ def test_evaluate_rejects_memberless_emissions(small_trace):
     res = run_pipeline(small_trace, cfg, keep_members=False)
     with pytest.raises(ConfigError):
         evaluate(res.emissions, small_trace)
+
+
+# ---------------------------------------------------------------------------
+# evaluate() as a whole against a scorer written from the module docstring
+# ---------------------------------------------------------------------------
+
+
+def brute_force_report(entries, emissions, gammas):
+    """Every field of ``EvaluationReport.to_dict``, from the labelled tuples alone."""
+    degree, primary = {}, {}
+    for lbl, ts in entries:
+        degree[lbl] = degree.get(lbl, 0) + 1
+        primary[lbl] = min(primary.get(lbl, ts), ts)
+    attributed = [brute_force_vote([entries[s][0] for s in e.member_seqs], primary)
+                  if e.member_seqs else None for e in emissions]
+    best = {}
+    for e, lbl in zip(emissions, attributed):
+        if lbl is not None:
+            best[lbl] = max(best.get(lbl, 0), e.count)
+    total = len(degree)
+    completeness_doc = {}
+    for g in sorted(gammas, reverse=True):
+        integrated = sum(1 for lbl in degree if best.get(lbl, 0) / degree[lbl] >= g)
+        completeness_doc[f"gamma_{g:g}"] = {"integrated": integrated, "total": total,
+                                            "ratio": integrated / total}
+    captured = len({s for e in emissions for s in e.member_seqs})
+    hit = len({lbl for lbl in attributed if lbl is not None})
+    pure = sum(1 for e, lbl in zip(emissions, attributed)
+               if lbl is not None and all(entries[s][0] == lbl for s in e.member_seqs))
+    return {
+        "instances": total,
+        "emissions": len(emissions),
+        "completeness": completeness_doc,
+        "capture_rate": {"captured_tuples": captured, "total_tuples": len(entries),
+                         "ratio": captured / len(entries)},
+        "recall": {"hit": hit, "total": total, "ratio": hit / total},
+        "correct_rate": {"pure": pure, "emitted": len(emissions),
+                         "ratio": pure / len(emissions) if emissions else 1.0},
+    }
+
+
+def test_evaluate_matches_brute_force_report():
+    rng = random.Random(31)
+    shapes = {"shared": 0, "foreign": 0, "count_tie": 0, "arrival_tie": 0, "none": 0}
+    for case in range(300):
+        # a few labels over few timestamps: count and primary-arrival ties
+        names = ["a", "b", "c", "d"][:rng.randint(1, 4)]
+        stamps = sorted(rng.choice([0, 0, 5, 9]) for _ in range(rng.randint(1, 14)))
+        entries = [(rng.choice(names), ts) for ts in stamps]
+        # tuples may sit in several emissions, or in none; case 0 emits nothing
+        emissions = [em(rng.sample(range(len(entries)), rng.randint(0, min(5, len(entries)))))
+                     for _ in range(rng.randint(0, 6) if case else 0)]
+        gammas = rng.sample([1.0, 0.85, 0.75, 0.5, 0.2], rng.randint(1, 3))
+        got = evaluate(emissions, labelled(*entries), gammas).to_dict()
+        assert got == brute_force_report(entries, emissions, gammas)
+        seqs = [s for e in emissions for s in e.member_seqs]
+        shapes["shared"] += len(seqs) > len(set(seqs))
+        shapes["none"] += not emissions
+        for e in emissions:
+            labels = [entries[s][0] for s in e.member_seqs]
+            shapes["foreign"] += len(set(labels)) > 1
+            tied = [lbl for lbl in set(labels)
+                    if labels.count(lbl) == max(map(labels.count, labels))]
+            first = [min(ts for lbl2, ts in entries if lbl2 == lbl) for lbl in tied]
+            shapes["count_tie"] += len(tied) > 1
+            shapes["arrival_tie"] += len(set(first)) < len(first)
+    assert min(shapes.values()) >= 1 and shapes["count_tie"] > 20 and shapes["arrival_tie"] > 10

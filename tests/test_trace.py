@@ -1,12 +1,16 @@
 """Catalog construction, trace synthesis, CSV round trips, replay."""
 
+import csv
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from swakit import trace as trace_module
 from swakit.distributions import PointMassDist
 from swakit.errors import ConfigError, TraceParseError
 from swakit.trace import (
-    StreamTuple,
+    TRACE_HEADER,
     Trace,
     TraceConfig,
     build_catalog,
@@ -83,19 +87,19 @@ def test_zero_span_instance():
         seed=11,
     )
     trace = generate_trace(cat, cfg)
-    tuples = trace.stream
-    assert len(tuples) == 3
-    assert len({t.timestamp for t in tuples}) == 1
-    assert len(set(trace.truth)) == 1
-    t = tuples[0]
-    assert t.instance_timestamp == t.timestamp // 1000
-    assert all(t.response_time == 0 for t in tuples)
+    s = trace.stream
+    assert len(s) == 3
+    assert len(set(s.timestamp.tolist())) == 1
+    assert len(set(trace.truth.tolist())) == 1
+    assert s.instance_ts[0] == s.timestamp[0] // 1000
+    assert (s.response == 0).all()
 
 
 def test_conservation_label_counts_match_degrees(small_trace):
     truth = truth_index(small_trace)
     counts = {}
-    for label in small_trace.truth:
+    for code in small_trace.truth.tolist():
+        label = small_trace.labels[code]
         counts[label] = counts.get(label, 0) + 1
     assert set(counts) == set(truth)
     for label, inst in truth.items():
@@ -105,19 +109,19 @@ def test_conservation_label_counts_match_degrees(small_trace):
 
 def test_tuple_field_invariants(small_trace):
     last = {}
-    for t, part in zip(small_trace.stream, small_trace.partition):
-        assert t.instance_timestamp <= t.timestamp // 1000
-        assert t.response_time >= 0
-        assert t.timestamp >= last.get(part, -1)
-        last[part] = t.timestamp
+    s = small_trace.stream
+    for ts, inst_ts, resp, part in zip(s.timestamp.tolist(), s.instance_ts.tolist(),
+                                       s.response.tolist(), small_trace.partition.tolist()):
+        assert inst_ts <= ts // 1000
+        assert resp >= 0
+        assert ts >= last.get(part, -1)
+        last[part] = ts
     assert sorted(last) == [0, 1]
 
 
 def test_repeat_factor_reuses_services(small_trace):
     truth = truth_index(small_trace)
-    heads = {}
-    for t, label in zip(small_trace.stream, small_trace.truth):
-        heads[label] = t.head_id
+    heads = dict(zip(small_trace.truth.tolist(), small_trace.stream.head.tolist()))
     # 300 instances over round(300/1.5)=200 services: heads must repeat
     assert len(set(heads.values())) == 200
     assert len(heads) == 300
@@ -141,8 +145,7 @@ def test_union_density_matches_target(full_scale_trace):
     # the shutdown tail (final instances draining) does not skew the mean
     truth = truth_index(full_scale_trace)
     last_primary = max(i.primary_arrival for i in truth.values())
-    ts = sorted(t.timestamp for t in full_scale_trace.stream
-                if t.timestamp <= last_primary)
+    ts = sorted(t for t in full_scale_trace.stream.timestamp.tolist() if t <= last_primary)
     mean_gap = (ts[-1] - ts[0]) / (len(ts) - 1)
     assert mean_gap == pytest.approx(0.9457, rel=0.15)
 
@@ -160,7 +163,7 @@ def test_round_trip_byte_identical(small_trace, tmp_path):
     write_trace(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert back.n_tuples == small_trace.n_tuples
-    assert back.partition == small_trace.partition
+    assert back.partition.tolist() == small_trace.partition.tolist()
 
 
 def test_malformed_row_names_row_number(tmp_path):
@@ -183,6 +186,57 @@ def test_unsorted_partition_names_row_number(tmp_path):
         read_trace(p)
 
 
+def row(ts=1, part=0, inst="0"):
+    return [str(ts), "u", "s", "h", inst, "5", "i", str(part)]
+
+
+# rows 1-6 of a file; each case breaks some of them
+FIRST_BAD_ROW = {
+    # row 3 goes back in partition 0, row 5 has a negative partition
+    "order-then-negative": ([row(5), row(1, 1), row(4), row(6), row(7, -1), row(8)], "row 3: timestamp 4 precedes 5"),
+    # the swapped arrangement
+    "negative-then-order": ([row(5), row(1, 1), row(6, -1), row(6), row(4), row(8)], "row 3: negative partition -1"),
+    # a non-integer field before both names its own row
+    "int-first": ([row(5), row(6, inst="x"), row(4), row(6), row(7, -1), row(8)], "row 2: invalid literal"),
+    # within one row, the width is checked first, then the timestamp and partition
+    "width": ([row(5), row(6), row(4)[:7], row(1), row(7, -1), row(8)], "row 3: 7 fields"),
+    "order-before-response": ([row(5), row(6), row(4, inst="x"), row(8)], "row 3: timestamp 4"),
+    "ts-before-negative": ([row(5), ["x"] + row(6, -1)[1:], row(8)], "row 2: invalid literal"),
+    "too-large": ([row(5), row(2**63), row(8)], "row 2: integer beyond 64 bits"),
+    "blank-line": ([row(5), row(6), row(7), [], row(1)], "row 4: 0 fields"),
+}
+
+
+@pytest.mark.parametrize("chunk", [trace_module.READ_CHUNK, 2])
+@pytest.mark.parametrize("case", sorted(FIRST_BAD_ROW))
+def test_reader_reports_first_bad_row(tmp_path, case, chunk):
+    rows, message = FIRST_BAD_ROW[case]
+    path = write_trace_rows(tmp_path / "bad.csv", rows)
+    # small blocks carry the order check and the row numbers across block ends
+    with mock.patch.object(trace_module, "READ_CHUNK", chunk):
+        with pytest.raises(TraceParseError, match=f"bad.csv: {message}"):
+            read_trace(path)
+
+
+@pytest.mark.parametrize("chunk", [trace_module.READ_CHUNK, 2])
+def test_quoted_fields_read_back(small_trace, tmp_path, chunk):
+    # a comma in a user id makes the rows from the sixth on quoted; the csv
+    # module reads them (with small blocks, from a block in mid-file on)
+    path = tmp_path / "t.csv"
+    rows = write_partition_by_partition(small_trace, path)
+    rows = rows[:5] + [[*r[:1], r[1] + ",x", *r[2:]] for r in rows[5:]]
+    write_trace_rows(path, rows)
+    with mock.patch.object(trace_module, "READ_CHUNK", chunk):
+        back = read_trace(path)
+    assert back.n_tuples == small_trace.n_tuples
+    again = tmp_path / "again.csv"
+    write_trace(back, again)
+    with open(again, newline="") as fh:
+        got = list(csv.reader(fh))
+    assert got[0] == TRACE_HEADER
+    assert sorted(got[1:]) == sorted(rows)
+
+
 def test_large_partition_number_reads_back(tmp_path):
     # partition numbers are labels, not sizes: reading one costs no memory
     path = write_trace_rows(tmp_path / "t.csv", [
@@ -191,7 +245,7 @@ def test_large_partition_number_reads_back(tmp_path):
         (2, "u", "s", "h", 0, 5, "i", 4_000_000_000),
     ])
     back = read_trace(path)
-    assert back.partition == [4_000_000_000, 0, 4_000_000_000]
+    assert back.partition.tolist() == [4_000_000_000, 0, 4_000_000_000]
     again = tmp_path / "again.csv"
     write_trace(back, again)
     assert again.read_bytes() == path.read_bytes()
@@ -219,30 +273,30 @@ def test_header_only_file_is_empty_trace(tmp_path):
 
 def test_replay_preserves_count_and_order(small_trace):
     stream = replay(small_trace)
+    assert stream is small_trace.stream
     assert len(stream) == small_trace.n_tuples
-    assert [t.seq for t in stream] == list(range(len(stream)))
-    assert all(a.timestamp <= b.timestamp for a, b in zip(stream, stream[1:]))
+    assert (np.diff(stream.timestamp) >= 0).all()
 
 
 def test_replay_rejects_unsorted():
-    # a hand-built trace whose stream goes back in time
-    bad = Trace(
-        stream=[StreamTuple(0, 5, "u", "s", "h", 0, 1), StreamTuple(1, 2, "u", "s", "h", 0, 1)],
-        truth=["i", "i"],
-        partition=[0, 0],
-    )
-    with pytest.raises(ConfigError):
+    rows = [(5, "u", "s", "h", 0, 1, "i", 0), (6, "u", "s", "h", 0, 1, "i", 0)]
+    # a hand-edited stream that goes back in time
+    bad = Trace.from_rows(rows)
+    bad.stream.timestamp[:] = [5, 2]
+    with pytest.raises(ConfigError, match="seq 1"):
         replay(bad)
-    misnumbered = Trace(stream=[StreamTuple(1, 2, "u", "s", "h", 0, 1)], truth=["i"],
-                        partition=[0])
+    # a column that lost a row
+    short = Trace.from_rows(rows)
+    short.partition = short.partition[:1]
     with pytest.raises(ConfigError):
-        replay(misnumbered)
+        replay(short)
 
 
 def test_stream_view_hides_ground_truth(small_trace):
-    t = replay(small_trace)[0]
-    assert not hasattr(t, "truth_instance")
-    assert hasattr(t, "seq")
+    s = replay(small_trace)
+    assert not hasattr(s, "truth") and not hasattr(s, "labels")
+    assert not hasattr(s, "partition")
+    assert hasattr(s, "timestamp")
 
 
 def test_global_seq_order_is_merge_order(small_trace, tmp_path):
@@ -258,17 +312,19 @@ def test_global_seq_order_is_merge_order(small_trace, tmp_path):
     # the trace has timestamp ties across partitions, so the tie rule is tested
     assert any(a[0] == b[0] and a[1] != b[1] for a, b in zip(expect, expect[1:]))
     back = read_trace(path)
-    assert back.truth == [row[3] for row in expect]
-    assert back.partition == [row[1] for row in expect]
-    assert back.truth == small_trace.truth
+    labels = [back.labels[c] for c in back.truth.tolist()]
+    assert labels == [row[3] for row in expect]
+    assert back.partition.tolist() == [row[1] for row in expect]
+    assert labels == [small_trace.labels[c] for c in small_trace.truth.tolist()]
 
 
 def test_truth_index_spans(small_trace):
     truth = truth_index(small_trace)
     arrivals = {}
-    for t, label in zip(small_trace.stream, small_trace.truth):
-        lo, hi = arrivals.get(label, (t.timestamp, t.timestamp))
-        arrivals[label] = (min(lo, t.timestamp), max(hi, t.timestamp))
+    for ts, code in zip(small_trace.stream.timestamp.tolist(), small_trace.truth.tolist()):
+        label = small_trace.labels[code]
+        lo, hi = arrivals.get(label, (ts, ts))
+        arrivals[label] = (min(lo, ts), max(hi, ts))
     for label, inst in truth.items():
         lo, hi = arrivals[label]
         assert inst.primary_arrival == lo
