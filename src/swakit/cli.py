@@ -38,8 +38,6 @@ from .engine import (
 )
 from .errors import (
     ConfigError,
-    InstabilityError,
-    NoSolutionError,
     NumericalError,
     StateSpaceError,
     SwakitError,
@@ -79,14 +77,11 @@ def _write_json(path: Path, doc) -> None:
 
 @contextmanager
 def stage(stages: dict, name: str, items: int = 0):
-    """Time the block as stage ``name`` of a command; wall time and items add up.
-
-    The block may count more items through the yielded record.
-    """
+    """Time the block as stage ``name`` of a command; wall time and items add up."""
     rec = stages.setdefault(name, {"wall_s": 0.0, "items": 0})
     rec["items"] += items
     t0 = time.perf_counter()
-    yield rec
+    yield
     rec["wall_s"] += time.perf_counter() - t0
 
 
@@ -118,26 +113,25 @@ def _manifest(args, command: str, outputs: dict, t0: float, extra_config=None,
     _write_json(out_dir / f"{command.replace('-', '_')}_manifest.json", doc)
 
 
+def _csv_list(text: str, kind=int, what="integer"):
+    try:
+        return [kind(v) for v in text.split(",") if v != ""]
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} list {text!r}: {exc}") from None
+
+
 def _gammas(text: str):
-    return [check_gamma(g) for g in _floats_csv(text)]
-
-
-def _floats_csv(text: str):
-    try:
-        return [float(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric list {text!r}: {exc}") from None
-
-
-def _ints_csv(text: str):
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise ConfigError(f"bad integer list {text!r}: {exc}") from None
+    return [check_gamma(g) for g in _csv_list(text, float, "numeric")]
 
 
 def _load_dist_opt(path, fallback):
     return load_dist(path) if path else fallback()
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _members_path(emitted: Path) -> Path:
@@ -151,8 +145,7 @@ def _members_path(emitted: Path) -> Path:
 
 def cmd_gen_trace(args) -> int:
     t0 = time.monotonic()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     degree = _load_dist_opt(args.degree_dist, default_degree_dist)
     span = _load_dist_opt(args.span_dist, default_span_dist)
     arrival = _load_dist_opt(args.arrival_dist, default_arrival_dist)
@@ -207,8 +200,7 @@ def _samples_from_args(args) -> np.ndarray:
 
 def cmd_fit_dist(args) -> int:
     t0 = time.monotonic()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     samples = _samples_from_args(args)
     result = fit_hyper_erlang_em(
         samples,
@@ -236,10 +228,8 @@ def cmd_fit_dist(args) -> int:
         curves_path = out / "curves.csv"
         with open(curves_path, "w", encoding="utf-8", newline="") as fh:
             fh.write("x,pdf,cdf\n")
-            for x in xs:
-                fh.write(
-                    f"{x:.8g},{float(result.dist.pdf(x)):.8g},{float(result.dist.cdf(x)):.8g}\n"
-                )
+            fh.writelines(f"{x:.8g},{float(result.dist.pdf(x)):.8g},{float(result.dist.cdf(x)):.8g}\n"
+                          for x in xs)
         outputs["curves"] = curves_path
     print(
         f"fit {type(result.dist).__name__} to {samples.size} samples, "
@@ -252,8 +242,7 @@ def cmd_fit_dist(args) -> int:
 
 def cmd_estimate_params(args) -> int:
     t0 = time.monotonic()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     degree = _load_dist_opt(args.degree_dist, default_degree_dist)
     span = _load_dist_opt(args.span_dist, default_span_dist)
     doc = {
@@ -275,12 +264,11 @@ def cmd_run_pipeline(args) -> int:
         cfg = PipelineConfig()
     if args.strategy:
         cfg.strategy = Strategy.parse(args.strategy)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     stages: dict = {}
-    with stage(stages, "read") as rec:
+    with stage(stages, "read"):
         trace = read_trace(args.trace)
-        rec["items"] += trace.n_tuples
+    stages["read"]["items"] = trace.n_tuples
     with stage(stages, "aggregate", trace.n_tuples):
         result = run_pipeline(trace, cfg, keep_members=not args.no_members)
     emitted_path = out / "emitted.csv"
@@ -302,8 +290,7 @@ def cmd_run_pipeline(args) -> int:
 def cmd_evaluate(args) -> int:
     t0 = time.monotonic()
     gammas = _gammas(args.gamma)  # checked before anything is read or created
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     emitted = Path(args.emitted)
     members = Path(args.members) if args.members else _members_path(emitted)
     if not members.exists():
@@ -311,10 +298,10 @@ def cmd_evaluate(args) -> int:
             f"member sidecar {members} not found; rerun run-pipeline without --no-members"
         )
     stages: dict = {}
-    with stage(stages, "read") as rec:
+    with stage(stages, "read"):
         emissions = read_emissions(emitted, members)
         trace = read_trace(args.trace)
-        rec["items"] += trace.n_tuples
+    stages["read"]["items"] = trace.n_tuples
     with stage(stages, "score", trace.n_tuples):
         report = evaluate(emissions, trace, gammas)
     report_path = out / "evaluation.json"
@@ -327,8 +314,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     t0 = time.monotonic()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     model = load_model(args.model)
     perf = predict(model)
     doc = perf.to_dict()
@@ -341,8 +327,7 @@ def cmd_predict(args) -> int:
 
 def cmd_simulate_queue(args) -> int:
     t0 = time.monotonic()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     model = load_model(args.model)
     perf = des_simulate(
         model,
@@ -364,23 +349,17 @@ def cmd_compare(args) -> int:
     # every request is checked before the trace is read
     gammas = _gammas(args.gamma)
     strategy = Strategy.parse(args.strategy)
-    runs = [(
-        f"swa_{args.capacity}_{args.timeout}",
-        PipelineConfig(tuple_size=args.tuple_size, kind="swa", capacity=args.capacity,
-                       timeout_s=args.timeout, strategy=strategy),
-    )]
-    for w in _ints_csv(args.sliding):
-        runs.append((
-            f"sliding_{w}",
-            PipelineConfig(tuple_size=args.tuple_size, kind="sliding", window=w, step=w,
-                           strategy=strategy),
-        ))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    runs = [(f"swa_{args.capacity}_{args.timeout}",
+             PipelineConfig(tuple_size=args.tuple_size, kind="swa", capacity=args.capacity,
+                            timeout_s=args.timeout, strategy=strategy))]
+    runs += [(f"sliding_{w}", PipelineConfig(tuple_size=args.tuple_size, kind="sliding",
+                                              window=w, step=w, strategy=strategy))
+             for w in _csv_list(args.sliding)]
+    out = _out_dir(args)
     stages: dict = {}
-    with stage(stages, "read") as rec:
+    with stage(stages, "read"):
         trace = read_trace(args.trace)
-        rec["items"] += trace.n_tuples
+    stages["read"]["items"] = trace.n_tuples
 
     def one_run(cfg, label):
         with stage(stages, "aggregate", trace.n_tuples):
@@ -515,13 +494,7 @@ def main(argv=None) -> int:
     except (NumericalError, StateSpaceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, NoSolutionError, InstabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SwakitError as exc:  # any other deliberate error counts as config
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SwakitError, OSError) as exc:  # every other deliberate error counts as config
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 from scipy.special import gammainc, gammaln, logsumexp
 
 from .errors import DistributionError, GeneratorValidationError, NumericalError
@@ -177,8 +177,7 @@ class HyperErlangDist:
         return self.moment(2) - self.mean() ** 2
 
     def scv(self):
-        m = self.mean()
-        return self.var() / m**2
+        return self.var() / self.mean() ** 2
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         idx = rng.choice(len(self.branches), size=n, p=self._weights)
@@ -192,18 +191,9 @@ class HyperErlangDist:
 
     def as_phase_type(self) -> "PhaseTypeDist":
         """Block-diagonal phase-type form, one Erlang chain per branch."""
-        total = sum(b.phases for b in self.branches)
-        T = np.zeros((total, total))
-        alpha = np.zeros(total)
-        pos = 0
-        for b in self.branches:
-            blk = b.phases
-            T[pos : pos + blk, pos : pos + blk] = b.rate * (
-                np.diag(np.full(blk - 1, 1.0), 1) - np.eye(blk)
-            )
-            alpha[pos] = b.weight
-            pos += blk
-        return PhaseTypeDist(alpha, T)
+        chains = [c.as_phase_type() for c in self._components]
+        return PhaseTypeDist(np.concatenate([w * ph.alpha for w, ph in zip(self._weights, chains)]),
+                             block_diag(*(ph.T for ph in chains)))
 
 
 class PhaseTypeDist:
@@ -308,8 +298,7 @@ class PhaseTypeDist:
         return self.moment(2) - self.mean() ** 2
 
     def scv(self):
-        m = self.mean()
-        return self.var() / m**2
+        return self.var() / self.mean() ** 2
 
     def scaled_to_mean(self, target_mean: float) -> "PhaseTypeDist":
         """Return a copy with T scaled so that the mean equals ``target_mean``."""

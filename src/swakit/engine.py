@@ -225,27 +225,15 @@ def write_emissions(emissions, path, members_path=None) -> None:
 
 def read_emissions(path, members_path=None) -> list:
     """Read :class:`EmissionRecord` rows back; member seqs only if a sidecar is given."""
-    rows = list(read_csv_rows(
-        path,
-        EMITTED_HEADER,
-        lambda key, k, reason, closed_at, avg_resp, span: dict(
-            key=key,
-            count=int(k),
-            close_reason=reason,
-            closed_at=int(closed_at),
-            response_avg=float(avg_resp),
-            span_ms=int(span),
-        ),
-    ))
+    rows = list(read_csv_rows(path, EMITTED_HEADER, lambda key, k, reason, closed_at, avg, span: (
+        key, int(k), reason, int(closed_at), float(avg), int(span))))
     members = {}
     if members_path is not None:
         for em, seq in read_csv_rows(members_path, MEMBERS_HEADER,
                                      lambda em, seq: (int(em), int(seq))):
             members.setdefault(em, []).append(seq)
-    return [
-        EmissionRecord(**row, member_seqs=tuple(members.get(i, ())) if members_path else None)
-        for i, row in enumerate(rows)
-    ]
+    return [EmissionRecord(*row, member_seqs=tuple(members.get(i, ())) if members_path else None)
+            for i, row in enumerate(rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +242,11 @@ def read_emissions(path, members_path=None) -> list:
 
 
 def _emit(stream, seqs, group, keys, closes, keep_members):
-    """Emissions in close order, and their residence samples, from group-bys.
+    """Emissions in close order, and their members' mean timestamps, from group-bys.
 
     Window ``group[i]`` holds seq ``seqs[i]`` (members keep this order) and
-    has key ``keys[group[i]]``.  ``closes`` lists (window, reason, closed_at,
-    opened_at) per emission; an ``opened_at`` of None means the first
-    member's time, with residence measured from the members' mean time.
+    has key ``keys[group[i]]``; it opens at its first member's time.
+    ``closes`` lists (window, reason, closed_at) per emission.
     """
     if not closes:
         return [], []
@@ -273,16 +260,12 @@ def _emit(stream, seqs, group, keys, closes, keep_members):
             np.minimum.reduceat(resp, start), np.maximum.reduceat(resp, start)]
     first, last, ts_sum, resp_sum, resp_min, resp_max = (c.tolist() for c in cols)
     count, start, members = count.tolist(), start.tolist(), seqs.tolist()
-    emissions, residence = [], []
-    for w, reason, closed_at, opened_at in closes:
-        c, s = count[w], start[w]
-        emissions.append(EmittedInstance(
-            keys[w], c, reason, first[w] if opened_at is None else opened_at, closed_at,
-            first[w], last[w], resp_sum[w] / c, resp_min[w], resp_max[w],
-            tuple(members[s:s + c]) if keep_members else None))
-        residence.append(closed_at - ts_sum[w] / c if opened_at is None
-                         else float(closed_at - opened_at))
-    return emissions, residence
+    emissions = [EmittedInstance(
+        keys[w], count[w], reason, first[w], closed_at, first[w], last[w],
+        resp_sum[w] / count[w], resp_min[w], resp_max[w],
+        tuple(members[start[w]:start[w] + count[w]]) if keep_members else None)
+        for w, reason, closed_at in closes]
+    return emissions, [ts_sum[w] / count[w] for w, _, _ in closes]
 
 
 def aggregate_swa(
@@ -304,15 +287,15 @@ def aggregate_swa(
     ids, key_of = key_ids(stream, strategy)
     timeout_ms, capacity = params.timeout_s * 1000, params.capacity
     windows = []  # window id per seq
-    opened, size, key = [], [], []  # per window id, in open order
+    size, key = [], []  # per window id, in open order
     open_by_key: dict = {}
     expiry = []  # heap of (deadline, window id)
-    closes = []  # (window, reason, closed_at, opened_at) per emission
+    closes = []  # (window, reason, closed_at) per emission
     occ_sum = occ_max = 0
 
     def close(w, reason, now):
         del open_by_key[key[w]]
-        closes.append((w, reason, now, opened[w]))
+        closes.append((w, reason, now))
 
     now = None
     for now, k in zip(stream.timestamp.tolist(), ids.tolist()):
@@ -328,8 +311,7 @@ def aggregate_swa(
             occ_max = occ
         w = open_by_key.get(k)
         if w is None:
-            w = open_by_key[k] = len(opened)
-            opened.append(now)
+            w = open_by_key[k] = len(key)
             size.append(0)
             key.append(k)
             heapq.heappush(expiry, (now + timeout_ms, w))
@@ -343,8 +325,9 @@ def aggregate_swa(
 
     stats = OperatorStats("aggregate_swa", slot_bytes=capacity * tuple_size, tuples_in=len(ids),
                           occupancy_sum=occ_sum, occupancy_max=occ_max)
-    emissions, stats.residence_ms = _emit(stream, np.arange(len(ids)), np.array(windows, np.int64),
-                                          [key_of[k] for k in key], closes, keep_members)
+    emissions, _ = _emit(stream, np.arange(len(ids)), np.array(windows, np.int64),
+                         [key_of[k] for k in key], closes, keep_members)
+    stats.residence_ms = [float(e.closed_at - e.opened_at) for e in emissions]
     stats.tuples_out = sum(e.count for e in emissions)
     stats.check_conservation()
     return emissions, stats
@@ -406,11 +389,11 @@ def aggregate_sliding(
         order = np.argsort(first)
         group, first = np.argsort(order)[group], first[order]
         closed_at = np.maximum.reduceat(stream.timestamp[seqs], offset)[batch[first]]
-        ems, residence = _emit(stream, seqs, group, [key_of[k] for k in ids[seqs[first]].tolist()],
-                               [(g, "batch", t, None) for g, t in enumerate(closed_at.tolist())],
-                               keep_members)
+        ems, mean_ts = _emit(stream, seqs, group, [key_of[k] for k in ids[seqs[first]].tolist()],
+                             [(g, "batch", t) for g, t in enumerate(closed_at.tolist())],
+                             keep_members)
         emissions += ems
-        stats.residence_ms += residence
+        stats.residence_ms += [e.closed_at - t for e, t in zip(ems, mean_ts)]
     # a tuple can land in several overlapping batches; conservation is
     # accounted on distinct tuples
     stats.tuples_out = int(seen.sum())

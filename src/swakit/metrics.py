@@ -170,17 +170,12 @@ def evaluate(
     truth = trace.truth_table
     members = Members.of(emissions, trace.n_tuples)
     mapping = match_instances(members, truth)
-    comp: Dict[float, float] = {}
-    counts: Dict[float, tuple] = {}
-    for g in gammas:
-        integ, total, ratio = completeness(members, mapping, truth, g)
-        comp[g] = ratio
-        counts[g] = (integ, total)
+    comp = {g: completeness(members, mapping, truth, g) for g in gammas}
     cap, tot, cap_ratio = capture_rate(members, trace.n_tuples)
     (hit, ti, rec), (pure, emitted, corr) = recall_and_correct_rate(members, mapping, truth)
     return EvaluationReport(
-        completeness=comp,
-        completeness_counts=counts,
+        completeness={g: c[2] for g, c in comp.items()},
+        completeness_counts={g: c[:2] for g, c in comp.items()},
         capture_rate=cap_ratio,
         captured_tuples=cap,
         total_tuples=tot,

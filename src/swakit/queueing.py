@@ -87,9 +87,7 @@ def min_servers(arrival_rate: float, service_rate: float) -> int:
     """Smallest server count c with arrival_rate / (c * service_rate) < 1."""
     if arrival_rate <= 0 or service_rate <= 0:
         raise ConfigError("rates must be positive")
-    ratio = arrival_rate / service_rate
-    c = int(math.floor(ratio)) + 1
-    return c
+    return int(math.floor(arrival_rate / service_rate)) + 1
 
 
 def storage_estimate(servers: int, capacity: int, tuple_size: int) -> int:
@@ -186,8 +184,6 @@ def model_from_dict(doc: dict) -> QueueModel:
         batch = tuple(int(v) for v in doc.get("batch", (1, 1)))
         return QueueModel(arrival, service, servers, buffer, batch)
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"bad queue model document: {exc}") from exc
 
 
@@ -217,14 +213,7 @@ class PerfIndicators:
     ci: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "L": self.L,
-            "Lq": self.Lq,
-            "W": self.W,
-            "Wq": self.Wq,
-            "Pbusy": self.Pbusy,
-            "Ploss": self.Ploss,
-        }
+        out = {k: getattr(self, k) for k in ("L", "Lq", "W", "Wq", "Pbusy", "Ploss")}
         if self.ci is not None:
             out["ci95"] = dict(self.ci)
         return out
@@ -580,18 +569,16 @@ def des_simulate(
     t_end = at[-1]
     a, b = model.batch
 
-    if model.servers == "ample":
-        resid = svc
-        dep = at + svc
+    if model.servers == "ample":  # every tuple's residence is its service time
         area = _SliceArea(t_warm, t_end, n_batches)
-        events = sorted([(float(t), +1) for t in at] + [(float(d), -1) for d in dep])
+        events = sorted([(float(t), +1) for t in at] + [(float(d), -1) for d in at + svc])
         n_now = 0
         t_prev = 0.0
         for t, d in events:
             area.add(t_prev, t, n_now)
             n_now += d
             t_prev = t
-        Wm, Wc = _batched_mean_ci(resid[w0:], n_batches)
+        Wm, Wc = _batched_mean_ci(svc[w0:], n_batches)
         return PerfIndicators(
             L=area.mean(),
             Lq=0.0,
@@ -626,20 +613,24 @@ def des_simulate(
             area_q.add(t_prev, t, len(queue) - qhead)
             t_prev = t
 
+        def depart():  # the earliest departure, and the next waiting tuple starts service
+            nonlocal n_sys, qhead, svc_i
+            tc = heapq.heappop(busy_heap)
+            integrate(tc)
+            n_sys -= 1
+            if qhead < len(queue):
+                qa, qi = queue[qhead]
+                qhead += 1
+                wq_samples[qi] = tc - qa
+                d = tc + svc[svc_i]
+                svc_i += 1
+                res_samples[qi] = d - qa
+                heapq.heappush(busy_heap, d)
+
         for i in range(arrivals):
             t = at[i]
             while busy_heap and busy_heap[0] <= t:
-                tc = heapq.heappop(busy_heap)
-                integrate(tc)
-                n_sys -= 1
-                if qhead < len(queue):
-                    qa, qi = queue[qhead]
-                    qhead += 1
-                    wq_samples[qi] = tc - qa
-                    d = tc + svc[svc_i]
-                    svc_i += 1
-                    res_samples[qi] = d - qa
-                    heapq.heappush(busy_heap, d)
+                depart()
             integrate(t)
             busy_obs[i] = len(busy_heap) >= c
             if N is not None and n_sys >= N:
@@ -655,17 +646,7 @@ def des_simulate(
             else:
                 queue.append((t, i))
         while busy_heap:  # drain so every accepted tuple gets its residence
-            tc = heapq.heappop(busy_heap)
-            integrate(tc)
-            n_sys -= 1
-            if qhead < len(queue):
-                qa, qi = queue[qhead]
-                qhead += 1
-                wq_samples[qi] = tc - qa
-                d = tc + svc[svc_i]
-                svc_i += 1
-                res_samples[qi] = d - qa
-                heapq.heappush(busy_heap, d)
+            depart()
     else:
         # single server, batch service [a, b]
         queue: list = []  # (arrival_time, index) waiting

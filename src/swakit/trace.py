@@ -72,8 +72,9 @@ class Stream:
     """The operator-facing columns, indexed by ``seq``: no truth label, no partition.
 
     ``timestamp``, ``instance_ts`` and ``response`` are int64; ``user``,
-    ``service`` and ``head`` are codes into ``names``.  ``keys`` holds the
-    engine's key ids per strategy, computed on first use.
+    ``service`` and ``head`` are codes into ``names``.  The columns are
+    read-only once built: ``keys`` caches the engine's key ids per strategy
+    on first use.
     """
 
     timestamp: np.ndarray
@@ -83,7 +84,7 @@ class Stream:
     service: np.ndarray
     head: np.ndarray
     names: List[str]
-    keys: dict = field(default_factory=dict, repr=False)
+    keys: dict = field(init=False, default_factory=dict, repr=False)
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -157,7 +158,10 @@ class TruthTable:
 
 @dataclass(eq=False)
 class Trace:
-    """The merged stream plus its truth-label codes and partition column, indexed by ``seq``."""
+    """The merged stream plus its truth-label codes and partition column, indexed by ``seq``.
+
+    The columns are read-only once built: ``truth_table`` is cached on first use.
+    """
 
     stream: Stream
     truth: np.ndarray  # label code per seq, into ``labels``
@@ -265,17 +269,11 @@ def build_catalog(
     for i in range(count):
         d = int(degrees[i])
         head = f"svc{i}"
-        subs = [head]
-        for j in range(1, d):
-            if shared_atomics:
-                subs.append(f"atom{int(rng.integers(pool))}")
-            else:
-                subs.append(f"{head}.{j}")
-        parts = []
-        for _ in range(d):
-            parts.append(rr % n_partitions)
-            rr += 1
-        services.append(ServiceDef(head, d, tuple(subs), tuple(parts)))
+        subs = [head] + [f"atom{int(rng.integers(pool))}" if shared_atomics else f"{head}.{j}"
+                         for j in range(1, d)]
+        parts = tuple((rr + j) % n_partitions for j in range(d))
+        rr += d
+        services.append(ServiceDef(head, d, tuple(subs), parts))
     return ServiceCatalog(tuple(services), n_partitions)
 
 
@@ -302,21 +300,15 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
     users = rng.integers(0, cfg.user_pool, size=n)
 
     rows = []
-    for i in range(n):
-        svc = catalog.services[assignment[i]]
-        arr = arrivals[i]
-        span = spans_ms[i]
+    for i, (a, arr, span, user) in enumerate(zip(assignment, arrivals, spans_ms, users)):
+        svc = catalog.services[a]
         head_ts = int(np.floor(arr))
         end_ts = int(np.floor(arr + span))
-        inst_ts = head_ts // 1000
-        user = f"u{users[i]}"
-        label = f"inst{i}"
         offsets = rng.uniform(0.0, span, size=svc.degree - 1) if svc.degree > 1 else ()
         times = [head_ts] + [int(np.floor(arr + off)) for off in offsets]
-        for j in range(svc.degree):
-            ts = times[j]
-            rows.append((ts, user, svc.sub_ids[j], svc.head_id, inst_ts,
-                         max(0, end_ts - ts), label, svc.partitions[j]))
+        user, inst_ts, label = f"u{user}", head_ts // 1000, f"inst{i}"
+        rows += [(ts, user, sub, svc.head_id, inst_ts, max(0, end_ts - ts), label, part)
+                 for ts, sub, part in zip(times, svc.sub_ids, svc.partitions)]
     return Trace.from_rows(rows)
 
 
@@ -380,22 +372,15 @@ def write_trace(trace: Trace, path) -> None:
 def _blocks(fh):
     """The data rows of an open trace file, READ_CHUNK at a time, as string columns.
 
-    Raises ValueError at a block holding a row of the wrong width.  Lines
-    are split on commas, which is what the csv module does with them, until
-    a quote or a carriage return outside a line end shows up; from there the
-    csv module reads the rest of the file.
+    Lines are split on commas, which is what the csv module does with them.
+    Raises ValueError at a block holding a row of the wrong width, a quote
+    or a carriage return outside a line end; the csv module reads those.
     """
     width = len(TRACE_HEADER)
     while lines := list(islice(fh, READ_CHUNK)):
         text = "".join(lines)
-        if '"' in text or text.count("\r") != text.count("\r\n"):
-            rows = csv.reader(chain(lines, fh))
-            while block := list(islice(rows, READ_CHUNK)):
-                if set(map(len, block)) != {width}:
-                    raise ValueError
-                yield _columns(block)
-            return
-        if list(map(methodcaller("count", ","), lines)).count(width - 1) != len(lines):
+        if ('"' in text or text.count("\r") != text.count("\r\n")
+                or list(map(methodcaller("count", ","), lines)).count(width - 1) != len(lines)):
             raise ValueError
         fields = text.replace("\r\n", "\n").replace("\n", ",").split(",")[:width * len(lines)]
         yield [fields[j::width] for j in range(width)]
@@ -431,41 +416,39 @@ def read_csv_rows(path, header, parse, error=ConfigError):
                 raise error(f"{path}: row {row_no}: {exc}") from None
 
 
-def _raise_first_fault(path):
-    """Check the file's rows one at a time, as they come, and raise at the first bad one."""
+def _read_rows_checked(path) -> list:
+    """The file's rows through the csv module, each checked as it comes; the first bad one raises."""
     last_ts: dict = {}  # partition -> its latest timestamp so far
 
-    def check(ts, user, service, head, inst_ts, resp, label, part):
-        ts, part = int(ts), int(part)
+    def check(*row):
+        ts, part = int(row[0]), int(row[7])
         if part < 0:
             raise ValueError(f"negative partition {part}")
         if ts < last_ts.get(part, ts):
             raise ValueError(f"timestamp {ts} precedes {last_ts[part]} in partition {part}")
         last_ts[part] = ts
-        if not all(-2**63 <= v < 2**63 for v in (ts, int(inst_ts), int(resp), part)):
+        if not all(-2**63 <= v < 2**63 for v in (ts, int(row[4]), int(row[5]), part)):
             raise ValueError("integer beyond 64 bits")
+        return row
 
-    for _ in read_csv_rows(path, TRACE_HEADER, check, TraceParseError):
-        pass
+    return list(read_csv_rows(path, TRACE_HEADER, check, TraceParseError))
 
 
 def read_trace(path) -> Trace:
     """Parse a trace CSV into columns, checking every row; errors name the file and the row.
 
-    Rows are parsed READ_CHUNK at a time and checked together; when a check
-    fails, the rows are checked again one at a time to name the first bad
-    one, as a row-by-row read would.
+    Rows are split READ_CHUNK at a time and checked together.  A file the
+    split does not take (a fault, a quote, a stray carriage return) is read
+    again through the csv module one row at a time, which names the first
+    bad row or reads the file.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            line = fh.readline()
-            got = next(csv.reader([line] if line else []), None)
-            if got != TRACE_HEADER:
-                raise TraceParseError(f"{path}: bad header {got!r}, expected {TRACE_HEADER!r}")
+            if fh.readline().rstrip("\r\n").split(",") != TRACE_HEADER:
+                raise ValueError
             return _build(_blocks(fh), check=_check_partitions)
     except (ValueError, OverflowError):
-        _raise_first_fault(path)
-        raise
+        return _build([_columns(_read_rows_checked(path))])
 
 
 # ---------------------------------------------------------------------------

@@ -220,8 +220,9 @@ def test_reader_reports_first_bad_row(tmp_path, case, chunk):
 
 @pytest.mark.parametrize("chunk", [trace_module.READ_CHUNK, 2])
 def test_quoted_fields_read_back(small_trace, tmp_path, chunk):
-    # a comma in a user id makes the rows from the sixth on quoted; the csv
-    # module reads them (with small blocks, from a block in mid-file on)
+    # a comma in a user id makes the rows from the sixth on quoted; plain
+    # splitting refuses the block that holds the first quote (with small
+    # blocks, one in mid-file) and the csv module reads the file
     path = tmp_path / "t.csv"
     rows = write_partition_by_partition(small_trace, path)
     rows = rows[:5] + [[*r[:1], r[1] + ",x", *r[2:]] for r in rows[5:]]
@@ -235,6 +236,23 @@ def test_quoted_fields_read_back(small_trace, tmp_path, chunk):
         got = list(csv.reader(fh))
     assert got[0] == TRACE_HEADER
     assert sorted(got[1:]) == sorted(rows)
+
+
+@pytest.mark.parametrize("spell", ["quoted header", "quoted field", "carriage return in a field"])
+def test_csv_spellings_read_back(tmp_path, spell):
+    # text that plain comma splitting would misread goes through the csv module
+    header = ",".join(TRACE_HEADER)
+    text = {
+        "quoted header": '"timestamp_ms"' + header[len("timestamp_ms"):] + "\n1,u,s,h,0,5,i,0\n",
+        "quoted field": header + '\n1,"u",s,h,0,5,i,0\n',
+        "carriage return in a field": header + '\n1,"u\r",s,h,0,5,i,0\n',
+    }[spell]
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    back = read_trace(path)
+    user = "u\r" if spell.startswith("carriage") else "u"
+    assert back.stream.names[back.stream.user[0]] == user
+    assert back.stream.timestamp.tolist() == [1] and back.labels == ["i"]
 
 
 def test_large_partition_number_reads_back(tmp_path):
