@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import block_diag, expm
-from scipy.special import gammainc, gammaln, logsumexp
+from scipy.special import gammainc, gammaln
 
 from .errors import DistributionError, GeneratorValidationError, NumericalError
 
@@ -485,33 +485,47 @@ class FitResult:
     degenerate: bool = False
 
 
-def _erlang_logpdf(x, rate, k):
-    return k * np.log(rate) + (k - 1) * np.log(x) - rate * x - gammaln(k)
+def _erlang_logpdf(x, log_x, rate, k):
+    return k * np.log(rate) + (k - 1) * log_x - rate * x - gammaln(k)
+
+
+def _logsumexp0(a):
+    """``log(sum(exp(a), axis=0))`` in ``scipy.special.logsumexp``'s order: the ``m`` maxima of a
+    column stay out of the shifted sum ``s``, giving ``log1p(s / m) + log(m) + max``, or
+    ``log(sum(exp(a)))`` where that is not finite (an all ``-inf`` column gives ``-inf``)."""
+    top = a.max(axis=0)
+    is_top = a == top
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(is_top, -np.inf, a) - top).sum(axis=0)
+        m = is_top.sum(axis=0)
+        out = np.log1p(s / m) + np.log(m) + top
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[:, bad]).sum(axis=0))
+    return out
 
 
 def _em_fixed_phases(x, ks, weights, rates, tol, max_iter):
-    """EM updates for a hyper-Erlang with a fixed phase-count vector."""
+    """EM updates for a hyper-Erlang with a fixed phase-count vector; array row j is branch j."""
     n = x.shape[0]
+    k = np.asarray(ks)[:, None]
     w = np.array(weights, float)
     r = np.array(rates, float)
+    log_x = np.log(x)
     trace = []
     prev = -np.inf
     it = 0
     converged = False
     for it in range(1, max_iter + 1):
-        logd = np.log(w)[None, :] + np.stack(
-            [_erlang_logpdf(x, r[j], ks[j]) for j in range(len(ks))], axis=1
-        )
-        norm = logsumexp(logd, axis=1)
+        logd = np.log(w)[:, None] + _erlang_logpdf(x, log_x, r[:, None], k)
+        norm = _logsumexp0(logd)
         ll = float(norm.sum())
         trace.append(ll)
-        resp = np.exp(logd - norm[:, None])
-        tot = resp.sum(axis=0)
-        tot = np.maximum(tot, 1e-300)
+        resp = np.exp(logd - norm)
+        tot = np.maximum(np.cumsum(resp, axis=1)[:, -1], 1e-300)  # sequential, not pairwise
         w = tot / n
-        r = np.array(
-            [ks[j] * tot[j] / max(resp[:, j] @ x, 1e-300) for j in range(len(ks))]
-        )
+        resp_nb = np.ascontiguousarray(resp.T)
+        r = k[:, 0] * tot / np.maximum([resp_nb[:, j] @ x for j in range(len(w))], 1e-300)
         if prev > -np.inf and abs(ll - prev) <= tol * max(abs(prev), 1.0):
             converged = True
             break
@@ -575,15 +589,16 @@ def fit_hyper_erlang_em(
     mean = float(x.mean())
     if np.ptp(x) == 0 or x.std() / mean < 1e-12:
         dist = ErlangDist(max_phases / mean, max_phases)
-        ll = float(np.sum(_erlang_logpdf(x, dist.rate, dist.phases)))
+        ll = float(np.sum(_erlang_logpdf(x, np.log(x), dist.rate, dist.phases)))
         log.warning("degenerate sample (zero spread): returning near-point-mass fit")
         return FitResult(dist, ll, [ll], 0, True, degenerate=True)
 
     if branches == 1:
         best = None
+        log_x = np.log(x)
         for k in range(1, max_phases + 1):
             rate = k / mean  # closed-form MLE of the rate at fixed k
-            ll = float(np.sum(_erlang_logpdf(x, rate, k)))
+            ll = float(np.sum(_erlang_logpdf(x, log_x, rate, k)))
             if best is None or ll > best[0]:
                 best = (ll, k, rate)
         ll, k, rate = best
@@ -626,8 +641,6 @@ def fit_hyper_erlang_em(
                 if tr2[-1] > best[0] + 1e-9:
                     best = (tr2[-1], tuple(cand), w2, r2, tr2, it2, cv2)
                     improved = True
-        if budget <= 0:
-            break
 
     ll, ks_fin, w, r, trace, iters, conv = best
     order = np.argsort([k / rate for k, rate in zip(ks_fin, r)])  # by branch mean
