@@ -524,8 +524,7 @@ def _em_fixed_phases(x, ks, weights, rates, tol, max_iter):
         resp = np.exp(logd - norm)
         tot = np.maximum(np.cumsum(resp, axis=1)[:, -1], 1e-300)  # sequential, not pairwise
         w = tot / n
-        resp_nb = np.ascontiguousarray(resp.T)
-        r = k[:, 0] * tot / np.maximum([resp_nb[:, j] @ x for j in range(len(w))], 1e-300)
+        r = k[:, 0] * tot / np.maximum((resp * x).sum(axis=1), 1e-300)
         if prev > -np.inf and abs(ll - prev) <= tol * max(abs(prev), 1.0):
             converged = True
             break
@@ -568,7 +567,8 @@ def fit_hyper_erlang_em(
     vector; the integer phase counts themselves are chosen by an exhaustive
     scan when ``branches == 1`` and otherwise by +-1 hill climbing from a
     k-means-on-log-values initialization.  The log-likelihood of the
-    returned fit is nondecreasing across the reported EM iterations.
+    returned fit is nondecreasing across the reported EM iterations.  The EM
+    makes no BLAS call, so the fit does not depend on the BLAS thread count.
 
     An all-identical sample cannot be fit meaningfully; it yields the most
     peaked Erlang available (``max_phases`` stages at the sample mean) with

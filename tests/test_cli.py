@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,17 @@ def tiny_trace(tmp_path_factory):
     ])
     assert code == 0
     return out / "trace.csv"
+
+
+@pytest.fixture(scope="module")
+def fit_values(tmp_path_factory):
+    """20,000 seeded samples from two gamma laws, one per line, for a two-branch fit."""
+    rng = np.random.default_rng(1)
+    near = rng.random(20_000) < 0.7
+    xs = np.where(near, rng.gamma(2.0, 1.0, 20_000), rng.gamma(6.0, 5.0, 20_000))
+    path = tmp_path_factory.mktemp("values") / "values.txt"
+    path.write_text("".join(f"{v!r}\n" for v in xs.tolist()))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +245,24 @@ def test_seeded_artifacts_are_pinned(capsys, tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in PINNED}
     assert got == PINNED
+
+
+def test_fit_does_not_depend_on_blas_threads(fit_values, tmp_path):
+    # OpenBLAS splits a long dot product across its threads, so an M-step
+    # that called BLAS would round differently under another thread count
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    got = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from swakit.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "fit-dist", "--values", str(fit_values),
+             "--branches", "2", "--out", str(out)],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        got.append({name: (out / name).read_bytes() for name in ("dist.json", "fit_report.json")})
+    assert got[0] == got[1]
 
 
 # ---------------------------------------------------------------------------
