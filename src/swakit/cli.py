@@ -86,7 +86,7 @@ def stage(stages: dict, name: str, items: int = 0):
 
 
 def _manifest(args, command: str, outputs: dict, t0: float, extra_config=None,
-              stages=None) -> None:
+              stages=None, **extra) -> None:
     out_dir = Path(args.out)
     cfg = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -103,6 +103,7 @@ def _manifest(args, command: str, outputs: dict, t0: float, extra_config=None,
         "seed": getattr(args, "seed", None),
         "outputs": {k: str(v) for k, v in outputs.items()},
         "wall_time_s": round(time.monotonic() - t0, 6),
+        **extra,
     }
     if stages:
         doc["stages"] = {
@@ -201,42 +202,43 @@ def _samples_from_args(args) -> np.ndarray:
 def cmd_fit_dist(args) -> int:
     t0 = time.monotonic()
     out = _out_dir(args)
-    samples = _samples_from_args(args)
-    result = fit_hyper_erlang_em(
-        samples,
-        branches=args.branches,
-        max_phases=args.max_phases,
-        tol=args.tol,
-        max_iter=args.max_iter,
-    )
-    dist_path = out / "dist.json"
-    save_dist(result.dist, dist_path)
-    report = {
-        "samples": int(samples.size),
-        "log_likelihood": result.log_likelihood,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "degenerate": result.degenerate,
-        "distribution": dist_to_dict(result.dist),
-    }
-    report_path = out / "fit_report.json"
-    _write_json(report_path, report)
-    outputs = {"dist": dist_path, "report": report_path}
-    if args.emit_curves:
-        hi = float(np.quantile(samples, 0.999)) * 1.2
-        xs = np.linspace(0.0, hi, 256)
-        curves_path = out / "curves.csv"
-        with open(curves_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("x,pdf,cdf\n")
-            fh.writelines(f"{x:.8g},{float(result.dist.pdf(x)):.8g},{float(result.dist.cdf(x)):.8g}\n"
-                          for x in xs)
-        outputs["curves"] = curves_path
+    stages: dict = {}
+    with stage(stages, "read"):
+        samples = _samples_from_args(args)
+    n = stages["read"]["items"] = int(samples.size)
+    with stage(stages, "fit", n):
+        result = fit_hyper_erlang_em(samples, branches=args.branches, max_phases=args.max_phases,
+                                     tol=args.tol, max_iter=args.max_iter)
+    with stage(stages, "write", n):
+        dist_path = out / "dist.json"
+        save_dist(result.dist, dist_path)
+        report = {
+            "samples": n,
+            "log_likelihood": result.log_likelihood,
+            "iterations": result.iterations,
+            "converged": result.converged,
+            "degenerate": result.degenerate,
+            "distribution": dist_to_dict(result.dist),
+        }
+        report_path = out / "fit_report.json"
+        _write_json(report_path, report)
+        outputs = {"dist": dist_path, "report": report_path}
+        if args.emit_curves:
+            hi = float(np.quantile(samples, 0.999)) * 1.2
+            xs = np.linspace(0.0, hi, 256)
+            curves_path = out / "curves.csv"
+            with open(curves_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write("x,pdf,cdf\n")
+                fh.writelines(f"{x:.8g},{float(result.dist.pdf(x)):.8g},"
+                              f"{float(result.dist.cdf(x)):.8g}\n" for x in xs)
+            outputs["curves"] = curves_path
     print(
         f"fit {type(result.dist).__name__} to {samples.size} samples, "
         f"log-likelihood {result.log_likelihood:.4f}"
         + (" (degenerate)" if result.degenerate else "")
     )
-    _manifest(args, "fit-dist", outputs, t0)
+    _manifest(args, "fit-dist", outputs, t0, stages=stages,
+              em={"runs": result.em_runs, "iterations": result.em_iterations})
     return 0
 
 
@@ -245,14 +247,14 @@ def cmd_estimate_params(args) -> int:
     out = _out_dir(args)
     degree = _load_dist_opt(args.degree_dist, default_degree_dist)
     span = _load_dist_opt(args.span_dist, default_span_dist)
-    doc = {
-        "capacity": estimate_capacity(degree, args.alpha),
-        "timeout_s": estimate_timeout(span, args.beta),
-    }
+    stages: dict = {}
+    with stage(stages, "estimate"):
+        doc = {"capacity": estimate_capacity(degree, args.alpha),
+               "timeout_s": estimate_timeout(span, args.beta)}
     params_path = out / "params.json"
     _write_json(params_path, doc)
     print(json.dumps(doc, sort_keys=True))
-    _manifest(args, "estimate-params", {"params": params_path}, t0)
+    _manifest(args, "estimate-params", {"params": params_path}, t0, stages=stages)
     return 0
 
 

@@ -483,6 +483,8 @@ class FitResult:
     iterations: int
     converged: bool
     degenerate: bool = False
+    em_runs: int = 0  # EM runs over all candidate phase-count vectors
+    em_iterations: int = 0  # EM iterations summed over those runs
 
 
 def _erlang_logpdf(x, log_x, rate, k):
@@ -500,8 +502,7 @@ def _logsumexp0(a):
         m = is_top.sum(axis=0)
         out = np.log1p(s / m) + np.log(m) + top
         bad = ~np.isfinite(out)
-        if bad.any():
-            out[bad] = np.log(np.exp(a[:, bad]).sum(axis=0))
+        out[bad] = np.log(np.exp(a[:, bad]).sum(axis=0))
     return out
 
 
@@ -618,8 +619,11 @@ def fit_hyper_erlang_em(
         rates.append(k0 / m)
     weights = list(np.array(weights) / np.sum(weights))
 
+    runs = []
+
     def run(ks_vec, w0, r0):
-        return _em_fixed_phases(x, ks_vec, w0, r0, tol, max_iter)
+        runs.append(_em_fixed_phases(x, ks_vec, w0, r0, tol, max_iter))
+        return runs[-1]
 
     w, r, trace, iters, conv = run(ks, weights, rates)
     best = (trace[-1], tuple(ks), w, r, trace, iters, conv)
@@ -647,7 +651,8 @@ def fit_hyper_erlang_em(
     branches_out = [ErlangBranch(float(w[i]), float(r[i]), int(ks_fin[i])) for i in order]
     total = sum(b.weight for b in branches_out)
     branches_out = [ErlangBranch(b.weight / total, b.rate, b.phases) for b in branches_out]
-    return FitResult(HyperErlangDist(branches_out), ll, trace, iters, conv)
+    return FitResult(HyperErlangDist(branches_out), ll, trace, iters, conv,
+                     em_runs=len(runs), em_iterations=sum(res[3] for res in runs))
 
 
 # ---------------------------------------------------------------------------

@@ -250,19 +250,38 @@ def test_seeded_artifacts_are_pinned(capsys, tmp_path):
 def test_fit_does_not_depend_on_blas_threads(fit_values, tmp_path):
     # OpenBLAS splits a long dot product across its threads, so an M-step
     # that called BLAS would round differently under another thread count
+    code = "import sys; from swakit.cli import main; sys.exit(main(sys.argv[1:]))"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    got = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from swakit.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", "fit-dist", "--values", str(fit_values),
-             "--branches", "2", "--out", str(out)],
-            env=dict(env, OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
-            timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        got.append({name: (out / name).read_bytes() for name in ("dist.json", "fit_report.json")})
+    procs = {threads: subprocess.Popen(
+        [sys.executable, "-c", code, "fit-dist", "--values", str(fit_values), "--branches", "2",
+         "--out", str(tmp_path / threads)],
+        env=dict(env, OPENBLAS_NUM_THREADS=threads), stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True) for threads in ("1", "2")}
+    try:
+        for proc in procs.values():
+            err = proc.communicate(timeout=300)[1]
+            assert proc.returncode == 0, err
+    finally:
+        for proc in procs.values():
+            proc.kill()
+    got = [{name: (tmp_path / threads / name).read_bytes()
+            for name in ("dist.json", "fit_report.json")} for threads in procs]
     assert got[0] == got[1]
+
+
+# digests of the two-branch fit of ``fit_values``: any bit the EM moves shows here
+PINNED_FIT = {
+    "dist.json": "f5156501dc95a311ad3d8075407a71a8a1d9467cbebb4b77f97bf64e9d225088",
+    "fit_report.json": "d8a4f1cb5b8ecd52c30b007ba17db2a94e0eee20da8531dc14bf94fc9d1bdd83",
+}
+
+
+def test_fit_artifacts_are_pinned(capsys, fit_values, tmp_path):
+    assert run(capsys, "fit-dist", "--values", str(fit_values), "--branches", "2",
+               "--out", str(tmp_path))[0] == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in PINNED_FIT}
+    assert got == PINNED_FIT
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +381,24 @@ def test_bad_gamma_exits_two_before_reading(capsys, tmp_path, monkeypatch, argv)
 
 def test_manifests_carry_stages(capsys, tiny_trace, tmp_path):
     n = read_trace(tiny_trace).n_tuples
-    pipe, ev, cmp_out = tmp_path / "pipe", tmp_path / "eval", tmp_path / "cmp"
+    pipe, ev, cmp_out, fit, est = (tmp_path / d for d in ("pipe", "eval", "cmp", "fit", "est"))
     assert run(capsys, "run-pipeline", "--trace", str(tiny_trace), "--out", str(pipe))[0] == 0
     assert run(capsys, "evaluate", "--emitted", str(pipe / "emitted.csv"),
                "--trace", str(tiny_trace), "--out", str(ev))[0] == 0
     assert run(capsys, "compare", "--trace", str(tiny_trace), "--sliding", "50,100",
                "--out", str(cmp_out))[0] == 0
+    assert run(capsys, "fit-dist", "--trace", str(tiny_trace), "--out", str(fit))[0] == 0
+    assert run(capsys, "estimate-params", "--out", str(est))[0] == 0
+    report = json.loads((fit / "fit_report.json").read_text())
+    samples = report["samples"]
     # compare aggregates and scores the trace once per configuration (swa + 2 sliding)
     expect = {
         pipe / "run_pipeline_manifest.json": {"read": n, "aggregate": n, "write": n},
         ev / "evaluate_manifest.json": {"read": n, "score": n, "write": n},
         cmp_out / "compare_manifest.json": {"read": n, "aggregate": 3 * n, "score": 3 * n,
                                             "write": n},
+        fit / "fit_dist_manifest.json": {"read": samples, "fit": samples, "write": samples},
+        est / "estimate_params_manifest.json": {"estimate": 0},
     }
     for path, items in expect.items():
         stages = json.loads(path.read_text())["stages"]
@@ -381,3 +406,7 @@ def test_manifests_carry_stages(capsys, tiny_trace, tmp_path):
         for s in stages.values():
             assert set(s) == {"wall_s", "items", "items_per_s"}
             assert s["wall_s"] >= 0 and s["items_per_s"] >= 0
+    # the reported iterations are those of the best run, one of the runs counted
+    em = json.loads((fit / "fit_dist_manifest.json").read_text())["em"]
+    assert set(em) == {"runs", "iterations"}
+    assert em["runs"] >= 1 and em["iterations"] >= report["iterations"] >= 1

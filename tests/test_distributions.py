@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from swakit.distributions import (
     ErlangBranch,
@@ -25,6 +26,7 @@ from swakit.distributions import (
     save_dist,
     validate_generator,
 )
+from swakit.distributions import _em_fixed_phases, _logsumexp0
 from swakit.errors import DistributionError, GeneratorValidationError
 
 # The default degree law and span mixture used throughout the project.
@@ -321,6 +323,63 @@ def test_em_input_validation():
         fit_hyper_erlang_em(np.array([1.0, -2.0] * 20), branches=1)  # negative
     with pytest.raises(DistributionError):
         fit_hyper_erlang_em(np.ones(30), branches=0)
+
+
+def _lse_columns(branches, rng):
+    """Columns of ``branches`` log-terms: plain, tied maxima, -inf, all -inf, huge, +inf."""
+    a = rng.normal(0.0, 20.0, (branches, 1200))
+    a[:, 200:400] = np.round(a[:, 200:400] / 8.0)  # small integers: many tied maxima
+    a[:, 400:500] = a[:1, 400:500]  # every entry tied (m = branches)
+    a[:, 500:600][rng.random((branches, 100)) < 0.4] = -np.inf
+    a[:, 600:650] = -np.inf
+    a[:, 650:800] *= 1e306 / 20.0
+    a[:, 800:900] = rng.choice([-745.0, -700.0, 0.0, 700.0, 709.0], (branches, 100))
+    a[:, 900:950][rng.random((branches, 50)) < 0.3] = np.inf
+    return a
+
+
+@pytest.mark.parametrize("branches", range(1, 13))
+def test_logsumexp_agrees_with_scipy(branches):
+    a = _lse_columns(branches, np.random.default_rng(branches))
+    # scipy on the (samples, branches) layout the EM used before it went branch-major
+    want = logsumexp(np.ascontiguousarray(a.T), axis=1)
+    got = _logsumexp0(a)
+    assert np.isneginf(got[600:650]).all()
+    if branches < 8:  # numpy sums fewer than 8 terms in sequence, like the axis-0 sum
+        assert np.array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def _em_step_by_hand(xs, ks, weights, rates):
+    """One EM step, sample by sample, with correctly rounded sums: (weights, rates, ll)."""
+    resp, lls = [], []
+    for x in xs:
+        logs = [math.log(w) + k * math.log(r) + (k - 1) * math.log(x) - r * x - math.lgamma(k)
+                for w, r, k in zip(weights, rates, ks)]
+        top = max(logs)
+        norm = top + math.log(math.fsum(math.exp(v - top) for v in logs))
+        lls.append(norm)
+        resp.append([math.exp(v - norm) for v in logs])
+    tot = [math.fsum(row[j] for row in resp) for j in range(len(ks))]
+    new_rates = [ks[j] * tot[j] / math.fsum(row[j] * x for row, x in zip(resp, xs))
+                 for j in range(len(ks))]
+    return [t / len(xs) for t in tot], new_rates, math.fsum(lls)
+
+
+@pytest.mark.parametrize("ks, weights, rates", [
+    ((2, 5), (0.4, 0.6), (1.1, 0.3)),
+    ((1, 3, 7), (0.2, 0.5, 0.3), (2.0, 0.9, 0.35)),
+])
+def test_em_step_matches_brute_force(ks, weights, rates):
+    rng = np.random.default_rng(11)
+    xs = np.where(rng.random(300) < 0.5, rng.gamma(2.0, 0.5, 300), rng.gamma(6.0, 2.0, 300))
+    w, r, trace, iters, _ = _em_fixed_phases(xs, ks, weights, rates, tol=1e-7, max_iter=1)
+    want_w, want_r, want_ll = _em_step_by_hand(xs.tolist(), ks, weights, rates)
+    assert iters == 1 and len(trace) == 1
+    np.testing.assert_allclose(w, want_w, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(r, want_r, rtol=1e-12, atol=0)
+    assert trace[0] == pytest.approx(want_ll, rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
