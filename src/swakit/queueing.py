@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.sparse import bmat, coo_matrix, diags, identity, kron, vstack
 from scipy.sparse.linalg import spsolve
-from scipy import stats as sps
+from scipy.special import stdtrit
 
 from .distributions import (
     PhaseTypeDist,
@@ -523,7 +523,7 @@ def _ci_half(samples: np.ndarray) -> float:
     k = len(samples)
     if k < 2 or np.allclose(samples, samples[0]):
         return 0.0
-    return float(sps.t.ppf(0.975, k - 1) * samples.std(ddof=1) / math.sqrt(k))
+    return float(stdtrit(k - 1, 0.975) * samples.std(ddof=1) / math.sqrt(k))  # Student t
 
 
 def _batched_mean_ci(values: np.ndarray, n_batches: int) -> Tuple[float, float]:
