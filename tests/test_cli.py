@@ -284,6 +284,41 @@ def test_fit_artifacts_are_pinned(capsys, fit_values, tmp_path):
     assert got == PINNED_FIT
 
 
+SIM_MODELS = {
+    "single": ({"arrival": {"type": "erlang", "lambda": 1.0, "k": 1},
+                "service": {"type": "erlang", "lambda": 2.5, "k": 2}}, 3),
+    "three_servers": ({"arrival": {"type": "erlang", "lambda": 1.0, "k": 1},
+                       "service": {"mean": 2.4, "scv": 0.5}, "servers": 3}, 4),
+    "finite": ({"arrival": {"type": "erlang", "lambda": 1.0, "k": 1},
+                "service": {"type": "erlang", "lambda": 1.1, "k": 1}, "buffer": 8}, 5),
+    "batch": ({"arrival": {"type": "erlang", "lambda": 1.0, "k": 1},
+               "service": {"type": "erlang", "lambda": 0.5, "k": 1}, "batch": [3, 6]}, 6),
+    "ample": ({"arrival": {"type": "erlang", "lambda": 1.0, "k": 1},
+               "service": {"type": "erlang", "lambda": 0.4, "k": 2}, "servers": "ample"}, 7),
+}
+
+# digests of simulate.json for one seeded 20,000-arrival run per simulator path
+PINNED_SIM = {
+    "single": "46b99f77d6c2ab1d39db88359289e7f21ae157c279888ae523fdd069e13dab5e",
+    "three_servers": "a260f003489f996406ee0f7f78125792da1e422042997f761bb3f23a07d9c439",
+    "finite": "d479a6e83d93d35557f91ecbd77cf1fbdc6540f2b0885fa3802b872a519d28ef",
+    "batch": "418c922b32b1c071b3a7e0ae9cf29d36d4d6fe12eb98693f21d227329176557e",
+    "ample": "cda07f6f5e6dec9dac74f57e6fc37793676dab1dcbbf64f72ece2b4393a80d59",
+}
+
+
+def test_simulation_artifacts_are_pinned(capsys, tmp_path):
+    got = {}
+    for name, (doc, seed) in SIM_MODELS.items():
+        model = tmp_path / f"{name}.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / name
+        assert run(capsys, "simulate-queue", "--model", str(model), "--arrivals", "20000",
+                   "--seed", str(seed), "--out", str(out))[0] == 0
+        got[name] = hashlib.sha256((out / "simulate.json").read_bytes()).hexdigest()
+    assert got == PINNED_SIM
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
