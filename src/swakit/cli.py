@@ -18,6 +18,7 @@ import logging
 import sys
 import time
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -331,18 +332,22 @@ def cmd_simulate_queue(args) -> int:
     t0 = time.monotonic()
     out = _out_dir(args)
     model = load_model(args.model)
+    stages: dict = {}
     perf = des_simulate(
         model,
         arrivals=args.arrivals,
         seed=args.seed,
         warmup_frac=args.warmup,
         n_batches=args.batches,
+        timer=partial(stage, stages),
     )
+    stages["simulate"]["items"] = perf.des["events"]
     doc = perf.to_dict()
     sim_path = out / "simulate.json"
-    _write_json(sim_path, doc)
+    with stage(stages, "write"):
+        _write_json(sim_path, doc)
     print(json.dumps({k: doc[k] for k in ("L", "Lq", "W", "Wq")}, sort_keys=True))
-    _manifest(args, "simulate-queue", {"indicators": sim_path}, t0)
+    _manifest(args, "simulate-queue", {"indicators": sim_path}, t0, stages=stages, des=perf.des)
     return 0
 
 

@@ -586,6 +586,8 @@ def fit_hyper_erlang_em(
         raise DistributionError("samples must be positive and finite")
     if max_phases < 1:
         raise DistributionError("max_phases must be >= 1")
+    if max_iter < 1:
+        raise DistributionError("max_iter must be >= 1")
 
     mean = float(x.mean())
     if np.ptp(x) == 0 or x.std() / mean < 1e-12:

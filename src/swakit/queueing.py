@@ -27,7 +27,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from array import array
+from collections import deque
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -202,7 +205,7 @@ def load_model(path) -> QueueModel:
 
 @dataclass
 class PerfIndicators:
-    """The six standard station indicators (plus optional CI half-widths)."""
+    """The six standard station indicators, optional CI half-widths and DES counts."""
 
     L: float
     Lq: float
@@ -211,6 +214,7 @@ class PerfIndicators:
     Pbusy: float
     Ploss: float
     ci: Optional[dict] = None
+    des: Optional[dict] = field(default=None, compare=False)  # not part of to_dict
 
     def to_dict(self) -> dict:
         out = {k: getattr(self, k) for k in ("L", "Lq", "W", "Wq", "Pbusy", "Ploss")}
@@ -483,40 +487,62 @@ def _draw_times(dist, count: int, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(dist.sample(count, rng), dtype=float)
 
 
-class _SliceArea:
-    """Time-integrated occupancy split into equal slices for batch means."""
+_BLOCK = 8192  # events per fold; the occupancy record never holds more than one block
 
-    def __init__(self, t0: float, t1: float, slices: int):
+
+class _Occupancy:
+    """Time-integrated counts over [t0, t1] in equal slices, folded block by block."""
+
+    def __init__(self, t0: float, t1: float, slices: int, rows: int = 2):
         if t1 <= t0:
             t1 = t0 + 1e-9
-        self.t0 = t0
-        self.t1 = t1
-        self.dt = (t1 - t0) / slices
-        self.area = np.zeros(slices)
-        self.slices = slices
+        self.t0, self.t1, self.dt = t0, t1, (t1 - t0) / slices
+        self.area = np.zeros((rows, slices))
+        self.events = 0
+        self.times = array("d", [0.0])  # the last folded event's time, then the block's
+        self.counts = [array("q") for _ in range(rows)]
 
-    def add(self, u: float, v: float, n: int):
-        if n == 0 or v <= self.t0 or u >= self.t1:
-            return
-        u = max(u, self.t0)
-        v = min(v, self.t1)
-        if v <= u:
-            return
-        s0 = min(int((u - self.t0) / self.dt), self.slices - 1)
-        s1 = min(int((v - self.t0) / self.dt), self.slices - 1)
-        if s0 == s1:
-            self.area[s0] += n * (v - u)
-            return
-        self.area[s0] += n * (self.t0 + (s0 + 1) * self.dt - u)
-        for s in range(s0 + 1, s1):
-            self.area[s] += n * self.dt
-        self.area[s1] += n * (v - (self.t0 + s1 * self.dt))
+    def record(self, t, n_sys, n_queue):
+        self.times.append(t)
+        self.counts[0].append(n_sys)
+        self.counts[1].append(n_queue)
+        if len(self.times) > _BLOCK:
+            self.flush()
 
-    def mean(self) -> float:
-        return float(self.area.sum() / (self.t1 - self.t0))
+    def flush(self):
+        t = np.array(self.times)
+        self.fold(t[:-1], t[1:], *map(np.array, self.counts))
+        del self.times[:-1]
+        for buf in self.counts:
+            del buf[:]
 
-    def batch_means(self) -> np.ndarray:
-        return self.area / self.dt
+    def fold(self, u: np.ndarray, v: np.ndarray, *counts: np.ndarray):
+        """Add the steps (u, v), one array of counts per row, to the slices."""
+        t0, dt, top = self.t0, self.dt, self.area.shape[1] - 1
+        self.events += v.size
+        u, v = np.maximum(u, t0), np.minimum(v, self.t1)
+        keep = v > u
+        u, v = u[keep], v[keep]
+        s0 = np.minimum(((u - t0) / dt).astype(np.int64), top)
+        s1 = np.minimum(((v - t0) / dt).astype(np.int64), top)
+        k = s1 - s0 + 1  # slices each step touches
+        end = np.cumsum(k)
+        first = end - k
+        where = np.arange(k.sum()) - np.repeat(first - s0, k)
+        head = np.where(k == 1, v - u, t0 + (s0 + 1) * dt - u)
+        tail = v - (t0 + s1 * dt)
+        for area, n in zip(self.area, counts):  # a zero count adds +-0.0: no change
+            n = n[keep]
+            piece = np.repeat(n * dt, k)
+            piece[end - 1] = n * tail
+            piece[first] = n * head
+            np.add.at(area, where, piece)
+
+    def mean(self, row: int) -> float:
+        return float(self.area[row].sum() / (self.t1 - self.t0))
+
+    def ci(self, row: int) -> float:
+        return _ci_half(self.area[row] / self.dt)
 
 
 def _ci_half(samples: np.ndarray) -> float:
@@ -543,13 +569,25 @@ def des_simulate(
     seed: int,
     warmup_frac: float = 0.05,
     n_batches: int = 25,
+    timer=None,
 ) -> PerfIndicators:
     """Event-driven simulation of a queue model; the oracle the solvers answer to.
 
     Generates ``arrivals`` arrivals, drops the first ``warmup_frac`` of them
     from every statistic, and reports batch-means 95% confidence half-widths
-    in ``ci``.  All randomness comes from ``seed``; identical calls return
-    identical results.
+    in ``ci`` and the run's counts in ``des``.  All randomness comes from
+    ``seed``; identical calls return identical results.  ``timer(name, items)``,
+    a context-manager factory, times the ``draw`` and ``simulate`` stages.
+
+    L and Lq come from one occupancy area per batch slice.  Each event appends
+    its time and the counts since the previous event to typed buffers; every
+    ``_BLOCK`` events the steps are clipped to the post-warm-up window, split
+    at slice edges as a per-step loop would (``n*(edge-u)``, ``n*dt`` for the
+    middle slices, ``n*(v-edge)``) and added with ``np.add.at`` in event
+    order.  So every slice sums the same floats in the same order as that
+    loop (bit-identical results) in one block of memory.  Ample servers merge
+    each block of arrivals with the sorted departures, a departure first on a
+    tie.
     """
     if arrivals < 100:
         raise ConfigError("need at least 100 arrivals for meaningful statistics")
@@ -557,42 +595,50 @@ def des_simulate(
         raise ConfigError("warmup_frac must lie in [0, 0.5)")
     if n_batches < 20:
         raise ConfigError("need at least 20 batches for the confidence intervals")
-    rng = np.random.default_rng(seed)
-    gaps = _draw_times(model.arrival, arrivals, rng)
-    if np.any(gaps < 0):
-        raise ConfigError("arrival law produced negative gaps")
-    at = np.cumsum(gaps)
-    svc = _draw_times(model.service, arrivals, rng)
+    timer = timer or (lambda name, items=0: nullcontext())
+    with timer("draw", arrivals):
+        rng = np.random.default_rng(seed)
+        gaps = _draw_times(model.arrival, arrivals, rng)
+        if np.any(gaps < 0):
+            raise ConfigError("arrival law produced negative gaps")
+        at = np.cumsum(gaps)
+        svc = _draw_times(model.service, arrivals, rng)
+    with timer("simulate"):
+        return _simulate(model, at, svc, int(arrivals * warmup_frac), n_batches)
 
-    w0 = int(arrivals * warmup_frac)
+
+def _simulate(model: QueueModel, at: np.ndarray, svc: np.ndarray, w0: int,
+              n_batches: int) -> PerfIndicators:
+    arrivals = at.size
     t_warm = at[w0] if w0 > 0 else 0.0
+    des = {"arrivals": arrivals, "warmup_cut_time": float(t_warm)}
     t_end = at[-1]
     a, b = model.batch
 
     if model.servers == "ample":  # every tuple's residence is its service time
-        area = _SliceArea(t_warm, t_end, n_batches)
-        events = sorted([(float(t), +1) for t in at] + [(float(d), -1) for d in at + svc])
-        n_now = 0
-        t_prev = 0.0
-        for t, d in events:
-            area.add(t_prev, t, n_now)
-            n_now += d
-            t_prev = t
+        occ = _Occupancy(t_warm, t_end, n_batches, rows=1)
+        dep = np.sort(at + svc)
+        j, prev = 0, 0.0  # departures folded so far, the last event's time
+        for i in range(0, arrivals, _BLOCK):
+            arr = at[i:i + _BLOCK]
+            j1 = np.searchsorted(dep, arr[-1], "right") if i + _BLOCK < arrivals else arrivals
+            pos = np.arange(arr.size) + np.searchsorted(dep[j:j1], arr, "right")
+            step = np.full(arr.size + j1 - j, -1)
+            step[pos] = 1
+            t = np.empty(step.size)
+            t[pos] = arr
+            t[step < 0] = dep[j:j1]
+            occ.fold(np.concatenate(([prev], t[:-1])), t, i - j + np.cumsum(step) - step)
+            j, prev = j1, t[-1]
         Wm, Wc = _batched_mean_ci(svc[w0:], n_batches)
-        return PerfIndicators(
-            L=area.mean(),
-            Lq=0.0,
-            W=Wm,
-            Wq=0.0,
-            Pbusy=0.0,
-            Ploss=0.0,
-            ci={"L": _ci_half(area.batch_means()), "Lq": 0.0, "W": Wc, "Wq": 0.0},
-        )
+        return PerfIndicators(L=occ.mean(0), Lq=0.0, W=Wm, Wq=0.0, Pbusy=0.0, Ploss=0.0,
+                              ci={"L": occ.ci(0), "Lq": 0.0, "W": Wc, "Wq": 0.0},
+                              des=dict(des, events=occ.events, lost=0))
 
     c = model.servers
     N = model.buffer
-    area_sys = _SliceArea(t_warm, t_end, n_batches)
-    area_q = _SliceArea(t_warm, t_end, n_batches)
+    occ = _Occupancy(t_warm, t_end, n_batches)
+    record = occ.record
 
     res_samples = np.full(arrivals, np.nan)
     wq_samples = np.full(arrivals, np.nan)
@@ -601,26 +647,17 @@ def des_simulate(
 
     if (a, b) == (1, 1):
         busy_heap: list = []  # departure times
-        queue: list = []  # (arrival_time, index)
-        qhead = 0
+        queue: deque = deque()  # (arrival_time, index) waiting
         n_sys = 0
         svc_i = 0
-        t_prev = 0.0
-
-        def integrate(t):
-            nonlocal t_prev
-            area_sys.add(t_prev, t, n_sys)
-            area_q.add(t_prev, t, len(queue) - qhead)
-            t_prev = t
 
         def depart():  # the earliest departure, and the next waiting tuple starts service
-            nonlocal n_sys, qhead, svc_i
+            nonlocal n_sys, svc_i
             tc = heapq.heappop(busy_heap)
-            integrate(tc)
+            record(tc, n_sys, len(queue))
             n_sys -= 1
-            if qhead < len(queue):
-                qa, qi = queue[qhead]
-                qhead += 1
+            if queue:
+                qa, qi = queue.popleft()
                 wq_samples[qi] = tc - qa
                 d = tc + svc[svc_i]
                 svc_i += 1
@@ -631,7 +668,7 @@ def des_simulate(
             t = at[i]
             while busy_heap and busy_heap[0] <= t:
                 depart()
-            integrate(t)
+            record(t, n_sys, len(queue))
             busy_obs[i] = len(busy_heap) >= c
             if N is not None and n_sys >= N:
                 lost_obs[i] = True
@@ -649,32 +686,24 @@ def des_simulate(
             depart()
     else:
         # single server, batch service [a, b]
-        queue: list = []  # (arrival_time, index) waiting
+        queue: deque = deque()  # (arrival_time, index) waiting
         in_service: list = []  # (arrival_time, index) of current batch
         dep_time = math.inf
         n_sys = 0
         svc_i = 0
-        t_prev = 0.0
-
-        def integrate(t):
-            nonlocal t_prev
-            area_sys.add(t_prev, t, n_sys)
-            area_q.add(t_prev, t, len(queue))
-            t_prev = t
 
         def start_batch(now):
-            nonlocal dep_time, svc_i, queue
-            size = min(b, len(queue))
-            batch, queue = queue[:size], queue[size:]
-            for qa, qi in batch:
+            nonlocal dep_time, svc_i
+            for _ in range(min(b, len(queue))):
+                qa, qi = queue.popleft()
                 wq_samples[qi] = now - qa
-            in_service.extend(batch)
+                in_service.append((qa, qi))
             dep_time = now + svc[svc_i]
             svc_i += 1
 
         def complete(tc):
             nonlocal dep_time, n_sys
-            integrate(tc)
+            record(tc, n_sys, len(queue))
             for qa, qi in in_service:
                 res_samples[qi] = tc - qa
             n_sys -= len(in_service)
@@ -687,7 +716,7 @@ def des_simulate(
             t = at[i]
             while dep_time <= t:
                 complete(dep_time)
-            integrate(t)
+            record(t, n_sys, len(queue))
             busy_obs[i] = dep_time < math.inf
             if N is not None and n_sys >= N:
                 lost_obs[i] = True
@@ -699,6 +728,7 @@ def des_simulate(
         while dep_time < math.inf:
             complete(dep_time)
         # whatever still waits at the end never formed a batch; leave NaN
+    occ.flush()
 
     sel = slice(w0, arrivals)
     res = res_samples[sel]
@@ -708,16 +738,12 @@ def des_simulate(
     Wm, Wc = _batched_mean_ci(res, n_batches)
     Wqm, Wqc = _batched_mean_ci(wqs, n_batches)
     return PerfIndicators(
-        L=area_sys.mean(),
-        Lq=area_q.mean(),
+        L=occ.mean(0),
+        Lq=occ.mean(1),
         W=Wm,
         Wq=Wqm,
         Pbusy=float(busy_obs[sel].mean()),
         Ploss=float(lost_obs[sel].mean()),
-        ci={
-            "L": _ci_half(area_sys.batch_means()),
-            "Lq": _ci_half(area_q.batch_means()),
-            "W": Wc,
-            "Wq": Wqc,
-        },
+        ci={"L": occ.ci(0), "Lq": occ.ci(1), "W": Wc, "Wq": Wqc},
+        des=dict(des, events=occ.events, lost=int(lost_obs.sum())),
     )

@@ -348,6 +348,17 @@ def test_fit_dist_without_inputs_exits_two(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("branches", ["1", "2"])
+def test_fit_dist_without_iterations_exits_two(capsys, tmp_path, branches):
+    vals = tmp_path / "vals.txt"
+    vals.write_text("".join(f"{v!r}\n" for v in np.random.default_rng(2).gamma(3.0, 1.0, 200).tolist()))
+    code, _, err = run(capsys, "fit-dist", "--values", str(vals), "--branches", branches,
+                       "--max-iter", "0", "--out", str(tmp_path))
+    assert code == 2
+    assert "max_iter" in err
+    assert not (tmp_path / "dist.json").exists()
+
+
 def test_too_few_arrivals_exits_two(capsys, tmp_path):
     model = tmp_path / "model.json"
     model.write_text(json.dumps({
@@ -445,3 +456,21 @@ def test_manifests_carry_stages(capsys, tiny_trace, tmp_path):
     em = json.loads((fit / "fit_dist_manifest.json").read_text())["em"]
     assert set(em) == {"runs", "iterations"}
     assert em["runs"] >= 1 and em["iterations"] >= report["iterations"] >= 1
+
+
+def test_simulate_manifest_reports_des_counts(capsys, tmp_path):
+    doc, seed = SIM_MODELS["finite"]
+    model = tmp_path / "finite.json"
+    model.write_text(json.dumps(doc))
+    assert run(capsys, "simulate-queue", "--model", str(model), "--arrivals", "20000",
+               "--seed", str(seed), "--out", str(tmp_path))[0] == 0
+    manifest = json.loads((tmp_path / "simulate_queue_manifest.json").read_text())
+    des = manifest["des"]
+    assert set(des) == {"arrivals", "events", "lost", "warmup_cut_time"}
+    assert des["arrivals"] == 20000 and des["lost"] > 0 and des["warmup_cut_time"] > 0
+    # one event per arrival, lost or not, and one per completed tuple
+    assert des["events"] == des["arrivals"] + (des["arrivals"] - des["lost"])
+    stages = manifest["stages"]
+    assert {name: s["items"] for name, s in stages.items()} == {
+        "draw": 20000, "simulate": des["events"], "write": 0}
+    assert all(s["wall_s"] >= 0 for s in stages.values())

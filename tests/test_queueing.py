@@ -24,6 +24,7 @@ from swakit.queueing import (
     solve_ph_ph_1_n,
     storage_estimate,
 )
+from swakit.queueing import _Occupancy
 
 EXP = lambda rate: ErlangDist(rate, 1)  # noqa: E731
 
@@ -408,6 +409,110 @@ def test_simulator_reports_ci():
     assert set(r.ci) >= {"L", "Lq", "W", "Wq"}
     assert all(v >= 0 for v in r.ci.values())
     assert r.to_dict()["ci95"]["L"] == r.ci["L"]
+
+
+def seeded_draws(model, arrivals, seed):
+    """The simulator's random streams: arrival gaps, then service times, from one generator."""
+    rng = np.random.default_rng(seed)
+    gaps = model.arrival.sample(arrivals, rng)
+    return np.cumsum(gaps).tolist(), model.service.sample(arrivals, rng).tolist()
+
+
+def time_average(ups, downs, t0, t1):
+    """Brute-force mean of the step function (#ups <= t) - (#downs <= t) over [t0, t1]."""
+    events = sorted([(t, 1) for t in ups] + [(t, -1) for t in downs])
+    pieces, n, prev = [], 0, 0.0
+    for t, step in events:
+        lo, hi = max(prev, t0), min(t, t1)
+        if hi > lo:
+            pieces.append(n * (hi - lo))
+        n += step
+        prev = t
+    return math.fsum(pieces) / (t1 - t0)
+
+
+@pytest.mark.parametrize("arrival,service,seed", [
+    (EXP(1.0), EXP(2.0), 3),
+    (ErlangDist(2.0, 2), ErlangDist(3.75, 3), 8),  # rho = 0.8
+])
+def test_simulator_matches_lindley_recursion(arrival, service, seed):
+    # FIFO, one server, unbounded buffer: W_{n+1} = max(0, W_n + S_n - A_{n+1}) (Lindley, 1952)
+    model = QueueModel(arrival, service)
+    n, w0 = 20_000, 1_000  # the default 5% warm-up
+    at, svc = seeded_draws(model, n, seed)
+    wq = [0.0]
+    for i in range(1, n):
+        wq.append(max(0.0, wq[-1] + svc[i - 1] - (at[i] - at[i - 1])))
+    dep = [t + w + s for t, w, s in zip(at, wq, svc)]
+    got = des_simulate(model, arrivals=n, seed=seed)
+    assert close(got.Wq, math.fsum(wq[w0:]) / (n - w0))
+    assert close(got.W, math.fsum(w + s for w, s in zip(wq[w0:], svc[w0:])) / (n - w0))
+    L = time_average(at, dep, at[w0], at[-1])
+    assert close(got.L, L)
+    starts = [d - s for d, s in zip(dep, svc)]  # one tuple is in service from start to departure
+    assert close(got.Lq, L - time_average(starts, dep, at[w0], at[-1]))
+
+
+def test_ample_servers_match_step_function():
+    model = QueueModel(EXP(1.0), ErlangDist(0.4, 2), servers="ample")
+    n, w0 = 20_000, 1_000
+    at, svc = seeded_draws(model, n, 6)
+    got = des_simulate(model, arrivals=n, seed=6)
+    assert close(got.L, time_average(at, [t + s for t, s in zip(at, svc)], at[w0], at[-1]))
+    assert close(got.W, math.fsum(svc[w0:]) / (n - w0))
+    assert got.des["events"] == 2 * n
+
+
+def test_occupancy_fold_matches_per_step_loop():
+    # long steps cross several slice edges; the first and last ones fall outside the window
+    rng = np.random.default_rng(0)
+    t = np.cumsum(rng.exponential(1.0, 20_000) * rng.choice([1.0, 3000.0], 20_000, p=[0.995, 0.005]))
+    counts = rng.integers(0, 6, (2, t.size))
+    t0, t1, slices = t[500], t[-300], 200
+    occ = _Occupancy(t0, t1, slices)
+    for ti, n, q in zip(t, *counts.tolist()):
+        occ.record(ti, n, q)
+    occ.flush()
+    dt = (t1 - t0) / slices
+    want = np.zeros((2, slices))
+    prev = 0.0
+    for ti, ns in zip(t, counts.T.tolist()):
+        u, v, prev = max(prev, t0), min(ti, t1), ti
+        if v <= u:
+            continue
+        s0 = min(int((u - t0) / dt), slices - 1)
+        s1 = min(int((v - t0) / dt), slices - 1)
+        for row, n in enumerate(ns):
+            if s0 == s1:
+                want[row, s0] += n * (v - u)
+                continue
+            want[row, s0] += n * (t0 + (s0 + 1) * dt - u)
+            for s in range(s0 + 1, s1):
+                want[row, s] += n * dt
+            want[row, s1] += n * (v - (t0 + s1 * dt))
+    assert np.array_equal(occ.area, want)
+    assert occ.events == t.size
+
+
+def test_simulator_loss_matches_counting_loop():
+    # an arrival that finds N tuples in the system is lost; departures at its instant leave first
+    model = QueueModel(EXP(1.0), EXP(0.8), buffer=5)
+    n, w0, N = 20_000, 1_000, 5
+    at, svc = seeded_draws(model, n, 2)
+    lost, kept, dep = [], [], []
+    for t in at:
+        if sum(d > t for d in dep[-N:]) >= N:
+            lost.append(True)
+            continue
+        lost.append(False)
+        kept.append(t)
+        dep.append(max(t, dep[-1] if dep else 0.0) + svc[len(dep)])
+    got = des_simulate(model, arrivals=n, seed=2)
+    assert close(got.Ploss, sum(lost[w0:]) / (n - w0))
+    assert 0.2 < got.Ploss < 0.4
+    assert close(got.L, time_average(kept, dep, at[w0], at[-1]))
+    assert got.des == {"arrivals": n, "events": 2 * n - sum(lost), "lost": sum(lost),
+                       "warmup_cut_time": at[w0]}
 
 
 # ---------------------------------------------------------------------------
