@@ -30,7 +30,7 @@ import math
 from array import array
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -214,7 +214,7 @@ class PerfIndicators:
     Pbusy: float
     Ploss: float
     ci: Optional[dict] = None
-    des: Optional[dict] = field(default=None, compare=False)  # not part of to_dict
+    des: Optional[dict] = None  # not part of to_dict
 
     def to_dict(self) -> dict:
         out = {k: getattr(self, k) for k in ("L", "Lq", "W", "Wq", "Pbusy", "Ploss")}

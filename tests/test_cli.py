@@ -351,7 +351,8 @@ def test_fit_dist_without_inputs_exits_two(capsys, tmp_path):
 @pytest.mark.parametrize("branches", ["1", "2"])
 def test_fit_dist_without_iterations_exits_two(capsys, tmp_path, branches):
     vals = tmp_path / "vals.txt"
-    vals.write_text("".join(f"{v!r}\n" for v in np.random.default_rng(2).gamma(3.0, 1.0, 200).tolist()))
+    samples = np.random.default_rng(2).gamma(3.0, 1.0, 200).tolist()
+    vals.write_text("".join(f"{v!r}\n" for v in samples))
     code, _, err = run(capsys, "fit-dist", "--values", str(vals), "--branches", branches,
                        "--max-iter", "0", "--out", str(tmp_path))
     assert code == 2

@@ -2,6 +2,7 @@
 
 import json
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -431,6 +432,18 @@ def time_average(ups, downs, t0, t1):
     return math.fsum(pieces) / (t1 - t0)
 
 
+def batch_means_ci(values, batches=25):
+    """95% half-width from the means of consecutive batches, sizes differing by at most one."""
+    size, extra = divmod(len(values), batches)
+    means, start = [], 0
+    for b in range(batches):
+        stop = start + size + (b < extra)
+        means.append(math.fsum(values[start:stop]) / (stop - start))
+        start = stop
+    t_975_24 = 2.0638985616280245  # Student t, 24 degrees of freedom
+    return t_975_24 * statistics.stdev(means) / math.sqrt(batches)
+
+
 @pytest.mark.parametrize("arrival,service,seed", [
     (EXP(1.0), EXP(2.0), 3),
     (ErlangDist(2.0, 2), ErlangDist(3.75, 3), 8),  # rho = 0.8
@@ -443,10 +456,14 @@ def test_simulator_matches_lindley_recursion(arrival, service, seed):
     wq = [0.0]
     for i in range(1, n):
         wq.append(max(0.0, wq[-1] + svc[i - 1] - (at[i] - at[i - 1])))
-    dep = [t + w + s for t, w, s in zip(at, wq, svc)]
+    res = [w + s for w, s in zip(wq, svc)]
+    dep = [t + r for t, r in zip(at, res)]
     got = des_simulate(model, arrivals=n, seed=seed)
     assert close(got.Wq, math.fsum(wq[w0:]) / (n - w0))
-    assert close(got.W, math.fsum(w + s for w, s in zip(wq[w0:], svc[w0:])) / (n - w0))
+    assert close(got.W, math.fsum(res[w0:]) / (n - w0))
+    # batches of consecutive tuples: serving them in another order moves these
+    assert close(got.ci["Wq"], batch_means_ci(wq[w0:]))
+    assert close(got.ci["W"], batch_means_ci(res[w0:]))
     L = time_average(at, dep, at[w0], at[-1])
     assert close(got.L, L)
     starts = [d - s for d, s in zip(dep, svc)]  # one tuple is in service from start to departure
@@ -466,7 +483,8 @@ def test_ample_servers_match_step_function():
 def test_occupancy_fold_matches_per_step_loop():
     # long steps cross several slice edges; the first and last ones fall outside the window
     rng = np.random.default_rng(0)
-    t = np.cumsum(rng.exponential(1.0, 20_000) * rng.choice([1.0, 3000.0], 20_000, p=[0.995, 0.005]))
+    gaps = rng.exponential(1.0, 20_000)
+    t = np.cumsum(gaps * rng.choice([1.0, 3000.0], 20_000, p=[0.995, 0.005]))
     counts = rng.integers(0, 6, (2, t.size))
     t0, t1, slices = t[500], t[-300], 200
     occ = _Occupancy(t0, t1, slices)
@@ -483,6 +501,8 @@ def test_occupancy_fold_matches_per_step_loop():
         s0 = min(int((u - t0) / dt), slices - 1)
         s1 = min(int((v - t0) / dt), slices - 1)
         for row, n in enumerate(ns):
+            if n == 0:
+                continue
             if s0 == s1:
                 want[row, s0] += n * (v - u)
                 continue
