@@ -31,6 +31,7 @@ from .distributions import (
     save_dist,
 )
 from .engine import (
+    REASONS,
     PipelineConfig,
     Strategy,
     read_emissions,
@@ -136,6 +137,13 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _operator(result) -> dict:
+    """A run's emissions per close reason and its open-window (or buffer) high-water mark."""
+    counts = np.bincount(result.emissions.reason, minlength=len(REASONS)).tolist()
+    return {"emissions": len(result.emissions), "close_reasons": dict(zip(REASONS, counts)),
+            "occupancy_max": result.aggregate_stats.occupancy_max}
+
+
 def _members_path(emitted: Path) -> Path:
     return emitted.with_name(emitted.stem + "_members" + emitted.suffix)
 
@@ -152,26 +160,18 @@ def cmd_gen_trace(args) -> int:
     span = _load_dist_opt(args.span_dist, default_span_dist)
     arrival = _load_dist_opt(args.arrival_dist, default_arrival_dist)
     cat_seed, trace_seed = np.random.SeedSequence(args.seed).spawn(2)
-    catalog = build_catalog(
-        args.services,
-        degree,
-        seed=cat_seed,
-        n_partitions=args.partitions,
-        shared_atomics=args.shared_atomics,
-    )
-    cfg = TraceConfig(
-        instance_count=args.instances,
-        arrival_dist=arrival,
-        span_dist=span,
-        user_pool=args.user_pool,
-        repeat_factor=args.repeat_factor,
-        seed=trace_seed,
-    )
-    trace = generate_trace(catalog, cfg)
+    stages: dict = {}
+    with stage(stages, "generate", args.instances):
+        catalog = build_catalog(args.services, degree, seed=cat_seed,
+                                n_partitions=args.partitions, shared_atomics=args.shared_atomics)
+        trace = generate_trace(catalog, TraceConfig(
+            instance_count=args.instances, arrival_dist=arrival, span_dist=span,
+            user_pool=args.user_pool, repeat_factor=args.repeat_factor, seed=trace_seed))
     trace_path = out / "trace.csv"
-    write_trace(trace, trace_path)
+    with stage(stages, "write", trace.n_tuples):
+        write_trace(trace, trace_path)
     print(f"wrote {trace.n_tuples} tuples ({args.instances} instances) to {trace_path}")
-    _manifest(args, "gen-trace", {"trace": trace_path}, t0)
+    _manifest(args, "gen-trace", {"trace": trace_path}, t0, stages=stages)
     return 0
 
 
@@ -286,7 +286,7 @@ def cmd_run_pipeline(args) -> int:
         outputs["members"] = members_path
     print(f"{len(result.emissions)} emissions from {result.aggregate_stats.tuples_in} tuples")
     _manifest(args, "run-pipeline", outputs, t0, extra_config={"pipeline": cfg.to_dict()},
-              stages=stages)
+              stages=stages, operator=_operator(result))
     return 0
 
 
@@ -318,13 +318,17 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     t0 = time.monotonic()
     out = _out_dir(args)
-    model = load_model(args.model)
-    perf = predict(model)
+    stages: dict = {}
+    with stage(stages, "load"):
+        model = load_model(args.model)
+    with stage(stages, "solve"):
+        perf = predict(model)
     doc = perf.to_dict()
     pred_path = out / "predict.json"
-    _write_json(pred_path, doc)
+    with stage(stages, "write"):
+        _write_json(pred_path, doc)
     print(json.dumps(doc, sort_keys=True))
-    _manifest(args, "predict", {"indicators": pred_path}, t0)
+    _manifest(args, "predict", {"indicators": pred_path}, t0, stages=stages, solver=perf.solver)
     return 0
 
 
@@ -368,9 +372,12 @@ def cmd_compare(args) -> int:
         trace = read_trace(args.trace)
     stages["read"]["items"] = trace.n_tuples
 
+    operators = {}
+
     def one_run(cfg, label):
         with stage(stages, "aggregate", trace.n_tuples):
             result = run_pipeline(trace, cfg, keep_members=True)
+        operators[label] = _operator(result)
         with stage(stages, "score", trace.n_tuples):
             rep = evaluate(result.emissions, trace, gammas)
         stats = result.aggregate_stats
@@ -400,7 +407,7 @@ def cmd_compare(args) -> int:
             f"capture={r['capture_rate']:.4f} occ_avg={r['occupancy_avg']:.1f} "
             f"storage_avg={r['storage_avg_mb']:.3f}MB"
         )
-    _manifest(args, "compare", {"report": cmp_path}, t0, stages=stages)
+    _manifest(args, "compare", {"report": cmp_path}, t0, stages=stages, operators=operators)
     return 0
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -30,14 +30,14 @@ import numpy as np
 
 from .errors import ConfigError
 from .params import WindowParams
-from .trace import Stream, Trace, read_csv_rows, replay
+from .trace import Stream, Trace, _codes, csv_blocks, read_csv_rows, replay, to_int64
 
 __all__ = [
     "Strategy",
     "key_ids",
     "OperatorStats",
-    "EmittedInstance",
-    "EmissionRecord",
+    "Emissions",
+    "REASONS",
     "aggregate_swa",
     "aggregate_sliding",
     "PipelineConfig",
@@ -53,6 +53,8 @@ _SLIDING_RUN = 1 << 20  # member slots per sliding group-by
 
 EMITTED_HEADER = ["key", "k", "close_reason", "closed_at_ms", "avg_response_ms", "span_ms"]
 MEMBERS_HEADER = ["emission", "seq"]
+REASONS = ("full", "timeout", "batch")  # what an emission's reason code indexes
+FULL, TIMEOUT, BATCH = range(len(REASONS))
 
 
 class Strategy(Enum):
@@ -82,10 +84,11 @@ class Strategy(Enum):
 
 
 def key_ids(stream: Stream, strategy: Strategy):
-    """(key id per seq, key tuple per id) under ``strategy``; computed once per stream.
+    """(key id per seq, key per id) under ``strategy``; computed once per stream.
 
-    Ids run from 0; a key tuple holds the head id, then the instance
-    timestamp and/or the user id, as the strategy asks.
+    Ids run from 0.  A key is its display string, as ``emitted.csv`` holds
+    it: the head id, then the instance timestamp and/or the user id, as the
+    strategy asks, joined by ``|``.
     """
     if strategy not in stream.keys:
         cols = [getattr(stream, f) for f in strategy.fields]
@@ -94,10 +97,10 @@ def key_ids(stream: Stream, strategy: Strategy):
             _, codes = np.unique(col, return_inverse=True)
             _, first, ids = np.unique(ids * (codes.max(initial=0) + 1) + codes,
                                       return_index=True, return_inverse=True)
-        parts = [col[first].tolist() if f == "instance_ts"
+        parts = [map(str, col[first].tolist()) if f == "instance_ts"
                  else [stream.names[c] for c in col[first].tolist()]
                  for f, col in zip(strategy.fields, cols)]
-        stream.keys[strategy] = (ids, list(zip(*parts)))
+        stream.keys[strategy] = (ids, list(map("|".join, zip(*parts))))
     return stream.keys[strategy]
 
 
@@ -167,105 +170,126 @@ class OperatorStats:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmittedInstance:
-    """One closed window/group: the operator's guess at a service instance."""
+@dataclass(eq=False)
+class Emissions:
+    """Closed windows as columns, one row per emission in close order.
 
-    key: tuple
-    count: int
-    close_reason: str  # full | timeout | batch
-    opened_at: int
-    closed_at: int
-    first_ts: int
-    last_ts: int
-    response_avg: float
-    response_min: int
-    response_max: int
-    member_seqs: Optional[tuple] = None
-
-    @property
-    def span_ms(self) -> int:
-        return self.last_ts - self.first_ts
-
-
-@dataclass(frozen=True)
-class EmissionRecord:
-    """One emission read back from disk: the ``emitted.csv`` columns only.
-
-    ``key`` is the key's display string, as written; ``member_seqs`` comes
-    from the member sidecar when one is read.
+    These are the ``emitted.csv`` columns: ``key`` holds ids into ``keys``,
+    the keys' display strings, and ``reason`` holds codes into ``REASONS``.
+    Members are CSR: emission ``i`` holds ``seqs[offsets[i]:offsets[i + 1]]``
+    in arrival order; ``seqs`` is None when members were not kept or read.
     """
 
-    key: str
-    count: int
-    close_reason: str
-    closed_at: int
-    response_avg: float
-    span_ms: int
-    member_seqs: Optional[tuple] = None
+    keys: list
+    key: np.ndarray
+    count: np.ndarray
+    reason: np.ndarray
+    closed_at: np.ndarray
+    response_avg: np.ndarray
+    span_ms: np.ndarray
+    seqs: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    @property
+    def offsets(self):
+        return None if self.seqs is None else np.concatenate(([0], np.cumsum(self.count)))
+
+    @property
+    def owner(self) -> np.ndarray:
+        """The emission of each member in ``seqs``."""
+        return np.repeat(np.arange(len(self)), self.count)
 
 
-def _key_str(key) -> str:
-    return "|".join(map(str, key)) if isinstance(key, tuple) else str(key)
-
-
-def write_emissions(emissions, path, members_path=None) -> None:
-    """Write the emitted-instance CSV (plus optional member-seq sidecar)."""
+def write_emissions(emissions: Emissions, path, members_path=None) -> None:
+    """Write the emitted-instance CSV (plus the member-seq sidecar, if the members were kept)."""
+    e = emissions
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(EMITTED_HEADER)
-        w.writerows((_key_str(e.key), e.count, e.close_reason, e.closed_at,
-                     f"{e.response_avg:.6f}", e.span_ms) for e in emissions)
+        w.writerows(zip(map(e.keys.__getitem__, e.key.tolist()), e.count.tolist(),
+                        map(REASONS.__getitem__, e.reason.tolist()), e.closed_at.tolist(),
+                        map("{:.6f}".format, e.response_avg.tolist()), e.span_ms.tolist()))
     if members_path is not None:
         with open(members_path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(MEMBERS_HEADER)
-            w.writerows((i, s) for i, e in enumerate(emissions) for s in e.member_seqs or ())
+            fh.write(",".join(MEMBERS_HEADER) + "\r\n")  # the csv module's line end
+            fh.writelines(map("%d,%d\r\n".__mod__, zip(e.owner.tolist(), e.seqs.tolist())))
 
 
-def read_emissions(path, members_path=None) -> list:
-    """Read :class:`EmissionRecord` rows back; member seqs only if a sidecar is given."""
-    rows = list(read_csv_rows(path, EMITTED_HEADER, lambda key, k, reason, closed_at, avg, span: (
-        key, int(k), reason, int(closed_at), float(avg), int(span))))
-    members = {}
+def _read_columns(path, header, parse) -> list:
+    """The columns of a CSV file headed by ``header``, each read by its ``parse``.
+
+    ``parse`` holds ``str``, ``to_int64`` or ``float`` per column.  A file
+    :func:`~swakit.trace.csv_blocks` does not take is read again through the
+    csv module one row at a time, which names the first bad row or reads it.
+    """
+    dtype = np.dtype([(h, {str: object, float: float}.get(p, np.int64))
+                      for h, p in zip(header, parse)])
+    try:
+        rows = np.concatenate([np.empty(0, dtype), *csv_blocks(path, dtype)])
+    except ValueError:
+        rows = np.array(list(read_csv_rows(path, header, lambda *fields: tuple(
+            p(f) for p, f in zip(parse, fields)))), dtype)
+    return [rows[h].copy() for h in header]  # contiguous, and the rows can go
+
+
+def read_emissions(path, members_path=None) -> Emissions:
+    """Read ``emitted.csv`` back into columns; members only if a sidecar is given.
+
+    Errors name the file and the 1-based row: a malformed row or close
+    reason, a member row whose emission index is not a row of
+    ``emitted.csv``, and an emission whose ``k`` differs from the number of
+    member rows listing it.  Members keep their file order within an emission.
+    """
+    key, count, reason, closed_at, avg, span = _read_columns(
+        path, EMITTED_HEADER, (str, to_int64, str, to_int64, float, to_int64))
+    codes = {r: c for c, r in enumerate(REASONS)}
+    reason = _codes(codes, reason)
+    if len(codes) > len(REASONS):
+        i = int(np.argmax(reason >= len(REASONS)))
+        raise ConfigError(f"{path}: row {i + 1}: unknown close reason {list(codes)[reason[i]]!r}")
+    seqs = None
     if members_path is not None:
-        for em, seq in read_csv_rows(members_path, MEMBERS_HEADER,
-                                     lambda em, seq: (int(em), int(seq))):
-            members.setdefault(em, []).append(seq)
-    return [EmissionRecord(*row, member_seqs=tuple(members.get(i, ())) if members_path else None)
-            for i, row in enumerate(rows)]
+        em, seq = _read_columns(members_path, MEMBERS_HEADER, (to_int64, to_int64))
+        outside = (em < 0) | (em >= len(count))
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise ConfigError(f"{members_path}: row {i + 1}: emission {em[i]} is not a row "
+                              f"of {path}, which has {len(count)}")
+        listed = np.bincount(em, minlength=len(count))
+        if (listed != count).any():
+            i = int(np.argmax(listed != count))
+            raise ConfigError(f"{path}: row {i + 1}: k is {count[i]}, but {members_path} "
+                              f"lists {listed[i]} members")
+        seqs = seq[np.argsort(em, kind="stable")]
+    table: dict = {}
+    key = _codes(table, key)
+    return Emissions(list(table), key, count, reason, closed_at, avg, span, seqs)
+
+
+def _emit(stream, seqs, group, keys, key, reason, closed_at, keep_members):
+    """Emissions from a group-by, and their members' first and mean timestamps.
+
+    Seq ``seqs[i]`` is a member of emission ``group[i]``, and members keep
+    their order in ``seqs``, which is arrival order.  ``key`` (ids into
+    ``keys``), ``reason`` and ``closed_at`` are given per emission.
+    """
+    order = np.argsort(group, kind="stable")
+    seqs = seqs[order]
+    count = np.bincount(group, minlength=len(key))
+    start = np.cumsum(count) - count
+    ts = stream.timestamp[seqs]
+    first = ts[start]
+    ems = Emissions(keys, key, count, reason, closed_at,
+                    np.add.reduceat(stream.response[seqs], start) / count,
+                    ts[start + count - 1] - first, seqs if keep_members else None)
+    return ems, first, np.add.reduceat(ts, start) / count
 
 
 # ---------------------------------------------------------------------------
 # keyed small-window aggregation
 # ---------------------------------------------------------------------------
-
-
-def _emit(stream, seqs, group, keys, closes, keep_members):
-    """Emissions in close order, and their members' mean timestamps, from group-bys.
-
-    Window ``group[i]`` holds seq ``seqs[i]`` (members keep this order) and
-    has key ``keys[group[i]]``; it opens at its first member's time.
-    ``closes`` lists (window, reason, closed_at) per emission.
-    """
-    if not closes:
-        return [], []
-    order = np.argsort(group, kind="stable")
-    seqs = seqs[order]
-    count = np.bincount(group, minlength=len(keys))
-    start = np.cumsum(count) - count
-    ts, resp = stream.timestamp[seqs], stream.response[seqs]
-    cols = [np.minimum.reduceat(ts, start), np.maximum.reduceat(ts, start),
-            np.add.reduceat(ts, start), np.add.reduceat(resp, start),
-            np.minimum.reduceat(resp, start), np.maximum.reduceat(resp, start)]
-    first, last, ts_sum, resp_sum, resp_min, resp_max = (c.tolist() for c in cols)
-    count, start, members = count.tolist(), start.tolist(), seqs.tolist()
-    emissions = [EmittedInstance(
-        keys[w], count[w], reason, first[w], closed_at, first[w], last[w],
-        resp_sum[w] / count[w], resp_min[w], resp_max[w],
-        tuple(members[start[w]:start[w] + count[w]]) if keep_members else None)
-        for w, reason, closed_at in closes]
-    return emissions, [ts_sum[w] / count[w] for w, _, _ in closes]
 
 
 def aggregate_swa(
@@ -284,7 +308,7 @@ def aggregate_swa(
     still admitted.  End of stream flushes every open window with reason
     ``timeout``.
     """
-    ids, key_of = key_ids(stream, strategy)
+    ids, names = key_ids(stream, strategy)
     timeout_ms, capacity = params.timeout_s * 1000, params.capacity
     windows = []  # window id per seq
     size, key = [], []  # per window id, in open order
@@ -304,7 +328,7 @@ def aggregate_swa(
         while expiry and expiry[0][0] < now:
             deadline, w = heapq.heappop(expiry)
             if open_by_key.get(key[w]) == w:
-                close(w, "timeout", min((deadline // SWEEP_MS + 1) * SWEEP_MS, now))
+                close(w, TIMEOUT, min((deadline // SWEEP_MS + 1) * SWEEP_MS, now))
         occ = len(open_by_key)
         occ_sum += occ
         if occ > occ_max:
@@ -318,17 +342,20 @@ def aggregate_swa(
         windows.append(w)
         size[w] += 1
         if size[w] >= capacity:
-            close(w, "full", now)
+            close(w, FULL, now)
     for _, w in sorted(expiry):  # end of stream: flush in deadline order
         if open_by_key.get(key[w]) == w:
-            close(w, "timeout", now)
+            close(w, TIMEOUT, now)
 
+    w, reason, closed_at = np.array(closes, np.int64).reshape(-1, 3).T
+    rank = np.argsort(w)  # every window closes once: the close rank of each window
+    emissions, opened_at, _ = _emit(stream, np.arange(len(ids)), rank[np.array(windows, np.int64)],
+                                    names, np.array(key, np.int64)[w], reason.astype(np.int8),
+                                    closed_at, keep_members)
     stats = OperatorStats("aggregate_swa", slot_bytes=capacity * tuple_size, tuples_in=len(ids),
-                          occupancy_sum=occ_sum, occupancy_max=occ_max)
-    emissions, _ = _emit(stream, np.arange(len(ids)), np.array(windows, np.int64),
-                         [key_of[k] for k in key], closes, keep_members)
-    stats.residence_ms = [float(e.closed_at - e.opened_at) for e in emissions]
-    stats.tuples_out = sum(e.count for e in emissions)
+                          tuples_out=int(emissions.count.sum()), occupancy_sum=occ_sum,
+                          occupancy_max=occ_max,
+                          residence_ms=(closed_at - opened_at).astype(float).tolist())
     stats.check_conservation()
     return emissions, stats
 
@@ -363,7 +390,7 @@ def aggregate_sliding(
     batch by batch, in the order their first members arrived.
     """
     _check_window(window, step)
-    ids, key_of = key_ids(stream, strategy)
+    ids, names = key_ids(stream, strategy)
     n = len(ids)
     # the buffer holds i tuples at arrival i until it first fills, then
     # drops to window - step at every close
@@ -373,32 +400,32 @@ def aggregate_sliding(
                           occupancy_sum=int(occ.sum()), occupancy_max=int(occ.max(initial=0)))
     full = (n - window) // step + 1 if n >= window else 0
     starts = list(range(0, full * step, step)) + ([full * step] if full * step < n else [])
-    emissions = []
+    runs = []
     seen = np.zeros(n, bool)
     per_run = max(1, _SLIDING_RUN // window)  # batches grouped together, bounding memory
-    for r in range(0, len(starts), per_run):
-        lo = np.array(starts[r:r + per_run])
+    for r in range(0, max(len(starts), 1), per_run):  # an empty stream makes one empty run
+        lo = np.array(starts[r:r + per_run], np.int64)
         size = np.minimum(lo + window, n) - lo
         offset = np.cumsum(size) - size  # of each batch in the run
         seqs = np.arange(size.sum()) + np.repeat(lo - offset, size)
         batch = np.repeat(np.arange(len(lo)), size)
         seen[seqs] = True
         # one group per (batch, key), numbered in the order of first arrival
-        _, first, group = np.unique(batch * len(key_of) + ids[seqs], return_index=True,
+        _, first, group = np.unique(batch * len(names) + ids[seqs], return_index=True,
                                     return_inverse=True)
         order = np.argsort(first)
         group, first = np.argsort(order)[group], first[order]
         closed_at = np.maximum.reduceat(stream.timestamp[seqs], offset)[batch[first]]
-        ems, mean_ts = _emit(stream, seqs, group, [key_of[k] for k in ids[seqs[first]].tolist()],
-                             [(g, "batch", t) for g, t in enumerate(closed_at.tolist())],
-                             keep_members)
-        emissions += ems
-        stats.residence_ms += [e.closed_at - t for e, t in zip(ems, mean_ts)]
+        ems, _, mean_ts = _emit(stream, seqs, group, names, ids[seqs[first]],
+                                np.full(len(first), BATCH, np.int8), closed_at, keep_members)
+        runs.append(ems)
+        stats.residence_ms += (closed_at - mean_ts).tolist()
     # a tuple can land in several overlapping batches; conservation is
     # accounted on distinct tuples
     stats.tuples_out = int(seen.sum())
     stats.check_conservation()
-    return emissions, stats
+    cols = [[getattr(ems, f.name) for ems in runs] for f in fields(Emissions)[1:]]
+    return Emissions(names, *(None if c[0] is None else np.concatenate(c) for c in cols)), stats
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +496,7 @@ class PipelineConfig:
 
 @dataclass
 class PipelineResult:
-    emissions: list
+    emissions: Emissions
     aggregate_stats: OperatorStats
 
 

@@ -19,16 +19,15 @@ On top of that mapping:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, Sequence
 
 import numpy as np
 
+from .engine import Emissions
 from .errors import ConfigError
 from .trace import Trace, TruthTable
 
 __all__ = [
-    "Members",
     "check_gamma",
     "match_instances",
     "completeness",
@@ -46,66 +45,47 @@ def check_gamma(gamma: float) -> float:
     return gamma
 
 
-@dataclass(frozen=True)
-class Members:
-    """Emissions' member seqs, flattened (``seqs[i]`` is in emission ``owner[i]``), and sizes."""
-
-    seqs: np.ndarray
-    owner: np.ndarray
-    count: np.ndarray
-
-    @classmethod
-    def of(cls, emissions, n_tuples: int) -> "Members":
-        if any(e.member_seqs is None for e in emissions):
-            raise ConfigError("emission lacks member tuples; rerun the pipeline in evaluation mode")
-        sizes = [len(e.member_seqs) for e in emissions]
-        seqs = np.fromiter(chain.from_iterable(e.member_seqs for e in emissions), np.int64,
-                           sum(sizes))
-        outside = seqs[(seqs < 0) | (seqs >= n_tuples)]
-        if outside.size:
-            raise ConfigError(f"emission member seq {outside[0]} is not in the trace")
-        return cls(seqs, np.repeat(np.arange(len(sizes)), sizes),
-                   np.array([e.count for e in emissions], dtype=np.int64))
-
-
-def match_instances(members: Members, truth: TruthTable) -> np.ndarray:
+def match_instances(emissions: Emissions, truth: TruthTable) -> np.ndarray:
     """Attribute each emission to a truth label code by member majority (-1: no members).
 
     Ties break to the earliest primary arrival, then to the lexicographically
     smallest label.
     """
     n_labels = len(truth.labels)
-    pairs, votes = np.unique(members.owner * n_labels + truth.code[members.seqs],
+    pairs, votes = np.unique(emissions.owner * n_labels + truth.code[emissions.seqs],
                              return_counts=True)
     owner, label = np.divmod(pairs, n_labels)
     best = np.lexsort((truth.rank[label], truth.primary[label], -votes, owner))
     best = best[np.diff(owner[best], prepend=-1) != 0]  # the first of each emission
-    mapping = np.full(len(members.count), -1)
+    mapping = np.full(len(emissions), -1)
     mapping[owner[best]] = label[best]
     return mapping
 
 
-def completeness(members: Members, mapping, truth: TruthTable, gamma: float):
+def completeness(emissions: Emissions, mapping, truth: TruthTable, gamma: float):
     """(integrated, total, ratio) of instances whose best window reaches gamma."""
     check_gamma(gamma)
     best = np.zeros(len(truth.labels), np.int64)
     hit = mapping >= 0
-    np.maximum.at(best, mapping[hit], members.count[hit])
+    np.maximum.at(best, mapping[hit], emissions.count[hit])
     total = len(truth.labels)
     integrated = int(np.count_nonzero(best / truth.degree >= gamma))
     return integrated, total, (integrated / total if total else 0.0)
 
 
-def capture_rate(members: Members, total_tuples: int):
+def capture_rate(emissions: Emissions, total_tuples: int):
     """(captured, total, ratio): distinct trace tuples present in any emission."""
-    seen = len(np.unique(members.seqs))
-    return seen, total_tuples, (seen / total_tuples if total_tuples else 0.0)
+    seen = np.zeros(total_tuples, bool)
+    seen[emissions.seqs] = True
+    captured = int(np.count_nonzero(seen))
+    return captured, total_tuples, (captured / total_tuples if total_tuples else 0.0)
 
 
-def recall_and_correct_rate(members: Members, mapping, truth: TruthTable):
+def recall_and_correct_rate(emissions: Emissions, mapping, truth: TruthTable):
     """((hit, total, recall), (pure, emitted, correct_rate))."""
     hit = len(np.unique(mapping[mapping >= 0]))
-    impure = np.unique(members.owner[truth.code[members.seqs] != mapping[members.owner]])
+    owner = emissions.owner
+    impure = np.unique(owner[truth.code[emissions.seqs] != mapping[owner]])
     pure = int(np.count_nonzero(mapping >= 0)) - len(impure)
     total = len(truth.labels)
     emitted = len(mapping)
@@ -162,17 +142,21 @@ class EvaluationReport:
 
 
 def evaluate(
-    emissions,
+    emissions: Emissions,
     trace: Trace,
     gammas: Sequence[float] = (1.0, 0.85, 0.75),
 ) -> EvaluationReport:
     """Score one run's emissions against the trace's truth table (built once per trace)."""
+    if emissions.seqs is None:
+        raise ConfigError("emission lacks member tuples; rerun the pipeline in evaluation mode")
+    outside = emissions.seqs[(emissions.seqs < 0) | (emissions.seqs >= trace.n_tuples)]
+    if outside.size:
+        raise ConfigError(f"emission member seq {outside[0]} is not in the trace")
     truth = trace.truth_table
-    members = Members.of(emissions, trace.n_tuples)
-    mapping = match_instances(members, truth)
-    comp = {g: completeness(members, mapping, truth, g) for g in gammas}
-    cap, tot, cap_ratio = capture_rate(members, trace.n_tuples)
-    (hit, ti, rec), (pure, emitted, corr) = recall_and_correct_rate(members, mapping, truth)
+    mapping = match_instances(emissions, truth)
+    comp = {g: completeness(emissions, mapping, truth, g) for g in gammas}
+    cap, tot, cap_ratio = capture_rate(emissions, trace.n_tuples)
+    (hit, ti, rec), (pure, emitted, corr) = recall_and_correct_rate(emissions, mapping, truth)
     return EvaluationReport(
         completeness={g: c[2] for g, c in comp.items()},
         completeness_counts={g: c[:2] for g, c in comp.items()},

@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import time
 from array import array
 from collections import deque
 from contextlib import nullcontext
@@ -205,7 +206,7 @@ def load_model(path) -> QueueModel:
 
 @dataclass
 class PerfIndicators:
-    """The six standard station indicators, optional CI half-widths and DES counts."""
+    """The six station indicators, optional CI half-widths, DES counts and solver diagnostics."""
 
     L: float
     Lq: float
@@ -215,6 +216,7 @@ class PerfIndicators:
     Ploss: float
     ci: Optional[dict] = None
     des: Optional[dict] = None  # not part of to_dict
+    solver: Optional[dict] = None  # not part of to_dict
 
     def to_dict(self) -> dict:
         out = {k: getattr(self, k) for k in ("L", "Lq", "W", "Wq", "Pbusy", "Ploss")}
@@ -262,8 +264,8 @@ def _check_states(size: int) -> None:
         )
 
 
-def _solve_stationary(Q) -> np.ndarray:
-    """Solve pi Q = 0, sum(pi) = 1 for a sparse generator Q; checks the residual."""
+def _solve_stationary(Q):
+    """Solve pi Q = 0, sum(pi) = 1 for a sparse generator Q: (pi, checked residual)."""
     size = Q.shape[0]
     # the last balance equation is redundant; sum(pi) = 1 takes its place
     A = vstack([Q.transpose()[:-1], np.ones((1, size))], format="csr")
@@ -283,7 +285,7 @@ def _solve_stationary(Q) -> np.ndarray:
     resid = np.abs(pi @ Q).max()
     if resid > 1e-8:
         raise NumericalError(f"stationary residual {resid:g} too large")
-    return pi
+    return pi, float(resid)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +312,7 @@ def _solve_chain(model: QueueModel, K: int) -> PerfIndicators:
     B = N - K + 1
     size = K * m + B * m * n
     _check_states(size)
+    t0 = time.perf_counter()
 
     Ta = ap.T - np.diag(np.diag(ap.T))  # phase moves
     Ts = sp.T - np.diag(np.diag(sp.T))
@@ -330,7 +333,10 @@ def _solve_chain(model: QueueModel, K: int) -> PerfIndicators:
     Q = bmat([[idle_idle, idle_busy], [busy_idle, busy_busy]], format="csr")
     # the diagonal is minus the row sums, which include the lost-arrival self-block
     Q = Q - diags(np.asarray(Q.sum(axis=1)).ravel())
-    pi = _solve_stationary(Q)
+    t1 = time.perf_counter()
+    pi, resid = _solve_stationary(Q)
+    solver = {"states": size, "nnz": Q.nnz, "residual": resid, "assemble_s": t1 - t0,
+              "solve_s": time.perf_counter() - t1}
 
     waitn = np.concatenate([np.repeat(idle, m), np.repeat(busy, m * n)]).astype(float)
     sysn = waitn + np.repeat([0.0, K], [K * m, B * m * n])
@@ -343,7 +349,7 @@ def _solve_chain(model: QueueModel, K: int) -> PerfIndicators:
     Pbusy = float(w[K * m :].sum() / wt)
     lam_acc = (1.0 / ap.mean()) * (1.0 - Ploss)
     Wq = Lq / lam_acc
-    return PerfIndicators(L, Lq, Wq + sp.mean(), Wq, Pbusy, Ploss)
+    return PerfIndicators(L, Lq, Wq + sp.mean(), Wq, Pbusy, Ploss, solver=solver)
 
 
 def solve_ph_ph_1_n(model: QueueModel) -> PerfIndicators:

@@ -20,7 +20,6 @@ import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
-from operator import itemgetter, methodcaller
 from typing import List
 
 import numpy as np
@@ -64,7 +63,9 @@ TRACE_HEADER = [
     "partition",
 ]
 
-READ_CHUNK = 1 << 14  # rows checked and converted together by read_trace
+TRACE_DTYPE = np.dtype([(h, object if h in ("user_id", "service_id", "head_id", "truth_instance")
+                          else np.int64) for h in TRACE_HEADER])
+READ_CHUNK = 1 << 14  # rows parsed together by csv_blocks
 
 
 @dataclass(eq=False)
@@ -175,7 +176,7 @@ class Trace:
     @classmethod
     def from_rows(cls, rows) -> "Trace":
         """Build a trace from rows in ``TRACE_HEADER`` layout, in any order."""
-        return _build([_columns(rows)])
+        return _build([np.array(list(map(tuple, rows)), TRACE_DTYPE)])
 
     @cached_property
     def truth_table(self) -> TruthTable:
@@ -312,10 +313,6 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
     return Trace.from_rows(rows)
 
 
-def _columns(rows) -> list:
-    return [list(map(itemgetter(i), rows)) for i in range(len(TRACE_HEADER))]
-
-
 def _codes(table: dict, col) -> np.ndarray:
     """Codes of ``col``'s strings in ``table``, which gains the strings it lacked."""
     fresh = [s for s in dict.fromkeys(col) if s not in table]
@@ -324,20 +321,18 @@ def _codes(table: dict, col) -> np.ndarray:
 
 
 def _build(blocks, check=None) -> Trace:
-    """Merge blocks of rows, each as columns in ``TRACE_HEADER`` order, into a trace.
+    """Merge blocks of ``TRACE_DTYPE`` rows into a trace.
 
-    Integer fields may be ints or their text; ``int`` parses them.  Strings
-    are coded block by block, so a block's strings can go once it is read;
-    ``check(timestamps, partitions)`` sees the input order.  The merge
+    Strings are coded block by block, so a block's strings can go once it is
+    read; ``check(timestamps, partitions)`` sees the input order.  The merge
     is one stable sort on (timestamp, partition), input order breaking ties.
     """
     names, labels = {}, {}
     tables = (None, names, names, names, None, None, labels, None)
     cols = [[] for _ in TRACE_HEADER]
-    for block in chain(blocks, [[()] * len(TRACE_HEADER)]):  # every column gets an array
-        for acc, table, col in zip(cols, tables, block):
-            acc.append(np.fromiter(map(int, col), np.int64, len(col)) if table is None
-                       else _codes(table, col))
+    for block in chain(blocks, [np.empty(0, TRACE_DTYPE)]):  # every column gets an array
+        for acc, table, name in zip(cols, tables, TRACE_HEADER):  # copies: the block can go
+            acc.append(block[name].copy() if table is None else _codes(table, block[name]))
     cols = [np.concatenate(acc) for acc in cols]
     if check:
         check(cols[0], cols[7])
@@ -369,21 +364,24 @@ def write_trace(trace: Trace, path) -> None:
                         text(trace.truth, trace.labels), trace.partition.tolist()))
 
 
-def _blocks(fh):
-    """The data rows of an open trace file, READ_CHUNK at a time, as string columns.
+def csv_blocks(path, dtype):
+    """The data rows of a CSV file headed by ``dtype``'s field names, READ_CHUNK at a time.
 
-    Lines are split on commas, which is what the csv module does with them.
-    Raises ValueError at a block holding a row of the wrong width, a quote
-    or a carriage return outside a line end; the csv module reads those.
+    ``np.loadtxt`` parses each block into ``dtype`` records; strings are
+    objects.  Raises ValueError at another header, a row it does not take,
+    a blank line or a quote (in a file with string fields); the csv module
+    reads those (:func:`read_csv_rows`).
     """
-    width = len(TRACE_HEADER)
-    while lines := list(islice(fh, READ_CHUNK)):
-        text = "".join(lines)
-        if ('"' in text or text.count("\r") != text.count("\r\n")
-                or list(map(methodcaller("count", ","), lines)).count(width - 1) != len(lines)):
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        if fh.readline().rstrip("\r\n").split(",") != list(dtype.names):
             raise ValueError
-        fields = text.replace("\r\n", "\n").replace("\n", ",").split(",")[:width * len(lines)]
-        yield [fields[j::width] for j in range(width)]
+        while lines := list(islice(fh, READ_CHUNK)):
+            if dtype.hasobject and '"' in "".join(lines):
+                raise ValueError
+            rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+            if len(rows) != len(lines):  # np.loadtxt skips blank lines
+                raise ValueError
+            yield rows
 
 
 def _check_partitions(ts, part) -> None:
@@ -416,20 +414,27 @@ def read_csv_rows(path, header, parse, error=ConfigError):
                 raise error(f"{path}: row {row_no}: {exc}") from None
 
 
+def to_int64(text) -> int:
+    """``int(text)``; ValueError unless it fits 64 bits."""
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError("integer beyond 64 bits")
+    return value
+
+
 def _read_rows_checked(path) -> list:
-    """The file's rows through the csv module, each checked as it comes; the first bad one raises."""
+    """The file's rows through the csv module, each parsed and checked as it comes; the first
+    bad one raises."""
     last_ts: dict = {}  # partition -> its latest timestamp so far
 
     def check(*row):
-        ts, part = int(row[0]), int(row[7])
+        ts, part = to_int64(row[0]), to_int64(row[7])
         if part < 0:
             raise ValueError(f"negative partition {part}")
         if ts < last_ts.get(part, ts):
             raise ValueError(f"timestamp {ts} precedes {last_ts[part]} in partition {part}")
         last_ts[part] = ts
-        if not all(-2**63 <= v < 2**63 for v in (ts, int(row[4]), int(row[5]), part)):
-            raise ValueError("integer beyond 64 bits")
-        return row
+        return (ts, *row[1:4], to_int64(row[4]), to_int64(row[5]), row[6], part)
 
     return list(read_csv_rows(path, TRACE_HEADER, check, TraceParseError))
 
@@ -437,18 +442,15 @@ def _read_rows_checked(path) -> list:
 def read_trace(path) -> Trace:
     """Parse a trace CSV into columns, checking every row; errors name the file and the row.
 
-    Rows are split READ_CHUNK at a time and checked together.  A file the
-    split does not take (a fault, a quote, a stray carriage return) is read
-    again through the csv module one row at a time, which names the first
-    bad row or reads the file.
+    Rows are parsed READ_CHUNK at a time and checked together.  A file
+    :func:`csv_blocks` does not take (a fault, a quote, a blank line) is
+    read again through the csv module one row at a time, which names the
+    first bad row or reads the file.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            if fh.readline().rstrip("\r\n").split(",") != TRACE_HEADER:
-                raise ValueError
-            return _build(_blocks(fh), check=_check_partitions)
-    except (ValueError, OverflowError):
-        return _build([_columns(_read_rows_checked(path))])
+        return _build(csv_blocks(path, TRACE_DTYPE), check=_check_partitions)
+    except ValueError:
+        return _build([np.array(_read_rows_checked(path), TRACE_DTYPE)])
 
 
 # ---------------------------------------------------------------------------

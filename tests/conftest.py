@@ -5,12 +5,13 @@ one execution each.
 """
 
 import csv
+from collections import namedtuple
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from swakit.engine import PipelineConfig, Strategy, run_pipeline
+from swakit.engine import REASONS, PipelineConfig, Strategy, run_pipeline
 from swakit.trace import (
     TRACE_HEADER,
     TraceConfig,
@@ -26,6 +27,22 @@ from swakit.trace import (
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None,
                           max_examples=300)
 settings.load_profile("derandomized")
+
+
+Emission = namedtuple("Emission", "key count close_reason closed_at response_avg span_ms member_seqs")
+
+
+def emission_rows(ems):
+    """One ``Emission`` per row of an ``Emissions`` column set, in emission order.
+
+    ``key`` is the display string, ``close_reason`` the reason's name and
+    ``member_seqs`` a tuple (None when the members were not kept).
+    """
+    members = ([tuple(m.tolist()) for m in np.split(ems.seqs, ems.offsets[1:-1])]
+               if ems.seqs is not None else [None] * len(ems))
+    return [Emission(ems.keys[k], *row, m) for k, *row, m in zip(
+        ems.key.tolist(), ems.count.tolist(), [REASONS[r] for r in ems.reason.tolist()],
+        ems.closed_at.tolist(), ems.response_avg.tolist(), ems.span_ms.tolist(), members)]
 
 
 def write_trace_rows(path, rows):

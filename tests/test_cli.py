@@ -132,6 +132,9 @@ def test_pipeline_no_members_blocks_evaluate(capsys, tiny_trace, tmp_path):
     ("emitted.csv", 3, "x", "row 2"),  # the count column
     ("emitted_members.csv", 5, "y", "row 4"),  # a member seq
     ("emitted_members.csv", 1, "sequence", "header"),
+    ("emitted_members.csv", 5, "99999,0", "row 4"),  # an emission index past the last row
+    ("emitted_members.csv", 5, "-1,0", "row 4"),  # and one before the first
+    ("emitted.csv", 3, "99", "row 2"),  # a count its member rows do not add up to
 ])
 def test_corrupt_emissions_exit_two(capsys, tiny_trace, tmp_path, name, line, value, expect):
     # the error names the file and the 1-based data row (header excluded)
@@ -142,7 +145,8 @@ def test_corrupt_emissions_exit_two(capsys, tiny_trace, tmp_path, name, line, va
     lines = path.read_text().splitlines()
     fields = lines[line - 1].split(",")
     fields[1] = value
-    lines[line - 1] = ",".join(fields)
+    # a value with a comma in it replaces the whole line
+    lines[line - 1] = value if "," in value else ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
     code, _, err = run(
         capsys, "evaluate", "--emitted", str(tmp_path / "emitted.csv"),
@@ -428,7 +432,8 @@ def test_bad_gamma_exits_two_before_reading(capsys, tmp_path, monkeypatch, argv)
 
 def test_manifests_carry_stages(capsys, tiny_trace, tmp_path):
     n = read_trace(tiny_trace).n_tuples
-    pipe, ev, cmp_out, fit, est = (tmp_path / d for d in ("pipe", "eval", "cmp", "fit", "est"))
+    pipe, ev, cmp_out, fit, est, pred, sim = (
+        tmp_path / d for d in ("pipe", "eval", "cmp", "fit", "est", "pred", "sim"))
     assert run(capsys, "run-pipeline", "--trace", str(tiny_trace), "--out", str(pipe))[0] == 0
     assert run(capsys, "evaluate", "--emitted", str(pipe / "emitted.csv"),
                "--trace", str(tiny_trace), "--out", str(ev))[0] == 0
@@ -436,7 +441,15 @@ def test_manifests_carry_stages(capsys, tiny_trace, tmp_path):
                "--out", str(cmp_out))[0] == 0
     assert run(capsys, "fit-dist", "--trace", str(tiny_trace), "--out", str(fit))[0] == 0
     assert run(capsys, "estimate-params", "--out", str(est))[0] == 0
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"arrival": {"type": "erlang", "lambda": 1.0, "k": 2},
+                                 "service": {"type": "erlang", "lambda": 2.0, "k": 3},
+                                 "buffer": 10}))
+    assert run(capsys, "predict", "--model", str(model), "--out", str(pred))[0] == 0
+    assert run(capsys, "simulate-queue", "--model", str(model), "--arrivals", "2000",
+               "--out", str(sim))[0] == 0
     report = json.loads((fit / "fit_report.json").read_text())
+    events = json.loads((sim / "simulate_queue_manifest.json").read_text())["des"]["events"]
     samples = report["samples"]
     # compare aggregates and scores the trace once per configuration (swa + 2 sliding)
     expect = {
@@ -446,6 +459,9 @@ def test_manifests_carry_stages(capsys, tiny_trace, tmp_path):
                                             "write": n},
         fit / "fit_dist_manifest.json": {"read": samples, "fit": samples, "write": samples},
         est / "estimate_params_manifest.json": {"estimate": 0},
+        tiny_trace.parent / "gen_trace_manifest.json": {"generate": 80, "write": n},
+        pred / "predict_manifest.json": {"load": 0, "solve": 0, "write": 0},
+        sim / "simulate_queue_manifest.json": {"draw": 2000, "simulate": events, "write": 0},
     }
     for path, items in expect.items():
         stages = json.loads(path.read_text())["stages"]
@@ -457,6 +473,28 @@ def test_manifests_carry_stages(capsys, tiny_trace, tmp_path):
     em = json.loads((fit / "fit_dist_manifest.json").read_text())["em"]
     assert set(em) == {"runs", "iterations"}
     assert em["runs"] >= 1 and em["iterations"] >= report["iterations"] >= 1
+    # the exact chain: 2 idle arrival phases, then 10 busy levels of 2 x 3 phases
+    solver = json.loads((pred / "predict_manifest.json").read_text())["solver"]
+    assert set(solver) == {"states", "nnz", "residual", "assemble_s", "solve_s"}
+    assert solver["states"] == 2 + 10 * 2 * 3 and solver["nnz"] > solver["states"]
+    assert 0 <= solver["residual"] <= 1e-8 and min(solver["assemble_s"], solver["solve_s"]) >= 0
+    # close reasons add up to the emissions, and the high-water marks are the operators'
+    op = json.loads((pipe / "run_pipeline_manifest.json").read_text())["operator"]
+    emitted = (pipe / "emitted.csv").read_text().splitlines()[1:]
+    assert op["close_reasons"] == {r: sum(line.split(",")[2] == r for line in emitted)
+                                   for r in ("full", "timeout", "batch")}
+    assert sum(op["close_reasons"].values()) == op["emissions"] == len(emitted)
+    stats = json.loads((pipe / "operator_stats.json").read_text())["aggregate"]
+    assert op["occupancy_max"] == stats["occupancy_max"]
+    ops = json.loads((cmp_out / "compare_manifest.json").read_text())["operators"]
+    rows = json.loads((cmp_out / "compare.json").read_text())["runs"]
+    assert sorted(ops) == sorted(r["label"] for r in rows)
+    for r in rows:
+        assert sum(ops[r["label"]]["close_reasons"].values()) == ops[r["label"]]["emissions"]
+        assert ops[r["label"]]["emissions"] == r["emissions"]
+        assert ops[r["label"]]["occupancy_max"] == r["occupancy_max"]
+    assert ops["swa_13_22"]["close_reasons"]["batch"] == 0
+    assert ops["sliding_50"]["close_reasons"]["batch"] == ops["sliding_50"]["emissions"]
 
 
 def test_simulate_manifest_reports_des_counts(capsys, tmp_path):

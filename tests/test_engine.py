@@ -5,13 +5,15 @@ from collections import namedtuple
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as hs
+from hypothesis import example, given, settings, strategies as hs
 
 from swakit import engine
+from swakit import trace as trace_module
 
 from swakit.distributions import PointMassDist
 from swakit.engine import (
     EMITTED_HEADER,
+    MEMBERS_HEADER,
     PipelineConfig,
     Strategy,
     aggregate_sliding,
@@ -22,18 +24,21 @@ from swakit.engine import (
     write_emissions,
 )
 from swakit.errors import ConfigError
+from swakit.metrics import evaluate
 from swakit.params import WindowParams
 from swakit.trace import (
     Trace,
     TraceConfig,
     build_catalog,
     generate_trace,
+    read_csv_rows,
     read_trace,
     replay,
+    to_int64,
     truth_index,
 )
 
-from conftest import write_partition_by_partition, write_trace_rows
+from conftest import emission_rows, write_partition_by_partition, write_trace_rows
 
 
 def feed(*specs):
@@ -45,6 +50,11 @@ def feed(*specs):
 def key(stream, strategy, seq):
     ids, keys = key_ids(stream, strategy)
     return keys[ids[seq]]
+
+
+def shown(key):
+    """A reference key tuple as the operators show it: its parts joined by ``|``."""
+    return "|".join(map(str, key))
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +74,10 @@ def test_key_arity_and_parse():
 
 def test_extract_key_contents():
     s = feed((61889000, "A", "192.168.10.28"))
-    assert key(s, Strategy.HEAD, 0) == ("A",)
-    assert key(s, Strategy.HEAD_TS, 0) == ("A", 61889)
-    assert key(s, Strategy.HEAD_IP, 0) == ("A", "192.168.10.28")
-    assert key(s, Strategy.HEAD_TS_IP, 0) == ("A", 61889, "192.168.10.28")
+    assert key(s, Strategy.HEAD, 0) == "A"
+    assert key(s, Strategy.HEAD_TS, 0) == "A|61889"
+    assert key(s, Strategy.HEAD_IP, 0) == "A|192.168.10.28"
+    assert key(s, Strategy.HEAD_TS_IP, 0) == "A|61889|192.168.10.28"
 
 
 def test_head_strategy_ignores_user():
@@ -142,9 +152,9 @@ def test_swa_zero_span_full_close():
     tuples = feed((100, "A", "u"), (100, "A", "u"), (100, "A", "u"))
     ems, stats = aggregate_swa(tuples, WindowParams(3, 22), Strategy.HEAD)
     assert len(ems) == 1
-    e = ems[0]
+    e = emission_rows(ems)[0]
     assert (e.count, e.close_reason, e.closed_at) == (3, "full", 100)
-    assert e.opened_at == 100
+    assert stats.residence_ms == [0.0]  # opened at 100 too
     assert stats.tuples_in == 3
 
 
@@ -154,16 +164,16 @@ def test_swa_timeout_fires_on_clock_boundary():
     # boundary past the deadline
     tuples = feed((0, "A", "u"), (300_000, "B", "u"))
     ems, _ = aggregate_swa(tuples, WindowParams(3, 22), Strategy.HEAD)
-    by_key = {e.key: e for e in ems}
-    assert by_key[("A",)].close_reason == "timeout"
-    assert by_key[("A",)].closed_at == 22_100
-    assert by_key[("A",)].count == 1
+    by_key = {e.key: e for e in emission_rows(ems)}
+    assert by_key["A"].close_reason == "timeout"
+    assert by_key["A"].closed_at == 22_100
+    assert by_key["A"].count == 1
 
 
 def test_swa_admits_tuple_exactly_at_deadline():
     tuples = feed((0, "A", "u"), (22_000, "A", "u"), (300_000, "B", "u"))
     ems, _ = aggregate_swa(tuples, WindowParams(3, 22), Strategy.HEAD)
-    a = [e for e in ems if e.key == ("A",)][0]
+    a = [e for e in emission_rows(ems) if e.key == "A"][0]
     assert a.count == 2
     assert a.close_reason == "timeout"
 
@@ -171,6 +181,7 @@ def test_swa_admits_tuple_exactly_at_deadline():
 def test_swa_splits_oversized_instance():
     tuples = feed(*[(i * 10, "A", "u") for i in range(15)])
     ems, stats = aggregate_swa(tuples, WindowParams(13, 22), Strategy.HEAD)
+    ems = emission_rows(ems)
     assert [e.count for e in ems] == [13, 2]
     assert [e.close_reason for e in ems] == ["full", "timeout"]
     assert sum(e.count for e in ems) == stats.tuples_in == 15
@@ -180,6 +191,7 @@ def test_swa_end_of_stream_flush_reason_and_time():
     tuples = feed((0, "A", "u"), (50, "A", "u"))
     ems, _ = aggregate_swa(tuples, WindowParams(13, 22), Strategy.HEAD)
     assert len(ems) == 1
+    ems = emission_rows(ems)
     assert ems[0].close_reason == "timeout"
     assert ems[0].closed_at == 50
     assert ems[0].count == 2
@@ -188,23 +200,22 @@ def test_swa_end_of_stream_flush_reason_and_time():
 def test_swa_aggregates_recomputable():
     tuples = feed((0, "A", "u", 10), (40, "A", "u", 2), (90, "A", "u", 6))
     ems, _ = aggregate_swa(tuples, WindowParams(3, 22), Strategy.HEAD)
-    e = ems[0]
+    e = emission_rows(ems)[0]
     assert e.response_avg == pytest.approx(6.0)
-    assert (e.response_min, e.response_max) == (2, 10)
-    assert (e.first_ts, e.last_ts, e.span_ms) == (0, 90, 90)
+    assert e.span_ms == 90
     assert e.member_seqs == (0, 1, 2)
 
 
 def test_swa_key_purity(swa_small_run, small_trace):
     s = replay(small_trace)
-    for e in swa_small_run.emissions:
+    for e in emission_rows(swa_small_run.emissions):
         for seq in e.member_seqs:
-            assert (s.names[s.head[seq]], s.instance_ts[seq], s.names[s.user[seq]]) == e.key
+            assert f"{s.names[s.head[seq]]}|{s.instance_ts[seq]}|{s.names[s.user[seq]]}" == e.key
 
 
 def test_swa_conservation_after_flush(swa_small_run, small_trace):
     stats = swa_small_run.aggregate_stats
-    total_emitted = sum(e.count for e in swa_small_run.emissions)
+    total_emitted = sum(e.count for e in emission_rows(swa_small_run.emissions))
     assert stats.tuples_in == small_trace.n_tuples
     assert total_emitted == stats.tuples_in
     stats.check_conservation()
@@ -309,8 +320,10 @@ ARRIVALS = hs.lists(hs.tuples(GAPS, hs.sampled_from("ABC"), hs.sampled_from("uv"
 def test_swa_matches_reference(arrivals, capacity, timeout_s, strategy):
     rows, stream = drawn(arrivals)
     ems, stats = aggregate_swa(stream, WindowParams(capacity, timeout_s), strategy)
+    ems = emission_rows(ems)
     got = [(e.key, e.member_seqs, e.close_reason, e.closed_at) for e in ems]
-    assert got == reference_swa(rows, capacity, timeout_s, strategy)
+    assert got == [(shown(k), *rest) for k, *rest in reference_swa(rows, capacity, timeout_s,
+                                                                    strategy)]
     assert [e.count for e in ems] == [len(e.member_seqs) for e in ems]
     assert stats.tuples_in == len(rows)
 
@@ -328,12 +341,13 @@ def test_sliding_batch_boundary_splits():
         (5, "X", "u"), (6, "X", "u"), (7, "W", "u"), (8, "W", "u"), (9, "W", "u"),
     )
     ems, stats = aggregate_sliding(tuples, window=5, step=5, strategy=Strategy.HEAD)
+    ems = emission_rows(ems)
     sizes = [sorted((e.count for e in ems if e.closed_at == c), reverse=True)
              for c in sorted({e.closed_at for e in ems})]
     assert sizes == [[3, 1, 1], [3, 2]]
     assert sum(e.count for e in ems) == 10
     # X has degree 3 but its best group holds only 2 members
-    best_x = max(e.count for e in ems if e.key == ("X",))
+    best_x = max(e.count for e in ems if e.key == "X")
     assert best_x == 2
     assert [tuples.names[c] for c in tuples.head.tolist()].count("X") == 3
 
@@ -353,19 +367,20 @@ def test_sliding_occupancy_and_storage_totals():
 def test_sliding_window_of_one():
     tuples = feed((0, "A", "u"), (1, "A", "u"), (2, "B", "u"))
     ems, _ = aggregate_sliding(tuples, window=1, step=1, strategy=Strategy.HEAD)
-    assert [e.count for e in ems] == [1, 1, 1]
+    assert [e.count for e in emission_rows(ems)] == [1, 1, 1]
 
 
 def test_sliding_whole_stream_window_equals_truth_groups():
     tuples = feed((0, "A", "u"), (1, "B", "u"), (2, "A", "u"), (3, "B", "u"),
                   (4, "C", "u"))
     ems, _ = aggregate_sliding(tuples, window=100, step=100, strategy=Strategy.HEAD)
-    assert sorted((e.key[0], e.count) for e in ems) == [("A", 2), ("B", 2), ("C", 1)]
+    assert sorted((e.key, e.count) for e in emission_rows(ems)) == [("A", 2), ("B", 2), ("C", 1)]
 
 
 def test_sliding_group_count_bounded_by_window():
     tuples = feed(*[(i, f"k{i}", "u") for i in range(12)])
     ems, _ = aggregate_sliding(tuples, window=4, step=4, strategy=Strategy.HEAD)
+    ems = emission_rows(ems)
     for c in {e.closed_at for e in ems}:
         assert sum(1 for e in ems if e.closed_at == c) <= 4
 
@@ -426,9 +441,9 @@ def test_sliding_matches_reference(arrivals, window, step, strategy, run):
     # ``run`` bounds the member slots grouped at once; small values split the batches up
     with mock.patch.object(engine, "_SLIDING_RUN", run):
         ems, stats = aggregate_sliding(stream, window, step, strategy, tuple_size=135)
-    got = [(e.key, e.member_seqs, e.closed_at, e.response_avg) for e in ems]
+    got = [(e.key, e.member_seqs, e.closed_at, e.response_avg) for e in emission_rows(ems)]
     expect, expect_stats = reference_sliding(rows, window, step, strategy, 135)
-    assert got == expect
+    assert got == [(shown(k), *rest) for k, *rest in expect]
     assert stats.to_dict() == expect_stats
 
 
@@ -482,8 +497,8 @@ def test_run_pipeline_deterministic(small_trace):
                          strategy=Strategy.HEAD_TS_IP)
     r1 = run_pipeline(small_trace, cfg)
     r2 = run_pipeline(small_trace, cfg)
-    assert [(e.key, e.count, e.closed_at) for e in r1.emissions] == \
-           [(e.key, e.count, e.closed_at) for e in r2.emissions]
+    assert [(e.key, e.count, e.closed_at) for e in emission_rows(r1.emissions)] == \
+           [(e.key, e.count, e.closed_at) for e in emission_rows(r2.emissions)]
 
 
 def test_run_pipeline_stats_structure(swa_small_run):
@@ -504,17 +519,17 @@ def test_emissions_csv_round_trip(swa_small_run, tmp_path):
     assert header == ",".join(EMITTED_HEADER)
     back = read_emissions(p, mp)
     assert len(back) == len(swa_small_run.emissions)
-    for got, want in zip(back, swa_small_run.emissions):
-        # the key survives as its display string; arity lives with the writer
-        assert got.key == "|".join(str(part) for part in want.key)
+    for got, want in zip(emission_rows(back), emission_rows(swa_small_run.emissions)):
+        # the key survives as its display string
+        assert got.key == want.key
         assert got.count == want.count
         assert got.close_reason == want.close_reason
         assert got.closed_at == want.closed_at
         assert got.span_ms == want.span_ms
         assert got.member_seqs == tuple(want.member_seqs)
         assert got.response_avg == pytest.approx(want.response_avg, abs=1e-6)
-        # fields that were never written are not invented on the way back
-        assert not hasattr(got, "opened_at") and not hasattr(got, "response_min")
+    # fields that were never written are not invented on the way back
+    assert not hasattr(back, "opened_at") and not hasattr(back, "response_min")
     # writing what we read back reproduces the files byte for byte
     p2 = tmp_path / "e2.csv"
     mp2 = tmp_path / "e2_members.csv"
@@ -527,4 +542,96 @@ def test_read_emissions_without_members_has_none(swa_small_run, tmp_path):
     p = tmp_path / "e.csv"
     write_emissions(swa_small_run.emissions, p, None)
     back = read_emissions(p, None)
-    assert all(e.member_seqs is None for e in back)
+    assert all(e.member_seqs is None for e in emission_rows(back))
+
+
+# ---------------------------------------------------------------------------
+# emission files against the in-memory columns
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def emission_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("emissions")
+
+
+def labelled_trace(rows):
+    """The drawn rows as a trace whose tuples carry one of three truth labels, by seq."""
+    return Trace.from_rows([(r.timestamp, r.user_id, "s", r.head_id, r.instance_timestamp,
+                             r.response_time, f"i{r.seq % 3}", 0) for r in rows])
+
+
+@settings(max_examples=100)  # each example writes and reads two files twice
+@given(SLIDING_ARRIVALS, hs.integers(1, 4), hs.integers(1, 12), hs.integers(1, 12),
+       hs.sampled_from(list(Strategy)), hs.booleans())
+def test_emission_files_round_trip(emission_dir, arrivals, capacity, window, step, strategy,
+                                   sliding):
+    rows, _ = drawn(arrivals)
+    trace = labelled_trace(rows)
+    if sliding:
+        ems, _ = aggregate_sliding(replay(trace), max(window, step), min(window, step), strategy)
+    else:
+        ems, _ = aggregate_swa(replay(trace), WindowParams(capacity, 1), strategy)
+    p, mp = emission_dir / "e.csv", emission_dir / "e_members.csv"
+    write_emissions(ems, p, mp)
+    back = read_emissions(p, mp)
+    # the written columns and the CSR members come back as they were
+    assert [ems.keys[k] for k in ems.key.tolist()] == [back.keys[k] for k in back.key.tolist()]
+    for col in ("count", "reason", "closed_at", "span_ms", "offsets", "seqs"):
+        assert getattr(back, col).tolist() == getattr(ems, col).tolist()
+    assert back.response_avg.tolist() == [float(f"{a:.6f}") for a in ems.response_avg.tolist()]
+    # writing them again gives the same bytes, and they score the same
+    p2, mp2 = emission_dir / "e2.csv", emission_dir / "e2_members.csv"
+    write_emissions(back, p2, mp2)
+    assert (p2.read_bytes(), mp2.read_bytes()) == (p.read_bytes(), mp.read_bytes())
+    assert evaluate(back, trace).to_dict() == evaluate(ems, trace).to_dict()
+
+
+def test_member_rows_keep_file_order_within_an_emission(swa_small_run, tmp_path):
+    # the sidecar lists the emissions last to first; each keeps its members' order
+    p, mp = tmp_path / "e.csv", tmp_path / "e_members.csv"
+    write_emissions(swa_small_run.emissions, p, mp)
+    header, *lines = mp.read_text().splitlines()
+    lines.sort(key=lambda line: -int(line.split(",")[0]))  # stable
+    mp.write_text("\n".join([header, *lines]) + "\n")
+    back = read_emissions(p, mp)
+    assert back.seqs.tolist() == swa_small_run.emissions.seqs.tolist()
+
+
+# a damaged data line (file, 1-based line, new fields from old) and the row it is
+BAD_EMISSION_ROW = {
+    "count": ("emitted.csv", 6, lambda f: [f[0], "x", *f[2:]], "row 5"),
+    "width": ("emitted.csv", 6, lambda f: f[:5], "row 5"),
+    "blank": ("emitted.csv", 6, lambda f: [], "row 5"),
+    "too-large": ("emitted.csv", 6, lambda f: [f[0], str(2**63), *f[2:]], "row 5"),
+    "seq": ("emitted_members.csv", 6, lambda f: [f[0], "1.5"], "row 5"),
+    # rows that parse but break the files' contract; only read_emissions sees these
+    "reason": ("emitted.csv", 6, lambda f: [*f[:2], "late", *f[3:]], "row 5"),
+    "index": ("emitted_members.csv", 6, lambda f: ["-1", f[1]], "row 5"),
+}
+ROW_PARSE = {"emitted.csv": (str, to_int64, str, to_int64, float, to_int64),
+             "emitted_members.csv": (to_int64, to_int64)}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EMISSION_ROW))
+def test_emission_reader_names_first_bad_row(swa_small_run, tmp_path, case):
+    name, line, damage, where = BAD_EMISSION_ROW[case]
+    p, mp = tmp_path / "emitted.csv", tmp_path / "emitted_members.csv"
+    write_emissions(swa_small_run.emissions, p, mp)
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    lines[line - 1] = ",".join(damage(lines[line - 1].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    errors = []
+    for chunk in (trace_module.READ_CHUNK, 2):  # whole blocks, then blocks of two rows
+        with mock.patch.object(trace_module, "READ_CHUNK", chunk):
+            with pytest.raises(ConfigError, match=f"{name}: {where}:") as err:
+                read_emissions(p, mp)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    if case not in ("reason", "index"):  # the row reader on its own says the same
+        parse = ROW_PARSE[name]
+        with pytest.raises(ConfigError) as err:
+            list(read_csv_rows(path, EMITTED_HEADER if name == "emitted.csv" else MEMBERS_HEADER,
+                               lambda *fields: [f(v) for f, v in zip(parse, fields)]))
+        assert str(err.value) == errors[0]

@@ -1,13 +1,14 @@
 """Scoring: attribution, completeness, capture rate, recall, correct rate."""
 
 import random
+from collections import namedtuple
 
+import numpy as np
 import pytest
 
-from swakit.engine import EmittedInstance, PipelineConfig, Strategy, run_pipeline
+from swakit.engine import Emissions, PipelineConfig, Strategy, run_pipeline
 from swakit.errors import ConfigError
 from swakit.metrics import (
-    Members,
     capture_rate,
     completeness,
     evaluate,
@@ -16,22 +17,23 @@ from swakit.metrics import (
 )
 from swakit.trace import Trace, truth_index
 
+from conftest import emission_rows
 
-def em(seqs, key=("k",), reason="full"):
+Em = namedtuple("Em", "count member_seqs")
+
+
+def em(seqs):
     seqs = tuple(seqs)
-    return EmittedInstance(
-        key=key,
-        count=len(seqs),
-        close_reason=reason,
-        opened_at=0,
-        closed_at=0,
-        first_ts=0,
-        last_ts=0,
-        response_avg=1.0,
-        response_min=1,
-        response_max=1,
-        member_seqs=seqs,
-    )
+    return Em(len(seqs), seqs)
+
+
+def columns(emissions, members=True):
+    """The ``Emissions`` of ``em`` rows (of no members when ``members`` is false)."""
+    n = len(emissions)
+    seqs = [s for e in emissions for s in e.member_seqs]
+    return Emissions(["k"], np.zeros(n, np.int64), np.array([e.count for e in emissions], np.int64),
+                     np.zeros(n, np.int8), np.zeros(n, np.int64), np.ones(n),
+                     np.zeros(n, np.int64), np.array(seqs, np.int64) if members else None)
 
 
 def labelled(*entries):
@@ -42,7 +44,7 @@ def labelled(*entries):
 def scored(entries, emissions):
     """(members, mapping as labels, truth table) of ``emissions`` over a labelled trace."""
     trace = labelled(*entries)
-    members = Members.of(emissions, trace.n_tuples)
+    members = columns(emissions)
     mapping = match_instances(members, trace.truth_table)
     labels = [trace.labels[c] if c >= 0 else None for c in mapping.tolist()]
     return members, mapping, labels, trace.truth_table
@@ -106,17 +108,15 @@ def test_match_agrees_with_brute_force_vote():
 
 
 def test_match_requires_members():
-    bare = EmittedInstance(key=("k",), count=1, close_reason="full", opened_at=0,
-                           closed_at=0, first_ts=0, last_ts=0, response_avg=1.0,
-                           response_min=1, response_max=1, member_seqs=None)
+    bare = columns([em([0])], members=False)
     with pytest.raises(ConfigError):
-        Members.of([bare], 1)
+        evaluate(bare, labelled(("A", 0)))
 
 
 def test_member_outside_trace_rejected():
     for seq in (-1, 3):
         with pytest.raises(ConfigError, match="not in the trace"):
-            Members.of([em([0, seq])], 3)
+            evaluate(columns([em([0, seq])]), labelled(("A", 0), ("A", 0), ("A", 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def test_completeness_gamma_monotone_synthetic():
 
 
 def test_capture_counts_distinct_tuples():
-    assert capture_rate(Members.of([em([0, 1]), em([1, 2])], 10), 10) == (3, 10, 0.3)
+    assert capture_rate(columns([em([0, 1]), em([1, 2])]), 10) == (3, 10, 0.3)
 
 
 def test_recall_and_correct_synthetic():
@@ -204,7 +204,7 @@ def test_evaluate_matches_brute_force(swa_small_run, small_trace):
     # independent completeness(gamma=1): per instance, the largest window
     # attributed to it must hold at least `degree` members
     best = {}
-    for e in swa_small_run.emissions:
+    for e in emission_rows(swa_small_run.emissions):
         from collections import Counter
 
         counts = Counter(tos[s] for s in e.member_seqs)
@@ -221,7 +221,7 @@ def test_evaluate_matches_brute_force(swa_small_run, small_trace):
     assert report.completeness[1.0] == pytest.approx(integrated / len(truth))
 
     seen = set()
-    for e in swa_small_run.emissions:
+    for e in emission_rows(swa_small_run.emissions):
         seen.update(e.member_seqs)
     assert report.captured_tuples == len(seen)
     assert report.total_tuples == small_trace.n_tuples
@@ -301,7 +301,7 @@ def test_evaluate_matches_brute_force_report():
         emissions = [em(rng.sample(range(len(entries)), rng.randint(0, min(5, len(entries)))))
                      for _ in range(rng.randint(0, 6) if case else 0)]
         gammas = rng.sample([1.0, 0.85, 0.75, 0.5, 0.2], rng.randint(1, 3))
-        got = evaluate(emissions, labelled(*entries), gammas).to_dict()
+        got = evaluate(columns(emissions), labelled(*entries), gammas).to_dict()
         assert got == brute_force_report(entries, emissions, gammas)
         seqs = [s for e in emissions for s in e.member_seqs]
         shapes["shared"] += len(seqs) > len(set(seqs))
