@@ -87,8 +87,8 @@ def stage(stages: dict, name: str, items: int = 0):
     rec["wall_s"] += time.perf_counter() - t0
 
 
-def _manifest(args, command: str, outputs: dict, t0: float, extra_config=None,
-              stages=None, **extra) -> None:
+def _manifest(args, command: str, outputs: dict, t0: float, stages: dict, extra_config=None,
+              **extra) -> None:
     out_dir = Path(args.out)
     cfg = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -105,14 +105,13 @@ def _manifest(args, command: str, outputs: dict, t0: float, extra_config=None,
         "seed": getattr(args, "seed", None),
         "outputs": {k: str(v) for k, v in outputs.items()},
         "wall_time_s": round(time.monotonic() - t0, 6),
-        **extra,
-    }
-    if stages:
-        doc["stages"] = {
+        "stages": {
             name: {"wall_s": round(r["wall_s"], 6), "items": r["items"],
                    "items_per_s": round(r["items"] / r["wall_s"], 3) if r["wall_s"] else 0.0}
             for name, r in stages.items()
-        }
+        },
+        **extra,
+    }
     _write_json(out_dir / f"{command.replace('-', '_')}_manifest.json", doc)
 
 
