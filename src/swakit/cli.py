@@ -371,12 +371,12 @@ def cmd_compare(args) -> int:
         trace = read_trace(args.trace)
     stages["read"]["items"] = trace.n_tuples
 
-    operators = {}
+    operators = []  # one per row of compare.json, in run order
 
     def one_run(cfg, label):
         with stage(stages, "aggregate", trace.n_tuples):
             result = run_pipeline(trace, cfg, keep_members=True)
-        operators[label] = _operator(result)
+        operators.append({"label": label, **_operator(result)})
         with stage(stages, "score", trace.n_tuples):
             rep = evaluate(result.emissions, trace, gammas)
         stats = result.aggregate_stats

@@ -176,8 +176,9 @@ class Emissions:
 
     These are the ``emitted.csv`` columns: ``key`` holds ids into ``keys``,
     the keys' display strings, and ``reason`` holds codes into ``REASONS``.
-    Members are CSR: emission ``i`` holds ``seqs[offsets[i]:offsets[i + 1]]``
-    in arrival order; ``seqs`` is None when members were not kept or read.
+    Members are CSR: emission ``i`` holds the ``count[i]`` seqs of ``seqs``
+    after those of the emissions before it, in arrival order; ``seqs`` is
+    None when members were not kept or read.
     """
 
     keys: list
@@ -191,10 +192,6 @@ class Emissions:
 
     def __len__(self) -> int:
         return len(self.count)
-
-    @property
-    def offsets(self):
-        return None if self.seqs is None else np.concatenate(([0], np.cumsum(self.count)))
 
     @property
     def owner(self) -> np.ndarray:

@@ -17,6 +17,7 @@ arrival distributions are sampled directly in milliseconds.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
@@ -370,7 +371,9 @@ def csv_blocks(path, dtype):
     ``np.loadtxt`` parses each block into ``dtype`` records; strings are
     objects.  Raises ValueError at another header, a row it does not take,
     a blank line or a quote (in a file with string fields); the csv module
-    reads those (:func:`read_csv_rows`).
+    reads those (:func:`read_csv_rows`).  Numpy releases that still read a
+    non-integer integer field through a float only warn; that warning is an
+    error here, so ``1.5`` or ``2**63`` is refused, not truncated.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if fh.readline().rstrip("\r\n").split(",") != list(dtype.names):
@@ -378,7 +381,9 @@ def csv_blocks(path, dtype):
         while lines := list(islice(fh, READ_CHUNK)):
             if dtype.hasobject and '"' in "".join(lines):
                 raise ValueError
-            rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
             if len(rows) != len(lines):  # np.loadtxt skips blank lines
                 raise ValueError
             yield rows

@@ -38,7 +38,7 @@ def emission_rows(ems):
     ``key`` is the display string, ``close_reason`` the reason's name and
     ``member_seqs`` a tuple (None when the members were not kept).
     """
-    members = ([tuple(m.tolist()) for m in np.split(ems.seqs, ems.offsets[1:-1])]
+    members = ([tuple(m.tolist()) for m in np.split(ems.seqs, np.cumsum(ems.count)[:-1])]
                if ems.seqs is not None else [None] * len(ems))
     return [Emission(ems.keys[k], *row, m) for k, *row, m in zip(
         ems.key.tolist(), ems.count.tolist(), [REASONS[r] for r in ems.reason.tolist()],

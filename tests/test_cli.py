@@ -131,6 +131,8 @@ def test_pipeline_no_members_blocks_evaluate(capsys, tiny_trace, tmp_path):
 @pytest.mark.parametrize("name,line,value,expect", [
     ("emitted.csv", 3, "x", "row 2"),  # the count column
     ("emitted_members.csv", 5, "y", "row 4"),  # a member seq
+    ("emitted.csv", 3, "2.5", "row 2"),  # a count that is not an integer
+    ("emitted_members.csv", 5, "2.5", "row 4"),  # and a member seq
     ("emitted_members.csv", 1, "sequence", "header"),
     ("emitted_members.csv", 5, "99999,0", "row 4"),  # an emission index past the last row
     ("emitted_members.csv", 5, "-1,0", "row 4"),  # and one before the first
@@ -437,7 +439,8 @@ def test_manifests_carry_stages(capsys, tiny_trace, tmp_path):
     assert run(capsys, "run-pipeline", "--trace", str(tiny_trace), "--out", str(pipe))[0] == 0
     assert run(capsys, "evaluate", "--emitted", str(pipe / "emitted.csv"),
                "--trace", str(tiny_trace), "--out", str(ev))[0] == 0
-    assert run(capsys, "compare", "--trace", str(tiny_trace), "--sliding", "50,100",
+    # a repeated configuration is still one run, one row and one operators entry
+    assert run(capsys, "compare", "--trace", str(tiny_trace), "--sliding", "50,50",
                "--out", str(cmp_out))[0] == 0
     assert run(capsys, "fit-dist", "--trace", str(tiny_trace), "--out", str(fit))[0] == 0
     assert run(capsys, "estimate-params", "--out", str(est))[0] == 0
@@ -488,13 +491,12 @@ def test_manifests_carry_stages(capsys, tiny_trace, tmp_path):
     assert op["occupancy_max"] == stats["occupancy_max"]
     ops = json.loads((cmp_out / "compare_manifest.json").read_text())["operators"]
     rows = json.loads((cmp_out / "compare.json").read_text())["runs"]
-    assert sorted(ops) == sorted(r["label"] for r in rows)
-    for r in rows:
-        assert sum(ops[r["label"]]["close_reasons"].values()) == ops[r["label"]]["emissions"]
-        assert ops[r["label"]]["emissions"] == r["emissions"]
-        assert ops[r["label"]]["occupancy_max"] == r["occupancy_max"]
-    assert ops["swa_13_22"]["close_reasons"]["batch"] == 0
-    assert ops["sliding_50"]["close_reasons"]["batch"] == ops["sliding_50"]["emissions"]
+    assert [op["label"] for op in ops] == [r["label"] for r in rows]
+    for op, r in zip(ops, rows):
+        assert sum(op["close_reasons"].values()) == op["emissions"] == r["emissions"]
+        assert op["occupancy_max"] == r["occupancy_max"]
+        kind = r["label"].split("_")[0]
+        assert op["close_reasons"]["batch"] == (op["emissions"] if kind == "sliding" else 0)
 
 
 def test_simulate_manifest_reports_des_counts(capsys, tmp_path):

@@ -186,8 +186,8 @@ def test_unsorted_partition_names_row_number(tmp_path):
         read_trace(p)
 
 
-def row(ts=1, part=0, inst="0"):
-    return [str(ts), "u", "s", "h", inst, "5", "i", str(part)]
+def row(ts=1, part=0, inst="0", resp="5"):
+    return [str(ts), "u", "s", "h", inst, resp, "i", str(part)]
 
 
 # rows 1-6 of a file; each case breaks some of them
@@ -203,6 +203,10 @@ FIRST_BAD_ROW = {
     "order-before-response": ([row(5), row(6), row(4, inst="x"), row(8)], "row 3: timestamp 4"),
     "ts-before-negative": ([row(5), ["x"] + row(6, -1)[1:], row(8)], "row 2: invalid literal"),
     "too-large": ([row(5), row(2**63), row(8)], "row 2: integer beyond 64 bits"),
+    # non-integers and values past 64 bits in a column no order check reads
+    "fraction-response": ([row(5), row(6), row(7, resp="1.5"), row(8)], "row 3: invalid literal"),
+    "too-large-response": ([row(5), row(6, resp=str(2**63)), row(8)], "row 2: integer beyond 64 bits"),
+    "fraction-partition-first": ([row(5, part="1.5"), row(6)], "row 1: invalid literal"),
     "blank-line": ([row(5), row(6), row(7), [], row(1)], "row 4: 0 fields"),
 }
 
