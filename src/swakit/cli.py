@@ -272,7 +272,7 @@ def cmd_run_pipeline(args) -> int:
         trace = read_trace(args.trace)
     stages["read"]["items"] = trace.n_tuples
     with stage(stages, "aggregate", trace.n_tuples):
-        result = run_pipeline(trace, cfg, keep_members=not args.no_members)
+        result = run_pipeline(trace, cfg)
     emitted_path = out / "emitted.csv"
     members_path = None if args.no_members else _members_path(emitted_path)
     stats_path = out / "operator_stats.json"
@@ -375,7 +375,7 @@ def cmd_compare(args) -> int:
 
     def one_run(cfg, label):
         with stage(stages, "aggregate", trace.n_tuples):
-            result = run_pipeline(trace, cfg, keep_members=True)
+            result = run_pipeline(trace, cfg)
         operators.append({"label": label, **_operator(result)})
         with stage(stages, "score", trace.n_tuples):
             rep = evaluate(result.emissions, trace, gammas)

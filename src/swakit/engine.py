@@ -178,7 +178,7 @@ class Emissions:
     the keys' display strings, and ``reason`` holds codes into ``REASONS``.
     Members are CSR: emission ``i`` holds the ``count[i]`` seqs of ``seqs``
     after those of the emissions before it, in arrival order; ``seqs`` is
-    None when members were not kept or read.
+    None when the emissions were read without their member sidecar.
     """
 
     keys: list
@@ -265,7 +265,7 @@ def read_emissions(path, members_path=None) -> Emissions:
     return Emissions(list(table), key, count, reason, closed_at, avg, span, seqs)
 
 
-def _emit(stream, seqs, group, keys, key, reason, closed_at, keep_members):
+def _emit(stream, seqs, group, keys, key, reason, closed_at):
     """Emissions from a group-by, and their members' first and mean timestamps.
 
     Seq ``seqs[i]`` is a member of emission ``group[i]``, and members keep
@@ -280,7 +280,7 @@ def _emit(stream, seqs, group, keys, key, reason, closed_at, keep_members):
     first = ts[start]
     ems = Emissions(keys, key, count, reason, closed_at,
                     np.add.reduceat(stream.response[seqs], start) / count,
-                    ts[start + count - 1] - first, seqs if keep_members else None)
+                    ts[start + count - 1] - first, seqs)
     return ems, first, np.add.reduceat(ts, start) / count
 
 
@@ -294,7 +294,6 @@ def aggregate_swa(
     params: WindowParams,
     strategy: Strategy,
     tuple_size: int = 135,
-    keep_members: bool = True,
 ):
     """Keyed fixed-capacity windows with timeout, one open window per key.
 
@@ -348,7 +347,7 @@ def aggregate_swa(
     rank = np.argsort(w)  # every window closes once: the close rank of each window
     emissions, opened_at, _ = _emit(stream, np.arange(len(ids)), rank[np.array(windows, np.int64)],
                                     names, np.array(key, np.int64)[w], reason.astype(np.int8),
-                                    closed_at, keep_members)
+                                    closed_at)
     stats = OperatorStats("aggregate_swa", slot_bytes=capacity * tuple_size, tuples_in=len(ids),
                           tuples_out=int(emissions.count.sum()), occupancy_sum=occ_sum,
                           occupancy_max=occ_max,
@@ -375,7 +374,6 @@ def aggregate_sliding(
     step: int,
     strategy: Strategy,
     tuple_size: int = 135,
-    keep_members: bool = True,
 ):
     """Group every ``window``-tuple batch by key, advancing ``step`` tuples.
 
@@ -414,7 +412,7 @@ def aggregate_sliding(
         group, first = np.argsort(order)[group], first[order]
         closed_at = np.maximum.reduceat(stream.timestamp[seqs], offset)[batch[first]]
         ems, _, mean_ts = _emit(stream, seqs, group, names, ids[seqs[first]],
-                                np.full(len(first), BATCH, np.int8), closed_at, keep_members)
+                                np.full(len(first), BATCH, np.int8), closed_at)
         runs.append(ems)
         stats.residence_ms += (closed_at - mean_ts).tolist()
     # a tuple can land in several overlapping batches; conservation is
@@ -422,7 +420,7 @@ def aggregate_sliding(
     stats.tuples_out = int(seen.sum())
     stats.check_conservation()
     cols = [[getattr(ems, f.name) for ems in runs] for f in fields(Emissions)[1:]]
-    return Emissions(names, *(None if c[0] is None else np.concatenate(c) for c in cols)), stats
+    return Emissions(names, *map(np.concatenate, cols)), stats
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +495,12 @@ class PipelineResult:
     aggregate_stats: OperatorStats
 
 
-def run_pipeline(trace: Trace, cfg: PipelineConfig, keep_members: bool = True) -> PipelineResult:
+def run_pipeline(trace: Trace, cfg: PipelineConfig) -> PipelineResult:
     """Replay a trace through the configured aggregate."""
     stream = replay(trace)
     if cfg.kind == "swa":
         return PipelineResult(*aggregate_swa(
             stream, WindowParams(cfg.capacity, cfg.timeout_s), cfg.strategy,
-            tuple_size=cfg.tuple_size, keep_members=keep_members))
+            tuple_size=cfg.tuple_size))
     return PipelineResult(*aggregate_sliding(
-        stream, cfg.window, cfg.step, cfg.strategy, tuple_size=cfg.tuple_size,
-        keep_members=keep_members))
+        stream, cfg.window, cfg.step, cfg.strategy, tuple_size=cfg.tuple_size))

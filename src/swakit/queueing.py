@@ -24,14 +24,14 @@ intervals.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import time
 from array import array
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import chain
 from typing import Optional, Tuple
 
 import numpy as np
@@ -496,6 +496,11 @@ def _draw_times(dist, count: int, rng: np.random.Generator) -> np.ndarray:
 _BLOCK = 8192  # events per fold; the occupancy record never holds more than one block
 
 
+def _floats(values: np.ndarray):
+    """Iterate ``values`` as Python floats, converted one ``_BLOCK`` at a time."""
+    return chain.from_iterable(values[i:i + _BLOCK].tolist() for i in range(0, values.size, _BLOCK))
+
+
 class _Occupancy:
     """Time-integrated counts over [t0, t1] in equal slices, folded block by block."""
 
@@ -594,6 +599,14 @@ def des_simulate(
     loop (bit-identical results) in one block of memory.  Ample servers merge
     each block of arrivals with the sorted departures, a departure first on a
     tie.
+
+    Every finite server count runs one event loop: each of c servers takes up
+    to b waiting tuples as soon as a wait (plain service is a = b = 1), and a
+    departure goes first on a tie.  Service is FIFO, a lost tuple never waits
+    and batches need a single server, so a start takes the next k accepted
+    arrivals: the waiting line is a count, and the loop keeps only each
+    start's time and k.  W and Wq are computed after the loop, per tuple, as
+    (start + service) - arrival and start - arrival.
     """
     if arrivals < 100:
         raise ConfigError("need at least 100 arrivals for meaningful statistics")
@@ -619,7 +632,6 @@ def _simulate(model: QueueModel, at: np.ndarray, svc: np.ndarray, w0: int,
     t_warm = at[w0] if w0 > 0 else 0.0
     des = {"arrivals": arrivals, "warmup_cut_time": float(t_warm)}
     t_end = at[-1]
-    a, b = model.batch
 
     if model.servers == "ample":  # every tuple's residence is its service time
         occ = _Occupancy(t_warm, t_end, n_batches, rows=1)
@@ -641,115 +653,59 @@ def _simulate(model: QueueModel, at: np.ndarray, svc: np.ndarray, w0: int,
                               ci={"L": occ.ci(0), "Lq": 0.0, "W": Wc, "Wq": 0.0},
                               des=dict(des, events=occ.events, lost=0))
 
-    c = model.servers
-    N = model.buffer
+    (a, b), c, N = model.batch, model.servers, model.buffer or math.inf
     occ = _Occupancy(t_warm, t_end, n_batches)
     record = occ.record
-
-    res_samples = np.full(arrivals, np.nan)
-    wq_samples = np.full(arrivals, np.nan)
-    busy_obs = np.zeros(arrivals, dtype=bool)
-    lost_obs = np.zeros(arrivals, dtype=bool)
-
-    if (a, b) == (1, 1):
-        busy_heap: list = []  # departure times
-        queue: deque = deque()  # (arrival_time, index) waiting
-        n_sys = 0
-        svc_i = 0
-
-        def depart():  # the earliest departure, and the next waiting tuple starts service
-            nonlocal n_sys, svc_i
-            tc = heapq.heappop(busy_heap)
-            record(tc, n_sys, len(queue))
-            n_sys -= 1
-            if queue:
-                qa, qi = queue.popleft()
-                wq_samples[qi] = tc - qa
-                d = tc + svc[svc_i]
-                svc_i += 1
-                res_samples[qi] = d - qa
-                heapq.heappush(busy_heap, d)
-
-        for i in range(arrivals):
-            t = at[i]
-            while busy_heap and busy_heap[0] <= t:
-                depart()
-            record(t, n_sys, len(queue))
-            busy_obs[i] = len(busy_heap) >= c
-            if N is not None and n_sys >= N:
-                lost_obs[i] = True
-                continue
-            n_sys += 1
-            if len(busy_heap) < c:
-                d = t + svc[svc_i]
-                svc_i += 1
-                wq_samples[i] = 0.0
-                res_samples[i] = d - t
-                heapq.heappush(busy_heap, d)
-            else:
-                queue.append((t, i))
-        while busy_heap:  # drain so every accepted tuple gets its residence
-            depart()
-    else:
-        # single server, batch service [a, b]
-        queue: deque = deque()  # (arrival_time, index) waiting
-        in_service: list = []  # (arrival_time, index) of current batch
-        dep_time = math.inf
-        n_sys = 0
-        svc_i = 0
-
-        def start_batch(now):
-            nonlocal dep_time, svc_i
-            for _ in range(min(b, len(queue))):
-                qa, qi = queue.popleft()
-                wq_samples[qi] = now - qa
-                in_service.append((qa, qi))
-            dep_time = now + svc[svc_i]
-            svc_i += 1
-
-        def complete(tc):
-            nonlocal dep_time, n_sys
-            record(tc, n_sys, len(queue))
-            for qa, qi in in_service:
-                res_samples[qi] = tc - qa
-            n_sys -= len(in_service)
-            in_service.clear()
-            dep_time = math.inf
-            if len(queue) >= a:
-                start_batch(tc)
-
-        for i in range(arrivals):
-            t = at[i]
-            while dep_time <= t:
-                complete(dep_time)
-            record(t, n_sys, len(queue))
-            busy_obs[i] = dep_time < math.inf
-            if N is not None and n_sys >= N:
-                lost_obs[i] = True
-                continue
-            n_sys += 1
-            queue.append((t, i))
-            if dep_time == math.inf and len(queue) >= a:
-                start_batch(t)
-        while dep_time < math.inf:
-            complete(dep_time)
-        # whatever still waits at the end never formed a batch; leave NaN
+    arrival = chain(_floats(at), (math.inf,)).__next__  # the arrival at infinity drains
+    service = _floats(svc).__next__  # one draw per batch, in start order
+    heap: list = []  # departure times of the batches in service
+    starts, sizes = array("d"), array("q")  # per batch: start time, tuples taken
+    busy, lost = bytearray(), bytearray()  # per arrival: every server busy, turned away
+    n_sys = n_wait = k = 0
+    t = arrival()
+    while True:
+        if heap and heap[0] <= t:  # a departure goes before an arrival at the same instant
+            now = heappop(heap)
+            record(now, n_sys, n_wait)
+            n_sys -= k  # k > 1 only on one server, where the last batch started leaves
+        elif t == math.inf:
+            break
+        else:
+            now = t
+            record(now, n_sys, n_wait)
+            busy.append(len(heap) >= c)
+            full = n_sys >= N
+            lost.append(full)
+            if not full:
+                n_sys += 1
+                n_wait += 1
+            t = arrival()
+        if n_wait >= a and len(heap) < c:
+            k = min(b, n_wait)
+            n_wait -= k
+            starts.append(now)
+            sizes.append(k)
+            heappush(heap, now + service())
     occ.flush()
 
-    sel = slice(w0, arrivals)
-    res = res_samples[sel]
-    wqs = wq_samples[sel]
-    res = res[~np.isnan(res)]
-    wqs = wqs[~np.isnan(wqs)]
-    Wm, Wc = _batched_mean_ci(res, n_batches)
-    Wqm, Wqc = _batched_mean_ci(wqs, n_batches)
+    # start i takes the next sizes[i] accepted arrivals; those still waiting have no sample
+    starts, sizes = np.frombuffer(starts), np.frombuffer(sizes, np.int64)
+    start = np.repeat(starts, sizes)
+    served = np.repeat(svc[:starts.size], sizes)
+    del starts, sizes
+    lost = np.frombuffer(lost, bool)
+    first = w0 - int(lost[:w0].sum())  # accepted tuples before the warm-up cut
+    arrived = at[~lost][first:start.size]
+    start = start[first:]
+    Wm, Wc = _batched_mean_ci(start + served[first:] - arrived, n_batches)
+    Wqm, Wqc = _batched_mean_ci(start - arrived, n_batches)
     return PerfIndicators(
         L=occ.mean(0),
         Lq=occ.mean(1),
         W=Wm,
         Wq=Wqm,
-        Pbusy=float(busy_obs[sel].mean()),
-        Ploss=float(lost_obs[sel].mean()),
+        Pbusy=float(np.frombuffer(busy, bool)[w0:].mean()),
+        Ploss=float(lost[w0:].mean()),
         ci={"L": occ.ci(0), "Lq": occ.ci(1), "W": Wc, "Wq": Wqc},
-        des=dict(des, events=occ.events, lost=int(lost_obs.sum())),
+        des=dict(des, events=occ.events, lost=int(lost.sum())),
     )

@@ -115,11 +115,11 @@ def clean_trace():
 def swa_full_run(full_scale_trace):
     cfg = PipelineConfig(kind="swa", capacity=13, timeout_s=22,
                          strategy=Strategy.HEAD_TS_IP)
-    return run_pipeline(full_scale_trace, cfg, keep_members=True)
+    return run_pipeline(full_scale_trace, cfg)
 
 
 @pytest.fixture(scope="session")
 def swa_small_run(small_trace):
     cfg = PipelineConfig(kind="swa", capacity=13, timeout_s=22,
                          strategy=Strategy.HEAD_TS_IP)
-    return run_pipeline(small_trace, cfg, keep_members=True)
+    return run_pipeline(small_trace, cfg)

@@ -40,7 +40,7 @@ def _verdict(cid: int, ok: bool, detail: str) -> None:
 
 def _swa(trace, cap, tmo, strategy=Strategy.HEAD_TS_IP):
     cfg = PipelineConfig(kind="swa", capacity=cap, timeout_s=tmo, strategy=strategy)
-    return run_pipeline(trace, cfg, keep_members=True)
+    return run_pipeline(trace, cfg)
 
 
 def _comp1(result, trace):
@@ -199,7 +199,7 @@ def test_c07_integration_rate_and_mechanism_comparison(
     for w in (8000, 16000):
         cfg = PipelineConfig(kind="sliding", window=w, step=w,
                              strategy=Strategy.HEAD_TS_IP)
-        res = run_pipeline(full_scale_trace, cfg, keep_members=True)
+        res = run_pipeline(full_scale_trace, cfg)
         slide[w] = _comp1(res, full_scale_trace)
         ok &= slide[w] < swa_comp
     parts.append(f"tumbling 8000/16000 = {slide[8000]:.4f}/{slide[16000]:.4f} "

@@ -301,6 +301,12 @@ SIM_MODELS = {
                "service": {"type": "erlang", "lambda": 0.5, "k": 1}, "batch": [3, 6]}, 6),
     "ample": ({"arrival": {"type": "erlang", "lambda": 1.0, "k": 1},
                "service": {"type": "erlang", "lambda": 0.4, "k": 2}, "servers": "ample"}, 7),
+    "three_servers_finite": ({"arrival": {"type": "erlang", "lambda": 1.0, "k": 1},
+                              "service": {"mean": 2.4, "scv": 0.5}, "servers": 3,
+                              "buffer": 7}, 8),
+    "batch_finite": ({"arrival": {"type": "erlang", "lambda": 1.0, "k": 1},
+                      "service": {"type": "erlang", "lambda": 0.5, "k": 1}, "batch": [1, 4],
+                      "buffer": 10}, 9),
 }
 
 # digests of simulate.json for one seeded 20,000-arrival run per simulator path
@@ -310,6 +316,8 @@ PINNED_SIM = {
     "finite": "d479a6e83d93d35557f91ecbd77cf1fbdc6540f2b0885fa3802b872a519d28ef",
     "batch": "418c922b32b1c071b3a7e0ae9cf29d36d4d6fe12eb98693f21d227329176557e",
     "ample": "cda07f6f5e6dec9dac74f57e6fc37793676dab1dcbbf64f72ece2b4393a80d59",
+    "three_servers_finite": "14cef8ca60855b94135f83d56b24a55533838d1d41474edb5372fc30bd2ec2da",
+    "batch_finite": "91b4785a59c30a33831c327f6418d034f20d74e8723a36876ca398b3bb28edb1",
 }
 
 

@@ -6,7 +6,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
-from swakit.engine import Emissions, PipelineConfig, Strategy, run_pipeline
+from swakit.engine import Emissions, read_emissions, write_emissions
 from swakit.errors import ConfigError
 from swakit.metrics import (
     capture_rate,
@@ -242,12 +242,13 @@ def test_evaluate_report_shape_and_ranges(swa_small_run, small_trace):
     assert report.completeness[1.0] <= report.completeness[0.85] <= report.completeness[0.75]
 
 
-def test_evaluate_rejects_memberless_emissions(small_trace):
-    cfg = PipelineConfig(kind="swa", capacity=13, timeout_s=22,
-                         strategy=Strategy.HEAD_TS_IP)
-    res = run_pipeline(small_trace, cfg, keep_members=False)
+def test_evaluate_rejects_memberless_emissions(swa_small_run, small_trace, tmp_path):
+    path = tmp_path / "emitted.csv"
+    write_emissions(swa_small_run.emissions, path)
+    memberless = read_emissions(path)  # no sidecar, so no members
+    assert memberless.seqs is None
     with pytest.raises(ConfigError):
-        evaluate(res.emissions, small_trace)
+        evaluate(memberless, small_trace)
 
 
 # ---------------------------------------------------------------------------

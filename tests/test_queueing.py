@@ -535,6 +535,78 @@ def test_simulator_loss_matches_counting_loop():
                        "warmup_cut_time": at[w0]}
 
 
+def test_simulator_matches_earliest_free_server():
+    # FIFO on c servers, unbounded buffer: each tuple starts at max(arrival, earliest free
+    # time) and keeps that server until it leaves (Kiefer & Wolfowitz, 1955)
+    model = QueueModel(EXP(1.0), ErlangDist(2 / 2.4, 2), servers=3)  # mean 2.4, rho = 0.8
+    n, w0 = 20_000, 1_000
+    at, svc = seeded_draws(model, n, 4)
+    free = [0.0, 0.0, 0.0]
+    wq, res = [], []
+    for t, s in zip(at, svc):
+        j = free.index(min(free))
+        start = max(t, free[j])
+        free[j] = start + s
+        wq.append(start - t)
+        res.append(free[j] - t)
+    got = des_simulate(model, arrivals=n, seed=4)
+    assert close(got.Wq, math.fsum(wq[w0:]) / (n - w0))
+    assert close(got.W, math.fsum(res[w0:]) / (n - w0))
+    assert close(got.ci["Wq"], batch_means_ci(wq[w0:]))
+    assert close(got.ci["W"], batch_means_ci(res[w0:]))
+
+
+def test_simulator_matches_batch_reference_loop():
+    # one server takes up to b = 6 tuples once a = 3 wait; at most N = 12 in the system.
+    # The waiting line is an explicit list here; tuples left waiting at the end never leave.
+    a, b, N = 3, 6, 12
+    model = QueueModel(EXP(1.0), EXP(0.4), buffer=N, batch=(a, b))
+    n, w0 = 20_000, 1_000
+    at, svc = seeded_draws(model, n, 12)
+    waiting, batch, dep = [], [], math.inf  # (arrival, index) waiting; the batch in service
+    wq, res, lost = {}, {}, []
+    ups, downs, batches = [], [], 0
+
+    def start(now):
+        nonlocal batch, dep, batches
+        batch, waiting[:] = waiting[:b], waiting[b:]
+        dep = now + svc[batches]
+        batches += 1
+        for t, i in batch:
+            wq[i] = now - t
+
+    def leave():
+        nonlocal batch, dep
+        for t, i in batch:
+            res[i] = dep - t
+            downs.append(dep)
+        batch, done, dep = [], dep, math.inf
+        if len(waiting) >= a:
+            start(done)
+
+    for i, t in enumerate(at):
+        while dep <= t:
+            leave()
+        lost.append(len(waiting) + len(batch) >= N)
+        if lost[-1]:
+            continue
+        waiting.append((t, i))
+        ups.append(t)
+        if dep == math.inf and len(waiting) >= a:
+            start(t)
+    while dep < math.inf:
+        leave()
+    kept = [i for i in range(w0, n) if i in res]
+    got = des_simulate(model, arrivals=n, seed=12)
+    assert close(got.Wq, math.fsum(wq[i] for i in kept) / len(kept))
+    assert close(got.W, math.fsum(res[i] for i in kept) / len(kept))
+    assert close(got.Ploss, sum(lost[w0:]) / (n - w0))
+    assert 0.01 < got.Ploss < 0.5 and 0 < len(waiting) < a
+    assert close(got.L, time_average(ups, downs, at[w0], at[-1]))
+    assert got.des == {"arrivals": n, "events": n + batches, "lost": sum(lost),
+                       "warmup_cut_time": at[w0]}
+
+
 # ---------------------------------------------------------------------------
 # model (de)serialization
 # ---------------------------------------------------------------------------
