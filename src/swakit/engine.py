@@ -8,9 +8,11 @@ emitted together.  ``aggregate_swa`` keeps one small fixed-capacity window
 per key: a window opens when the first tuple of its key arrives, closes
 when it reaches ``capacity`` tuples (reason ``full``) or when its age
 exceeds ``timeout_s`` (reason ``timeout``), and is emitted immediately on
-close.  Timeouts are detected by sweeps that run on every arrival and every
-100 ms of event time, so a window's close timestamp never depends on how
-long the stream stays silent afterwards.
+close.  A timeout is seen by the first sweep past the deadline, and sweeps
+happen at every arrival and every 100 ms of event time, so a window's close
+timestamp never depends on how long the stream stays silent afterwards.
+The operator cuts each key's tuples into windows by capacity and deadline,
+then orders the closes by the arrival that triggers them.
 
 Operators never see ground-truth labels; they read the columns of a
 :class:`~swakit.trace.Stream` and key only on head id, instance timestamp,
@@ -20,7 +22,6 @@ and user id, factorized once per strategy into integer key ids.
 from __future__ import annotations
 
 import csv
-import heapq
 import json
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 SWEEP_MS = 100
+_INT64_MAX = (1 << 63) - 1
 _SLIDING_RUN = 1 << 20  # member slots per sliding group-by
 
 EMITTED_HEADER = ["key", "k", "close_reason", "closed_at_ms", "avg_response_ms", "span_ms"]
@@ -297,61 +299,55 @@ def aggregate_swa(
 ):
     """Keyed fixed-capacity windows with timeout, one open window per key.
 
-    The event clock is driven by tuple timestamps.  Expiry is strict: a
-    window whose age exceeds ``timeout_s`` closes at the first sweep after
-    its deadline, where sweeps happen at every arrival and every 100 ms
-    boundary of event time.  A tuple arriving exactly at the deadline is
-    still admitted.  End of stream flushes every open window with reason
-    ``timeout``.
+    The event clock is driven by tuple timestamps.  A window is cut from its
+    key's own tuples: the one that opens it takes the key's next tuples
+    until it holds ``capacity`` (closing ``full`` at the arrival that fills
+    it) or a tuple of any key arrives after its deadline, ``timeout_s`` after
+    it opened; a tuple arriving exactly at the deadline is still admitted.
+    A timed-out window closes at the first sweep past its deadline, where
+    sweeps happen at every arrival and every 100 ms boundary of event time;
+    end of stream closes the rest at the last arrival, also as ``timeout``.
+    Windows are emitted in the order of the arrivals that close them; at one
+    arrival the timeouts go first, oldest first, then the window it fills.
     """
     ids, names = key_ids(stream, strategy)
-    timeout_ms, capacity = params.timeout_s * 1000, params.capacity
-    windows = []  # window id per seq
-    size, key = [], []  # per window id, in open order
-    open_by_key: dict = {}
-    expiry = []  # heap of (deadline, window id)
-    closes = []  # (window, reason, closed_at) per emission
-    occ_sum = occ_max = 0
+    ts, n, capacity = stream.timestamp, len(ids), params.capacity
+    timeout_ms = min(params.timeout_s * 1000, _INT64_MAX)  # exact for streams spanning < 2^63 ms
+    # deadlines saturate: nothing arrives after the int64 maximum
+    deadline = np.minimum(ts, _INT64_MAX - timeout_ms) + timeout_ms
+    due = np.searchsorted(ts, deadline, "right")  # the first arrival after each deadline
+    order = np.argsort(ids, kind="stable")  # each key's tuples together, in arrival order
+    # the next window start after each position: capacity on, or the key's first tuple from due
+    run = ids[order] * (n + 1)
+    nxt = np.minimum(np.arange(n) + min(capacity, n),
+                     np.searchsorted(run + order, run + due[order]))
+    starts, i = [], 0
+    while i < n:  # one step per window
+        starts.append(i)
+        i = nxt.item(i)
+    starts = np.array(starts, np.int64)
+    count = np.diff(starts, append=n)
+    first, full = order[starts], count == capacity  # each window's opener, and how it closed
+    trigger = np.where(full, order[starts + count - 1], due[first])  # the arrival that closes it
+    edge = deadline[first] // SWEEP_MS  # the first boundary past it is (edge + 1) * SWEEP_MS
+    del deadline, due, run, nxt  # per-tuple columns the group-by below does not need
+    now = ts[np.minimum(trigger, n - 1)]
+    # a timeout closes at that boundary if its sweep comes before the arrival's
+    at_edge = ~full & (trigger < n) & (edge < now // SWEEP_MS)
+    closed_at = np.where(at_edge, (edge + 1) * SWEEP_MS, now)
+    reason = np.where(full, FULL, TIMEOUT).astype(np.int8)
 
-    def close(w, reason, now):
-        del open_by_key[key[w]]
-        closes.append((w, reason, now))
-
-    now = None
-    for now, k in zip(stream.timestamp.tolist(), ids.tolist()):
-        # close every window whose deadline passed strictly before `now`;
-        # the recorded close time is the earliest sweep that saw it expired
-        while expiry and expiry[0][0] < now:
-            deadline, w = heapq.heappop(expiry)
-            if open_by_key.get(key[w]) == w:
-                close(w, TIMEOUT, min((deadline // SWEEP_MS + 1) * SWEEP_MS, now))
-        occ = len(open_by_key)
-        occ_sum += occ
-        if occ > occ_max:
-            occ_max = occ
-        w = open_by_key.get(k)
-        if w is None:
-            w = open_by_key[k] = len(key)
-            size.append(0)
-            key.append(k)
-            heapq.heappush(expiry, (now + timeout_ms, w))
-        windows.append(w)
-        size[w] += 1
-        if size[w] >= capacity:
-            close(w, FULL, now)
-    for _, w in sorted(expiry):  # end of stream: flush in deadline order
-        if open_by_key.get(key[w]) == w:
-            close(w, TIMEOUT, now)
-
-    w, reason, closed_at = np.array(closes, np.int64).reshape(-1, 3).T
-    rank = np.argsort(w)  # every window closes once: the close rank of each window
-    emissions, opened_at, _ = _emit(stream, np.arange(len(ids)), rank[np.array(windows, np.int64)],
-                                    names, np.array(key, np.int64)[w], reason.astype(np.int8),
-                                    closed_at)
-    stats = OperatorStats("aggregate_swa", slot_bytes=capacity * tuple_size, tuples_in=len(ids),
-                          tuples_out=int(emissions.count.sum()), occupancy_sum=occ_sum,
-                          occupancy_max=occ_max,
-                          residence_ms=(closed_at - opened_at).astype(float).tolist())
+    rank = np.lexsort((first, full, trigger))  # windows in close order
+    emissions, opened_at, _ = _emit(stream, order, np.repeat(np.argsort(rank), count), names,
+                                    ids[first[rank]], reason[rank], closed_at[rank])
+    # open windows at each arrival: a window counts from the arrival after its first,
+    # through the one that fills it or up to the one whose sweep times it out
+    steps = np.bincount(first + 1, minlength=n + 1) - np.bincount(trigger + full, minlength=n + 1)
+    occ = np.cumsum(steps[:n])
+    stats = OperatorStats("aggregate_swa", slot_bytes=capacity * tuple_size, tuples_in=n,
+                          tuples_out=int(emissions.count.sum()), occupancy_sum=int(occ.sum()),
+                          occupancy_max=int(occ.max(initial=0)),
+                          residence_ms=(emissions.closed_at - opened_at).astype(float).tolist())
     stats.check_conservation()
     return emissions, stats
 

@@ -68,11 +68,3 @@ def estimate_timeout(span_dist, beta: float, max_timeout_s: int = 86_400) -> int
     return _smallest_covering(
         span_dist.cdf, 1.0 - beta, max_timeout_s, f"timeout up to {max_timeout_s}s"
     )
-
-
-def estimate_window_params(degree_dist, span_dist, alpha: float, beta: float) -> WindowParams:
-    """Convenience wrapper joining both estimates into a WindowParams."""
-    return WindowParams(
-        capacity=estimate_capacity(degree_dist, alpha),
-        timeout_s=estimate_timeout(span_dist, beta),
-    )

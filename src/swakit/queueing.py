@@ -620,7 +620,7 @@ def des_simulate(
         gaps = _draw_times(model.arrival, arrivals, rng)
         if np.any(gaps < 0):
             raise ConfigError("arrival law produced negative gaps")
-        at = np.cumsum(gaps)
+        at = np.cumsum(gaps, out=gaps)  # the times replace the gaps
         svc = _draw_times(model.service, arrivals, rng)
     with timer("simulate"):
         return _simulate(model, at, svc, int(arrivals * warmup_frac), n_batches)

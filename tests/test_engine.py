@@ -41,6 +41,9 @@ from swakit.trace import (
 from conftest import emission_rows, write_partition_by_partition, write_trace_rows
 
 
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
 def feed(*specs):
     """A stream from (ts, head, user[, response]) specs in time order; seq = position."""
     return Trace.from_rows([(ts, user, "s", head, ts // 1000, resp, "i", 0)
@@ -262,11 +265,14 @@ REF_KEYS = {
 }
 
 
-def drawn(arrivals):
-    """(reference rows, stream) for drawn (gap, head, user[, response]) arrivals."""
-    rows, ts = [], 0
+def drawn(arrivals, base=0):
+    """(reference rows, stream) for drawn (gap, head, user[, response]) arrivals.
+
+    Time starts at ``base``; timestamps past the int64 maximum stay at it.
+    """
+    rows, ts = [], base
     for seq, (gap, head, user, *resp) in enumerate(arrivals):
-        ts += gap
+        ts = min(ts + gap, INT64_MAX)
         rows.append(Row(seq, ts, head, ts // 1000, user, resp[0] if resp else 4))
     stream = feed(*((r.timestamp, r.head_id, r.user_id, r.response_time) for r in rows))
     return rows, stream
@@ -278,16 +284,23 @@ def reference_swa(stream, capacity, timeout_s, strategy):
     A window whose age exceeds the timeout closes at the first sweep past
     its deadline; sweeps run at every boundary and every arrival.  Windows
     open in deadline order, so the dict's insertion order is the close order.
+    Returns the emissions, the open windows at each arrival (after its sweep,
+    before it joins) and each emission's residence (close time minus its
+    first member's timestamp).
     """
     timeout_ms = timeout_s * 1000
     windows = {}  # key -> (opened_at, [seqs])
-    out = []
+    out, occupancy, residence = [], [], []
+
+    def emit(key, opened_at, seqs, reason, now):
+        out.append((key, tuple(seqs), reason, now))
+        residence.append(float(now - opened_at))
+        del windows[key]
 
     def sweep(now):
         for key, (opened_at, seqs) in list(windows.items()):
             if opened_at + timeout_ms < now:
-                out.append((key, tuple(seqs), "timeout", now))
-                del windows[key]
+                emit(key, opened_at, seqs, "timeout", now)
 
     clock = None
     for t in stream:
@@ -297,16 +310,16 @@ def reference_swa(stream, capacity, timeout_s, strategy):
                 sweep(boundary)
                 boundary += 100
         sweep(t.timestamp)
+        occupancy.append(len(windows))
         clock = t.timestamp
         key = REF_KEYS[strategy](t)
-        _, seqs = windows.setdefault(key, (t.timestamp, []))
+        opened_at, seqs = windows.setdefault(key, (t.timestamp, []))
         seqs.append(t.seq)
         if len(seqs) == capacity:
-            out.append((key, tuple(seqs), "full", t.timestamp))
-            del windows[key]
-    for key, (_, seqs) in windows.items():
-        out.append((key, tuple(seqs), "timeout", clock))
-    return out
+            emit(key, opened_at, seqs, "full", t.timestamp)
+    for key, (opened_at, seqs) in list(windows.items()):
+        emit(key, opened_at, seqs, "timeout", clock)
+    return out, occupancy, residence
 
 
 # gaps hit ties (0), boundaries (99-101) and the 1 s / 2 s deadlines exactly
@@ -316,16 +329,27 @@ ARRIVALS = hs.lists(hs.tuples(GAPS, hs.sampled_from("ABC"), hs.sampled_from("uv"
                     max_size=40)
 
 
-@given(ARRIVALS, hs.integers(1, 4), hs.integers(1, 2), hs.sampled_from(list(Strategy)))
-def test_swa_matches_reference(arrivals, capacity, timeout_s, strategy):
-    rows, stream = drawn(arrivals)
+# time bases at both int64 extremes; near the top, deadlines pass the maximum
+BASES = hs.sampled_from([0, INT64_MIN, INT64_MAX - 3_000, INT64_MAX - 100_000])
+
+
+@given(ARRIVALS, hs.integers(1, 4), hs.integers(1, 2), hs.sampled_from(list(Strategy)), BASES)
+@example([], 3, 1, Strategy.HEAD, 0)  # the empty stream
+@example([(0, "A", "u"), (0, "A", "v"), (1500, "B", "u"), (99, "A", "u")], 1, 1,
+         Strategy.HEAD_IP, INT64_MAX - 3_000)  # capacity one
+@example([(1995, "A", "u"), (2000, "B", "u")], 2, 1, Strategy.HEAD,
+         INT64_MAX - 3_000)  # a timeout past the last 100 ms boundary below the maximum
+def test_swa_matches_reference(arrivals, capacity, timeout_s, strategy, base):
+    rows, stream = drawn(arrivals, base)
     ems, stats = aggregate_swa(stream, WindowParams(capacity, timeout_s), strategy)
     ems = emission_rows(ems)
     got = [(e.key, e.member_seqs, e.close_reason, e.closed_at) for e in ems]
-    assert got == [(shown(k), *rest) for k, *rest in reference_swa(rows, capacity, timeout_s,
-                                                                    strategy)]
+    expect, occupancy, residence = reference_swa(rows, capacity, timeout_s, strategy)
+    assert got == [(shown(k), *rest) for k, *rest in expect]
     assert [e.count for e in ems] == [len(e.member_seqs) for e in ems]
     assert stats.tuples_in == len(rows)
+    assert (stats.occupancy_sum, stats.occupancy_max) == (sum(occupancy), max(occupancy, default=0))
+    assert stats.residence_ms == residence
 
 
 # ---------------------------------------------------------------------------

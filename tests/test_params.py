@@ -4,12 +4,7 @@ import pytest
 
 from swakit.distributions import ErlangBranch, ErlangDist, HyperErlangDist, PointMassDist
 from swakit.errors import ConfigError, NoSolutionError
-from swakit.params import (
-    WindowParams,
-    estimate_capacity,
-    estimate_timeout,
-    estimate_window_params,
-)
+from swakit.params import WindowParams, estimate_capacity, estimate_timeout
 
 DEGREE_DIST = ErlangDist(8.7963, 100)
 SPAN_DIST = HyperErlangDist(
@@ -119,8 +114,3 @@ def test_window_params_validation():
         WindowParams(0, 22)
     with pytest.raises(ConfigError):
         WindowParams(13, 0)
-
-
-def test_estimate_window_params_convenience():
-    p = estimate_window_params(DEGREE_DIST, SPAN_DIST, 0.90, 0.05)
-    assert (p.capacity, p.timeout_s) == (13, 22)
