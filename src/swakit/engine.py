@@ -21,7 +21,6 @@ and user id, factorized once per strategy into integer key ids.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -31,7 +30,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .params import WindowParams
-from .trace import Stream, Trace, _codes, csv_blocks, read_csv_rows, replay, to_int64
+from .trace import (Stream, Trace, _codes, csv_blocks, first_seen, quoted, read_csv_rows, replay,
+                    to_int64, write_csv)
 
 __all__ = [
     "Strategy",
@@ -204,16 +204,11 @@ class Emissions:
 def write_emissions(emissions: Emissions, path, members_path=None) -> None:
     """Write the emitted-instance CSV (plus the member-seq sidecar, if the members were kept)."""
     e = emissions
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(EMITTED_HEADER)
-        w.writerows(zip(map(e.keys.__getitem__, e.key.tolist()), e.count.tolist(),
-                        map(REASONS.__getitem__, e.reason.tolist()), e.closed_at.tolist(),
-                        map("{:.6f}".format, e.response_avg.tolist()), e.span_ms.tolist()))
+    write_csv(path, EMITTED_HEADER, "%s,%d,%s,%d,%.6f,%d", [
+        quoted(e.keys)[e.key], e.count, quoted(REASONS)[e.reason], e.closed_at, e.response_avg,
+        e.span_ms])
     if members_path is not None:
-        with open(members_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(MEMBERS_HEADER) + "\r\n")  # the csv module's line end
-            fh.writelines(map("%d,%d\r\n".__mod__, zip(e.owner.tolist(), e.seqs.tolist())))
+        write_csv(members_path, MEMBERS_HEADER, "%d,%d", [e.owner, e.seqs])
 
 
 def _read_columns(path, header, parse) -> list:
@@ -402,10 +397,7 @@ def aggregate_sliding(
         batch = np.repeat(np.arange(len(lo)), size)
         seen[seqs] = True
         # one group per (batch, key), numbered in the order of first arrival
-        _, first, group = np.unique(batch * len(names) + ids[seqs], return_index=True,
-                                    return_inverse=True)
-        order = np.argsort(first)
-        group, first = np.argsort(order)[group], first[order]
+        first, group = first_seen(batch * len(names) + ids[seqs])
         closed_at = np.maximum.reduceat(stream.timestamp[seqs], offset)[batch[first]]
         ems, _, mean_ts = _emit(stream, seqs, group, names, ids[seqs[first]],
                                 np.full(len(first), BATCH, np.int8), closed_at)

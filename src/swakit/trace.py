@@ -5,9 +5,13 @@ partitions are merged by timestamp, then partition, then input order (one
 stable sort, on generation or read); strings are integer codes into a
 table.  The operator-facing columns form the :class:`Stream`; truth labels
 and partitions sit beside it on the :class:`Trace`, so operators, which read
-the stream through :func:`replay`, can never key on ground truth.  Each
-composite service has a head invocation plus subordinate invocations; all
+the stream through :func:`replay`, can never key on ground truth.  All
 tuples of one live instance share a label that exists only for scoring.
+
+The :class:`ServiceCatalog` is columns too: a degree per composite service
+(a head invocation plus subordinates) and the sub-ids as CSR into one name
+table; partitions are round-robin over the whole catalog.
+:func:`generate_trace` builds the trace columns from arrays, with no loop.
 
 Timestamps are integer milliseconds.  Span distributions are sampled in
 seconds (matching how response times are usually modeled) and converted;
@@ -17,6 +21,7 @@ arrival distributions are sampled directly in milliseconds.
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -36,7 +41,6 @@ from .errors import ConfigError, TraceParseError
 
 __all__ = [
     "Stream",
-    "ServiceDef",
     "ServiceCatalog",
     "TraceConfig",
     "Trace",
@@ -67,6 +71,7 @@ TRACE_HEADER = [
 TRACE_DTYPE = np.dtype([(h, object if h in ("user_id", "service_id", "head_id", "truth_instance")
                           else np.int64) for h in TRACE_HEADER])
 READ_CHUNK = 1 << 14  # rows parsed together by csv_blocks
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
 @dataclass(eq=False)
@@ -93,26 +98,19 @@ class Stream:
 
 
 @dataclass(frozen=True)
-class ServiceDef:
-    """A composite service: head plus subordinate sub-services.
+class ServiceCatalog:
+    """Composite services as columns: a head plus subordinates each.
 
-    ``degree`` counts the head itself.  ``sub_ids[0]`` is the head;
-    ``partitions[j]`` is the partition that receives sub-invocation j.
+    ``degree[i]`` counts service i's invocations, its head included; its
+    sub-ids are ``sub_ids[start[i]:start[i] + degree[i]]``, head first, as
+    codes into ``names``.  Sub-invocation ``g`` of the whole catalog goes to
+    partition ``g % n_partitions`` (round-robin over the catalog).
     """
 
-    service_id: str
-    degree: int
-    sub_ids: tuple
-    partitions: tuple
-
-    @property
-    def head_id(self) -> str:
-        return self.sub_ids[0]
-
-
-@dataclass(frozen=True)
-class ServiceCatalog:
-    services: tuple
+    degree: np.ndarray
+    start: np.ndarray
+    sub_ids: np.ndarray
+    names: List[str]
     n_partitions: int
 
 
@@ -242,41 +240,44 @@ def default_arrival_dist() -> PhaseTypeDist:
 # ---------------------------------------------------------------------------
 
 
-def build_catalog(
-    count: int,
-    degree_dist,
-    seed: int,
-    n_partitions: int = 2,
-    shared_atomics: bool = False,
-) -> ServiceCatalog:
+def build_catalog(count: int, degree_dist, seed: int, n_partitions: int = 2,
+                  shared_atomics: bool = False) -> ServiceCatalog:
     """Synthesize ``count`` composite services with sampled degrees.
 
     Degrees are the rounded draws from ``degree_dist``, clamped to >= 1.
-    Sub-services are assigned to partitions round-robin across the whole
-    catalog.  With ``shared_atomics`` the subordinate ids are drawn from a
-    pool roughly half the size of the subordinate population, so the same
-    atomic service appears under several heads (the ambiguous-referrer
-    case); otherwise every subordinate id is unique to its head.
+    Service i's head is ``svc{i}``.  With ``shared_atomics`` the subordinate
+    ids are drawn from a pool (``atom{k}``) roughly half the size of the
+    subordinate population, so the same atomic service appears under several
+    heads (the ambiguous-referrer case); otherwise subordinate j of service i
+    is ``svc{i}.{j}``, unique to its head.
     """
     if count < 1:
         raise ConfigError("catalog count must be >= 1")
     if n_partitions < 1:
         raise ConfigError("n_partitions must be >= 1")
     rng = np.random.default_rng(seed)
-    degrees = np.maximum(1, np.rint(degree_dist.sample(count, rng))).astype(int)
-    total_subs = int((degrees - 1).sum())
-    pool = max(1, total_subs // 2)
-    rr = 0
-    services = []
-    for i in range(count):
-        d = int(degrees[i])
-        head = f"svc{i}"
-        subs = [head] + [f"atom{int(rng.integers(pool))}" if shared_atomics else f"{head}.{j}"
-                         for j in range(1, d)]
-        parts = tuple((rr + j) % n_partitions for j in range(d))
-        rr += d
-        services.append(ServiceDef(head, d, tuple(subs), parts))
-    return ServiceCatalog(tuple(services), n_partitions)
+    degree = np.maximum(1, np.rint(degree_dist.sample(count, rng))).astype(np.int64)
+    start = np.cumsum(degree) - degree
+    sub_ids = np.repeat(np.arange(count), degree)  # a head's code is its service's index
+    pos = np.arange(len(sub_ids)) - start[sub_ids]  # 0 for a head
+    sub, n_subs = pos > 0, len(sub_ids) - count
+    if shared_atomics:
+        pool = max(1, n_subs // 2)
+        subs, codes = map("atom%d".__mod__, range(pool)), rng.integers(pool, size=n_subs)
+    else:  # subordinate j of service i
+        subs = map("svc%d.%d".__mod__, zip(sub_ids[sub].tolist(), pos[sub].tolist()))
+        codes = np.arange(n_subs)
+    sub_ids[sub] = count + codes
+    return ServiceCatalog(degree, start, sub_ids, [*map("svc%d".__mod__, range(count)), *subs],
+                          n_partitions)
+
+
+def first_seen(values: np.ndarray):
+    """Where each distinct value of ``values`` first appears, in order of appearance, and each
+    value's number in that order."""
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[inverse]
 
 
 def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
@@ -285,33 +286,44 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
     Primary invocations arrive at the cumulative sum of inter-arrival draws;
     each instance's subordinates are placed uniformly inside
     [arrival, arrival + span] and routed to their catalog partitions.  The
-    seed fully determines the output.
+    seed fully determines the output.  Instance i's rows lie side by side,
+    head first, coded as :func:`_build` codes rows: users, then sub-ids, by
+    first appearance; instance i's label is ``inst{i}``, code i.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.instance_count
-    n_unique = int(min(len(catalog.services), max(1, round(n / cfg.repeat_factor))))
-    chosen = rng.choice(len(catalog.services), size=n_unique, replace=False)
+    n_unique = int(min(len(catalog.degree), max(1, round(n / cfg.repeat_factor))))
+    chosen = rng.choice(len(catalog.degree), size=n_unique, replace=False)
     # deterministic multiplicities: cycle through the chosen services, then
     # shuffle so repeats are spread across the trace
-    assignment = np.array([chosen[i % n_unique] for i in range(n)])
+    assignment = chosen[np.arange(n) % n_unique]
     rng.shuffle(assignment)
 
-    gaps = np.asarray(cfg.arrival_dist.sample(n, rng), dtype=float)
-    arrivals = np.cumsum(gaps)
+    arrivals = np.cumsum(np.asarray(cfg.arrival_dist.sample(n, rng), dtype=float))
     spans_ms = np.asarray(cfg.span_dist.sample(n, rng), dtype=float) * 1000.0
-    users = rng.integers(0, cfg.user_pool, size=n)
+    end = np.floor(arrivals + spans_ms)  # no tuple of an instance comes later
+    if not (end < 2.0**63).all():  # NaN fails too
+        raise ConfigError("an instance ends at or past 2^63 ms, beyond int64 timestamps")
+    first_user, user = first_seen(users := rng.integers(0, cfg.user_pool, size=n))
 
-    rows = []
-    for i, (a, arr, span, user) in enumerate(zip(assignment, arrivals, spans_ms, users)):
-        svc = catalog.services[a]
-        head_ts = int(np.floor(arr))
-        end_ts = int(np.floor(arr + span))
-        offsets = rng.uniform(0.0, span, size=svc.degree - 1) if svc.degree > 1 else ()
-        times = [head_ts] + [int(np.floor(arr + off)) for off in offsets]
-        user, inst_ts, label = f"u{user}", head_ts // 1000, f"inst{i}"
-        rows += [(ts, user, sub, svc.head_id, inst_ts, max(0, end_ts - ts), label, part)
-                 for ts, sub, part in zip(times, svc.sub_ids, svc.partitions)]
-    return Trace.from_rows(rows)
+    deg = catalog.degree[assignment]
+    inst = np.repeat(np.arange(n, dtype=np.int32), deg)  # each row's instance
+    head_row = np.cumsum(deg) - deg
+    row = np.arange(len(inst))
+    g = row + (catalog.start[assignment] - head_row)[inst]  # sub-invocation in the catalog
+    # one uniform offset in [0, span) per subordinate, in the stream order of
+    # per-instance ``rng.uniform(0.0, span, degree - 1)`` calls
+    when = arrivals[inst]
+    when[row != head_row[inst]] += rng.random(len(inst) - n) * np.repeat(spans_ms, deg - 1)
+    ts = np.floor(when).astype(np.int64)
+    first_sub, service = first_seen(sub_ids := catalog.sub_ids[g])
+    service = (service + len(first_user)).astype(np.int32)
+    cols = [ts, user.astype(np.int32)[inst], service, service[head_row][inst],
+            (np.floor(arrivals).astype(np.int64) // 1000)[inst], np.maximum(0, end.astype(np.int64)[inst] - ts),
+            inst, g % catalog.n_partitions]
+    names = [*map("u%d".__mod__, users[first_user].tolist()),
+             *map(catalog.names.__getitem__, sub_ids[first_sub].tolist())]
+    return _merged(cols, names, list(map("inst%d".__mod__, range(n))))
 
 
 def _codes(table: dict, col) -> np.ndarray:
@@ -325,8 +337,7 @@ def _build(blocks, check=None) -> Trace:
     """Merge blocks of ``TRACE_DTYPE`` rows into a trace.
 
     Strings are coded block by block, so a block's strings can go once it is
-    read; ``check(timestamps, partitions)`` sees the input order.  The merge
-    is one stable sort on (timestamp, partition), input order breaking ties.
+    read; ``check(timestamps, partitions)`` sees the input order.
     """
     names, labels = {}, {}
     tables = (None, names, names, names, None, None, labels, None)
@@ -337,12 +348,17 @@ def _build(blocks, check=None) -> Trace:
     cols = [np.concatenate(acc) for acc in cols]
     if check:
         check(cols[0], cols[7])
+    return _merged(cols, list(names), list(labels))
+
+
+def _merged(cols, names, labels) -> Trace:
+    """Coded columns in ``TRACE_HEADER`` order as a trace, merged by one stable sort on
+    (timestamp, partition)."""
     order = np.lexsort((cols[7], cols[0]))
     if (order != np.arange(len(order))).any():
         cols = [col[order] for col in cols]
     ts, user, service, head, inst_ts, resp, label, part = cols
-    return Trace(Stream(ts, inst_ts, resp, user, service, head, list(names)), label,
-                 list(labels), part)
+    return Trace(Stream(ts, inst_ts, resp, user, service, head, names), label, labels, part)
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +366,27 @@ def _build(blocks, check=None) -> Trace:
 # ---------------------------------------------------------------------------
 
 
+def quoted(table) -> np.ndarray:
+    """``table``'s strings as ``csv.writer`` writes them in a row of several fields (in quotes,
+    inner quotes doubled, when one holds a comma, a quote or a line end), as an object array."""
+    return np.array(['"%s"' % s.replace('"', '""') if _NEEDS_QUOTES(s) else s for s in table],
+                    object)
+
+
+def write_csv(path, header, fmt, columns) -> None:
+    """Write ``header``, then ``fmt % row`` for each row of the array ``columns``, as
+    ``csv.writer`` would; ``fmt`` has no line end, and string columns come :func:`quoted`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")  # the csv module's line end
+        fh.writelines(map((fmt + "\r\n").__mod__, zip(*(col.tolist() for col in columns))))
+
+
 def write_trace(trace: Trace, path) -> None:
     """Write the trace as a single CSV in ``seq`` order."""
-    s = trace.stream
-
-    def text(codes, table):
-        return map(table.__getitem__, codes.tolist())
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_HEADER)
-        w.writerows(zip(s.timestamp.tolist(), text(s.user, s.names), text(s.service, s.names),
-                        text(s.head, s.names), s.instance_ts.tolist(), s.response.tolist(),
-                        text(trace.truth, trace.labels), trace.partition.tolist()))
+    s, names = trace.stream, quoted(trace.stream.names)
+    write_csv(path, TRACE_HEADER, "%d,%s,%s,%s,%d,%d,%s,%d", [
+        s.timestamp, names[s.user], names[s.service], names[s.head], s.instance_ts, s.response,
+        quoted(trace.labels)[trace.truth], trace.partition])
 
 
 def csv_blocks(path, dtype):
@@ -489,7 +513,7 @@ def replay(trace: Trace) -> Stream:
     if any(len(col) != len(s) for col in (s.instance_ts, s.response, s.user, s.service, s.head,
                                           trace.truth, trace.partition)):
         raise ConfigError("trace columns differ in length")
-    back = np.flatnonzero(np.diff(s.timestamp) < 0)
+    back = np.flatnonzero(s.timestamp[1:] < s.timestamp[:-1])  # compared, not differenced: no wrap
     if back.size:
         raise ConfigError(f"stream goes back in time at seq {back[0] + 1}")
     return s

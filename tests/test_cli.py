@@ -253,6 +253,30 @@ def test_seeded_artifacts_are_pinned(capsys, tmp_path):
     assert got == PINNED
 
 
+# gen-trace at toy size under catalog and span shapes the default run does not take
+PINNED_GEN = {
+    "shared_atomics": (["--seed", "1", "--shared-atomics"],
+                       "264e77588b1a233bdec0498f158d0ce548d7a559c3a6be41ebf65ea165503d6b"),
+    "three_partitions": (["--seed", "1", "--partitions", "3"],
+                         "300cec323cbd69bf037c3968f049b191802a2a75baf6592853e36921604d2784"),
+    "degree_one": (["--seed", "1", "--degree-dist", "deg1.json"],
+                   "9f81dc3d9457f272ebff4c2e37a86bfb692953754f6281e1382c223667be7a2e"),
+    "zero_span": (["--seed", "1", "--span-dist", "span0.json"],
+                  "124518a5d659dc0c501c3fd8f9740212e9eca3a0d350323e5d6ad02f871f2ba3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_GEN))
+def test_generated_trace_is_pinned(capsys, tmp_path, case):
+    (tmp_path / "deg1.json").write_text('{"type": "point", "value": 1.0}')
+    (tmp_path / "span0.json").write_text('{"type": "point", "value": 0.0}')
+    argv, digest = PINNED_GEN[case]
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert run(capsys, "gen-trace", *argv, "--instances", "300", "--services", "200",
+               "--out", str(tmp_path))[0] == 0
+    assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == digest
+
+
 def test_fit_does_not_depend_on_blas_threads(fit_values, tmp_path):
     # OpenBLAS splits a long dot product across its threads, so an M-step
     # that called BLAS would round differently under another thread count
@@ -354,6 +378,16 @@ def test_missing_model_file_exits_two(capsys, tmp_path):
                        "--out", str(tmp_path))
     assert code == 2
     assert "error" in err
+
+
+def test_trace_past_int64_exits_two(capsys, tmp_path):
+    span = tmp_path / "span.json"
+    span.write_text(json.dumps({"type": "erlang", "lambda": 1e-17, "k": 1}))
+    code, _, err = run(capsys, "gen-trace", "--instances", "20", "--services", "20",
+                       "--span-dist", str(span), "--out", str(tmp_path))
+    assert code == 2
+    assert "2^63" in err
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_fit_dist_without_inputs_exits_two(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Catalog construction, trace synthesis, CSV round trips, replay."""
 
 import csv
+import io
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from swakit import trace as trace_module
 from swakit.distributions import PointMassDist
+from swakit.engine import EMITTED_HEADER, MEMBERS_HEADER, REASONS, Emissions, read_emissions, \
+    write_emissions
 from swakit.errors import ConfigError, TraceParseError
 from swakit.trace import (
     TRACE_HEADER,
@@ -32,38 +35,49 @@ from conftest import make_trace, write_partition_by_partition, write_trace_rows
 # ---------------------------------------------------------------------------
 
 
+def names_of(cat, codes):
+    return [cat.names[c] for c in codes.tolist()]
+
+
 def test_catalog_degree_statistics():
     cat = build_catalog(10_000, default_degree_dist(), seed=1)
-    degrees = np.array([s.degree for s in cat.services])
+    degrees = cat.degree
     assert degrees.mean() == pytest.approx(11.37, rel=0.02)
     assert np.mean(degrees <= 15) >= 0.99
     assert degrees.min() >= 1
-    for s in cat.services:
-        assert s.degree == len(s.sub_ids)
-        assert len(s.partitions) == s.degree
-        assert s.head_id == s.sub_ids[0]
+    # CSR: service i's sub-ids are the next degree[i] entries, head first
+    assert cat.start.tolist() == [0, *np.cumsum(degrees)[:-1].tolist()]
+    assert len(cat.sub_ids) == degrees.sum()
+    assert names_of(cat, cat.sub_ids[cat.start]) == [f"svc{i}" for i in range(10_000)]
 
 
 def test_catalog_point_mass_degree():
     cat = build_catalog(1, PointMassDist(3.0), seed=9)
-    assert len(cat.services) == 1
-    assert cat.services[0].degree == 3
+    assert len(cat.degree) == 1
+    assert cat.degree[0] == 3
+    assert names_of(cat, cat.sub_ids) == ["svc0", "svc0.1", "svc0.2"]
 
 
 def test_catalog_round_robin_partitions():
+    # every service is used once; each sub-invocation's partition is its
+    # position in the whole catalog mod 2
     cat = build_catalog(5, PointMassDist(4.0), seed=0, n_partitions=2)
-    flat = [p for s in cat.services for p in s.partitions]
+    trace = generate_trace(cat, TraceConfig(instance_count=5, arrival_dist=PointMassDist(10.0),
+                                            span_dist=PointMassDist(1.0), user_pool=5, seed=1))
+    s = trace.stream
+    part = dict(zip((s.names[c] for c in s.service.tolist()), trace.partition.tolist()))
+    flat = [part[name] for name in names_of(cat, cat.sub_ids)]
     assert flat == [i % 2 for i in range(len(flat))]
 
 
 def test_catalog_shared_atomics_reuses_subservices():
     private = build_catalog(50, PointMassDist(6.0), seed=3)
     shared = build_catalog(50, PointMassDist(6.0), seed=3, shared_atomics=True)
-    ids = lambda cat: [a for s in cat.services for a in s.sub_ids]
+    ids = lambda cat: names_of(cat, cat.sub_ids)
     assert len(set(ids(private))) == len(ids(private))  # all distinct
     assert len(set(ids(shared))) < len(ids(shared))  # pool reused
     # heads keep identifying the service; ambiguity comes from the atomics
-    heads = [s.head_id for s in shared.services]
+    heads = names_of(shared, shared.sub_ids[shared.start])
     assert len(set(heads)) == len(heads)
 
 
@@ -93,6 +107,15 @@ def test_zero_span_instance():
     assert len(set(trace.truth.tolist())) == 1
     assert s.instance_ts[0] == s.timestamp[0] // 1000
     assert (s.response == 0).all()
+
+
+@pytest.mark.parametrize("arrival_ms, span_s", [(10.0, 1e17), (1e19, 1.0)])
+def test_times_beyond_int64_refused(arrival_ms, span_s):
+    # an end of 1e20 ms or an arrival of 1e19 ms has no int64 timestamp
+    cfg = TraceConfig(instance_count=2, arrival_dist=PointMassDist(arrival_ms),
+                      span_dist=PointMassDist(span_s), user_pool=5, seed=1)
+    with pytest.raises(ConfigError, match="2\\^63"):
+        generate_trace(build_catalog(1, PointMassDist(3.0), seed=4), cfg)
 
 
 def test_conservation_label_counts_match_degrees(small_trace):
@@ -289,6 +312,59 @@ def test_header_only_file_is_empty_trace(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the writers against the csv module
+# ---------------------------------------------------------------------------
+
+# text the csv module quotes, an empty string and non-ASCII text
+ODD = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", "", "naïve → ü", 'all,"\r\n', "plain"]
+
+
+def csv_module_bytes(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_trace_writer_matches_csv_module(tmp_path):
+    # increasing timestamps: seq order is row order
+    rows = [(i, ODD[i % 8], ODD[(i + 1) % 8], ODD[(i + 2) % 8], i // 3, 5 * i, ODD[(i + 3) % 8],
+             i % 3) for i in range(16)]
+    path = tmp_path / "t.csv"
+    write_trace(Trace.from_rows(rows), path)
+    assert path.read_bytes() == csv_module_bytes(TRACE_HEADER, rows)
+    back = read_trace(path)
+    s, names = back.stream, back.stream.names
+    got = zip(s.timestamp.tolist(), (names[c] for c in s.user.tolist()),
+              (names[c] for c in s.service.tolist()), (names[c] for c in s.head.tolist()),
+              s.instance_ts.tolist(), s.response.tolist(),
+              (back.labels[c] for c in back.truth.tolist()), back.partition.tolist())
+    assert list(got) == rows
+
+
+def test_emission_writer_matches_csv_module(tmp_path):
+    count = [1, 2, 1, 3, 1, 1, 2, 1]
+    key, reason = [7, 0, 1, 2, 3, 4, 5, 6], [0, 1, 2, 0, 1, 2, 0, 1]
+    closed_at, span = [10 * i for i in range(8)], [i * i for i in range(8)]
+    avg = [0.5, 2.25, -1.0, 1e6, 0.0, 3.125, 1 / 3, 7.0]
+    seqs = list(range(sum(count)))[::-1]
+    path, members = tmp_path / "e.csv", tmp_path / "e_members.csv"
+    write_emissions(Emissions(ODD, np.array(key), np.array(count), np.array(reason),
+                              np.array(closed_at), np.array(avg), np.array(span),
+                              np.array(seqs)), path, members)
+    rows = [(ODD[k], c, REASONS[r], t, f"{a:.6f}", sp)
+            for k, c, r, t, a, sp in zip(key, count, reason, closed_at, avg, span)]
+    owners = [i for i, c in enumerate(count) for _ in range(c)]
+    assert path.read_bytes() == csv_module_bytes(EMITTED_HEADER, rows)
+    assert members.read_bytes() == csv_module_bytes(MEMBERS_HEADER, list(zip(owners, seqs)))
+    back = read_emissions(path, members)
+    assert [back.keys[k] for k in back.key.tolist()] == [ODD[k] for k in key]
+    assert [REASONS[r] for r in back.reason.tolist()] == [REASONS[r] for r in reason]
+    assert back.count.tolist() == count and back.closed_at.tolist() == closed_at
+    assert back.span_ms.tolist() == span and back.seqs.tolist() == seqs
+    assert back.response_avg.tolist() == pytest.approx(avg, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
 # replay and stream views
 # ---------------------------------------------------------------------------
 
@@ -312,6 +388,13 @@ def test_replay_rejects_unsorted():
     short.partition = short.partition[:1]
     with pytest.raises(ConfigError):
         replay(short)
+
+
+def test_replay_takes_a_stream_spanning_the_int64_range():
+    # the gap between the two timestamps is 2**64 - 1 ms, beyond int64
+    rows = [(-2**63, "u", "s", "h", 0, 1, "i", 0), (2**63 - 1, "u", "s", "h", 0, 1, "i", 0)]
+    trace = Trace.from_rows(rows)
+    assert replay(trace) is trace.stream
 
 
 def test_stream_view_hides_ground_truth(small_trace):
