@@ -53,9 +53,9 @@ from .trace import (
     default_arrival_dist,
     default_degree_dist,
     default_span_dist,
+    first_seen,
     generate_trace,
     read_trace,
-    truth_index,
     write_trace,
 )
 
@@ -186,15 +186,17 @@ def _samples_from_args(args) -> np.ndarray:
     if not args.trace:
         raise ConfigError("fit-dist needs --values or --trace")
     trace = read_trace(args.trace)
-    truth = truth_index(trace)
+    t = trace.truth_table
+    # instances in the order a partition-by-partition scan meets them; the EM sums depend on it
+    scan = t.code[np.argsort(trace.partition, kind="stable")]
+    met = scan[first_seen(scan)[0]]
     if args.field == "degree":
-        return np.array([t.degree for t in truth.values()], dtype=float)
+        return t.degree[met].astype(float)
     if args.field == "span_s":
-        vals = np.array([t.span_ms / 1000.0 for t in truth.values()], dtype=float)
+        vals = (t.last - t.primary)[met] / 1000.0
         return vals[vals > 0]
     if args.field == "gap_ms":
-        arr = np.sort(np.array([t.primary_arrival for t in truth.values()], dtype=float))
-        gaps = np.diff(arr)
+        gaps = np.diff(np.sort(t.primary.astype(float)))
         return gaps[gaps > 0]
     raise ConfigError(f"unknown field {args.field!r}")
 

@@ -498,9 +498,15 @@ def _logsumexp0(a):
     top = a.max(axis=0)
     is_top = a == top
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.exp(np.where(is_top, -np.inf, a) - top).sum(axis=0)
+        # The maxima are dropped by multiplying exp(a - top) by ~is_top, not by sending -inf
+        # through exp or assigning through the mask: numpy takes a slow path for both.  On
+        # a (2, 13,997) EM block (numpy 2.4.6, 2-vCPU Xeon) exp took 249 us with -inf in the
+        # array and 39 us without, np.where 130 us, e[is_top] = 0 177 us, the product 42 us.
+        # Only columns whose result is not finite can differ between the two forms, and
+        # those are recomputed below.
+        s = (np.exp(a - top) * ~is_top).sum(axis=0)
         m = is_top.sum(axis=0)
-        out = np.log1p(s / m) + np.log(m) + top
+        out = np.log1p(s / m) + np.log(np.arange(1, a.shape[0] + 1))[m - 1] + top
         bad = ~np.isfinite(out)
         out[bad] = np.log(np.exp(a[:, bad]).sum(axis=0))
     return out
@@ -512,20 +518,30 @@ def _em_fixed_phases(x, ks, weights, rates, tol, max_iter):
     k = np.asarray(ks)[:, None]
     w = np.array(weights, float)
     r = np.array(rates, float)
-    log_x = np.log(x)
+    shape_term = (k - 1) * np.log(x)
+    log_gamma_k = gammaln(k)
+    # Each step writes into these two (branches, n) buffers instead of allocating a fresh
+    # temporary per operation; the operations and their grouping are _erlang_logpdf's, so
+    # every float matches it.
+    logd = np.empty(shape_term.shape)
+    resp = np.empty(shape_term.shape)
     trace = []
     prev = -np.inf
     it = 0
     converged = False
     for it in range(1, max_iter + 1):
-        logd = np.log(w)[:, None] + _erlang_logpdf(x, log_x, r[:, None], k)
+        np.add(k * np.log(r[:, None]), shape_term, out=logd)
+        logd -= np.multiply(r[:, None], x, out=resp)
+        logd -= log_gamma_k
+        logd += np.log(w)[:, None]
         norm = _logsumexp0(logd)
         ll = float(norm.sum())
         trace.append(ll)
-        resp = np.exp(logd - norm)
-        tot = np.maximum(np.cumsum(resp, axis=1)[:, -1], 1e-300)  # sequential, not pairwise
+        np.exp(np.subtract(logd, norm, out=resp), out=resp)
+        # tot is summed in sequence (cumsum), sum(resp * x) pairwise (sum): both feed the bits
+        tot = np.maximum(np.cumsum(resp, axis=1, out=logd)[:, -1], 1e-300)
         w = tot / n
-        r = k[:, 0] * tot / np.maximum((resp * x).sum(axis=1), 1e-300)
+        r = k[:, 0] * tot / np.maximum(np.multiply(resp, x, out=logd).sum(axis=1), 1e-300)
         if prev > -np.inf and abs(ll - prev) <= tol * max(abs(prev), 1.0):
             converged = True
             break

@@ -45,13 +45,11 @@ __all__ = [
     "TraceConfig",
     "Trace",
     "TruthTable",
-    "TruthInstance",
     "build_catalog",
     "generate_trace",
     "write_trace",
     "read_trace",
     "replay",
-    "truth_index",
     "default_degree_dist",
     "default_span_dist",
     "default_arrival_dist",
@@ -191,20 +189,6 @@ class Trace:
         return TruthTable(self.labels, code, np.bincount(code, minlength=n), primary, last, rank)
 
 
-@dataclass(frozen=True)
-class TruthInstance:
-    """Ground-truth facts about one instance, derived from its tuples."""
-
-    label: str
-    degree: int
-    primary_arrival: int  # ms, earliest tuple timestamp
-    last_arrival: int  # ms
-
-    @property
-    def span_ms(self) -> int:
-        return self.last_arrival - self.primary_arrival
-
-
 # ---------------------------------------------------------------------------
 # default workload shape (degree / span / arrival) for the CLI and tests
 # ---------------------------------------------------------------------------
@@ -328,9 +312,8 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
 
 def _codes(table: dict, col) -> np.ndarray:
     """Codes of ``col``'s strings in ``table``, which gains the strings it lacked."""
-    fresh = [s for s in dict.fromkeys(col) if s not in table]
-    table.update(zip(fresh, range(len(table), len(table) + len(fresh))))
-    return np.fromiter(map(table.__getitem__, col), np.int32, len(col))
+    code = table.setdefault
+    return np.array([code(s, len(table)) for s in col.tolist()], np.int32)
 
 
 def _build(blocks, check=None) -> Trace:
@@ -485,21 +468,6 @@ def read_trace(path) -> Trace:
 # ---------------------------------------------------------------------------
 # replay + ground truth
 # ---------------------------------------------------------------------------
-
-
-def truth_index(trace: Trace) -> dict:
-    """Map truth label -> TruthInstance with degree and arrival bounds.
-
-    Labels are ordered as a partition-by-partition scan meets them: by their
-    lowest partition, then their first seq in it (fit-dist takes its samples
-    in this order).
-    """
-    t = trace.truth_table
-    by_label = np.lexsort((trace.partition, t.code))  # stable: seq order breaks ties
-    first = by_label[np.diff(t.code[by_label], prepend=-1) != 0]
-    met = t.code[first[np.lexsort((first, trace.partition[first]))]]
-    return {t.labels[c]: TruthInstance(t.labels[c], d, lo, hi) for c, d, lo, hi in zip(
-        met.tolist(), t.degree[met].tolist(), t.primary[met].tolist(), t.last[met].tolist())}
 
 
 def replay(trace: Trace) -> Stream:

@@ -27,7 +27,7 @@ from swakit.queueing import (
     solve_ph_ph_1_n,
     storage_estimate,
 )
-from swakit.trace import default_degree_dist, default_span_dist, truth_index
+from swakit.trace import default_degree_dist, default_span_dist
 
 from test_queueing import grid_cases, mm1n_oracle, mmc_oracle
 
@@ -187,9 +187,9 @@ def test_c07_integration_rate_and_mechanism_comparison(
     ok = True
 
     swa_comp = completeness_grid[(13, 22)]
-    truth = truth_index(full_scale_trace)
-    oracle = sum(1 for t in truth.values()
-                 if t.degree <= 13 and t.span_ms <= 22_000) / len(truth)
+    t = full_scale_trace.truth_table
+    oracle = sum(1 for d, lo, hi in zip(t.degree.tolist(), t.primary.tolist(), t.last.tolist())
+                 if d <= 13 and hi - lo <= 22_000) / len(t.labels)
     diff = abs(swa_comp - oracle)
     ok &= diff <= 0.03
     parts.append(f"completeness(1) {swa_comp:.6f} vs direct count {oracle:.6f} "
@@ -230,7 +230,7 @@ def test_c08_association_strategy_ordering(collision_trace, clean_trace):
 
     s = clean_trace.stream
     triples = set(zip(s.head.tolist(), s.instance_ts.tolist(), s.user.tolist()))
-    distinct = len(triples) == len(truth_index(clean_trace))
+    distinct = len(triples) == len(clean_trace.truth_table.labels)
     rep = evaluate(_swa(clean_trace, 60, 80).emissions, clean_trace, gammas=(1.0,))
     clean_perfect = rep.recall == 1.0 and rep.correct_rate == 1.0
 
@@ -238,7 +238,7 @@ def test_c08_association_strategy_ordering(collision_trace, clean_trace):
     _verdict(8, ok,
              f"recall {recalls[0]:.4f} <= {recalls[1]:.4f} <= {recalls[2]:.4f}, "
              f"correct {corrects[0]:.4f} <= {corrects[1]:.4f} <= {corrects[2]:.4f}; "
-             f"collision-free trace: {len(triples)}/{len(truth_index(clean_trace))} "
+             f"collision-free trace: {len(triples)}/{len(clean_trace.truth_table.labels)} "
              f"distinct keys, recall {rep.recall:.4f}, correct {rep.correct_rate:.4f}")
 
 

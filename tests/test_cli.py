@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: artifacts, stdout, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from swakit import cli
-from swakit.trace import read_trace, truth_index
+from swakit.trace import read_trace
 
 
 def run(capsys, *argv):
@@ -68,7 +69,7 @@ def test_estimate_params_defaults(capsys, tmp_path):
 
 def test_gen_trace_artifacts(tiny_trace):
     trace = read_trace(tiny_trace)
-    assert len(truth_index(trace)) == 80
+    assert len(trace.truth_table.labels) == 80
     manifest = json.loads(
         (tiny_trace.parent / "gen_trace_manifest.json").read_text())
     for key in ("tool", "tool_version", "command", "config", "seed", "outputs",
@@ -87,7 +88,7 @@ def test_gen_trace_accepts_dist_override(capsys, tmp_path):
     )
     assert code == 0
     trace = read_trace(tmp_path / "trace.csv")
-    assert all(t.degree == 3 for t in truth_index(trace).values())
+    assert (trace.truth_table.degree == 3).all()
 
 
 def test_pipeline_then_evaluate_round_trip(capsys, tiny_trace, tmp_path):
@@ -155,6 +156,27 @@ def test_corrupt_emissions_exit_two(capsys, tiny_trace, tmp_path, name, line, va
         "--trace", str(tiny_trace), "--out", str(tmp_path))
     assert code == 2
     assert name in err and expect in err
+
+
+@pytest.mark.parametrize("field", ["degree", "span_s", "gap_ms"])
+def test_trace_samples_in_partition_scan_order(tiny_trace, field):
+    # the EM's sums depend on sample order: instances come as a partition-by-partition scan
+    # of the seqs meets them, with the degree and the span of all their tuples
+    trace = read_trace(tiny_trace)
+    ts = trace.stream.timestamp.tolist()
+    order, lo, hi, count = [], {}, {}, {}
+    for i in sorted(range(trace.n_tuples), key=lambda i: (int(trace.partition[i]), i)):
+        label = trace.labels[trace.truth[i]]
+        if label not in lo:
+            order.append(label)
+        lo[label], hi[label] = min(lo.get(label, ts[i]), ts[i]), max(hi.get(label, ts[i]), ts[i])
+        count[label] = count.get(label, 0) + 1
+    spans = [(hi[label] - lo[label]) / 1000.0 for label in order]
+    gaps = np.diff(sorted(float(lo[label]) for label in order)).tolist()
+    want = {"degree": [float(count[label]) for label in order],
+            "span_s": [s for s in spans if s > 0], "gap_ms": [g for g in gaps if g > 0]}[field]
+    args = argparse.Namespace(values=None, trace=str(tiny_trace), field=field)
+    assert cli._samples_from_args(args).tolist() == want
 
 
 def test_fit_dist_from_values(capsys, tmp_path):

@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
+
+from swakit import distributions
 
 from swakit.distributions import (
     ErlangBranch,
@@ -344,11 +346,82 @@ def test_logsumexp_agrees_with_scipy(branches):
     # scipy on the (samples, branches) layout the EM used before it went branch-major
     want = logsumexp(np.ascontiguousarray(a.T), axis=1)
     got = _logsumexp0(a)
+    assert got.tobytes() == _textbook_logsumexp0(a).tobytes()
     assert np.isneginf(got[600:650]).all()
     if branches < 8:  # numpy sums fewer than 8 terms in sequence, like the axis-0 sum
         assert np.array_equal(got, want)
     else:
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def _textbook_logsumexp0(a):
+    """The log-sum-exp as first written: -inf through exp at each column's maxima."""
+    top = a.max(axis=0)
+    is_top = a == top
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.exp(np.where(is_top, -np.inf, a) - top).sum(axis=0)
+        m = is_top.sum(axis=0)
+        out = np.log1p(s / m) + np.log(m) + top
+        bad = ~np.isfinite(out)
+        out[bad] = np.log(np.exp(a[:, bad]).sum(axis=0))
+    return out
+
+
+def _textbook_em(x, ks, weights, rates, tol, max_iter):
+    """The EM loop as first written, a fresh temporary per operation: the bitwise oracle."""
+    n = x.shape[0]
+    k = np.asarray(ks)[:, None]
+    w = np.array(weights, float)
+    r = np.array(rates, float)
+    log_x = np.log(x)
+    trace = []
+    prev = -np.inf
+    it = 0
+    converged = False
+    for it in range(1, max_iter + 1):
+        rate = r[:, None]
+        logd = np.log(w)[:, None] + (k * np.log(rate) + (k - 1) * log_x - rate * x - gammaln(k))
+        norm = _textbook_logsumexp0(logd)
+        ll = float(norm.sum())
+        trace.append(ll)
+        resp = np.exp(logd - norm)
+        tot = np.maximum(np.cumsum(resp, axis=1)[:, -1], 1e-300)
+        w = tot / n
+        r = k[:, 0] * tot / np.maximum((resp * x).sum(axis=1), 1e-300)
+        if prev > -np.inf and abs(ll - prev) <= tol * max(abs(prev), 1.0):
+            converged = True
+            break
+        prev = ll
+    return w, r, trace, it, converged
+
+
+def _oracle_samples(kind):
+    rng = np.random.default_rng(23)
+    if kind == "ties":  # five distinct values, each about 120 times
+        return rng.integers(1, 6, 600).astype(float)
+    if kind == "wide":  # 1e-3 to 1e6
+        return 10.0 ** rng.uniform(-3.0, 6.0, 500)
+    return np.where(rng.random(500) < 0.3, rng.gamma(2.0, 0.5, 500), rng.gamma(9.0, 1.5, 500))
+
+
+def _fit_bits(fit):
+    branches = fit.dist.branches if isinstance(fit.dist, HyperErlangDist) else [fit.dist]
+    return (np.array(fit.ll_trace).tobytes(),
+            np.array([getattr(b, "weight", 1.0) for b in branches]).tobytes(),
+            np.array([b.rate for b in branches]).tobytes(),
+            [b.phases for b in branches],
+            fit.iterations, fit.converged, fit.em_runs, fit.em_iterations)
+
+
+@pytest.mark.parametrize("kind", ["ties", "wide", "mixture"])
+@pytest.mark.parametrize("branches", [1, 2, 3, 4])
+@pytest.mark.parametrize("max_iter", [1, 2000])
+def test_em_fit_is_bitwise_the_textbook_fit(monkeypatch, kind, branches, max_iter):
+    xs = _oracle_samples(kind)
+    got = fit_hyper_erlang_em(xs, branches=branches, max_iter=max_iter)
+    monkeypatch.setattr(distributions, "_em_fixed_phases", _textbook_em)
+    want = fit_hyper_erlang_em(xs, branches=branches, max_iter=max_iter)
+    assert _fit_bits(got) == _fit_bits(want)
 
 
 def _em_step_by_hand(xs, ks, weights, rates):

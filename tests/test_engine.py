@@ -35,7 +35,6 @@ from swakit.trace import (
     read_trace,
     replay,
     to_int64,
-    truth_index,
 )
 
 from conftest import emission_rows, write_partition_by_partition, write_trace_rows
@@ -235,8 +234,8 @@ def test_swa_resident_windows_bounded_by_open_instances():
     trace = generate_trace(cat, cfg)
     _, stats = aggregate_swa(replay(trace), WindowParams(3, 1000), Strategy.HEAD_TS_IP)
 
-    truth = truth_index(trace)
-    intervals = sorted((i.primary_arrival, i.last_arrival) for i in truth.values())
+    t = trace.truth_table
+    intervals = sorted(zip(t.primary.tolist(), t.last.tolist()))
     # oracle: most instances simultaneously inside [primary, last]
     events = []
     for lo, hi in intervals:

@@ -15,7 +15,7 @@ from swakit.metrics import (
     match_instances,
     recall_and_correct_rate,
 )
-from swakit.trace import Trace, truth_index
+from swakit.trace import Trace
 
 from conftest import emission_rows
 
@@ -199,7 +199,9 @@ def test_perfect_run_scores_one_everywhere():
 def test_evaluate_matches_brute_force(swa_small_run, small_trace):
     report = evaluate(swa_small_run.emissions, small_trace, gammas=(1.0, 0.85))
     tos = [small_trace.labels[c] for c in small_trace.truth.tolist()]
-    truth = truth_index(small_trace)
+    t = small_trace.truth_table
+    primary = dict(zip(t.labels, t.primary.tolist()))
+    degree = dict(zip(t.labels, t.degree.tolist()))
 
     # independent completeness(gamma=1): per instance, the largest window
     # attributed to it must hold at least `degree` members
@@ -211,14 +213,14 @@ def test_evaluate_matches_brute_force(swa_small_run, small_trace):
         top = max(counts.values())
         cands = sorted(
             (lbl for lbl, c in counts.items() if c == top),
-            key=lambda lbl: (truth[lbl].primary_arrival, lbl),
+            key=lambda lbl: (primary[lbl], lbl),
         )
         lbl = cands[0]
         if e.count > best.get(lbl, 0):
             best[lbl] = e.count
-    integrated = sum(1 for lbl, t in truth.items() if best.get(lbl, 0) >= t.degree)
-    assert report.completeness_counts[1.0] == (integrated, len(truth))
-    assert report.completeness[1.0] == pytest.approx(integrated / len(truth))
+    integrated = sum(1 for lbl, d in degree.items() if best.get(lbl, 0) >= d)
+    assert report.completeness_counts[1.0] == (integrated, len(degree))
+    assert report.completeness[1.0] == pytest.approx(integrated / len(degree))
 
     seen = set()
     for e in emission_rows(swa_small_run.emissions):

@@ -23,7 +23,6 @@ from swakit.trace import (
     generate_trace,
     read_trace,
     replay,
-    truth_index,
     write_trace,
 )
 
@@ -119,15 +118,16 @@ def test_times_beyond_int64_refused(arrival_ms, span_s):
 
 
 def test_conservation_label_counts_match_degrees(small_trace):
-    truth = truth_index(small_trace)
+    t = small_trace.truth_table
+    truth = dict(zip(t.labels, t.degree.tolist()))
     counts = {}
     for code in small_trace.truth.tolist():
         label = small_trace.labels[code]
         counts[label] = counts.get(label, 0) + 1
     assert set(counts) == set(truth)
-    for label, inst in truth.items():
-        assert counts[label] == inst.degree
-    assert small_trace.n_tuples == sum(i.degree for i in truth.values())
+    for label, degree in truth.items():
+        assert counts[label] == degree
+    assert small_trace.n_tuples == sum(truth.values())
 
 
 def test_tuple_field_invariants(small_trace):
@@ -143,7 +143,6 @@ def test_tuple_field_invariants(small_trace):
 
 
 def test_repeat_factor_reuses_services(small_trace):
-    truth = truth_index(small_trace)
     heads = dict(zip(small_trace.truth.tolist(), small_trace.stream.head.tolist()))
     # 300 instances over round(300/1.5)=200 services: heads must repeat
     assert len(set(heads.values())) == 200
@@ -166,8 +165,7 @@ def test_determinism_same_seed_identical(tmp_path):
 def test_union_density_matches_target(full_scale_trace):
     # gaps measured over the trace core: cut at the last primary arrival so
     # the shutdown tail (final instances draining) does not skew the mean
-    truth = truth_index(full_scale_trace)
-    last_primary = max(i.primary_arrival for i in truth.values())
+    last_primary = int(full_scale_trace.truth_table.primary.max())
     ts = sorted(t for t in full_scale_trace.stream.timestamp.tolist() if t <= last_primary)
     mean_gap = (ts[-1] - ts[0]) / (len(ts) - 1)
     assert mean_gap == pytest.approx(0.9457, rel=0.15)
@@ -423,18 +421,18 @@ def test_global_seq_order_is_merge_order(small_trace, tmp_path):
     assert labels == [small_trace.labels[c] for c in small_trace.truth.tolist()]
 
 
-def test_truth_index_spans(small_trace):
-    truth = truth_index(small_trace)
+def test_truth_table_spans(small_trace):
+    t = small_trace.truth_table
     arrivals = {}
     for ts, code in zip(small_trace.stream.timestamp.tolist(), small_trace.truth.tolist()):
         label = small_trace.labels[code]
         lo, hi = arrivals.get(label, (ts, ts))
         arrivals[label] = (min(lo, ts), max(hi, ts))
-    for label, inst in truth.items():
+    assert set(arrivals) == set(t.labels)
+    for label, primary, last in zip(t.labels, t.primary.tolist(), t.last.tolist()):
         lo, hi = arrivals[label]
-        assert inst.primary_arrival == lo
-        assert inst.last_arrival == hi
-        assert inst.span_ms == hi - lo
+        assert primary == lo
+        assert last == hi
 
 
 def test_default_distributions_are_consistent():
