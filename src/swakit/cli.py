@@ -143,6 +143,11 @@ def _operator(result) -> dict:
             "occupancy_max": result.aggregate_stats.occupancy_max}
 
 
+def _key_strings(strategy: Strategy) -> tuple:
+    """The trace's string columns ``strategy`` keys on (stream column ``x`` comes from ``x_id``)."""
+    return tuple(f + "_id" for f in strategy.fields if f != "instance_ts")
+
+
 def _members_path(emitted: Path) -> Path:
     return emitted.with_name(emitted.stem + "_members" + emitted.suffix)
 
@@ -185,7 +190,7 @@ def _samples_from_args(args) -> np.ndarray:
         return data
     if not args.trace:
         raise ConfigError("fit-dist needs --values or --trace")
-    trace = read_trace(args.trace)
+    trace = read_trace(args.trace, ("truth_instance",))
     t = trace.truth_table
     # instances in the order a partition-by-partition scan meets them; the EM sums depend on it
     scan = t.code[np.argsort(trace.partition, kind="stable")]
@@ -271,7 +276,7 @@ def cmd_run_pipeline(args) -> int:
     out = _out_dir(args)
     stages: dict = {}
     with stage(stages, "read"):
-        trace = read_trace(args.trace)
+        trace = read_trace(args.trace, _key_strings(cfg.strategy))
     stages["read"]["items"] = trace.n_tuples
     with stage(stages, "aggregate", trace.n_tuples):
         result = run_pipeline(trace, cfg)
@@ -304,7 +309,7 @@ def cmd_evaluate(args) -> int:
     stages: dict = {}
     with stage(stages, "read"):
         emissions = read_emissions(emitted, members)
-        trace = read_trace(args.trace)
+        trace = read_trace(args.trace, ("truth_instance",))
     stages["read"]["items"] = trace.n_tuples
     with stage(stages, "score", trace.n_tuples):
         report = evaluate(emissions, trace, gammas)
@@ -370,7 +375,7 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     stages: dict = {}
     with stage(stages, "read"):
-        trace = read_trace(args.trace)
+        trace = read_trace(args.trace, (*_key_strings(strategy), "truth_instance"))
     stages["read"]["items"] = trace.n_tuples
 
     operators = []  # one per row of compare.json, in run order

@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -66,8 +66,8 @@ TRACE_HEADER = [
     "partition",
 ]
 
-TRACE_DTYPE = np.dtype([(h, object if h in ("user_id", "service_id", "head_id", "truth_instance")
-                          else np.int64) for h in TRACE_HEADER])
+STRINGS = ("user_id", "service_id", "head_id", "truth_instance")  # coded into string tables
+TRACE_DTYPE = np.dtype([(h, object if h in STRINGS else np.int64) for h in TRACE_HEADER])
 READ_CHUNK = 1 << 14  # rows parsed together by csv_blocks
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
@@ -77,17 +77,18 @@ class Stream:
     """The operator-facing columns, indexed by ``seq``: no truth label, no partition.
 
     ``timestamp``, ``instance_ts`` and ``response`` are int64; ``user``,
-    ``service`` and ``head`` are codes into ``names``.  The columns are
-    read-only once built: ``keys`` caches the engine's key ids per strategy
-    on first use.
+    ``service`` and ``head`` are codes into ``names``, which holds the
+    strings of those columns only.  A column :func:`read_trace` was not
+    asked to code is None.  The columns are read-only once built: ``keys``
+    caches the engine's key ids per strategy on first use.
     """
 
     timestamp: np.ndarray
     instance_ts: np.ndarray
     response: np.ndarray
-    user: np.ndarray
-    service: np.ndarray
-    head: np.ndarray
+    user: Optional[np.ndarray]
+    service: Optional[np.ndarray]
+    head: Optional[np.ndarray]
     names: List[str]
     keys: dict = field(init=False, default_factory=dict, repr=False)
 
@@ -159,10 +160,11 @@ class Trace:
     """The merged stream plus its truth-label codes and partition column, indexed by ``seq``.
 
     The columns are read-only once built: ``truth_table`` is cached on first use.
+    ``truth`` is None, and ``labels`` empty, if :func:`read_trace` did not code them.
     """
 
     stream: Stream
-    truth: np.ndarray  # label code per seq, into ``labels``
+    truth: Optional[np.ndarray]  # label code per seq, into ``labels``
     labels: List[str]
     partition: np.ndarray
 
@@ -316,19 +318,19 @@ def _codes(table: dict, col) -> np.ndarray:
     return np.array([code(s, len(table)) for s in col.tolist()], np.int32)
 
 
-def _build(blocks, check=None) -> Trace:
-    """Merge blocks of ``TRACE_DTYPE`` rows into a trace.
+def _build(blocks, strings=STRINGS, check=None) -> Trace:
+    """Merge ``TRACE_DTYPE`` row blocks into a trace; string columns not in ``strings`` are None.
 
     Strings are coded block by block, so a block's strings can go once it is
     read; ``check(timestamps, partitions)`` sees the input order.
     """
     names, labels = {}, {}
-    tables = (None, names, names, names, None, None, labels, None)
-    cols = [[] for _ in TRACE_HEADER]
-    for block in chain(blocks, [np.empty(0, TRACE_DTYPE)]):  # every column gets an array
-        for acc, table, name in zip(cols, tables, TRACE_HEADER):  # copies: the block can go
-            acc.append(block[name].copy() if table is None else _codes(table, block[name]))
-    cols = [np.concatenate(acc) for acc in cols]
+    tables = {"user_id": names, "service_id": names, "head_id": names, "truth_instance": labels}
+    cols = {h: [] for h in TRACE_HEADER if h in strings or h not in tables}
+    for block in chain(blocks, [np.empty(0, TRACE_DTYPE)]):  # every column read gets an array
+        for name, acc in cols.items():  # copies: the block can go
+            acc.append(_codes(tables[name], block[name]) if name in tables else block[name].copy())
+    cols = [np.concatenate(cols[h]) if h in cols else None for h in TRACE_HEADER]
     if check:
         check(cols[0], cols[7])
     return _merged(cols, list(names), list(labels))
@@ -339,7 +341,7 @@ def _merged(cols, names, labels) -> Trace:
     (timestamp, partition)."""
     order = np.lexsort((cols[7], cols[0]))
     if (order != np.arange(len(order))).any():
-        cols = [col[order] for col in cols]
+        cols = [None if col is None else col[order] for col in cols]
     ts, user, service, head, inst_ts, resp, label, part = cols
     return Trace(Stream(ts, inst_ts, resp, user, service, head, names), label, labels, part)
 
@@ -407,11 +409,11 @@ def _check_partitions(ts, part) -> None:
 def read_csv_rows(path, header, parse, error=ConfigError):
     """Yield ``parse(*fields)`` for each data row of a CSV file headed by ``header``.
 
-    A bad header, a row of the wrong width or a field ``parse`` rejects with
-    a ValueError raises ``error`` naming the file and the 1-based row
-    (header excluded).
+    A bad header, a row of the wrong width, a row that is not UTF-8
+    text or a field ``parse`` rejects with a ValueError raises ``error``
+    naming the file and the 1-based row (header excluded).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         r = csv.reader(fh)
         got = next(r, None)
         if got != header:
@@ -421,7 +423,10 @@ def read_csv_rows(path, header, parse, error=ConfigError):
             if len(fields) != width:
                 raise error(f"{path}: row {row_no}: {len(fields)} fields, expected {width}")
             try:
+                "".join(fields).encode()  # a byte that is not UTF-8 reads as a lone surrogate
                 yield parse(*fields)
+            except UnicodeEncodeError:
+                raise error(f"{path}: row {row_no}: not UTF-8 text") from None
             except ValueError as exc:
                 raise error(f"{path}: row {row_no}: {exc}") from None
 
@@ -451,18 +456,23 @@ def _read_rows_checked(path) -> list:
     return list(read_csv_rows(path, TRACE_HEADER, check, TraceParseError))
 
 
-def read_trace(path) -> Trace:
+def read_trace(path, strings=STRINGS) -> Trace:
     """Parse a trace CSV into columns, checking every row; errors name the file and the row.
 
     Rows are parsed READ_CHUNK at a time and checked together.  A file
-    :func:`csv_blocks` does not take (a fault, a quote, a blank line) is
-    read again through the csv module one row at a time, which names the
-    first bad row or reads the file.
+    :func:`csv_blocks` does not take (a fault, a quote, a blank line, a
+    byte that is not UTF-8) is read again through the csv module one row at
+    a time, which names the first bad row or reads the file.
+
+    Every field is parsed and checked, but only the string columns in
+    ``strings`` are coded (``names`` holds only their strings); the others
+    are None.  ``run-pipeline`` codes its strategy's key columns, ``compare``
+    those and ``truth_instance``, ``evaluate`` and ``fit-dist`` only the latter.
     """
     try:
-        return _build(csv_blocks(path, TRACE_DTYPE), check=_check_partitions)
+        return _build(csv_blocks(path, TRACE_DTYPE), strings, check=_check_partitions)
     except ValueError:
-        return _build([np.array(_read_rows_checked(path), TRACE_DTYPE)])
+        return _build([np.array(_read_rows_checked(path), TRACE_DTYPE)], strings)
 
 
 # ---------------------------------------------------------------------------
@@ -475,11 +485,11 @@ def replay(trace: Trace) -> Stream:
 
     Operator clocks are driven by its timestamps.  Raises ConfigError when
     the trace's columns differ in length or the stream goes back in time (a
-    hand-built trace can do either).
+    hand-built trace can do either); columns not read (None) are skipped.
     """
     s = trace.stream
-    if any(len(col) != len(s) for col in (s.instance_ts, s.response, s.user, s.service, s.head,
-                                          trace.truth, trace.partition)):
+    if any(col is not None and len(col) != len(s) for col in (
+            s.instance_ts, s.response, s.user, s.service, s.head, trace.truth, trace.partition)):
         raise ConfigError("trace columns differ in length")
     back = np.flatnonzero(s.timestamp[1:] < s.timestamp[:-1])  # compared, not differenced: no wrap
     if back.size:

@@ -46,8 +46,12 @@ def emission_rows(ems):
 
 
 def write_trace_rows(path, rows):
-    """Write a trace CSV by hand: ``rows`` in ``TRACE_HEADER`` layout, file order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write a trace CSV by hand: ``rows`` in ``TRACE_HEADER`` layout, file order.
+
+    A lone surrogate U+DC80..U+DCFF in a field is written as the byte 0x80..0xFF it stands
+    for, so a row can hold text that is not UTF-8.
+    """
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         csv.writer(fh).writerows([TRACE_HEADER, *rows])
     return path
 

@@ -12,7 +12,10 @@ import numpy as np
 import pytest
 
 from swakit import cli
+from swakit.engine import Strategy, key_ids
 from swakit.trace import read_trace
+
+from conftest import write_partition_by_partition
 
 
 def run(capsys, *argv):
@@ -131,6 +134,7 @@ def test_pipeline_no_members_blocks_evaluate(capsys, tiny_trace, tmp_path):
 
 @pytest.mark.parametrize("name,line,value,expect", [
     ("emitted.csv", 3, "x", "row 2"),  # the count column
+    pytest.param("emitted.csv", 3, "\udce9", "row 2", id="emitted.csv-not-utf8"),  # byte 0xe9
     ("emitted_members.csv", 5, "y", "row 4"),  # a member seq
     ("emitted.csv", 3, "2.5", "row 2"),  # a count that is not an integer
     ("emitted_members.csv", 5, "2.5", "row 4"),  # and a member seq
@@ -150,12 +154,62 @@ def test_corrupt_emissions_exit_two(capsys, tiny_trace, tmp_path, name, line, va
     fields[1] = value
     # a value with a comma in it replaces the whole line
     lines[line - 1] = value if "," in value else ",".join(fields)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     code, _, err = run(
         capsys, "evaluate", "--emitted", str(tmp_path / "emitted.csv"),
         "--trace", str(tiny_trace), "--out", str(tmp_path))
     assert code == 2
     assert name in err and expect in err
+
+
+@pytest.mark.parametrize("command", ["run-pipeline", "evaluate", "compare", "fit-dist"])
+def test_non_utf8_trace_exits_two(capsys, tiny_trace, tmp_path, command):
+    # one 0xe9 byte in the user id of data row 7
+    lines = tiny_trace.read_bytes().split(b"\r\n")
+    fields = lines[7].split(b",")
+    fields[1] += b"\xe9"
+    lines[7] = b",".join(fields)
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(b"\r\n".join(lines))
+    code, _, _ = run(capsys, "run-pipeline", "--trace", str(tiny_trace), "--out", str(tmp_path))
+    assert code == 0
+    extra = ["--emitted", str(tmp_path / "emitted.csv")] if command == "evaluate" else []
+    code, _, err = run(capsys, command, "--trace", str(trace), *extra, "--out", str(tmp_path))
+    assert code == 2
+    assert f"{trace}: row 7: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("strategy", ["head", "head_ts", "head_ip", "head_ts_ip"])
+def test_projected_reads_keep_artifacts(capsys, tmp_path, monkeypatch, strategy):
+    # each command codes only the trace columns it reads, so string codes differ from a full
+    # read; the emissions and the scores must not
+    trace = tmp_path / "trace.csv"
+    assert run(capsys, "gen-trace", "--seed", "4", "--instances", "300", "--services", "150",
+               "--partitions", "3", "--shared-atomics", "--user-pool", "60",
+               "--repeat-factor", "1.5", "--out", str(tmp_path))[0] == 0
+    # listed partition by partition, the key ids differ too, not only the string codes
+    write_partition_by_partition(read_trace(trace), trace)
+    key = Strategy(strategy)
+    full_ids = key_ids(read_trace(trace).stream, key)[0]
+    assert (key_ids(read_trace(trace, cli._key_strings(key)).stream, key)[0] != full_ids).any()
+    sliding = tmp_path / "sliding.json"
+    sliding.write_text(json.dumps({"aggregate": {"kind": "sliding", "window": 200}}))
+
+    def artifacts(out):
+        for kind, config in (("swa", []), ("sliding", ["--config", str(sliding)])):
+            for argv in (["run-pipeline", *config, "--strategy", strategy],
+                         ["evaluate", "--emitted", str(out / kind / "emitted.csv")]):
+                assert run(capsys, *argv, "--trace", str(trace), "--out", str(out / kind))[0] == 0
+        assert run(capsys, "compare", "--trace", str(trace), "--strategy", strategy,
+                   "--sliding", "100,400", "--out", str(out))[0] == 0
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file() and not p.name.endswith("_manifest.json")}
+
+    projected = artifacts(tmp_path / "projected")
+    assert len(projected) == 2 * 4 + 1
+    full_read = cli.read_trace
+    monkeypatch.setattr(cli, "read_trace", lambda path, strings: full_read(path))
+    assert artifacts(tmp_path / "full") == projected
 
 
 @pytest.mark.parametrize("field", ["degree", "span_s", "gap_ms"])

@@ -2,6 +2,7 @@
 
 import csv
 import io
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from swakit.engine import EMITTED_HEADER, MEMBERS_HEADER, REASONS, Emissions, re
     write_emissions
 from swakit.errors import ConfigError, TraceParseError
 from swakit.trace import (
+    STRINGS,
     TRACE_HEADER,
     Trace,
     TraceConfig,
@@ -207,8 +209,8 @@ def test_unsorted_partition_names_row_number(tmp_path):
         read_trace(p)
 
 
-def row(ts=1, part=0, inst="0", resp="5"):
-    return [str(ts), "u", "s", "h", inst, resp, "i", str(part)]
+def row(ts=1, part=0, inst="0", resp="5", user="u"):
+    return [str(ts), user, "s", "h", inst, resp, "i", str(part)]
 
 
 # rows 1-6 of a file; each case breaks some of them
@@ -229,6 +231,8 @@ FIRST_BAD_ROW = {
     "too-large-response": ([row(5), row(6, resp=str(2**63)), row(8)], "row 2: integer beyond 64 bits"),
     "fraction-partition-first": ([row(5, part="1.5"), row(6)], "row 1: invalid literal"),
     "blank-line": ([row(5), row(6), row(7), [], row(1)], "row 4: 0 fields"),
+    # a 0xe9 byte in a user id: csv_blocks cannot decode the block, the row reader names the row
+    "not-utf8": ([row(5), row(6), row(7, user="u\udce9"), row(8)], "row 3: not UTF-8 text"),
 }
 
 
@@ -239,8 +243,45 @@ def test_reader_reports_first_bad_row(tmp_path, case, chunk):
     path = write_trace_rows(tmp_path / "bad.csv", rows)
     # small blocks carry the order check and the row numbers across block ends
     with mock.patch.object(trace_module, "READ_CHUNK", chunk):
-        with pytest.raises(TraceParseError, match=f"bad.csv: {message}"):
-            read_trace(path)
+        for strings in (STRINGS, ("truth_instance",), ()):  # what is coded changes no refusal
+            with pytest.raises(TraceParseError, match=f"bad.csv: {message}"):
+                read_trace(path, strings)
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["blocks", "csv-module"])
+def test_projected_read_matches_full_read(small_trace, tmp_path, quoted):
+    path = tmp_path / "t.csv"
+    rows = write_partition_by_partition(small_trace, path)
+    if quoted:  # a comma in one user id sends the file through the csv module
+        rows[3][1] += ",x"
+        write_trace_rows(path, rows)
+    full = read_trace(path)
+    f = full.stream
+    columns = {"user_id": "user", "service_id": "service", "head_id": "head"}
+    for k in range(len(STRINGS) + 1):
+        for strings in combinations(STRINGS, k):
+            with mock.patch.object(trace_module, "_read_rows_checked",
+                                   wraps=trace_module._read_rows_checked) as row_reader:
+                back = read_trace(path, strings)
+            assert row_reader.called == quoted
+            s = back.stream
+            for col in ("timestamp", "instance_ts", "response"):
+                assert getattr(s, col).tolist() == getattr(f, col).tolist()
+            assert back.partition.tolist() == full.partition.tolist()
+            coded = set()
+            for name, col in columns.items():
+                if name in strings:  # the same strings, under codes that may differ
+                    got = [s.names[c] for c in getattr(s, col).tolist()]
+                    assert got == [f.names[c] for c in getattr(f, col).tolist()]
+                    coded.update(got)
+                else:
+                    assert getattr(s, col) is None
+            assert sorted(s.names) == sorted(coded)  # only the coded columns' strings
+            if "truth_instance" in strings:
+                assert back.truth.tolist() == full.truth.tolist() and back.labels == full.labels
+            else:
+                assert back.truth is None and back.labels == []
+            assert replay(back) is s
 
 
 @pytest.mark.parametrize("chunk", [trace_module.READ_CHUNK, 2])
