@@ -21,7 +21,9 @@ and user id, factorized once per strategy into integer key ids.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
@@ -30,8 +32,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .params import WindowParams
-from .trace import (Stream, Trace, _codes, csv_blocks, first_seen, quoted, read_csv_rows, replay,
-                    to_int64, write_csv)
+from .trace import (Stream, Trace, _codes, csv_blocks, quoted, read_csv_rows, replay, to_int64,
+                    write_csv)
 
 __all__ = [
     "Strategy",
@@ -88,22 +90,27 @@ class Strategy(Enum):
 def key_ids(stream: Stream, strategy: Strategy):
     """(key id per seq, key per id) under ``strategy``; computed once per stream.
 
-    Ids run from 0.  A key is its display string, as ``emitted.csv`` holds
-    it: the head id, then the instance timestamp and/or the user id, as the
-    strategy asks, joined by ``|``.
+    Ids run in the order of the key columns' codes.  A key is its display
+    string, as ``emitted.csv`` holds it: the head id, then the instance
+    timestamp and/or the user id, as the strategy asks, joined by ``|``.
+    ``stream.keys`` caches both and the seqs in id order, by arrival in a key.
     """
     if strategy not in stream.keys:
         cols = [getattr(stream, f) for f in strategy.fields]
-        ids = np.zeros(len(stream), np.int64)
-        for col in cols:  # the first row of each key comes with the last step
-            _, codes = np.unique(col, return_inverse=True)
-            _, first, ids = np.unique(ids * (codes.max(initial=0) + 1) + codes,
-                                      return_index=True, return_inverse=True)
+        for f, col in zip(strategy.fields, cols):
+            if col is None:
+                raise ConfigError(f"strategy {strategy.value} keys on {f}_id, a column not read")
+        order = np.lexsort(cols[::-1])  # stable: each key's seqs in arrival order
+        new = np.ones(len(order), bool)  # where a key's run starts in that order
+        new[1:] = np.diff(np.stack([col[order] for col in cols]), axis=1).any(axis=0)
+        ids = np.empty(len(order), np.int64)
+        ids[order] = np.cumsum(new) - 1
+        first = order[new]  # each key's first arrival
         parts = [map(str, col[first].tolist()) if f == "instance_ts"
                  else [stream.names[c] for c in col[first].tolist()]
                  for f, col in zip(strategy.fields, cols)]
-        stream.keys[strategy] = (ids, list(map("|".join, zip(*parts))))
-    return stream.keys[strategy]
+        stream.keys[strategy] = (ids, list(map("|".join, zip(*parts))), order)
+    return stream.keys[strategy][:2]
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +245,7 @@ def read_emissions(path, members_path=None) -> Emissions:
     """
     key, count, reason, closed_at, avg, span = _read_columns(
         path, EMITTED_HEADER, (str, to_int64, str, to_int64, float, to_int64))
-    codes = {r: c for c, r in enumerate(REASONS)}
+    codes = defaultdict(itertools.count(len(REASONS)).__next__, zip(REASONS, itertools.count()))
     reason = _codes(codes, reason)
     if len(codes) > len(REASONS):
         i = int(np.argmax(reason >= len(REASONS)))
@@ -257,22 +264,21 @@ def read_emissions(path, members_path=None) -> Emissions:
             raise ConfigError(f"{path}: row {i + 1}: k is {count[i]}, but {members_path} "
                               f"lists {listed[i]} members")
         seqs = seq[np.argsort(em, kind="stable")]
-    table: dict = {}
-    key = _codes(table, key)
-    return Emissions(list(table), key, count, reason, closed_at, avg, span, seqs)
+    keys = defaultdict(itertools.count().__next__)
+    key = _codes(keys, key)
+    return Emissions(list(keys), key, count, reason, closed_at, avg, span, seqs)
 
 
-def _emit(stream, seqs, group, keys, key, reason, closed_at):
-    """Emissions from a group-by, and their members' first and mean timestamps.
+def _emit(stream, seqs, count, rank, keys, key, reason, closed_at):
+    """Emissions from runs of members, and their members' first and mean timestamps.
 
-    Seq ``seqs[i]`` is a member of emission ``group[i]``, and members keep
-    their order in ``seqs``, which is arrival order.  ``key`` (ids into
+    ``seqs`` holds the runs back to back, run i's ``count[i]`` members in
+    arrival order; emission j is run ``rank[j]``.  ``key`` (ids into
     ``keys``), ``reason`` and ``closed_at`` are given per emission.
     """
-    order = np.argsort(group, kind="stable")
-    seqs = seqs[order]
-    count = np.bincount(group, minlength=len(key))
+    run_start, count = (np.cumsum(count) - count)[rank], count[rank]
     start = np.cumsum(count) - count
+    seqs = seqs[np.arange(len(seqs)) + np.repeat(run_start - start, count)]  # runs in rank order
     ts = stream.timestamp[seqs]
     first = ts[start]
     ems = Emissions(keys, key, count, reason, closed_at,
@@ -305,13 +311,13 @@ def aggregate_swa(
     Windows are emitted in the order of the arrivals that close them; at one
     arrival the timeouts go first, oldest first, then the window it fills.
     """
-    ids, names = key_ids(stream, strategy)
+    key_ids(stream, strategy)
+    ids, names, order = stream.keys[strategy]  # order: each key's tuples together, by arrival
     ts, n, capacity = stream.timestamp, len(ids), params.capacity
     timeout_ms = min(params.timeout_s * 1000, _INT64_MAX)  # exact for streams spanning < 2^63 ms
     # deadlines saturate: nothing arrives after the int64 maximum
     deadline = np.minimum(ts, _INT64_MAX - timeout_ms) + timeout_ms
     due = np.searchsorted(ts, deadline, "right")  # the first arrival after each deadline
-    order = np.argsort(ids, kind="stable")  # each key's tuples together, in arrival order
     # the next window start after each position: capacity on, or the key's first tuple from due
     run = ids[order] * (n + 1)
     nxt = np.minimum(np.arange(n) + min(capacity, n),
@@ -333,8 +339,8 @@ def aggregate_swa(
     reason = np.where(full, FULL, TIMEOUT).astype(np.int8)
 
     rank = np.lexsort((first, full, trigger))  # windows in close order
-    emissions, opened_at, _ = _emit(stream, order, np.repeat(np.argsort(rank), count), names,
-                                    ids[first[rank]], reason[rank], closed_at[rank])
+    emissions, opened_at, _ = _emit(stream, order, count, rank, names, ids[first[rank]],
+                                    reason[rank], closed_at[rank])
     # open windows at each arrival: a window counts from the arrival after its first,
     # through the one that fills it or up to the one whose sweep times it out
     steps = np.bincount(first + 1, minlength=n + 1) - np.bincount(trigger + full, minlength=n + 1)
@@ -396,11 +402,14 @@ def aggregate_sliding(
         seqs = np.arange(size.sum()) + np.repeat(lo - offset, size)
         batch = np.repeat(np.arange(len(lo)), size)
         seen[seqs] = True
-        # one group per (batch, key), numbered in the order of first arrival
-        first, group = first_seen(batch * len(names) + ids[seqs])
+        # one group per (batch, key): a run of one stable sort, emitted in order of first arrival
+        by_key = np.argsort(group := batch * len(names) + ids[seqs], kind="stable")
+        start = np.flatnonzero(np.diff(group[by_key], prepend=-1))
+        rank = np.argsort(by_key[start])
+        first = by_key[start[rank]]
         closed_at = np.maximum.reduceat(stream.timestamp[seqs], offset)[batch[first]]
-        ems, _, mean_ts = _emit(stream, seqs, group, names, ids[seqs[first]],
-                                np.full(len(first), BATCH, np.int8), closed_at)
+        ems, _, mean_ts = _emit(stream, seqs[by_key], np.diff(start, append=len(seqs)), rank, names,
+                                ids[seqs[first]], np.full(len(first), BATCH, np.int8), closed_at)
         runs.append(ems)
         stats.residence_ms += (closed_at - mean_ts).tolist()
     # a tuple can land in several overlapping batches; conservation is

@@ -23,9 +23,10 @@ from __future__ import annotations
 import csv
 import re
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, count, islice
 from typing import List, Optional
 
 import numpy as np
@@ -262,8 +263,9 @@ def first_seen(values: np.ndarray):
     """Where each distinct value of ``values`` first appears, in order of appearance, and each
     value's number in that order."""
     _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return first[order], np.argsort(order)[inverse]
+    order, number = np.argsort(first), np.empty(len(first), np.int64)
+    number[order] = np.arange(len(order))  # the inverse permutation, by scatter
+    return first[order], number[inverse]
 
 
 def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
@@ -312,10 +314,10 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
     return _merged(cols, names, list(map("inst%d".__mod__, range(n))))
 
 
-def _codes(table: dict, col) -> np.ndarray:
-    """Codes of ``col``'s strings in ``table``, which gains the strings it lacked."""
-    code = table.setdefault
-    return np.array([code(s, len(table)) for s in col.tolist()], np.int32)
+def _codes(table: defaultdict, col) -> np.ndarray:
+    """Codes of ``col``'s strings in ``table``, which numbers a string it lacks with the next
+    code when it is looked up (``defaultdict(count().__next__)``): no lookup runs bytecode."""
+    return np.fromiter(map(table.__getitem__, col.tolist()), np.int32, len(col))
 
 
 def _build(blocks, strings=STRINGS, check=None) -> Trace:
@@ -324,7 +326,7 @@ def _build(blocks, strings=STRINGS, check=None) -> Trace:
     Strings are coded block by block, so a block's strings can go once it is
     read; ``check(timestamps, partitions)`` sees the input order.
     """
-    names, labels = {}, {}
+    names, labels = defaultdict(count().__next__), defaultdict(count().__next__)
     tables = {"user_id": names, "service_id": names, "head_id": names, "truth_instance": labels}
     cols = {h: [] for h in TRACE_HEADER if h in strings or h not in tables}
     for block in chain(blocks, [np.empty(0, TRACE_DTYPE)]):  # every column read gets an array
@@ -360,10 +362,13 @@ def quoted(table) -> np.ndarray:
 
 def write_csv(path, header, fmt, columns) -> None:
     """Write ``header``, then ``fmt % row`` for each row of the array ``columns``, as
-    ``csv.writer`` would; ``fmt`` has no line end, and string columns come :func:`quoted`."""
+    ``csv.writer`` would; ``fmt`` has no line end, and string columns come :func:`quoted`.
+    One ``%`` formats READ_CHUNK rows."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")  # the csv module's line end
-        fh.writelines(map((fmt + "\r\n").__mod__, zip(*(col.tolist() for col in columns))))
+        for lo in range(0, len(columns[0]), READ_CHUNK):
+            rows = np.stack([col[lo:lo + READ_CHUNK].astype(object) for col in columns], 1)
+            fh.write(((fmt + "\r\n") * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def write_trace(trace: Trace, path) -> None:
@@ -374,25 +379,29 @@ def write_trace(trace: Trace, path) -> None:
         quoted(trace.labels)[trace.truth], trace.partition])
 
 
-def csv_blocks(path, dtype):
+def csv_blocks(path, dtype, skip=()):
     """The data rows of a CSV file headed by ``dtype``'s field names, READ_CHUNK at a time.
 
-    ``np.loadtxt`` parses each block into ``dtype`` records; strings are
-    objects.  Raises ValueError at another header, a row it does not take,
-    a blank line or a quote (in a file with string fields); the csv module
-    reads those (:func:`read_csv_rows`).  Numpy releases that still read a
-    non-integer integer field through a float only warn; that warning is an
-    error here, so ``1.5`` or ``2**63`` is refused, not truncated.
+    ``np.loadtxt`` parses each block into records of the fields not in
+    ``skip`` (never the last); strings are objects.  Raises ValueError at
+    another header, a row it does not take, a blank line, a block's comma
+    count that is off or a quote (in a file with string fields); the csv
+    module reads those (:func:`read_csv_rows`).  Numpy releases that still
+    read a non-integer integer field through a float only warn; that warning
+    is an error here, so ``1.5`` or ``2**63`` is refused, not truncated.
     """
+    parsed = np.dtype([(f, dtype[f]) for f in dtype.names if f not in skip])
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if fh.readline().rstrip("\r\n").split(",") != list(dtype.names):
             raise ValueError
         while lines := list(islice(fh, READ_CHUNK)):
-            if dtype.hasobject and '"' in "".join(lines):
+            text = "".join(lines)
+            if dtype.hasobject and '"' in text or text.count(",") != (len(dtype) - 1) * len(lines):
                 raise ValueError
             with warnings.catch_warnings():
                 warnings.simplefilter("error", DeprecationWarning)
-                rows = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+                rows = np.loadtxt(lines, parsed, delimiter=",", comments=None, ndmin=1,
+                                  usecols=list(map(dtype.names.index, parsed.names)))
             if len(rows) != len(lines):  # np.loadtxt skips blank lines
                 raise ValueError
             yield rows
@@ -464,13 +473,15 @@ def read_trace(path, strings=STRINGS) -> Trace:
     byte that is not UTF-8) is read again through the csv module one row at
     a time, which names the first bad row or reads the file.
 
-    Every field is parsed and checked, but only the string columns in
-    ``strings`` are coded (``names`` holds only their strings); the others
-    are None.  ``run-pipeline`` codes its strategy's key columns, ``compare``
-    those and ``truth_instance``, ``evaluate`` and ``fit-dist`` only the latter.
+    Only the string columns in ``strings`` are parsed and coded (``names``
+    holds only their strings); the others are None, but every row still has
+    its width, quotes and UTF-8 checked and its int fields parsed.
+    ``run-pipeline`` codes its strategy's key columns, ``compare`` those and
+    ``truth_instance``, ``evaluate`` and ``fit-dist`` only the latter.
     """
     try:
-        return _build(csv_blocks(path, TRACE_DTYPE), strings, check=_check_partitions)
+        return _build(csv_blocks(path, TRACE_DTYPE, set(STRINGS) - set(strings)), strings,
+                      check=_check_partitions)
     except ValueError:
         return _build([np.array(_read_rows_checked(path), TRACE_DTYPE)], strings)
 

@@ -104,6 +104,47 @@ def test_key_ids_dense_and_consistent(small_trace):
         assert len(set(zip(rows, ids.tolist()))) == len(keys)
 
 
+KEY_ARRIVALS = hs.lists(hs.tuples(hs.sampled_from(["h2", "h1", "u1"]), hs.integers(0, 2),
+                                   hs.sampled_from(["u1", "u0", "h1"])), max_size=30)
+
+
+@given(KEY_ARRIVALS, hs.sampled_from(list(Strategy)))
+@example([], Strategy.HEAD_TS_IP)
+def test_key_ids_match_reference(arrivals, strategy):
+    """Drawn (head, instance second, user) arrivals against a dict of key tuples."""
+    s = Trace.from_rows([(seq, user, "s", head, sec, 4, "i", 0)
+                         for seq, (head, sec, user) in enumerate(arrivals)]).stream
+    ids, keys = key_ids(s, strategy)
+    pick = {"head": 0, "instance_ts": 1, "user": 2}
+    code_of = {name: code for code, name in enumerate(s.names)}
+
+    def key_of(arrival):  # the key as a tuple of codes
+        codes = (code_of[arrival[0]], arrival[1], code_of[arrival[2]])
+        return tuple(codes[pick[f]] for f in strategy.fields)
+
+    first = {}  # key -> its first arrival
+    for seq, arrival in enumerate(arrivals):
+        first.setdefault(key_of(arrival), seq)
+    ranked = sorted(first)  # ids run in the lexicographic order of the codes
+    assert ids.tolist() == [ranked.index(key_of(a)) for a in arrivals]
+    assert keys == [shown(arrivals[first[k]][pick[f]] for f in strategy.fields) for k in ranked]
+    # the cached order is a stable sort of the ids
+    assert s.keys[strategy][2].tolist() == sorted(range(len(ids)), key=ids.tolist().__getitem__)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_key_ids_names_a_key_column_not_read(tmp_path, strategy):
+    path = write_trace_rows(tmp_path / "t.csv", [[1000, "u", "s", "h", 1, 4, "i", 0]])
+    with pytest.raises(ConfigError, match="keys on head_id, a column not read"):
+        run_pipeline(read_trace(path, ("truth_instance",)), PipelineConfig(strategy=strategy))
+    stream = read_trace(path, ("head_id",)).stream
+    if "user" in strategy.fields:
+        with pytest.raises(ConfigError, match="keys on user_id"):
+            key_ids(stream, strategy)
+    else:
+        assert key_ids(stream, strategy)[1] == [shown(("h", 1)[:len(strategy.fields)])]
+
+
 # ---------------------------------------------------------------------------
 # union of the partition streams (replay)
 # ---------------------------------------------------------------------------

@@ -223,6 +223,8 @@ FIRST_BAD_ROW = {
     "int-first": ([row(5), row(6, inst="x"), row(4), row(6), row(7, -1), row(8)], "row 2: invalid literal"),
     # within one row, the width is checked first, then the timestamp and partition
     "width": ([row(5), row(6), row(4)[:7], row(1), row(7, -1), row(8)], "row 3: 7 fields"),
+    # one field too many: a block read that skips columns must still count them
+    "width-long": ([row(5), row(6), row(7) + ["8"], row(8)], "row 3: 9 fields"),
     "order-before-response": ([row(5), row(6), row(4, inst="x"), row(8)], "row 3: timestamp 4"),
     "ts-before-negative": ([row(5), ["x"] + row(6, -1)[1:], row(8)], "row 2: invalid literal"),
     "too-large": ([row(5), row(2**63), row(8)], "row 2: integer beyond 64 bits"),
