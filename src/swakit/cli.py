@@ -166,11 +166,12 @@ def cmd_gen_trace(args) -> int:
     cat_seed, trace_seed = np.random.SeedSequence(args.seed).spawn(2)
     stages: dict = {}
     with stage(stages, "generate", args.instances):
+        cfg = TraceConfig(instance_count=args.instances, arrival_dist=arrival, span_dist=span,
+                          user_pool=args.user_pool, repeat_factor=args.repeat_factor,
+                          seed=trace_seed)  # checked before the catalog is drawn
         catalog = build_catalog(args.services, degree, seed=cat_seed,
                                 n_partitions=args.partitions, shared_atomics=args.shared_atomics)
-        trace = generate_trace(catalog, TraceConfig(
-            instance_count=args.instances, arrival_dist=arrival, span_dist=span,
-            user_pool=args.user_pool, repeat_factor=args.repeat_factor, seed=trace_seed))
+        trace = generate_trace(catalog, cfg)
     trace_path = out / "trace.csv"
     with stage(stages, "write", trace.n_tuples):
         write_trace(trace, trace_path)

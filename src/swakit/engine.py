@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .params import WindowParams
-from .trace import (Stream, Trace, _codes, csv_blocks, quoted, read_csv_rows, replay, to_int64,
-                    write_csv)
+from .trace import Stream, Trace, _codes, csv_blocks, quoted, replay, write_csv
 
 __all__ = [
     "Strategy",
@@ -57,6 +56,8 @@ _SLIDING_RUN = 1 << 20  # member slots per sliding group-by
 
 EMITTED_HEADER = ["key", "k", "close_reason", "closed_at_ms", "avg_response_ms", "span_ms"]
 MEMBERS_HEADER = ["emission", "seq"]
+EMITTED_DTYPE = np.dtype(list(zip(EMITTED_HEADER, ["O", "i8", "O", "i8", "f8", "i8"])))
+MEMBERS_DTYPE = np.dtype([(h, "i8") for h in MEMBERS_HEADER])
 REASONS = ("full", "timeout", "batch")  # what an emission's reason code indexes
 FULL, TIMEOUT, BATCH = range(len(REASONS))
 
@@ -218,33 +219,18 @@ def write_emissions(emissions: Emissions, path, members_path=None) -> None:
         write_csv(members_path, MEMBERS_HEADER, "%d,%d", [e.owner, e.seqs])
 
 
-def _read_columns(path, header, parse) -> list:
-    """The columns of a CSV file headed by ``header``, each read by its ``parse``.
-
-    ``parse`` holds ``str``, ``to_int64`` or ``float`` per column.  A file
-    :func:`~swakit.trace.csv_blocks` does not take is read again through the
-    csv module one row at a time, which names the first bad row or reads it.
-    """
-    dtype = np.dtype([(h, {str: object, float: float}.get(p, np.int64))
-                      for h, p in zip(header, parse)])
-    try:
-        rows = np.concatenate([np.empty(0, dtype), *csv_blocks(path, dtype)])
-    except ValueError:
-        rows = np.array(list(read_csv_rows(path, header, lambda *fields: tuple(
-            p(f) for p, f in zip(parse, fields)))), dtype)
-    return [rows[h].copy() for h in header]  # contiguous, and the rows can go
-
-
 def read_emissions(path, members_path=None) -> Emissions:
     """Read ``emitted.csv`` back into columns; members only if a sidecar is given.
 
-    Errors name the file and the 1-based row: a malformed row or close
-    reason, a member row whose emission index is not a row of
-    ``emitted.csv``, and an emission whose ``k`` differs from the number of
-    member rows listing it.  Members keep their file order within an emission.
+    Both files go through :func:`~swakit.trace.csv_blocks`.  Errors name the
+    file and the 1-based row: a malformed row (found in the block that holds
+    it), an unknown close reason, a member row whose emission index is not a
+    row of ``emitted.csv``, and an emission whose ``k`` differs from the
+    number of member rows listing it.  Members keep their file order within an emission.
     """
-    key, count, reason, closed_at, avg, span = _read_columns(
-        path, EMITTED_HEADER, (str, to_int64, str, to_int64, float, to_int64))
+    blocks = [np.empty(0, EMITTED_DTYPE), *csv_blocks(path, EMITTED_DTYPE)]
+    key, count, reason, closed_at, avg, span = [
+        np.concatenate([block[h] for block in blocks]) for h in EMITTED_HEADER]
     codes = defaultdict(itertools.count(len(REASONS)).__next__, zip(REASONS, itertools.count()))
     reason = _codes(codes, reason)
     if len(codes) > len(REASONS):
@@ -252,7 +238,8 @@ def read_emissions(path, members_path=None) -> Emissions:
         raise ConfigError(f"{path}: row {i + 1}: unknown close reason {list(codes)[reason[i]]!r}")
     seqs = None
     if members_path is not None:
-        em, seq = _read_columns(members_path, MEMBERS_HEADER, (to_int64, to_int64))
+        blocks = [np.empty(0, MEMBERS_DTYPE), *csv_blocks(members_path, MEMBERS_DTYPE)]
+        em, seq = [np.concatenate([block[h] for block in blocks]) for h in MEMBERS_HEADER]
         outside = (em < 0) | (em >= len(count))
         if outside.any():
             i = int(np.argmax(outside))

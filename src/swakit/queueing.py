@@ -73,6 +73,7 @@ __all__ = [
 ]
 
 MAX_STATES = 100_000
+MAX_DES_BYTES = 1 << 32  # memory a simulation may plan to take, at 52 bytes per arrival
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +611,8 @@ def des_simulate(
     """
     if arrivals < 100:
         raise ConfigError("need at least 100 arrivals for meaningful statistics")
+    if arrivals * 52 > MAX_DES_BYTES:
+        raise ConfigError(f"arrivals {arrivals} need ~{arrivals * 52} bytes, over {MAX_DES_BYTES}")
     if not (0.0 <= warmup_frac < 0.5):
         raise ConfigError("warmup_frac must lie in [0, 0.5)")
     if n_batches < 20:

@@ -70,7 +70,9 @@ TRACE_HEADER = [
 STRINGS = ("user_id", "service_id", "head_id", "truth_instance")  # coded into string tables
 TRACE_DTYPE = np.dtype([(h, object if h in STRINGS else np.int64) for h in TRACE_HEADER])
 READ_CHUNK = 1 << 14  # rows parsed together by csv_blocks
+MAX_TRACE_BYTES = 1 << 32  # memory a catalog or a trace may plan to take
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
+_NOT_UTF8 = re.compile("[\udc80-\udcff]").search  # a byte surrogateescape decoding kept
 
 
 @dataclass(eq=False)
@@ -134,6 +136,9 @@ class TraceConfig:
     def __post_init__(self):
         if self.instance_count < 1:
             raise ConfigError("instance_count must be >= 1")
+        if (need := self.instance_count * 1900) > MAX_TRACE_BYTES:  # at the default degree
+            raise ConfigError(f"instance_count {self.instance_count} needs ~{need} bytes, "
+                              f"over {MAX_TRACE_BYTES}")
         if self.user_pool < 1:
             raise ConfigError("user_pool must be >= 1")
         if self.repeat_factor < 1.0:
@@ -240,6 +245,8 @@ def build_catalog(count: int, degree_dist, seed: int, n_partitions: int = 2,
     """
     if count < 1:
         raise ConfigError("catalog count must be >= 1")
+    if (need := count * 1600) > MAX_TRACE_BYTES:  # at the default degree
+        raise ConfigError(f"catalog count {count} needs ~{need} bytes, over {MAX_TRACE_BYTES}")
     if n_partitions < 1:
         raise ConfigError("n_partitions must be >= 1")
     rng = np.random.default_rng(seed)
@@ -320,11 +327,12 @@ def _codes(table: defaultdict, col) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, col.tolist()), np.int32, len(col))
 
 
-def _build(blocks, strings=STRINGS, check=None) -> Trace:
+def _build(blocks, strings=STRINGS, checked=False) -> Trace:
     """Merge ``TRACE_DTYPE`` row blocks into a trace; string columns not in ``strings`` are None.
 
     Strings are coded block by block, so a block's strings can go once it is
-    read; ``check(timestamps, partitions)`` sees the input order.
+    read.  If ``checked``, raises ValueError unless, in input order,
+    partitions are >= 0 and each one's timestamps never go back.
     """
     names, labels = defaultdict(count().__next__), defaultdict(count().__next__)
     tables = {"user_id": names, "service_id": names, "head_id": names, "truth_instance": labels}
@@ -333,8 +341,11 @@ def _build(blocks, strings=STRINGS, check=None) -> Trace:
         for name, acc in cols.items():  # copies: the block can go
             acc.append(_codes(tables[name], block[name]) if name in tables else block[name].copy())
     cols = [np.concatenate(cols[h]) if h in cols else None for h in TRACE_HEADER]
-    if check:
-        check(cols[0], cols[7])
+    if checked:
+        by_part = np.argsort(cols[7], kind="stable")
+        p, t = cols[7][by_part], cols[0][by_part]
+        if (p < 0).any() or ((t[1:] < t[:-1]) & (p[1:] == p[:-1])).any():
+            raise ValueError("a partition goes back in time or is negative")
     return _merged(cols, list(names), list(labels))
 
 
@@ -379,65 +390,63 @@ def write_trace(trace: Trace, path) -> None:
         quoted(trace.labels)[trace.truth], trace.partition])
 
 
-def csv_blocks(path, dtype, skip=()):
-    """The data rows of a CSV file headed by ``dtype``'s field names, READ_CHUNK at a time.
+def csv_blocks(path, dtype, skip=(), error=ConfigError):
+    """The data rows of a CSV file headed by ``dtype``'s field names, READ_CHUNK lines at a time.
 
     ``np.loadtxt`` parses each block into records of the fields not in
-    ``skip`` (never the last); strings are objects.  Raises ValueError at
-    another header, a row it does not take, a blank line, a block's comma
-    count that is off or a quote (in a file with string fields); the csv
-    module reads those (:func:`read_csv_rows`).  Numpy releases that still
-    read a non-integer integer field through a float only warn; that warning
-    is an error here, so ``1.5`` or ``2**63`` is refused, not truncated.
+    ``skip`` (never the last); strings are objects.  A block it may misread
+    or refuses (a quote in a file with string fields, a blank line, a comma
+    count that is off, a byte that is not UTF-8, a fault) goes alone through
+    the csv module and :func:`parse_rows` from its first line, so a quoted
+    line end may carry its last row past the block; rows are numbered from
+    the block's offset.  A bad header or row raises ``error`` naming the
+    file and the row.  Numpy releases that still read a non-integer integer
+    field through a float only warn; that warning is a refusal here, so
+    ``1.5`` or ``2**63`` is not truncated.
     """
     parsed = np.dtype([(f, dtype[f]) for f in dtype.names if f not in skip])
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        if fh.readline().rstrip("\r\n").split(",") != list(dtype.names):
-            raise ValueError
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        if (header := next(csv.reader(fh), None)) != list(dtype.names):
+            raise error(f"{path}: bad header {header!r}, expected {list(dtype.names)!r}")
+        done = 0  # rows read so far
         while lines := list(islice(fh, READ_CHUNK)):
             text = "".join(lines)
-            if dtype.hasobject and '"' in text or text.count(",") != (len(dtype) - 1) * len(lines):
-                raise ValueError
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", DeprecationWarning)
-                rows = np.loadtxt(lines, parsed, delimiter=",", comments=None, ndmin=1,
-                                  usecols=list(map(dtype.names.index, parsed.names)))
-            if len(rows) != len(lines):  # np.loadtxt skips blank lines
-                raise ValueError
+            try:
+                if (dtype.hasobject and '"' in text or not text.isascii() and _NOT_UTF8(text)
+                        or text.count(",") != (len(dtype) - 1) * len(lines)):
+                    raise ValueError
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", DeprecationWarning)
+                    rows = np.loadtxt(lines, parsed, delimiter=",", comments=None, ndmin=1,
+                                      usecols=list(map(dtype.names.index, parsed.names)))
+                if len(rows) != len(lines):  # np.loadtxt skips blank lines
+                    raise ValueError
+            except (ValueError, DeprecationWarning):  # csv rows until one takes the last line
+                reader = csv.reader(chain(lines, fh))
+                records = (next(reader) for _ in iter(lambda: reader.line_num < len(lines), False))
+                rows = np.array([*parse_rows(path, records, dtype, done + 1, error)], dtype)
+                rows = rows[list(parsed.names)]
+            done += len(rows)
             yield rows
 
 
-def _check_partitions(ts, part) -> None:
-    """ValueError unless partitions are >= 0 and each one's timestamps never go back."""
-    by_part = np.argsort(part, kind="stable")
-    p, t = part[by_part], ts[by_part]
-    if (part < 0).any() or ((t[1:] < t[:-1]) & (p[1:] == p[:-1])).any():
-        raise ValueError("a partition goes back in time or is negative")
-
-
-def read_csv_rows(path, header, parse, error=ConfigError):
-    """Yield ``parse(*fields)`` for each data row of a CSV file headed by ``header``.
-
-    A bad header, a row of the wrong width, a row that is not UTF-8
-    text or a field ``parse`` rejects with a ValueError raises ``error``
-    naming the file and the 1-based row (header excluded).
-    """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        r = csv.reader(fh)
-        got = next(r, None)
-        if got != header:
-            raise error(f"{path}: bad header {got!r}, expected {header!r}")
-        width = len(header)
-        for row_no, fields in enumerate(r, 1):
-            if len(fields) != width:
-                raise error(f"{path}: row {row_no}: {len(fields)} fields, expected {width}")
-            try:
-                "".join(fields).encode()  # a byte that is not UTF-8 reads as a lone surrogate
-                yield parse(*fields)
-            except UnicodeEncodeError:
-                raise error(f"{path}: row {row_no}: not UTF-8 text") from None
-            except ValueError as exc:
-                raise error(f"{path}: row {row_no}: {exc}") from None
+def parse_rows(path, records, dtype, first, error, check=None):
+    """Each field list of ``records`` (csv module rows, the first numbered ``first``) as a
+    tuple of ``dtype``'s fields, ints by :func:`to_int64`.  The first row of the wrong width,
+    not UTF-8 text, rejected by ``check(fields)`` or with a field that does not parse (checked
+    in that order) raises ``error`` naming the file and the row."""
+    parse = [{"O": str, "f": float}.get(dtype[f].kind, to_int64) for f in dtype.names]
+    for row_no, fields in enumerate(records, first):
+        if len(fields) != len(parse):
+            raise error(f"{path}: row {row_no}: {len(fields)} fields, expected {len(parse)}")
+        if _NOT_UTF8("".join(fields)):
+            raise error(f"{path}: row {row_no}: not UTF-8 text")
+        try:
+            if check:
+                check(fields)
+            yield tuple(p(f) for p, f in zip(parse, fields))
+        except ValueError as exc:
+            raise error(f"{path}: row {row_no}: {exc}") from None
 
 
 def to_int64(text) -> int:
@@ -448,30 +457,32 @@ def to_int64(text) -> int:
     return value
 
 
-def _read_rows_checked(path) -> list:
-    """The file's rows through the csv module, each parsed and checked as it comes; the first
-    bad one raises."""
+def _read_rows_checked(path) -> None:
+    """Name the first bad row of a trace whose block read failed, never returning data: the
+    csv module reads the rows one by one through :func:`parse_rows`, each row's partition order
+    checked before its other fields.  A bad header returns: the block read's error stands."""
     last_ts: dict = {}  # partition -> its latest timestamp so far
 
-    def check(*row):
-        ts, part = to_int64(row[0]), to_int64(row[7])
+    def check(fields):
+        ts, part = to_int64(fields[0]), to_int64(fields[7])
         if part < 0:
             raise ValueError(f"negative partition {part}")
         if ts < last_ts.get(part, ts):
             raise ValueError(f"timestamp {ts} precedes {last_ts[part]} in partition {part}")
         last_ts[part] = ts
-        return (ts, *row[1:4], to_int64(row[4]), to_int64(row[5]), row[6], part)
 
-    return list(read_csv_rows(path, TRACE_HEADER, check, TraceParseError))
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        if next(reader := csv.reader(fh), None) == TRACE_HEADER:
+            for _ in parse_rows(path, reader, TRACE_DTYPE, 1, TraceParseError, check):
+                pass
 
 
 def read_trace(path, strings=STRINGS) -> Trace:
     """Parse a trace CSV into columns, checking every row; errors name the file and the row.
 
-    Rows are parsed READ_CHUNK at a time and checked together.  A file
-    :func:`csv_blocks` does not take (a fault, a quote, a blank line, a
-    byte that is not UTF-8) is read again through the csv module one row at
-    a time, which names the first bad row or reads the file.
+    :func:`csv_blocks` reads the rows, and partition order is checked on the
+    columns.  After a fault an error-only pass names the first bad row, so
+    an order fault comes before a later row's parse fault.
 
     Only the string columns in ``strings`` are parsed and coded (``names``
     holds only their strings); the others are None, but every row still has
@@ -480,10 +491,11 @@ def read_trace(path, strings=STRINGS) -> Trace:
     ``truth_instance``, ``evaluate`` and ``fit-dist`` only the latter.
     """
     try:
-        return _build(csv_blocks(path, TRACE_DTYPE, set(STRINGS) - set(strings)), strings,
-                      check=_check_partitions)
-    except ValueError:
-        return _build([np.array(_read_rows_checked(path), TRACE_DTYPE)], strings)
+        return _build(csv_blocks(path, TRACE_DTYPE, set(STRINGS) - set(strings), TraceParseError),
+                      strings, checked=True)
+    except (TraceParseError, ValueError):  # an order fault may come before the row refused
+        _read_rows_checked(path)
+        raise
 
 
 # ---------------------------------------------------------------------------

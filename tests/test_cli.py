@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -493,6 +495,33 @@ def test_too_few_arrivals_exits_two(capsys, tmp_path):
     code, _, _ = run(capsys, "simulate-queue", "--model", str(model),
                      "--out", str(tmp_path), "--arrivals", "50")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["simulate-queue", "--model", "MODEL", "--arrivals", str(10**15)], "arrivals"),
+    (["gen-trace", "--instances", str(10**15)], "instance_count"),
+    (["gen-trace", "--services", str(10**15)], "catalog count"),
+], ids=["arrivals", "instances", "services"])
+def test_oversized_request_exits_two_before_allocating(capsys, tmp_path, argv, named):
+    # refused from the size arguments alone: nothing near the memory cap is taken
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({
+        "arrival": {"type": "erlang", "lambda": 1.0, "k": 1},
+        "service": {"type": "erlang", "lambda": 2.0, "k": 1},
+    }))
+    argv = [*(str(model) if a == "MODEL" else a for a in argv), "--out", str(tmp_path / "out")]
+    times = []
+    for _ in range(3):  # the fastest of three: the command's cost, not the host's
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, *argv)
+        times.append(time.perf_counter() - t0)
+        assert code == 2
+        assert f"{named} {10**15} need" in err and " bytes, over " in err
+    assert min(times) < 0.01
+    tracemalloc.start()
+    assert run(capsys, *argv)[0] == 2
+    assert tracemalloc.get_traced_memory()[1] < 1 << 20  # the peak
+    tracemalloc.stop()
 
 
 def test_state_space_blowup_exits_three(capsys, tmp_path):

@@ -1,9 +1,11 @@
 """Stream operators: key extraction, the merged stream, both aggregates."""
 
+import csv
 import json
 from collections import namedtuple
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hs
 
@@ -31,10 +33,9 @@ from swakit.trace import (
     TraceConfig,
     build_catalog,
     generate_trace,
-    read_csv_rows,
+    parse_rows,
     read_trace,
     replay,
-    to_int64,
 )
 
 from conftest import emission_rows, write_partition_by_partition, write_trace_rows
@@ -673,8 +674,8 @@ BAD_EMISSION_ROW = {
     "reason": ("emitted.csv", 6, lambda f: [*f[:2], "late", *f[3:]], "row 5"),
     "index": ("emitted_members.csv", 6, lambda f: ["-1", f[1]], "row 5"),
 }
-ROW_PARSE = {"emitted.csv": (str, to_int64, str, to_int64, float, to_int64),
-             "emitted_members.csv": (to_int64, to_int64)}
+ROW_DTYPE = {"emitted.csv": np.dtype(list(zip(EMITTED_HEADER, ["O", "i8", "O", "i8", "f8", "i8"]))),
+             "emitted_members.csv": np.dtype([(h, "i8") for h in MEMBERS_HEADER])}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_EMISSION_ROW))
@@ -694,8 +695,9 @@ def test_emission_reader_names_first_bad_row(swa_small_run, tmp_path, case):
         errors.append(str(err.value))
     assert errors[0] == errors[1]
     if case not in ("reason", "index"):  # the row reader on its own says the same
-        parse = ROW_PARSE[name]
-        with pytest.raises(ConfigError) as err:
-            list(read_csv_rows(path, EMITTED_HEADER if name == "emitted.csv" else MEMBERS_HEADER,
-                               lambda *fields: [f(v) for f, v in zip(parse, fields)]))
+        with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh, \
+                pytest.raises(ConfigError) as err:
+            records = csv.reader(fh)
+            next(records)  # the header
+            list(parse_rows(path, records, ROW_DTYPE[name], 1, ConfigError))
         assert str(err.value) == errors[0]

@@ -226,6 +226,9 @@ FIRST_BAD_ROW = {
     # one field too many: a block read that skips columns must still count them
     "width-long": ([row(5), row(6), row(7) + ["8"], row(8)], "row 3: 9 fields"),
     "order-before-response": ([row(5), row(6), row(4, inst="x"), row(8)], "row 3: timestamp 4"),
+    # an order fault before a parse fault in a later block (at READ_CHUNK 2) names the earlier row
+    "order-before-later-fraction": ([row(5), row(4), row(6), row(7), row(8, resp="1.5"), row(9)],
+                                    "row 2: timestamp 4 precedes 5"),
     "ts-before-negative": ([row(5), ["x"] + row(6, -1)[1:], row(8)], "row 2: invalid literal"),
     "too-large": ([row(5), row(2**63), row(8)], "row 2: integer beyond 64 bits"),
     # non-integers and values past 64 bits in a column no order check reads
@@ -254,7 +257,7 @@ def test_reader_reports_first_bad_row(tmp_path, case, chunk):
 def test_projected_read_matches_full_read(small_trace, tmp_path, quoted):
     path = tmp_path / "t.csv"
     rows = write_partition_by_partition(small_trace, path)
-    if quoted:  # a comma in one user id sends the file through the csv module
+    if quoted:  # a comma in one user id sends its block through the csv module
         rows[3][1] += ",x"
         write_trace_rows(path, rows)
     full = read_trace(path)
@@ -262,10 +265,12 @@ def test_projected_read_matches_full_read(small_trace, tmp_path, quoted):
     columns = {"user_id": "user", "service_id": "service", "head_id": "head"}
     for k in range(len(STRINGS) + 1):
         for strings in combinations(STRINGS, k):
-            with mock.patch.object(trace_module, "_read_rows_checked",
-                                   wraps=trace_module._read_rows_checked) as row_reader:
+            with mock.patch.object(trace_module, "parse_rows",
+                                   wraps=trace_module.parse_rows) as row_reader, \
+                    mock.patch.object(trace_module, "_read_rows_checked") as error_pass:
                 back = read_trace(path, strings)
-            assert row_reader.called == quoted
+            # a valid file, quoted or not, never reaches the error-only pass
+            assert row_reader.called == quoted and not error_pass.called
             s = back.stream
             for col in ("timestamp", "instance_ts", "response"):
                 assert getattr(s, col).tolist() == getattr(f, col).tolist()
@@ -290,7 +295,7 @@ def test_projected_read_matches_full_read(small_trace, tmp_path, quoted):
 def test_quoted_fields_read_back(small_trace, tmp_path, chunk):
     # a comma in a user id makes the rows from the sixth on quoted; plain
     # splitting refuses the block that holds the first quote (with small
-    # blocks, one in mid-file) and the csv module reads the file
+    # blocks, one in mid-file) and each later one, and the csv module reads them
     path = tmp_path / "t.csv"
     rows = write_partition_by_partition(small_trace, path)
     rows = rows[:5] + [[*r[:1], r[1] + ",x", *r[2:]] for r in rows[5:]]
@@ -304,6 +309,41 @@ def test_quoted_fields_read_back(small_trace, tmp_path, chunk):
         got = list(csv.reader(fh))
     assert got[0] == TRACE_HEADER
     assert sorted(got[1:]) == sorted(rows)
+
+
+# data rows 6 and 10 hold a quoted line end and span two lines each; at READ_CHUNK 2 and 3
+# row 6 starts on a block's last line and ends in the next block, with plain blocks around
+LINE_END_ROWS = [(i, "a\r\nb" if i == 6 else f"u{i}", "s", "h", i // 3, 5 * i,
+                  "c\nd" if i == 10 else f"i{i % 3}", i % 2) for i in range(1, 15)]
+
+
+@pytest.mark.parametrize("chunk", [trace_module.READ_CHUNK, 2, 3])
+@pytest.mark.parametrize("strings", [STRINGS, ("truth_instance",), ()],
+                         ids=["all", "truth", "none"])
+def test_quoted_line_ends_across_block_edges(tmp_path, chunk, strings):
+    want = Trace.from_rows(LINE_END_ROWS)
+    path = tmp_path / "t.csv"
+    write_trace(want, path)
+    with mock.patch.object(trace_module, "READ_CHUNK", chunk):
+        back = read_trace(path, strings)
+    s, w = back.stream, want.stream
+    for col in ("timestamp", "instance_ts", "response"):
+        assert getattr(s, col).tolist() == getattr(w, col).tolist()
+    assert back.partition.tolist() == want.partition.tolist()
+    for name, col in {"user_id": "user", "service_id": "service", "head_id": "head"}.items():
+        got = getattr(s, col)
+        assert (got is None) == (name not in strings)
+        if got is not None:
+            want_col = getattr(w, col).tolist()
+            assert [s.names[c] for c in got.tolist()] == [w.names[c] for c in want_col]
+    if "truth_instance" in strings:
+        assert [back.labels[c] for c in back.truth.tolist()] == [r[6] for r in LINE_END_ROWS]
+        if strings == STRINGS:  # writing what was read gives back the same bytes
+            again = tmp_path / "again.csv"
+            write_trace(back, again)
+            assert again.read_bytes() == path.read_bytes()
+    else:
+        assert back.truth is None
 
 
 @pytest.mark.parametrize("spell", ["quoted header", "quoted field", "carriage return in a field"])
@@ -373,13 +413,15 @@ def test_trace_writer_matches_csv_module(tmp_path):
     path = tmp_path / "t.csv"
     write_trace(Trace.from_rows(rows), path)
     assert path.read_bytes() == csv_module_bytes(TRACE_HEADER, rows)
-    back = read_trace(path)
-    s, names = back.stream, back.stream.names
-    got = zip(s.timestamp.tolist(), (names[c] for c in s.user.tolist()),
-              (names[c] for c in s.service.tolist()), (names[c] for c in s.head.tolist()),
-              s.instance_ts.tolist(), s.response.tolist(),
-              (back.labels[c] for c in back.truth.tolist()), back.partition.tolist())
-    assert list(got) == rows
+    for chunk in (trace_module.READ_CHUNK, 2):  # one block, then blocks of two lines
+        with mock.patch.object(trace_module, "READ_CHUNK", chunk):
+            back = read_trace(path)
+        s, names = back.stream, back.stream.names
+        got = zip(s.timestamp.tolist(), (names[c] for c in s.user.tolist()),
+                  (names[c] for c in s.service.tolist()), (names[c] for c in s.head.tolist()),
+                  s.instance_ts.tolist(), s.response.tolist(),
+                  (back.labels[c] for c in back.truth.tolist()), back.partition.tolist())
+        assert list(got) == rows
 
 
 def test_emission_writer_matches_csv_module(tmp_path):
@@ -397,12 +439,14 @@ def test_emission_writer_matches_csv_module(tmp_path):
     owners = [i for i, c in enumerate(count) for _ in range(c)]
     assert path.read_bytes() == csv_module_bytes(EMITTED_HEADER, rows)
     assert members.read_bytes() == csv_module_bytes(MEMBERS_HEADER, list(zip(owners, seqs)))
-    back = read_emissions(path, members)
-    assert [back.keys[k] for k in back.key.tolist()] == [ODD[k] for k in key]
-    assert [REASONS[r] for r in back.reason.tolist()] == [REASONS[r] for r in reason]
-    assert back.count.tolist() == count and back.closed_at.tolist() == closed_at
-    assert back.span_ms.tolist() == span and back.seqs.tolist() == seqs
-    assert back.response_avg.tolist() == pytest.approx(avg, abs=1e-6)
+    for chunk in (trace_module.READ_CHUNK, 2):  # one block, then blocks of two lines
+        with mock.patch.object(trace_module, "READ_CHUNK", chunk):
+            back = read_emissions(path, members)
+        assert [back.keys[k] for k in back.key.tolist()] == [ODD[k] for k in key]
+        assert [REASONS[r] for r in back.reason.tolist()] == [REASONS[r] for r in reason]
+        assert back.count.tolist() == count and back.closed_at.tolist() == closed_at
+        assert back.span_ms.tolist() == span and back.seqs.tolist() == seqs
+        assert back.response_avg.tolist() == pytest.approx(avg, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
