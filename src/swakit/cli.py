@@ -159,7 +159,6 @@ def _members_path(emitted: Path) -> Path:
 
 def cmd_gen_trace(args) -> int:
     t0 = time.monotonic()
-    out = _out_dir(args)
     degree = _load_dist_opt(args.degree_dist, default_degree_dist)
     span = _load_dist_opt(args.span_dist, default_span_dist)
     arrival = _load_dist_opt(args.arrival_dist, default_arrival_dist)
@@ -172,7 +171,7 @@ def cmd_gen_trace(args) -> int:
         catalog = build_catalog(args.services, degree, seed=cat_seed,
                                 n_partitions=args.partitions, shared_atomics=args.shared_atomics)
         trace = generate_trace(catalog, cfg)
-    trace_path = out / "trace.csv"
+    trace_path = _out_dir(args) / "trace.csv"
     with stage(stages, "write", trace.n_tuples):
         write_trace(trace, trace_path)
     print(f"wrote {trace.n_tuples} tuples ({args.instances} instances) to {trace_path}")
@@ -341,7 +340,6 @@ def cmd_predict(args) -> int:
 
 def cmd_simulate_queue(args) -> int:
     t0 = time.monotonic()
-    out = _out_dir(args)
     model = load_model(args.model)
     stages: dict = {}
     perf = des_simulate(
@@ -354,7 +352,7 @@ def cmd_simulate_queue(args) -> int:
     )
     stages["simulate"]["items"] = perf.des["events"]
     doc = perf.to_dict()
-    sim_path = out / "simulate.json"
+    sim_path = _out_dir(args) / "simulate.json"
     with stage(stages, "write"):
         _write_json(sim_path, doc)
     print(json.dumps({k: doc[k] for k in ("L", "Lq", "W", "Wq")}, sort_keys=True))

@@ -73,7 +73,7 @@ __all__ = [
 ]
 
 MAX_STATES = 100_000
-MAX_DES_BYTES = 1 << 32  # memory a simulation may plan to take, at 52 bytes per arrival
+MAX_DES_BYTES = 1 << 32  # memory a simulation may plan: 52 bytes per arrival, 160 per batch
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +494,7 @@ def _draw_times(dist, count: int, rng: np.random.Generator) -> np.ndarray:
     return np.asarray(dist.sample(count, rng), dtype=float)
 
 
-_BLOCK = 8192  # events per fold; the occupancy record never holds more than one block
+_BLOCK = 8192  # arrivals per merge-and-fold block, and per float conversion in the loop
 
 
 def _floats(values: np.ndarray):
@@ -502,59 +502,52 @@ def _floats(values: np.ndarray):
     return chain.from_iterable(values[i:i + _BLOCK].tolist() for i in range(0, values.size, _BLOCK))
 
 
-class _Occupancy:
-    """Time-integrated counts over [t0, t1] in equal slices, folded block by block."""
+def _occupancy(at, kept, dep, t0, t1, slices, start=None):
+    """Mean and 95% half-width over [t0, t1] of the number in system and, given the sorted
+    service ``start`` times, of the number waiting.  The steps run between the events: the
+    arrivals ``at`` merged with the sorted departures ``dep``, one block of arrivals at a
+    time.  Each holds the sorted ``kept`` arrivals up to its start less the departures (or
+    the starts) up to it, and :func:`_fold` adds it to ``slices`` equal time slices."""
+    if t1 <= t0:
+        t1 = t0 + 1e-9
+    area = np.zeros((1 if start is None else 2, slices))
+    j, prev = 0, 0.0  # departures merged so far, the last merged event's time
+    for i in range(0, at.size, _BLOCK):
+        j1 = np.searchsorted(dep, at[i + _BLOCK - 1], "right") if i + _BLOCK < at.size else dep.size
+        t = np.sort(np.concatenate((at[i:i + _BLOCK], dep[j:j1])))
+        u = np.concatenate(([prev], t[:-1]))
+        came = np.searchsorted(kept, u, "right")
+        counts = [came - np.searchsorted(dep, u, "right")]
+        if start is not None:
+            counts.append(came - np.searchsorted(start, u, "right"))
+        _fold(area, t0, t1, u, t, *counts)
+        j, prev = j1, t[-1]
+    return [(float(a.sum() / (t1 - t0)), _ci_half(a / ((t1 - t0) / slices))) for a in area]
 
-    def __init__(self, t0: float, t1: float, slices: int, rows: int = 2):
-        if t1 <= t0:
-            t1 = t0 + 1e-9
-        self.t0, self.t1, self.dt = t0, t1, (t1 - t0) / slices
-        self.area = np.zeros((rows, slices))
-        self.events = 0
-        self.times = array("d", [0.0])  # the last folded event's time, then the block's
-        self.counts = [array("q") for _ in range(rows)]
 
-    def record(self, t, n_sys, n_queue):
-        self.times.append(t)
-        self.counts[0].append(n_sys)
-        self.counts[1].append(n_queue)
-        if len(self.times) > _BLOCK:
-            self.flush()
-
-    def flush(self):
-        t = np.array(self.times)
-        self.fold(t[:-1], t[1:], *map(np.array, self.counts))
-        del self.times[:-1]
-        for buf in self.counts:
-            del buf[:]
-
-    def fold(self, u: np.ndarray, v: np.ndarray, *counts: np.ndarray):
-        """Add the steps (u, v), one array of counts per row, to the slices."""
-        t0, dt, top = self.t0, self.dt, self.area.shape[1] - 1
-        self.events += v.size
-        u, v = np.maximum(u, t0), np.minimum(v, self.t1)
-        keep = v > u
-        u, v = u[keep], v[keep]
-        s0 = np.minimum(((u - t0) / dt).astype(np.int64), top)
-        s1 = np.minimum(((v - t0) / dt).astype(np.int64), top)
-        k = s1 - s0 + 1  # slices each step touches
-        end = np.cumsum(k)
-        first = end - k
-        where = np.arange(k.sum()) - np.repeat(first - s0, k)
-        head = np.where(k == 1, v - u, t0 + (s0 + 1) * dt - u)
-        tail = v - (t0 + s1 * dt)
-        for area, n in zip(self.area, counts):  # a zero count adds +-0.0: no change
-            n = n[keep]
-            piece = np.repeat(n * dt, k)
-            piece[end - 1] = n * tail
-            piece[first] = n * head
-            np.add.at(area, where, piece)
-
-    def mean(self, row: int) -> float:
-        return float(self.area[row].sum() / (self.t1 - self.t0))
-
-    def ci(self, row: int) -> float:
-        return _ci_half(self.area[row] / self.dt)
+def _fold(area: np.ndarray, t0: float, t1: float, u: np.ndarray, v: np.ndarray, *counts):
+    """Add the steps (u, v), one array of counts per row of ``area``, to its equal slices of
+    [t0, t1]: clipped to the window, split at slice edges as a per-step loop would
+    (``n*(edge-u)``, ``n*dt`` for the middle slices, ``n*(v-edge)``) and added with
+    ``np.add.at`` in step order."""
+    dt, top = (t1 - t0) / area.shape[1], area.shape[1] - 1
+    u, v = np.maximum(u, t0), np.minimum(v, t1)
+    keep = v > u
+    u, v = u[keep], v[keep]
+    s0 = np.minimum(((u - t0) / dt).astype(np.int64), top)
+    s1 = np.minimum(((v - t0) / dt).astype(np.int64), top)
+    k = s1 - s0 + 1  # slices each step touches
+    end = np.cumsum(k)
+    first = end - k
+    where = np.arange(k.sum()) - np.repeat(first - s0, k)
+    head = np.where(k == 1, v - u, t0 + (s0 + 1) * dt - u)
+    tail = v - (t0 + s1 * dt)
+    for row, n in zip(area, counts):  # a zero count adds +-0.0: no change
+        n = n[keep]
+        piece = np.repeat(n * dt, k)
+        piece[end - 1] = n * tail
+        piece[first] = n * head
+        np.add.at(row, where, piece)
 
 
 def _ci_half(samples: np.ndarray) -> float:
@@ -591,28 +584,28 @@ def des_simulate(
     ``seed``; identical calls return identical results.  ``timer(name, items)``,
     a context-manager factory, times the ``draw`` and ``simulate`` stages.
 
-    L and Lq come from one occupancy area per batch slice.  Each event appends
-    its time and the counts since the previous event to typed buffers; every
-    ``_BLOCK`` events the steps are clipped to the post-warm-up window, split
-    at slice edges as a per-step loop would (``n*(edge-u)``, ``n*dt`` for the
-    middle slices, ``n*(v-edge)``) and added with ``np.add.at`` in event
-    order.  So every slice sums the same floats in the same order as that
-    loop (bit-identical results) in one block of memory.  Ample servers merge
-    each block of arrivals with the sorted departures, a departure first on a
-    tie.
+    L and Lq come from one occupancy area per batch slice, folded after the
+    event loop by :func:`_occupancy`.  A step between events of positive
+    length sees the state after every event at or before its start, and the
+    steps of zero length between tied events add nothing, so every slice
+    sums the same floats in the same order as a per-event loop would
+    (bit-identical results).
 
     Every finite server count runs one event loop: each of c servers takes up
     to b waiting tuples as soon as a wait (plain service is a = b = 1), and a
     departure goes first on a tie.  Service is FIFO, a lost tuple never waits
     and batches need a single server, so a start takes the next k accepted
-    arrivals: the waiting line is a count, and the loop keeps only each
-    start's time and k.  W and Wq are computed after the loop, per tuple, as
-    (start + service) - arrival and start - arrival.
+    arrivals: the waiting line is a count, and the loop keeps only the heap,
+    the per-arrival busy and lost flags and each start's time and k.  After
+    the loop each tuple's start and departure (start + service) give W, Wq
+    (less the arrival) and the occupancy.
     """
     if arrivals < 100:
         raise ConfigError("need at least 100 arrivals for meaningful statistics")
-    if arrivals * 52 > MAX_DES_BYTES:
-        raise ConfigError(f"arrivals {arrivals} need ~{arrivals * 52} bytes, over {MAX_DES_BYTES}")
+    if (need := arrivals * 52 + n_batches * 160) > MAX_DES_BYTES:
+        named = (f"batches {n_batches}" if n_batches * 160 > arrivals * 52
+                 else f"arrivals {arrivals}")
+        raise ConfigError(f"{named} need ~{need} bytes, over {MAX_DES_BYTES}")
     if not (0.0 <= warmup_frac < 0.5):
         raise ConfigError("warmup_frac must lie in [0, 0.5)")
     if n_batches < 20:
@@ -634,31 +627,15 @@ def _simulate(model: QueueModel, at: np.ndarray, svc: np.ndarray, w0: int,
     arrivals = at.size
     t_warm = at[w0] if w0 > 0 else 0.0
     des = {"arrivals": arrivals, "warmup_cut_time": float(t_warm)}
-    t_end = at[-1]
 
     if model.servers == "ample":  # every tuple's residence is its service time
-        occ = _Occupancy(t_warm, t_end, n_batches, rows=1)
-        dep = np.sort(at + svc)
-        j, prev = 0, 0.0  # departures folded so far, the last event's time
-        for i in range(0, arrivals, _BLOCK):
-            arr = at[i:i + _BLOCK]
-            j1 = np.searchsorted(dep, arr[-1], "right") if i + _BLOCK < arrivals else arrivals
-            pos = np.arange(arr.size) + np.searchsorted(dep[j:j1], arr, "right")
-            step = np.full(arr.size + j1 - j, -1)
-            step[pos] = 1
-            t = np.empty(step.size)
-            t[pos] = arr
-            t[step < 0] = dep[j:j1]
-            occ.fold(np.concatenate(([prev], t[:-1])), t, i - j + np.cumsum(step) - step)
-            j, prev = j1, t[-1]
+        (L, Lc), = _occupancy(at, at, np.sort(at + svc), t_warm, at[-1], n_batches)
         Wm, Wc = _batched_mean_ci(svc[w0:], n_batches)
-        return PerfIndicators(L=occ.mean(0), Lq=0.0, W=Wm, Wq=0.0, Pbusy=0.0, Ploss=0.0,
-                              ci={"L": occ.ci(0), "Lq": 0.0, "W": Wc, "Wq": 0.0},
-                              des=dict(des, events=occ.events, lost=0))
+        return PerfIndicators(L=L, Lq=0.0, W=Wm, Wq=0.0, Pbusy=0.0, Ploss=0.0,
+                              ci={"L": Lc, "Lq": 0.0, "W": Wc, "Wq": 0.0},
+                              des=dict(des, events=2 * arrivals, lost=0))
 
     (a, b), c, N = model.batch, model.servers, model.buffer or math.inf
-    occ = _Occupancy(t_warm, t_end, n_batches)
-    record = occ.record
     arrival = chain(_floats(at), (math.inf,)).__next__  # the arrival at infinity drains
     service = _floats(svc).__next__  # one draw per batch, in start order
     heap: list = []  # departure times of the batches in service
@@ -669,13 +646,11 @@ def _simulate(model: QueueModel, at: np.ndarray, svc: np.ndarray, w0: int,
     while True:
         if heap and heap[0] <= t:  # a departure goes before an arrival at the same instant
             now = heappop(heap)
-            record(now, n_sys, n_wait)
             n_sys -= k  # k > 1 only on one server, where the last batch started leaves
         elif t == math.inf:
             break
         else:
             now = t
-            record(now, n_sys, n_wait)
             busy.append(len(heap) >= c)
             full = n_sys >= N
             lost.append(full)
@@ -689,26 +664,28 @@ def _simulate(model: QueueModel, at: np.ndarray, svc: np.ndarray, w0: int,
             starts.append(now)
             sizes.append(k)
             heappush(heap, now + service())
-    occ.flush()
 
+    busy = float(np.frombuffer(busy, bool)[w0:].mean())  # freed before the per-tuple arrays
     # start i takes the next sizes[i] accepted arrivals; those still waiting have no sample
+    batches = len(starts)
     starts, sizes = np.frombuffer(starts), np.frombuffer(sizes, np.int64)
     start = np.repeat(starts, sizes)
-    served = np.repeat(svc[:starts.size], sizes)
+    dep = start + np.repeat(svc[:batches], sizes)
     del starts, sizes
     lost = np.frombuffer(lost, bool)
     first = w0 - int(lost[:w0].sum())  # accepted tuples before the warm-up cut
-    arrived = at[~lost][first:start.size]
-    start = start[first:]
-    Wm, Wc = _batched_mean_ci(start + served[first:] - arrived, n_batches)
-    Wqm, Wqc = _batched_mean_ci(start - arrived, n_batches)
+    kept = at[~lost]
+    Wm, Wc = _batched_mean_ci(dep[first:] - kept[first:start.size], n_batches)
+    Wqm, Wqc = _batched_mean_ci(start[first:] - kept[first:start.size], n_batches)
+    dep.sort()  # several servers finish out of start order
+    (L, Lc), (Lq, Lqc) = _occupancy(at, kept, dep, t_warm, at[-1], n_batches, start)
     return PerfIndicators(
-        L=occ.mean(0),
-        Lq=occ.mean(1),
+        L=L,
+        Lq=Lq,
         W=Wm,
         Wq=Wqm,
-        Pbusy=float(np.frombuffer(busy, bool)[w0:].mean()),
+        Pbusy=busy,
         Ploss=float(lost[w0:].mean()),
-        ci={"L": occ.ci(0), "Lq": occ.ci(1), "W": Wc, "Wq": Wqc},
-        des=dict(des, events=occ.events, lost=int(lost.sum())),
+        ci={"L": Lc, "Lq": Lqc, "W": Wc, "Wq": Wqc},
+        des=dict(des, events=arrivals + batches, lost=int(lost.sum())),
     )

@@ -432,21 +432,24 @@ def csv_blocks(path, dtype, skip=(), error=ConfigError):
 
 def parse_rows(path, records, dtype, first, error, check=None):
     """Each field list of ``records`` (csv module rows, the first numbered ``first``) as a
-    tuple of ``dtype``'s fields, ints by :func:`to_int64`.  The first row of the wrong width,
-    not UTF-8 text, rejected by ``check(fields)`` or with a field that does not parse (checked
-    in that order) raises ``error`` naming the file and the row."""
+    tuple of ``dtype``'s fields, ints by :func:`to_int64`.  The first row the csv module
+    refuses, of the wrong width, not UTF-8 text, rejected by ``check(fields)`` or with a field
+    that does not parse (in that order) raises ``error`` naming the file and the row."""
     parse = [{"O": str, "f": float}.get(dtype[f].kind, to_int64) for f in dtype.names]
-    for row_no, fields in enumerate(records, first):
-        if len(fields) != len(parse):
-            raise error(f"{path}: row {row_no}: {len(fields)} fields, expected {len(parse)}")
-        if _NOT_UTF8("".join(fields)):
-            raise error(f"{path}: row {row_no}: not UTF-8 text")
-        try:
+    row_no = first - 1
+    try:
+        for row_no, fields in enumerate(records, first):
+            if len(fields) != len(parse):
+                raise ValueError(f"{len(fields)} fields, expected {len(parse)}")
+            if _NOT_UTF8("".join(fields)):
+                raise ValueError("not UTF-8 text")
             if check:
                 check(fields)
             yield tuple(p(f) for p, f in zip(parse, fields))
-        except ValueError as exc:
-            raise error(f"{path}: row {row_no}: {exc}") from None
+    except csv.Error as exc:  # raised reading the row after the last one numbered
+        raise error(f"{path}: row {row_no + 1}: {exc}") from None
+    except ValueError as exc:
+        raise error(f"{path}: row {row_no}: {exc}") from None
 
 
 def to_int64(text) -> int:

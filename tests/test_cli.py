@@ -501,7 +501,8 @@ def test_too_few_arrivals_exits_two(capsys, tmp_path):
     (["simulate-queue", "--model", "MODEL", "--arrivals", str(10**15)], "arrivals"),
     (["gen-trace", "--instances", str(10**15)], "instance_count"),
     (["gen-trace", "--services", str(10**15)], "catalog count"),
-], ids=["arrivals", "instances", "services"])
+    (["simulate-queue", "--model", "MODEL", "--batches", str(10**15)], "batches"),
+], ids=["arrivals", "instances", "services", "batches"])
 def test_oversized_request_exits_two_before_allocating(capsys, tmp_path, argv, named):
     # refused from the size arguments alone: nothing near the memory cap is taken
     model = tmp_path / "model.json"
@@ -517,6 +518,7 @@ def test_oversized_request_exits_two_before_allocating(capsys, tmp_path, argv, n
         times.append(time.perf_counter() - t0)
         assert code == 2
         assert f"{named} {10**15} need" in err and " bytes, over " in err
+        assert not (tmp_path / "out").exists()  # refused before the output directory is made
     assert min(times) < 0.01
     tracemalloc.start()
     assert run(capsys, *argv)[0] == 2

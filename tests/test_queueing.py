@@ -7,7 +7,13 @@ import statistics
 import numpy as np
 import pytest
 
-from swakit.distributions import ErlangDist, PhaseTypeDist, ph_from_mean_scv, validate_generator
+from swakit.distributions import (
+    ErlangDist,
+    PhaseTypeDist,
+    PointMassDist,
+    ph_from_mean_scv,
+    validate_generator,
+)
 from swakit.errors import ConfigError, InstabilityError, StateSpaceError
 from swakit.queueing import (
     MeanScv,
@@ -25,7 +31,7 @@ from swakit.queueing import (
     solve_ph_ph_1_n,
     storage_estimate,
 )
-from swakit.queueing import _Occupancy
+from swakit.queueing import _fold
 
 EXP = lambda rate: ErlangDist(rate, 1)  # noqa: E731
 
@@ -487,10 +493,8 @@ def test_occupancy_fold_matches_per_step_loop():
     t = np.cumsum(gaps * rng.choice([1.0, 3000.0], 20_000, p=[0.995, 0.005]))
     counts = rng.integers(0, 6, (2, t.size))
     t0, t1, slices = t[500], t[-300], 200
-    occ = _Occupancy(t0, t1, slices)
-    for ti, n, q in zip(t, *counts.tolist()):
-        occ.record(ti, n, q)
-    occ.flush()
+    area = np.zeros((2, slices))
+    _fold(area, t0, t1, np.concatenate(([0.0], t[:-1])), t, *counts)
     dt = (t1 - t0) / slices
     want = np.zeros((2, slices))
     prev = 0.0
@@ -510,8 +514,7 @@ def test_occupancy_fold_matches_per_step_loop():
             for s in range(s0 + 1, s1):
                 want[row, s] += n * dt
             want[row, s1] += n * (v - (t0 + s1 * dt))
-    assert np.array_equal(occ.area, want)
-    assert occ.events == t.size
+    assert np.array_equal(area, want)
 
 
 def test_simulator_loss_matches_counting_loop():
@@ -604,6 +607,76 @@ def test_simulator_matches_batch_reference_loop():
     assert 0.01 < got.Ploss < 0.5 and 0 < len(waiting) < a
     assert close(got.L, time_average(ups, downs, at[w0], at[-1]))
     assert got.des == {"arrivals": n, "events": n + batches, "lost": sum(lost),
+                       "warmup_cut_time": at[w0]}
+
+
+def point_mass_run(n, gap, svc, c, N, a, b):
+    """A FIFO station fed every ``gap`` and serving in ``svc``, event by event: each of ``c``
+    servers takes up to ``b`` waiting tuples once ``a`` wait, a departure goes before an
+    arrival at the same instant, and an arrival finding ``N`` in the system is lost.
+    Returns the arrival times, the kept arrival, start and departure times, the losses and
+    the batch count."""
+    at = [gap * (i + 1) for i in range(n)]
+    busy, waiting = [], []  # (departure, size) per batch in service; kept arrivals waiting
+    ups, starts, downs = [], [], []
+    lost = batches = in_sys = 0
+
+    def start(now):
+        nonlocal batches
+        while len(waiting) >= a and len(busy) < c:
+            k = min(b, len(waiting))
+            del waiting[:k]
+            busy.append((now + svc, k))
+            batches += 1
+            starts.extend([now] * k)
+            downs.extend([now + svc] * k)
+
+    def leave_until(t):
+        nonlocal in_sys
+        while busy and min(busy)[0] <= t:
+            done, k = min(busy)
+            busy.remove((done, k))
+            in_sys -= k
+            start(done)
+
+    for t in at:
+        leave_until(t)
+        if in_sys >= N:
+            lost += 1
+            continue
+        in_sys += 1
+        waiting.append(t)
+        ups.append(t)
+        start(t)
+    leave_until(math.inf)
+    return at, ups, starts, downs, lost, batches
+
+
+@pytest.mark.parametrize("gap,svc,servers,buffer,batch", [
+    (1.0, 2.0, 1, 3, (1, 1)),  # D/D/1/N: every departure meets an arrival
+    (1.0, 0.0, 1, 1, (1, 1)),  # zero service: arrival, start and departure coincide
+    (1.0, 3.0, 2, 4, (1, 1)),  # D/D/c/N, overloaded
+    (0.5, 1.5, 3, 3, (1, 1)),
+    (1.0, 2.0, 3, None, (1, 1)),  # D/D/c, three servers never all busy at once
+    (1.0, 3.0, 1, 9, (3, 3)),  # batches with a = b
+    (1.0, 4.0, 1, 12, (2, 5)),  # batches with a < b
+    (1.0, 0.0, 1, 4, (2, 2)),  # zero-time batches
+    (1.0, 3.0, "ample", None, (1, 1)),
+    (1.0, 0.0, "ample", None, (1, 1)),
+])
+def test_simulator_matches_point_mass_reference_at_ties(gap, svc, servers, buffer, batch):
+    # point masses put arrivals, starts and departures on the same instants; the steps of
+    # zero length between tied events must add nothing to L or Lq
+    n, w0 = 20_000, 1_000  # more arrivals than one merge block
+    model = QueueModel(PointMassDist(gap), PointMassDist(svc), servers, buffer, batch)
+    c = math.inf if servers == "ample" else servers
+    at, ups, starts, downs, lost, batches = point_mass_run(
+        n, gap, svc, c, buffer or math.inf, *batch)
+    got = des_simulate(model, arrivals=n, seed=0)
+    L = time_average(ups, downs, at[w0], at[-1])
+    assert close(got.L, L)
+    assert close(got.Lq, L - time_average(starts, downs, at[w0], at[-1]))
+    assert got.des == {"arrivals": n, "events": n + batches, "lost": lost,
                        "warmup_cut_time": at[w0]}
 
 

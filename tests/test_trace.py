@@ -238,6 +238,9 @@ FIRST_BAD_ROW = {
     "blank-line": ([row(5), row(6), row(7), [], row(1)], "row 4: 0 fields"),
     # a 0xe9 byte in a user id: csv_blocks cannot decode the block, the row reader names the row
     "not-utf8": ([row(5), row(6), row(7, user="u\udce9"), row(8)], "row 3: not UTF-8 text"),
+    # a quoted field past the csv module's size limit (131,072 characters)
+    "field-too-large": ([row(5), row(6), row(7, user="u," + "x" * 200_000), row(8)],
+                        "row 3: field larger than field limit"),
 }
 
 
