@@ -18,17 +18,18 @@ import logging
 import sys
 import time
 from contextlib import contextmanager
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .distributions import (
+    dist_from_dict,
     dist_to_dict,
     fit_hyper_erlang_em,
-    load_dist,
-    save_dist,
+    read_json,
+    write_json,
 )
 from .engine import (
     REASONS,
@@ -59,9 +60,6 @@ from .trace import (
     write_trace,
 )
 
-log = logging.getLogger("swakit")
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that exits 1 (not 2) on usage problems, per our exit-code map."""
 
@@ -69,12 +67,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _write_json(path: Path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 @contextmanager
@@ -87,21 +79,13 @@ def stage(stages: dict, name: str, items: int = 0):
     rec["wall_s"] += time.perf_counter() - t0
 
 
-def _manifest(args, command: str, outputs: dict, t0: float, stages: dict, extra_config=None,
-              **extra) -> None:
-    out_dir = Path(args.out)
-    cfg = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in vars(args).items()
-        if k not in ("func", "out") and not k.startswith("_")
-    }
-    if extra_config:
-        cfg.update(extra_config)
+def _manifest(args, outputs: dict, t0: float, stages: dict, extra_config=None, **extra) -> None:
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "out")}
     doc = {
         "tool": "swakit",
         "tool_version": __version__,
-        "command": command,
-        "config": cfg,
+        "command": args.command,
+        "config": {**cfg, **(extra_config or {})},
         "seed": getattr(args, "seed", None),
         "outputs": {k: str(v) for k, v in outputs.items()},
         "wall_time_s": round(time.monotonic() - t0, 6),
@@ -112,7 +96,7 @@ def _manifest(args, command: str, outputs: dict, t0: float, stages: dict, extra_
         },
         **extra,
     }
-    _write_json(out_dir / f"{command.replace('-', '_')}_manifest.json", doc)
+    write_json(Path(args.out) / f"{args.command.replace('-', '_')}_manifest.json", doc)
 
 
 def _csv_list(text: str, kind=int, what="integer"):
@@ -127,7 +111,7 @@ def _gammas(text: str):
 
 
 def _load_dist_opt(path, fallback):
-    return load_dist(path) if path else fallback()
+    return dist_from_dict(read_json(path, "distribution")) if path else fallback()
 
 
 def _out_dir(args) -> Path:
@@ -153,17 +137,16 @@ def _members_path(emitted: Path) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each checks its inputs, writes its artifacts and returns their
+# paths plus any extra manifest blocks; ``main`` writes the manifest
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_trace(args) -> int:
-    t0 = time.monotonic()
+def cmd_gen_trace(args, stages):
     degree = _load_dist_opt(args.degree_dist, default_degree_dist)
     span = _load_dist_opt(args.span_dist, default_span_dist)
     arrival = _load_dist_opt(args.arrival_dist, default_arrival_dist)
     cat_seed, trace_seed = np.random.SeedSequence(args.seed).spawn(2)
-    stages: dict = {}
     with stage(stages, "generate", args.instances):
         cfg = TraceConfig(instance_count=args.instances, arrival_dist=arrival, span_dist=span,
                           user_pool=args.user_pool, repeat_factor=args.repeat_factor,
@@ -175,8 +158,7 @@ def cmd_gen_trace(args) -> int:
     with stage(stages, "write", trace.n_tuples):
         write_trace(trace, trace_path)
     print(f"wrote {trace.n_tuples} tuples ({args.instances} instances) to {trace_path}")
-    _manifest(args, "gen-trace", {"trace": trace_path}, t0, stages=stages)
-    return 0
+    return {"trace": trace_path}, {}
 
 
 def _samples_from_args(args) -> np.ndarray:
@@ -184,10 +166,9 @@ def _samples_from_args(args) -> np.ndarray:
         raise ConfigError("give either --values or --trace, not both")
     if args.values:
         try:
-            data = np.loadtxt(args.values, dtype=float, ndmin=1)
+            return np.loadtxt(args.values, dtype=float, ndmin=1)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read samples from {args.values}: {exc}") from None
-        return data
     if not args.trace:
         raise ConfigError("fit-dist needs --values or --trace")
     trace = read_trace(args.trace, ("truth_instance",))
@@ -206,10 +187,7 @@ def _samples_from_args(args) -> np.ndarray:
     raise ConfigError(f"unknown field {args.field!r}")
 
 
-def cmd_fit_dist(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args)
-    stages: dict = {}
+def cmd_fit_dist(args, stages):
     with stage(stages, "read"):
         samples = _samples_from_args(args)
     n = stages["read"]["items"] = int(samples.size)
@@ -217,8 +195,6 @@ def cmd_fit_dist(args) -> int:
         result = fit_hyper_erlang_em(samples, branches=args.branches, max_phases=args.max_phases,
                                      tol=args.tol, max_iter=args.max_iter)
     with stage(stages, "write", n):
-        dist_path = out / "dist.json"
-        save_dist(result.dist, dist_path)
         report = {
             "samples": n,
             "log_likelihood": result.log_likelihood,
@@ -227,8 +203,10 @@ def cmd_fit_dist(args) -> int:
             "degenerate": result.degenerate,
             "distribution": dist_to_dict(result.dist),
         }
-        report_path = out / "fit_report.json"
-        _write_json(report_path, report)
+        out = _out_dir(args)
+        dist_path, report_path = out / "dist.json", out / "fit_report.json"
+        write_json(dist_path, report["distribution"])
+        write_json(report_path, report)
         outputs = {"dist": dist_path, "report": report_path}
         if args.emit_curves:
             hi = float(np.quantile(samples, 0.999)) * 1.2
@@ -244,104 +222,82 @@ def cmd_fit_dist(args) -> int:
         f"log-likelihood {result.log_likelihood:.4f}"
         + (" (degenerate)" if result.degenerate else "")
     )
-    _manifest(args, "fit-dist", outputs, t0, stages=stages,
-              em={"runs": result.em_runs, "iterations": result.em_iterations})
-    return 0
+    return outputs, {"em": {"runs": result.em_runs, "iterations": result.em_iterations}}
 
 
-def cmd_estimate_params(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args)
+def cmd_estimate_params(args, stages):
     degree = _load_dist_opt(args.degree_dist, default_degree_dist)
     span = _load_dist_opt(args.span_dist, default_span_dist)
-    stages: dict = {}
     with stage(stages, "estimate"):
         doc = {"capacity": estimate_capacity(degree, args.alpha),
                "timeout_s": estimate_timeout(span, args.beta)}
-    params_path = out / "params.json"
-    _write_json(params_path, doc)
+    params_path = _out_dir(args) / "params.json"
+    write_json(params_path, doc)
     print(json.dumps(doc, sort_keys=True))
-    _manifest(args, "estimate-params", {"params": params_path}, t0, stages=stages)
-    return 0
+    return {"params": params_path}, {}
 
 
-def cmd_run_pipeline(args) -> int:
-    t0 = time.monotonic()
-    if args.config:
-        cfg = PipelineConfig.from_json(args.config)
-    else:
-        cfg = PipelineConfig()
+def cmd_run_pipeline(args, stages):
+    cfg = (PipelineConfig.from_dict(read_json(args.config, "pipeline config")) if args.config
+           else PipelineConfig())
     if args.strategy:
         cfg.strategy = Strategy.parse(args.strategy)
-    out = _out_dir(args)
-    stages: dict = {}
     with stage(stages, "read"):
         trace = read_trace(args.trace, _key_strings(cfg.strategy))
     stages["read"]["items"] = trace.n_tuples
     with stage(stages, "aggregate", trace.n_tuples):
         result = run_pipeline(trace, cfg)
+    out = _out_dir(args)
     emitted_path = out / "emitted.csv"
     members_path = None if args.no_members else _members_path(emitted_path)
     stats_path = out / "operator_stats.json"
     with stage(stages, "write", trace.n_tuples):
         write_emissions(result.emissions, emitted_path, members_path)
-        _write_json(stats_path,
-                    {"aggregate": result.aggregate_stats.to_dict(), "config": cfg.to_dict()})
+        write_json(stats_path,
+                   {"aggregate": result.aggregate_stats.to_dict(), "config": cfg.to_dict()})
     outputs = {"emitted": emitted_path, "stats": stats_path}
     if members_path:
         outputs["members"] = members_path
     print(f"{len(result.emissions)} emissions from {result.aggregate_stats.tuples_in} tuples")
-    _manifest(args, "run-pipeline", outputs, t0, extra_config={"pipeline": cfg.to_dict()},
-              stages=stages, operator=_operator(result))
-    return 0
+    return outputs, {"extra_config": {"pipeline": cfg.to_dict()}, "operator": _operator(result)}
 
 
-def cmd_evaluate(args) -> int:
-    t0 = time.monotonic()
-    gammas = _gammas(args.gamma)  # checked before anything is read or created
-    out = _out_dir(args)
+def cmd_evaluate(args, stages):
+    gammas = _gammas(args.gamma)  # checked before anything is read
     emitted = Path(args.emitted)
     members = Path(args.members) if args.members else _members_path(emitted)
     if not members.exists():
         raise ConfigError(
             f"member sidecar {members} not found; rerun run-pipeline without --no-members"
         )
-    stages: dict = {}
     with stage(stages, "read"):
         emissions = read_emissions(emitted, members)
         trace = read_trace(args.trace, ("truth_instance",))
     stages["read"]["items"] = trace.n_tuples
     with stage(stages, "score", trace.n_tuples):
         report = evaluate(emissions, trace, gammas)
-    report_path = out / "evaluation.json"
     with stage(stages, "write", trace.n_tuples):
-        _write_json(report_path, report.to_dict())
+        report_path = _out_dir(args) / "evaluation.json"
+        write_json(report_path, report.to_dict())
     print(json.dumps(report.to_dict(), sort_keys=True))
-    _manifest(args, "evaluate", {"report": report_path}, t0, stages=stages)
-    return 0
+    return {"report": report_path}, {}
 
 
-def cmd_predict(args) -> int:
-    t0 = time.monotonic()
-    out = _out_dir(args)
-    stages: dict = {}
+def cmd_predict(args, stages):
     with stage(stages, "load"):
         model = load_model(args.model)
     with stage(stages, "solve"):
         perf = predict(model)
     doc = perf.to_dict()
-    pred_path = out / "predict.json"
     with stage(stages, "write"):
-        _write_json(pred_path, doc)
+        pred_path = _out_dir(args) / "predict.json"
+        write_json(pred_path, doc)
     print(json.dumps(doc, sort_keys=True))
-    _manifest(args, "predict", {"indicators": pred_path}, t0, stages=stages, solver=perf.solver)
-    return 0
+    return {"indicators": pred_path}, {"solver": perf.solver}
 
 
-def cmd_simulate_queue(args) -> int:
-    t0 = time.monotonic()
+def cmd_simulate_queue(args, stages):
     model = load_model(args.model)
-    stages: dict = {}
     perf = des_simulate(
         model,
         arrivals=args.arrivals,
@@ -352,16 +308,14 @@ def cmd_simulate_queue(args) -> int:
     )
     stages["simulate"]["items"] = perf.des["events"]
     doc = perf.to_dict()
-    sim_path = _out_dir(args) / "simulate.json"
     with stage(stages, "write"):
-        _write_json(sim_path, doc)
+        sim_path = _out_dir(args) / "simulate.json"
+        write_json(sim_path, doc)
     print(json.dumps({k: doc[k] for k in ("L", "Lq", "W", "Wq")}, sort_keys=True))
-    _manifest(args, "simulate-queue", {"indicators": sim_path}, t0, stages=stages, des=perf.des)
-    return 0
+    return {"indicators": sim_path}, {"des": perf.des}
 
 
-def cmd_compare(args) -> int:
-    t0 = time.monotonic()
+def cmd_compare(args, stages):
     # every request is checked before the trace is read
     gammas = _gammas(args.gamma)
     strategy = Strategy.parse(args.strategy)
@@ -371,8 +325,6 @@ def cmd_compare(args) -> int:
     runs += [(f"sliding_{w}", PipelineConfig(tuple_size=args.tuple_size, kind="sliding",
                                               window=w, step=w, strategy=strategy))
              for w in _csv_list(args.sliding)]
-    out = _out_dir(args)
-    stages: dict = {}
     with stage(stages, "read"):
         trace = read_trace(args.trace, (*_key_strings(strategy), "truth_instance"))
     stages["read"]["items"] = trace.n_tuples
@@ -403,17 +355,16 @@ def cmd_compare(args) -> int:
 
     rows = [one_run(cfg, label) for label, cfg in runs]
     doc = {"strategy": strategy.value, "runs": rows}
-    cmp_path = out / "compare.json"
     with stage(stages, "write", trace.n_tuples):
-        _write_json(cmp_path, doc)
+        cmp_path = _out_dir(args) / "compare.json"
+        write_json(cmp_path, doc)
     for r in rows:
         print(
             f"{r['label']:>16}: complete(1)={r['completeness']['gamma_1']:.4f} "
             f"capture={r['capture_rate']:.4f} occ_avg={r['occupancy_avg']:.1f} "
             f"storage_avg={r['storage_avg_mb']:.3f}MB"
         )
-    _manifest(args, "compare", {"report": cmp_path}, t0, stages=stages, operators=operators)
-    return 0
+    return {"report": cmp_path}, {"operators": operators}
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +372,7 @@ def cmd_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache  # built once per process; parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="swakit", description=__doc__)
     p.add_argument("--version", action="version", version=f"swakit {__version__}")
@@ -508,8 +460,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    t0 = time.monotonic()
+    stages: dict = {}
     try:
-        return args.func(args)
+        outputs, extra = args.func(args, stages)
+        _manifest(args, outputs, t0, stages, **extra)
+        return 0
     except (NumericalError, StateSpaceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

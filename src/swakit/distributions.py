@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,7 +26,7 @@ import numpy as np
 from scipy.linalg import block_diag, expm
 from scipy.special import gammainc, gammaln
 
-from .errors import DistributionError, GeneratorValidationError, NumericalError
+from .errors import ConfigError, DistributionError, GeneratorValidationError, NumericalError
 
 log = logging.getLogger(__name__)
 
@@ -41,8 +42,9 @@ __all__ = [
     "ph_from_mean_scv",
     "dist_to_dict",
     "dist_from_dict",
-    "save_dist",
-    "load_dist",
+    "read_json",
+    "write_json",
+    "json_value",
 ]
 
 
@@ -696,36 +698,74 @@ def dist_to_dict(dist) -> dict:
     raise DistributionError(f"cannot serialize {type(dist).__name__}")
 
 
-def dist_from_dict(doc: dict):
-    """Inverse of :func:`dist_to_dict`; raises on unknown or malformed docs."""
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise DistributionError("distribution document must be an object with a 'type'")
-    kind = doc["type"]
-    try:
-        if kind == "erlang":
-            return ErlangDist(float(doc["lambda"]), int(doc["k"]))
-        if kind == "hyper_erlang":
-            return HyperErlangDist(
-                [
-                    ErlangBranch(float(b["alpha"]), float(b["lambda"]), int(b["k"]))
-                    for b in doc["branches"]
-                ]
-            )
-        if kind == "ph":
-            return PhaseTypeDist(doc["alpha"], doc["T"])
-        if kind == "point":
-            return PointMassDist(float(doc["value"]))
-    except KeyError as exc:
-        raise DistributionError(f"distribution document missing field {exc}") from exc
-    raise DistributionError(f"unknown distribution type {kind!r}")
+def read_json(path, what: str):
+    """The JSON value in the file at ``path``; a file that is not UTF-8 JSON is a ConfigError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError too
+            raise ConfigError(f"{what} {path} is not UTF-8 JSON: {exc}") from None
 
 
-def save_dist(dist, path):
+def write_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON with sorted keys and a final newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dist_to_dict(dist), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def load_dist(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return dist_from_dict(json.load(fh))
+_KINDS = {int: "a 64-bit integer", float: "a finite number", str: "a string", list: "a list",
+          dict: "an object", (int,): "a list of 64-bit integers",
+          (float,): "a list of finite numbers",
+          ((float,),): "a list of equal-length lists of finite numbers"}
+
+
+def _conforms(value, kind) -> bool:
+    """Whether a JSON value is a ``kind``; a tuple kind is a list of its one member's kind."""
+    if isinstance(kind, tuple):
+        return (isinstance(value, list) and all(_conforms(v, kind[0]) for v in value)
+                and (not isinstance(kind[0], tuple) or len({len(v) for v in value}) <= 1))
+    if isinstance(value, bool):  # a JSON true is no integer
+        return False
+    if kind is int:
+        return isinstance(value, int) and -2**63 <= value < 2**63
+    if kind is float:  # a huge integer is compared with the largest double, never converted
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def json_value(doc, key: str, kind, what: str, default=None):
+    """``doc[key]``, or ``default`` when absent, if it is a ``kind``; else a ConfigError.
+
+    ``kind`` is int (a JSON integer in int64: no bool, no fraction), float (a
+    finite number, returned as a float), str, list, dict, ``(kind,)`` (a list
+    of ``kind``) or ``((kind,),)`` (equal-length lists).  ``what`` names the
+    document.  A field without a default is required.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {doc!r:.80}")
+    value = doc.get(key, default)
+    if value is None:
+        raise ConfigError(f"{what} field {key!r} is missing or null")
+    if not _conforms(value, kind):
+        raise ConfigError(f"{what} field {key!r} must be {_KINDS[kind]}, got {value!r:.80}")
+    return float(value) if kind is float else value
+
+
+def dist_from_dict(doc: dict, what: str = "distribution"):
+    """Inverse of :func:`dist_to_dict`; raises ConfigError naming a malformed field."""
+    kind = json_value(doc, "type", str, what)
+    if kind == "erlang":
+        return ErlangDist(json_value(doc, "lambda", float, what), json_value(doc, "k", int, what))
+    if kind == "hyper_erlang":
+        return HyperErlangDist([
+            ErlangBranch(*(json_value(b, key, t, f"{what} branch {i}")
+                           for key, t in (("alpha", float), ("lambda", float), ("k", int))))
+            for i, b in enumerate(json_value(doc, "branches", list, what))
+        ])
+    if kind == "ph":
+        return PhaseTypeDist(json_value(doc, "alpha", (float,), what),
+                             json_value(doc, "T", ((float,),), what))
+    if kind == "point":
+        return PointMassDist(json_value(doc, "value", float, what))
+    raise DistributionError(f"unknown distribution type {kind!r}")

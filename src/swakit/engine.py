@@ -22,7 +22,6 @@ and user id, factorized once per strategy into integer key ids.
 from __future__ import annotations
 
 import itertools
-import json
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -30,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from .distributions import json_value
 from .errors import ConfigError
 from .params import WindowParams
 from .trace import Stream, Trace, _codes, csv_blocks, quoted, replay, write_csv
@@ -436,19 +436,17 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "PipelineConfig":
-        try:
-            adoc = doc["aggregate"]
-            return cls(
-                tuple_size=int(doc.get("queue", {}).get("tuple_size", 135)),
-                kind=adoc.get("kind", "swa"),
-                capacity=int(adoc.get("capacity", 13)),
-                timeout_s=int(adoc.get("timeout_s", 22)),
-                window=int(adoc.get("window", 32000)),
-                step=int(adoc.get("step", adoc.get("window", 32000))),
-                strategy=Strategy.parse(doc.get("strategy", "head_ts_ip")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad pipeline config: {exc}") from exc
+        """Inverse of :meth:`to_dict`; raises ConfigError naming a malformed field."""
+        what = "pipeline config"
+        queue = json_value(doc, "queue", dict, what, {})
+        adoc, agg = json_value(doc, "aggregate", dict, what), f"{what} aggregate"
+        window = json_value(adoc, "window", int, agg, 32000)
+        return cls(tuple_size=json_value(queue, "tuple_size", int, f"{what} queue", 135),
+                   kind=json_value(adoc, "kind", str, agg, "swa"),
+                   capacity=json_value(adoc, "capacity", int, agg, 13),
+                   timeout_s=json_value(adoc, "timeout_s", int, agg, 22),
+                   window=window, step=json_value(adoc, "step", int, agg, window),
+                   strategy=Strategy.parse(json_value(doc, "strategy", str, what, "head_ts_ip")))
 
     def to_dict(self) -> dict:
         return {
@@ -462,15 +460,6 @@ class PipelineConfig:
             },
             "strategy": self.strategy.value,
         }
-
-    @classmethod
-    def from_json(cls, path) -> "PipelineConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"pipeline config is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
 
 
 @dataclass

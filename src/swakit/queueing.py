@@ -24,7 +24,6 @@ intervals.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from array import array
@@ -44,7 +43,9 @@ from .distributions import (
     PointMassDist,
     dist_from_dict,
     dist_to_dict,
+    json_value,
     ph_from_mean_scv,
+    read_json,
 )
 from .errors import (
     ConfigError,
@@ -172,32 +173,27 @@ def model_to_dict(model: QueueModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> QueueModel:
-    try:
-        arrival = dist_from_dict(doc["arrival"])
-        sdoc = doc["service"]
-        if isinstance(sdoc, dict) and "type" in sdoc:
-            service = dist_from_dict(sdoc)
-        elif isinstance(sdoc, dict) and "mean" in sdoc:
-            service = MeanScv(float(sdoc["mean"]), float(sdoc.get("scv", 1.0)))
-        else:
-            raise ConfigError(f"bad service spec {sdoc!r}")
-        servers = doc.get("servers", 1)
-        if servers != "ample":
-            servers = int(servers)
-        buffer = doc.get("buffer", "unbounded")
-        buffer = None if buffer == "unbounded" else int(buffer)
-        batch = tuple(int(v) for v in doc.get("batch", (1, 1)))
-        return QueueModel(arrival, service, servers, buffer, batch)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad queue model document: {exc}") from exc
+    """Inverse of :func:`model_to_dict`; raises ConfigError naming a malformed field."""
+    what = "queue model"
+    arrival = dist_from_dict(json_value(doc, "arrival", dict, what), f"{what} arrival")
+    sdoc = json_value(doc, "service", dict, what)
+    if "type" in sdoc:
+        service = dist_from_dict(sdoc, f"{what} service")
+    else:
+        service = MeanScv(json_value(sdoc, "mean", float, f"{what} service"),
+                          json_value(sdoc, "scv", float, f"{what} service", 1.0))
+    servers = doc.get("servers")
+    servers = servers if servers == "ample" else json_value(doc, "servers", int, what, 1)
+    buffer = doc.get("buffer", "unbounded")
+    buffer = None if buffer == "unbounded" else json_value(doc, "buffer", int, what)
+    batch = json_value(doc, "batch", (int,), what, [1, 1])
+    if len(batch) != 2:
+        raise ConfigError(f"{what} field 'batch' must be [a, b], got {batch!r:.80}")
+    return QueueModel(arrival, service, servers, buffer, tuple(batch))
 
 
 def load_model(path) -> QueueModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return model_from_dict(json.load(fh))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"queue model is not valid JSON: {exc}") from exc
+    return model_from_dict(read_json(path, "queue model"))
 
 
 # ---------------------------------------------------------------------------

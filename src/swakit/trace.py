@@ -139,10 +139,10 @@ class TraceConfig:
         if (need := self.instance_count * 1900) > MAX_TRACE_BYTES:  # at the default degree
             raise ConfigError(f"instance_count {self.instance_count} needs ~{need} bytes, "
                               f"over {MAX_TRACE_BYTES}")
-        if self.user_pool < 1:
-            raise ConfigError("user_pool must be >= 1")
-        if self.repeat_factor < 1.0:
-            raise ConfigError("repeat_factor must be >= 1")
+        if not 1 <= self.user_pool <= 2**63:  # users are drawn as int64 below the pool
+            raise ConfigError(f"user_pool must lie in [1, 2^63], got {self.user_pool}")
+        if not self.repeat_factor >= 1.0:  # NaN too
+            raise ConfigError(f"repeat_factor must be >= 1, got {self.repeat_factor}")
 
 
 @dataclass(frozen=True)

@@ -498,13 +498,19 @@ def test_too_few_arrivals_exits_two(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv,named", [
-    (["simulate-queue", "--model", "MODEL", "--arrivals", str(10**15)], "arrivals"),
-    (["gen-trace", "--instances", str(10**15)], "instance_count"),
-    (["gen-trace", "--services", str(10**15)], "catalog count"),
-    (["simulate-queue", "--model", "MODEL", "--batches", str(10**15)], "batches"),
-], ids=["arrivals", "instances", "services", "batches"])
+    (["simulate-queue", "--model", "MODEL", "--arrivals", str(10**15)],
+     (f"arrivals {10**15} need", " bytes, over ")),
+    (["gen-trace", "--instances", str(10**15)], (f"instance_count {10**15} need", " bytes, over ")),
+    (["gen-trace", "--services", str(10**15)], (f"catalog count {10**15} need", " bytes, over ")),
+    (["simulate-queue", "--model", "MODEL", "--batches", str(10**15)],
+     (f"batches {10**15} need", " bytes, over ")),
+    (["gen-trace", "--repeat-factor", "nan"], ("repeat_factor must be >= 1, got nan",)),
+    (["gen-trace", "--user-pool", str(10**30)],
+     (f"user_pool must lie in [1, 2^63], got {10**30}",)),
+], ids=["arrivals", "instances", "services", "batches", "repeat-factor-nan", "user-pool"])
 def test_oversized_request_exits_two_before_allocating(capsys, tmp_path, argv, named):
-    # refused from the size arguments alone: nothing near the memory cap is taken
+    # refused from the size arguments alone: nothing near the memory cap is taken, and no
+    # value that cannot be drawn (a NaN repeat factor, a user pool past int64) reaches a draw
     model = tmp_path / "model.json"
     model.write_text(json.dumps({
         "arrival": {"type": "erlang", "lambda": 1.0, "k": 1},
@@ -517,7 +523,7 @@ def test_oversized_request_exits_two_before_allocating(capsys, tmp_path, argv, n
         code, _, err = run(capsys, *argv)
         times.append(time.perf_counter() - t0)
         assert code == 2
-        assert f"{named} {10**15} need" in err and " bytes, over " in err
+        assert all(part in err for part in named), err
         assert not (tmp_path / "out").exists()  # refused before the output directory is made
     assert min(times) < 0.01
     tracemalloc.start()
@@ -578,6 +584,49 @@ def test_bad_gamma_exits_two_before_reading(capsys, tmp_path, monkeypatch, argv)
                        "--out", str(out))
     assert code == 2
     assert "gamma must lie in (0, 1]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["predict", "--model", "MISSING"], "missing"),
+    (["simulate-queue", "--model", "MISSING"], "missing"),
+    (["fit-dist", "--trace", "MISSING"], "missing"),
+    (["estimate-params", "--alpha", "2"], "alpha"),
+    (["estimate-params", "--span-dist", "BAD"], "field 'k'"),
+    (["run-pipeline", "--trace", "MISSING"], "missing"),
+    (["run-pipeline", "--trace", "TRACE", "--config", "BAD"], "field 'capacity'"),
+    (["evaluate", "--trace", "TRACE", "--emitted", "MISSING"], "sidecar"),
+    (["compare", "--trace", "MISSING"], "missing"),
+], ids=["predict", "simulate-queue", "fit-dist", "estimate-params", "span-dist", "run-pipeline",
+        "config", "evaluate", "compare"])
+def test_refused_request_leaves_no_out_dir(capsys, tiny_trace, tmp_path, argv, named):
+    # --out is made just before the first artifact is written, after every input is checked
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"type": "erlang", "lambda": 1.0, "k": 1.5, "aggregate": {"capacity": 1.5}}')
+    files = {"BAD": bad, "TRACE": tiny_trace, "MISSING": tmp_path / "missing"}
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *(str(files.get(a, a)) for a in argv), "--out", str(out))
+    assert code == 2
+    assert named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b'{"type": "erlang", "lambda"', b'{"type": "\xe9rlang"}'],
+                         ids=["truncated", "not-utf8"])
+@pytest.mark.parametrize("argv", [
+    ["gen-trace", "--instances", "20", "--services", "20", "--degree-dist"],
+    ["estimate-params", "--span-dist"],
+    ["gen-trace", "--instances", "20", "--services", "20", "--arrival-dist"],
+    ["predict", "--model"],
+    ["run-pipeline", "--trace", "nope.csv", "--config"],
+], ids=["degree-dist", "span-dist", "arrival-dist", "model", "config"])
+def test_unreadable_document_exits_two(capsys, tmp_path, argv, content):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(content)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *argv, str(doc), "--out", str(out))
+    assert code == 2
+    assert f"{doc} is not UTF-8 JSON" in err
     assert not out.exists()
 
 

@@ -23,10 +23,10 @@ from swakit.distributions import (
     dist_from_dict,
     dist_to_dict,
     fit_hyper_erlang_em,
-    load_dist,
     ph_from_mean_scv,
-    save_dist,
+    read_json,
     validate_generator,
+    write_json,
 )
 from swakit.distributions import _em_fixed_phases, _logsumexp0
 from swakit.errors import DistributionError, GeneratorValidationError
@@ -475,8 +475,8 @@ def test_json_round_trip_all_types(tmp_path):
             for x in (0.5, 3.0, 12.0):
                 assert back.cdf(x) == pytest.approx(d.cdf(x), abs=1e-12)
         path = tmp_path / f"{doc['type']}.json"
-        save_dist(d, path)
-        again = load_dist(path)
+        write_json(path, doc)
+        again = dist_from_dict(read_json(path, "distribution"))
         assert dist_to_dict(again) == doc
 
 

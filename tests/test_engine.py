@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as hs
 from swakit import engine
 from swakit import trace as trace_module
 
-from swakit.distributions import PointMassDist
+from swakit.distributions import PointMassDist, read_json
 from swakit.engine import (
     EMITTED_HEADER,
     MEMBERS_HEADER,
@@ -526,7 +526,7 @@ def test_pipeline_config_from_json(tmp_path):
     }
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(doc))
-    cfg = PipelineConfig.from_json(p)
+    cfg = PipelineConfig.from_dict(read_json(p, "pipeline config"))
     assert cfg.kind == "swa"
     assert (cfg.capacity, cfg.timeout_s) == (13, 22)
     assert cfg.tuple_size == 135
