@@ -57,6 +57,7 @@ from .trace import (
     first_seen,
     generate_trace,
     read_trace,
+    write_columns,
     write_trace,
 )
 
@@ -156,9 +157,9 @@ def cmd_gen_trace(args, stages):
         trace = generate_trace(catalog, cfg)
     trace_path = _out_dir(args) / "trace.csv"
     with stage(stages, "write", trace.n_tuples):
-        write_trace(trace, trace_path)
+        columns_path = write_columns(trace, trace_path, write_trace(trace, trace_path))
     print(f"wrote {trace.n_tuples} tuples ({args.instances} instances) to {trace_path}")
-    return {"trace": trace_path}, {}
+    return {"trace": trace_path, "columns": columns_path}, {}
 
 
 def _samples_from_args(args) -> np.ndarray:

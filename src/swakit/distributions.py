@@ -264,6 +264,7 @@ class PhaseTypeDist:
             )
 
     def cdf(self, x):
+        self._require_valid("evaluate the cdf")
         xa = _check_x(x)
         one = np.ones(self.order)
         flat = np.atleast_1d(xa)
@@ -272,6 +273,7 @@ class PhaseTypeDist:
         return _as_given(out, x)
 
     def pdf(self, x):
+        self._require_valid("evaluate the pdf")
         xa = _check_x(x)
         t0 = self.exit_rates
         flat = np.atleast_1d(xa)

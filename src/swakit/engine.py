@@ -232,7 +232,7 @@ def read_emissions(path, members_path=None) -> Emissions:
     key, count, reason, closed_at, avg, span = [
         np.concatenate([block[h] for block in blocks]) for h in EMITTED_HEADER]
     codes = defaultdict(itertools.count(len(REASONS)).__next__, zip(REASONS, itertools.count()))
-    reason = _codes(codes, reason)
+    reason = _codes(codes, reason.tolist())
     if len(codes) > len(REASONS):
         i = int(np.argmax(reason >= len(REASONS)))
         raise ConfigError(f"{path}: row {i + 1}: unknown close reason {list(codes)[reason[i]]!r}")
@@ -252,7 +252,7 @@ def read_emissions(path, members_path=None) -> Emissions:
                               f"lists {listed[i]} members")
         seqs = seq[np.argsort(em, kind="stable")]
     keys = defaultdict(itertools.count().__next__)
-    key = _codes(keys, key)
+    key = _codes(keys, key.tolist())
     return Emissions(list(keys), key, count, reason, closed_at, avg, span, seqs)
 
 

@@ -75,6 +75,7 @@ __all__ = [
 
 MAX_STATES = 100_000
 MAX_DES_BYTES = 1 << 32  # memory a simulation may plan: 52 bytes per arrival, 160 per batch
+MAX_OFFERED = 1e6  # Erlangs: Erlang-C's recursion takes about this many steps before B falls
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +386,15 @@ def solve_batch_ph_ph_1_n(model: QueueModel) -> PerfIndicators:
 
 
 def _erlang_c(servers: int, offered: float) -> float:
-    """Wait probability in M/M/c, via the numerically stable B-recursion."""
+    """Wait probability in M/M/c, via the numerically stable B-recursion; it stops once B is 0
+    (every later step keeps 0): about offered + 38 sqrt(offered) steps, whatever the servers."""
+    if offered > MAX_OFFERED:
+        raise ConfigError(f"offered load {offered:g} on {servers} servers is over {MAX_OFFERED:g}")
     B = 1.0
     for k in range(1, servers + 1):
         B = offered * B / (k + offered * B)
+        if B == 0.0:
+            break
     rho = offered / servers
     return B / (1.0 - rho * (1.0 - B))
 

@@ -16,17 +16,24 @@ table; partitions are round-robin over the whole catalog.
 Timestamps are integer milliseconds.  Span distributions are sampled in
 seconds (matching how response times are usually modeled) and converted;
 arrival distributions are sampled directly in milliseconds.
+
+:func:`write_columns` leaves beside a CSV the columns a read of it gives,
+coded (``trace.csv.columns``); :func:`read_trace` loads them when the file
+vouches for the CSV's exact bytes and checks out, and parses the CSV if not.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import re
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, islice
+from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
@@ -49,6 +56,7 @@ __all__ = [
     "build_catalog",
     "generate_trace",
     "write_trace",
+    "write_columns",
     "read_trace",
     "replay",
     "default_degree_dist",
@@ -70,8 +78,12 @@ TRACE_HEADER = [
 STRINGS = ("user_id", "service_id", "head_id", "truth_instance")  # coded into string tables
 TRACE_DTYPE = np.dtype([(h, object if h in STRINGS else np.int64) for h in TRACE_HEADER])
 READ_CHUNK = 1 << 14  # rows parsed together by csv_blocks
+COLUMNS_TAG = b"swakit.columns.1"  # 16 bytes, so every record after it starts 8-byte aligned
+_INTS = [h for h in TRACE_HEADER if h not in STRINGS]  # int64 columns, in column-file order
+_LAYOUT = ["<i8"] * 8 + ["<i4"] * 4 + ["|u1"] * 4  # ints, offsets, codes, string tables
 MAX_TRACE_BYTES = 1 << 32  # memory a catalog or a trace may plan to take
-_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+_QUOTE = ',"\r\n'  # csv.writer quotes a field holding one of these
+_NEEDS_QUOTES = re.compile(f"[{_QUOTE}]").search
 _NOT_UTF8 = re.compile("[\udc80-\udcff]").search  # a byte surrogateescape decoding kept
 
 
@@ -275,6 +287,14 @@ def first_seen(values: np.ndarray):
     return first[order], number[inverse]
 
 
+def first_seen_codes(codes: np.ndarray, size: int):
+    """:func:`first_seen` of ints in [0, ``size``), by a scatter instead of a sort."""
+    rows, first = np.arange(len(codes), dtype=np.int32), np.full(size, len(codes), np.int32)
+    np.minimum.at(first, codes, rows)
+    at = first[codes]  # the row where each row's code first appears
+    return np.flatnonzero(at == rows), np.cumsum(at == rows, dtype=np.int32)[at] - 1
+
+
 def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
     """Sample a full trace: arrivals, spans, users, subordinate placement.
 
@@ -282,7 +302,7 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
     each instance's subordinates are placed uniformly inside
     [arrival, arrival + span] and routed to their catalog partitions.  The
     seed fully determines the output.  Instance i's rows lie side by side,
-    head first, coded as :func:`_build` codes rows: users, then sub-ids, by
+    head first, coded as :func:`_assemble` codes rows: users, then sub-ids, by
     first appearance; instance i's label is ``inst{i}``, code i.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -311,8 +331,8 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
     when = arrivals[inst]
     when[row != head_row[inst]] += rng.random(len(inst) - n) * np.repeat(spans_ms, deg - 1)
     ts = np.floor(when).astype(np.int64)
-    first_sub, service = first_seen(sub_ids := catalog.sub_ids[g])
-    service = (service + len(first_user)).astype(np.int32)
+    first_sub, service = first_seen_codes(sub_ids := catalog.sub_ids[g], len(catalog.names))
+    service += len(first_user)
     cols = [ts, user.astype(np.int32)[inst], service, service[head_row][inst],
             (np.floor(arrivals).astype(np.int64) // 1000)[inst], np.maximum(0, end.astype(np.int64)[inst] - ts),
             inst, g % catalog.n_partitions]
@@ -321,39 +341,54 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
     return _merged(cols, names, list(map("inst%d".__mod__, range(n))))
 
 
-def _codes(table: defaultdict, col) -> np.ndarray:
-    """Codes of ``col``'s strings in ``table``, which numbers a string it lacks with the next
+def _codes(table: defaultdict, strs: list) -> np.ndarray:
+    """Codes of the strings ``strs`` in ``table``, which numbers a string it lacks with the next
     code when it is looked up (``defaultdict(count().__next__)``): no lookup runs bytecode."""
-    return np.fromiter(map(table.__getitem__, col.tolist()), np.int32, len(col))
+    return np.fromiter(map(table.__getitem__, strs), np.int32, len(strs))
 
 
 def _build(blocks, strings=STRINGS, checked=False) -> Trace:
-    """Merge ``TRACE_DTYPE`` row blocks into a trace; string columns not in ``strings`` are None.
-
-    Strings are coded block by block, so a block's strings can go once it is
-    read.  If ``checked``, raises ValueError unless, in input order,
-    partitions are >= 0 and each one's timestamps never go back.
-    """
-    names, labels = defaultdict(count().__next__), defaultdict(count().__next__)
-    tables = {"user_id": names, "service_id": names, "head_id": names, "truth_instance": labels}
-    cols = {h: [] for h in TRACE_HEADER if h in strings or h not in tables}
+    """Merge ``TRACE_DTYPE`` row blocks into a trace by :func:`_assemble`; string columns not in
+    ``strings`` are None.  Strings are coded block by block, so a block's strings can go once
+    it is read."""
+    tables = {h: defaultdict(count().__next__) for h in STRINGS if h in strings}
+    cols = {h: [] for h in TRACE_HEADER if h in strings or h not in STRINGS}
     for block in chain(blocks, [np.empty(0, TRACE_DTYPE)]):  # every column read gets an array
         for name, acc in cols.items():  # copies: the block can go
-            acc.append(_codes(tables[name], block[name]) if name in tables else block[name].copy())
-    cols = [np.concatenate(cols[h]) if h in cols else None for h in TRACE_HEADER]
-    if checked:
-        by_part = np.argsort(cols[7], kind="stable")
+            acc.append(_codes(tables[name], block[name].tolist()) if name in tables
+                       else block[name].copy())
+    return _assemble([np.concatenate(cols[h]) if h in cols else None for h in TRACE_HEADER],
+                     {h: list(table) for h, table in tables.items()}, checked)
+
+
+def _assemble(cols, tables, checked=False) -> Trace:
+    """Columns in ``TRACE_HEADER`` order, string ones (or None) coded into ``tables[header]``, as a
+    trace: ``names`` merges the user, service and head tables in that order, with work per
+    string, not per row.  If ``checked``, raises ValueError unless, in input order, partitions
+    are >= 0 and each one's timestamps never go back."""
+    if checked:  # rows in merged order need no sort: no partition of theirs goes back
+        merged = not _out_of_order(cols[0], cols[7])
+        by_part = slice(None) if merged else np.argsort(cols[7], kind="stable")
         p, t = cols[7][by_part], cols[0][by_part]
         if (p < 0).any() or ((t[1:] < t[:-1]) & (p[1:] == p[:-1])).any():
             raise ValueError("a partition goes back in time or is negative")
-    return _merged(cols, list(names), list(labels))
+    names = defaultdict(count().__next__)
+    for i in (1, 2, 3):  # user, service, head
+        if cols[i] is not None:
+            cols[i] = _codes(names, tables[TRACE_HEADER[i]])[cols[i]]
+    return _merged(cols, list(names), tables.get("truth_instance", []))
+
+
+def _out_of_order(ts, part) -> bool:
+    """Whether (timestamp, partition) goes down somewhere: rows not in merged order."""
+    return bool(((ts[1:] < ts[:-1]) | (ts[1:] == ts[:-1]) & (part[1:] < part[:-1])).any())
 
 
 def _merged(cols, names, labels) -> Trace:
     """Coded columns in ``TRACE_HEADER`` order as a trace, merged by one stable sort on
-    (timestamp, partition)."""
-    order = np.lexsort((cols[7], cols[0]))
-    if (order != np.arange(len(order))).any():
+    (timestamp, partition), which rows already in that order skip."""
+    if _out_of_order(cols[0], cols[7]):
+        order = np.lexsort((cols[7], cols[0]))
         cols = [None if col is None else col[order] for col in cols]
     ts, user, service, head, inst_ts, resp, label, part = cols
     return Trace(Stream(ts, inst_ts, resp, user, service, head, names), label, labels, part)
@@ -367,27 +402,65 @@ def _merged(cols, names, labels) -> Trace:
 def quoted(table) -> np.ndarray:
     """``table``'s strings as ``csv.writer`` writes them in a row of several fields (in quotes,
     inner quotes doubled, when one holds a comma, a quote or a line end), as an object array."""
+    if not any(map("".join(table).__contains__, _QUOTE)):  # four scans, not a search per string
+        return np.array(table, object)
     return np.array(['"%s"' % s.replace('"', '""') if _NEEDS_QUOTES(s) else s for s in table],
                     object)
 
 
-def write_csv(path, header, fmt, columns) -> None:
+def write_csv(path, header, fmt, columns) -> bytes:
     """Write ``header``, then ``fmt % row`` for each row of the array ``columns``, as
     ``csv.writer`` would; ``fmt`` has no line end, and string columns come :func:`quoted`.
-    One ``%`` formats READ_CHUNK rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")  # the csv module's line end
+    One ``%`` formats READ_CHUNK rows.  Returns the SHA-256 digest of the bytes written."""
+    sha = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def put(text):
+            fh.write(data := text.encode("utf-8"))
+            sha.update(data)
+
+        put(",".join(header) + "\r\n")  # the csv module's line end
         for lo in range(0, len(columns[0]), READ_CHUNK):
             rows = np.stack([col[lo:lo + READ_CHUNK].astype(object) for col in columns], 1)
-            fh.write(((fmt + "\r\n") * len(rows)) % tuple(rows.ravel().tolist()))
+            put(((fmt + "\r\n") * len(rows)) % tuple(rows.ravel().tolist()))
+    return sha.digest()
 
 
-def write_trace(trace: Trace, path) -> None:
-    """Write the trace as a single CSV in ``seq`` order."""
+def write_trace(trace: Trace, path) -> bytes:
+    """Write the trace as a single CSV in ``seq`` order; returns the SHA-256 digest of its bytes."""
     s, names = trace.stream, quoted(trace.stream.names)
-    write_csv(path, TRACE_HEADER, "%d,%s,%s,%s,%d,%d,%s,%d", [
+    return write_csv(path, TRACE_HEADER, "%d,%s,%s,%s,%d,%d,%s,%d", [
         s.timestamp, names[s.user], names[s.service], names[s.head], s.instance_ts, s.response,
         quoted(trace.labels)[trace.truth], trace.partition])
+
+
+def _utf8(table):
+    """The strings of ``table`` as UTF-8 bytes back to back, and the offsets around each."""
+    joined = "".join(table)
+    sizes = map(len, table if joined.isascii() else map(str.encode, table))  # bytes per string
+    offsets = np.cumsum(np.fromiter(chain([0], sizes), np.int64, len(table) + 1))
+    return np.frombuffer(joined.encode(), "u1"), offsets
+
+
+def write_columns(trace: Trace, path, csv_sha: bytes) -> str:
+    """Write ``<path>.columns`` for the CSV :func:`write_trace` wrote from ``trace`` (digest
+    ``csv_sha``) and return its path.  Each string column is numbered by first appearance into
+    a table of its own, as :func:`_build` codes the CSV; ``np.save`` writes no timestamps."""
+    s, coded = trace.stream, []  # (offsets, codes, UTF-8 bytes) per string column, STRINGS order
+    names, labels = _utf8(s.names), _utf8(trace.labels)
+    for col, (raw, at) in zip((s.user, s.service, s.head, trace.truth), [names] * 3 + [labels]):
+        first, code = first_seen_codes(col, len(at) - 1)
+        start, size = at[col[first]], np.diff(at)[col[first]]  # of each string the column holds
+        offsets = np.concatenate(([0], np.cumsum(size)))
+        coded.append((offsets, code, raw[np.repeat(start - offsets[:-1], size)
+                                          + np.arange(offsets[-1])]))
+    records = io.BytesIO()  # the int columns in _INTS order, then offsets, codes and bytes
+    for array in chain([s.timestamp, s.instance_ts, s.response, trace.partition], *zip(*coded)):
+        np.save(records, array, allow_pickle=False)  # wider items first: every record aligned
+    with open(out := f"{path}.columns", "wb") as fh:
+        for array in (COLUMNS_TAG, csv_sha + hashlib.sha256(records.getbuffer()).digest()):
+            np.save(fh, np.frombuffer(array, np.uint8), allow_pickle=False)
+        fh.write(records.getbuffer())
+    return out
 
 
 def csv_blocks(path, dtype, skip=(), error=ConfigError):
@@ -480,10 +553,55 @@ def _read_rows_checked(path) -> None:
                 pass
 
 
+def _records(buf):
+    """Each ``np.save`` record of ``buf``: a read-only 1-d view into it, and the offset past it."""
+    fh = io.BytesIO(buf)
+    while fh.tell() < len(buf):
+        np.lib.format.read_magic(fh)
+        (n,), _, dtype = np.lib.format.read_array_header_1_0(fh)
+        yield (array := np.frombuffer(buf, dtype, n, fh.tell())), fh.seek(array.nbytes, io.SEEK_CUR)
+
+
+def _sha256(path) -> bytes:
+    """The SHA-256 digest of the file ``path``, read 1 MiB at a time into one buffer."""
+    sha, chunk = hashlib.sha256(), bytearray(1 << 20)
+    with open(path, "rb") as fh:
+        while n := fh.readinto(chunk):
+            sha.update(memoryview(chunk)[:n])
+    return sha.digest()
+
+
+def _read_columns(path, strings):
+    """What :func:`_build` builds from the CSV ``path``, from views into one read of its column
+    file; None unless the file holds the tag, both digests match, each array has its dtype and
+    length, each code lies inside its table and :func:`_assemble` takes the columns."""
+    try:
+        buf = Path(f"{path}.columns").read_bytes()
+        (tag, _), (digests, start), *records = _records(buf)
+        arrays = [array for array, _ in records]
+        ints, offsets, codes, tables = (arrays[i:i + 4] for i in range(0, 16, 4))
+        if (tag.tobytes() != COLUMNS_TAG or [a.dtype.str for a in arrays] != _LAYOUT
+                or any(len(a) != len(ints[0]) for a in ints + codes)
+                or not all(o.size and o[-1] == len(t) and ((c >= 0) & (c < len(o) - 1)).all()
+                           for o, c, t in zip(offsets, codes, tables))
+                or digests.tobytes()
+                != _sha256(path) + hashlib.sha256(memoryview(buf)[start:]).digest()):
+            return None
+        decoded = {h: [raw[a:b].decode() for a, b in zip(o[:-1].tolist(), o[1:].tolist())]
+                   for h, o, t in zip(STRINGS, offsets, tables) if h in strings
+                   for raw in [t.tobytes()]}
+        cols = dict(zip([*_INTS, *STRINGS], ints + codes))
+        return _assemble([cols[h] if h in strings or h in _INTS else None for h in TRACE_HEADER],
+                         decoded, checked=True)
+    except (OSError, ValueError):
+        return None
+
+
 def read_trace(path, strings=STRINGS) -> Trace:
     """Parse a trace CSV into columns, checking every row; errors name the file and the row.
 
-    :func:`csv_blocks` reads the rows, and partition order is checked on the
+    A column file :func:`_read_columns` takes gives the columns, or else
+    :func:`csv_blocks` reads the rows; partition order is checked on the
     columns.  After a fault an error-only pass names the first bad row, so
     an order fault comes before a later row's parse fault.
 
@@ -493,6 +611,8 @@ def read_trace(path, strings=STRINGS) -> Trace:
     ``run-pipeline`` codes its strategy's key columns, ``compare`` those and
     ``truth_instance``, ``evaluate`` and ``fit-dist`` only the latter.
     """
+    if (trace := _read_columns(path, strings)) is not None:
+        return trace
     try:
         return _build(csv_blocks(path, TRACE_DTYPE, set(STRINGS) - set(strings), TraceParseError),
                       strings, checked=True)

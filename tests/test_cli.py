@@ -611,6 +611,35 @@ def test_refused_request_leaves_no_out_dir(capsys, tiny_trace, tmp_path, argv, n
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", [[1, 0], [0, 1], [0.5, 0.5]])
+def test_invalid_ph_span_law_exits_two(capsys, tmp_path, alpha):
+    # a positive diagonal: the cdf refuses the generator, never inventing a timeout
+    span = tmp_path / "span.json"
+    span.write_text(json.dumps({"type": "ph", "alpha": alpha, "T": [[1, 2], [0.5, -1.5]]}))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "estimate-params", "--span-dist", str(span), "--out", str(out))
+    assert code == 2
+    assert "diagonal (0,0) = 1 must be negative" in err
+    assert not out.exists()
+
+
+def test_erlang_c_is_bounded_by_the_offered_load(capsys, tmp_path):
+    model = tmp_path / "model.json"
+    out = tmp_path / "out"
+
+    def predict(mean, servers):
+        model.write_text(json.dumps({"arrival": {"type": "erlang", "lambda": 1.0, "k": 1},
+                                     "service": {"mean": mean}, "servers": servers}))
+        return run(capsys, "predict", "--model", str(model), "--out", str(out))
+
+    t0 = time.perf_counter()
+    assert predict(0.5, 10**11)[0] == 0  # the recursion stops once B underflows
+    assert time.perf_counter() - t0 < 1.0
+    code, _, err = predict(2e6, 3 * 10**6)
+    assert code == 2
+    assert "offered load 2e+06 on 3000000 servers is over 1e+06" in err
+
+
 @pytest.mark.parametrize("content", [b'{"type": "erlang", "lambda"', b'{"type": "\xe9rlang"}'],
                          ids=["truncated", "not-utf8"])
 @pytest.mark.parametrize("argv", [

@@ -31,7 +31,7 @@ from swakit.queueing import (
     solve_ph_ph_1_n,
     storage_estimate,
 )
-from swakit.queueing import _fold
+from swakit.queueing import _erlang_c, _fold
 
 EXP = lambda rate: ErlangDist(rate, 1)  # noqa: E731
 
@@ -337,6 +337,20 @@ def test_deterministic_service_halves_wait():
     markov = solve_ggc_approx(0.5, 1.0, 1.0, 1.0, 1)
     determ = solve_ggc_approx(0.5, 1.0, 1.0, 0.0, 1)
     assert determ.Wq == pytest.approx(markov.Wq / 2)
+
+
+def test_erlang_c_stop_changes_no_value():
+    def full_loop(servers, offered):  # every step, as the recursion ran before it could stop
+        b = 1.0
+        for k in range(1, servers + 1):
+            b = offered * b / (k + offered * b)
+        rho = offered / servers
+        return b / (1.0 - rho * (1.0 - b))
+
+    for c in range(1, 200):
+        for offered in (0.1, 0.5, 0.9 * c, 0.99 * c):
+            if offered < c:
+                assert _erlang_c(c, offered) == full_loop(c, offered)
 
 
 def test_instability_suggests_servers():

@@ -1,13 +1,18 @@
 """Catalog construction, trace synthesis, CSV round trips, replay."""
 
 import csv
+import hashlib
 import io
+import json
+import shutil
 from itertools import combinations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from swakit import cli
 from swakit import trace as trace_module
 from swakit.distributions import PointMassDist
 from swakit.engine import EMITTED_HEADER, MEMBERS_HEADER, REASONS, Emissions, read_emissions, \
@@ -25,6 +30,7 @@ from swakit.trace import (
     generate_trace,
     read_trace,
     replay,
+    write_columns,
     write_trace,
 )
 
@@ -396,6 +402,148 @@ def test_header_only_file_is_empty_trace(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# the column file beside a gen-trace CSV
+# ---------------------------------------------------------------------------
+
+SUBSETS = [strings for k in range(len(STRINGS) + 1) for strings in combinations(STRINGS, k)]
+
+
+def gen_trace(out, *argv, seed="1"):
+    """A toy trace written by gen-trace into ``out``, with its column file."""
+    assert cli.main(["gen-trace", "--seed", seed, "--instances", "300", "--services", "200",
+                     *argv, "--out", str(out)]) == 0
+    return out / "trace.csv"
+
+
+def assert_same_trace(got, want):
+    """Every array equal in dtype and values (or both None), ``names`` and ``labels`` equal."""
+    arrays = [(t.stream.timestamp, t.stream.instance_ts, t.stream.response, t.stream.user,
+               t.stream.service, t.stream.head, t.truth, t.partition) for t in (got, want)]
+    for g, w in zip(*arrays):
+        assert (g is None and w is None) or (g.dtype == w.dtype and np.array_equal(g, w))
+    assert got.stream.names == want.stream.names and got.labels == want.labels
+
+
+def csv_read(path, strings):
+    """What ``read_trace`` gives from the CSV alone: the trace, or the error it raises."""
+    columns = Path(f"{path}.columns")
+    moved = columns.with_name("aside")
+    if columns.exists():
+        columns.rename(moved)
+    try:
+        return read_trace(path, strings)
+    except TraceParseError as exc:
+        return exc
+    finally:
+        if moved.exists():
+            moved.rename(columns)
+
+
+@pytest.mark.parametrize("argv", [[], ["--shared-atomics"], ["--partitions", "3"]],
+                         ids=["default", "shared-atomics", "three-partitions"])
+def test_column_file_reads_as_the_csv(tmp_path, argv):
+    path = gen_trace(tmp_path, *argv)
+    with mock.patch.object(trace_module, "csv_blocks") as parse:
+        loaded = {strings: read_trace(path, strings) for strings in SUBSETS}
+    assert not parse.called  # every read took the column file
+    assert not loaded[STRINGS].stream.timestamp.flags.writeable  # a view into the one read
+    Path(f"{path}.columns").unlink()  # deleting it is safe: the CSV gives the same trace
+    for strings, got in loaded.items():
+        assert_same_trace(got, read_trace(path, strings))
+
+
+def test_gen_trace_writes_the_same_column_file(tmp_path):
+    a, b = gen_trace(tmp_path / "a"), gen_trace(tmp_path / "b")
+    assert Path(f"{a}.columns").read_bytes() == Path(f"{b}.columns").read_bytes()
+    manifest = json.loads((tmp_path / "a" / "gen_trace_manifest.json").read_text())
+    assert manifest["outputs"] == {"trace": str(a), "columns": f"{a}.columns"}
+
+
+def test_coding_does_not_depend_on_read_chunk(tmp_path):
+    path = gen_trace(tmp_path, "--instances", "60", "--services", "40")
+    Path(f"{path}.columns").unlink()
+    for strings in SUBSETS:
+        whole = read_trace(path, strings)
+        with mock.patch.object(trace_module, "READ_CHUNK", 2):
+            assert_same_trace(read_trace(path, strings), whole)
+
+
+def edit_csv(value):
+    """Overwrite the first digit of data row 5's response with ``value``: same length."""
+    def edit(path):
+        lines = path.read_bytes().split(b"\r\n")
+        fields = lines[5].split(b",")
+        fields[5] = value + fields[5][1:]
+        lines[5] = b",".join(fields)
+        path.write_bytes(b"\r\n".join(lines))
+    return edit
+
+
+def edit_columns(change):
+    def edit(path):
+        columns = Path(f"{path}.columns")
+        columns.write_bytes(change(columns.read_bytes()))
+    return edit
+
+
+def other_seed(path):
+    shutil.copyfile(f"{gen_trace(path.parent / 'other', seed='2')}.columns", f"{path}.columns")
+
+
+def unreadable(path):
+    Path(f"{path}.columns").unlink()
+    Path(f"{path}.columns").mkdir()
+
+
+def revouch(change):
+    """Apply ``change`` to the column file's payload arrays (int columns, offsets, codes, then
+    tables, four each) and restore both digests: a file that vouches for the CSV but holds
+    arrays that do not check out."""
+    def edit(path):
+        columns = Path(f"{path}.columns")
+        (tag, _), (digests, _), *records = trace_module._records(columns.read_bytes())
+        arrays = [array.copy() for array, _ in records]
+        change(arrays)
+        payload, head = io.BytesIO(), io.BytesIO()
+        for array in arrays:
+            np.save(payload, array)
+        sha = digests.tobytes()[:32] + hashlib.sha256(payload.getvalue()).digest()
+        for array in (tag, np.frombuffer(sha, np.uint8)):
+            np.save(head, array)
+        columns.write_bytes(head.getvalue() + payload.getvalue())
+    return edit
+
+
+REFUSED = {
+    "csv-edit-valid": edit_csv(b"9"),
+    "csv-edit-malformed": edit_csv(b"x"),
+    "truncated": edit_columns(lambda data: data[:len(data) // 2]),
+    "flipped-payload-byte": edit_columns(lambda data: data[:-5] + bytes([data[-5] ^ 1]) + data[-4:]),
+    "other-seed": other_seed,
+    "unreadable": unreadable,
+    "code-past-table": revouch(lambda a: a[8].__setitem__(0, len(a[4]) - 1)),
+    "empty-offsets": revouch(lambda a: a.__setitem__(4, a[4][:0])),
+    "column-too-short": revouch(lambda a: a.__setitem__(1, a[1][:-1])),
+    "wrong-dtype": revouch(lambda a: a.__setitem__(2, a[2].astype(np.int32))),
+    "negative-partition": revouch(lambda a: a[3].__setitem__(0, -1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_column_file_that_does_not_check_out_is_ignored(tmp_path, case):
+    path = gen_trace(tmp_path)
+    REFUSED[case](path)
+    for strings in (STRINGS, ("truth_instance",), ()):
+        want = csv_read(path, strings)
+        if isinstance(want, TraceParseError):
+            with pytest.raises(TraceParseError) as got:
+                read_trace(path, strings)
+            assert str(got.value) == str(want)
+        else:
+            assert_same_trace(read_trace(path, strings), want)
+
+
+# ---------------------------------------------------------------------------
 # the writers against the csv module
 # ---------------------------------------------------------------------------
 
@@ -413,8 +561,8 @@ def test_trace_writer_matches_csv_module(tmp_path):
     # increasing timestamps: seq order is row order
     rows = [(i, ODD[i % 8], ODD[(i + 1) % 8], ODD[(i + 2) % 8], i // 3, 5 * i, ODD[(i + 3) % 8],
              i % 3) for i in range(16)]
-    path = tmp_path / "t.csv"
-    write_trace(Trace.from_rows(rows), path)
+    path, trace = tmp_path / "t.csv", Trace.from_rows(rows)
+    sha = write_trace(trace, path)
     assert path.read_bytes() == csv_module_bytes(TRACE_HEADER, rows)
     for chunk in (trace_module.READ_CHUNK, 2):  # one block, then blocks of two lines
         with mock.patch.object(trace_module, "READ_CHUNK", chunk):
@@ -425,6 +573,12 @@ def test_trace_writer_matches_csv_module(tmp_path):
                   s.instance_ts.tolist(), s.response.tolist(),
                   (back.labels[c] for c in back.truth.tolist()), back.partition.tolist())
         assert list(got) == rows
+    write_columns(trace, path, sha)  # quoted and non-ASCII strings load as they parse
+    for strings in SUBSETS:
+        with mock.patch.object(trace_module, "csv_blocks") as parse:
+            got = read_trace(path, strings)
+        assert not parse.called
+        assert_same_trace(got, csv_read(path, strings))
 
 
 def test_emission_writer_matches_csv_module(tmp_path):
