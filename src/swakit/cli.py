@@ -20,6 +20,7 @@ import time
 from contextlib import contextmanager
 from functools import cache, partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,7 +55,7 @@ from .trace import (
     default_arrival_dist,
     default_degree_dist,
     default_span_dist,
-    first_seen,
+    first_seen_codes,
     generate_trace,
     read_trace,
     write_columns,
@@ -176,7 +177,7 @@ def _samples_from_args(args) -> np.ndarray:
     t = trace.truth_table
     # instances in the order a partition-by-partition scan meets them; the EM sums depend on it
     scan = t.code[np.argsort(trace.partition, kind="stable")]
-    met = scan[first_seen(scan)[0]]
+    met = scan[first_seen_codes(scan, len(t.labels))[0]]
     if args.field == "degree":
         return t.degree[met].astype(float)
     if args.field == "span_s":
@@ -229,13 +230,21 @@ def cmd_fit_dist(args, stages):
 def cmd_estimate_params(args, stages):
     degree = _load_dist_opt(args.degree_dist, default_degree_dist)
     span = _load_dist_opt(args.span_dist, default_span_dist)
+    calls = {"capacity": 0, "timeout": 0}
+
+    def counted(law, name):  # ``law`` with its CDF calls counted, for the manifest
+        def cdf(x):
+            calls[name] += 1
+            return law.cdf(x)
+        return SimpleNamespace(cdf=cdf)
+
     with stage(stages, "estimate"):
-        doc = {"capacity": estimate_capacity(degree, args.alpha),
-               "timeout_s": estimate_timeout(span, args.beta)}
+        doc = {"capacity": estimate_capacity(counted(degree, "capacity"), args.alpha),
+               "timeout_s": estimate_timeout(counted(span, "timeout"), args.beta)}
     params_path = _out_dir(args) / "params.json"
     write_json(params_path, doc)
     print(json.dumps(doc, sort_keys=True))
-    return {"params": params_path}, {}
+    return {"params": params_path}, {"cdf_calls": calls}
 
 
 def cmd_run_pipeline(args, stages):

@@ -8,6 +8,7 @@ timeout covers the response-time-span law at level ``1 - beta``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import ConfigError, NoSolutionError
@@ -35,17 +36,17 @@ def _check_level(name, value):
 
 
 def _smallest_covering(cdf, level: float, upper: int, what: str) -> int:
-    """Smallest integer x in 1..upper with cdf(x) >= level.
+    """Smallest integer x in 1..upper with cdf(x) >= level, in about log2(upper) CDF calls.
 
     A CDF never decreases, so when cdf(upper) misses the level no smaller
-    integer can reach it: the search gives up after that one call.
+    integer can reach it: the search gives up after that one call.  Otherwise
+    it bisects, which gives the linear scan's answer for a CDF that is monotone
+    in floating point.  For one that is not, it returns some x with cdf(x) not
+    below the level and x == 1 or cdf(x - 1) < level, not always the smallest.
     """
     if cdf(upper) < level:
         raise NoSolutionError(f"no {what} reaches coverage {level}")
-    for x in range(1, upper):
-        if cdf(x) >= level:
-            return x
-    return upper
+    return 1 + bisect_left(range(1, upper), level, key=cdf)
 
 
 def estimate_capacity(degree_dist, alpha: float, max_degree: int = 10_000) -> int:

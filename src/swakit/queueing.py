@@ -74,7 +74,7 @@ __all__ = [
 ]
 
 MAX_STATES = 100_000
-MAX_DES_BYTES = 1 << 32  # memory a simulation may plan: 52 bytes per arrival, 160 per batch
+MAX_DES_BYTES = 1 << 32  # memory a simulation may plan: 52 bytes per arrival, 16 per batch
 MAX_OFFERED = 1e6  # Erlangs: Erlang-C's recursion takes about this many steps before B falls
 
 
@@ -565,8 +565,12 @@ def _batched_mean_ci(values: np.ndarray, n_batches: int) -> Tuple[float, float]:
     mean = float(values.mean())
     if values.size < n_batches * 2:
         return mean, 0.0
-    chunks = np.array_split(values, n_batches)
-    bm = np.array([c.mean() for c in chunks])
+    # np.array_split's batches: the first r take q + 1 values, the rest q; each row's mean
+    # sums pairwise as the batch's own mean does, so the bits are the same
+    q, r = divmod(values.size, n_batches)
+    cut = r * (q + 1)
+    bm = np.concatenate([values[:cut].reshape(r, q + 1).mean(axis=1),
+                         values[cut:].reshape(n_batches - r, q).mean(axis=1)])
     return mean, _ci_half(bm)
 
 
@@ -604,8 +608,8 @@ def des_simulate(
     """
     if arrivals < 100:
         raise ConfigError("need at least 100 arrivals for meaningful statistics")
-    if (need := arrivals * 52 + n_batches * 160) > MAX_DES_BYTES:
-        named = (f"batches {n_batches}" if n_batches * 160 > arrivals * 52
+    if (need := arrivals * 52 + n_batches * 16) > MAX_DES_BYTES:
+        named = (f"batches {n_batches}" if n_batches * 16 > arrivals * 52
                  else f"arrivals {arrivals}")
         raise ConfigError(f"{named} need ~{need} bytes, over {MAX_DES_BYTES}")
     if not (0.0 <= warmup_frac < 0.5):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from swakit import cli
+from swakit.distributions import MAX_PHASES
 from swakit.engine import Strategy, key_ids
 from swakit.trace import read_trace
 
@@ -70,6 +71,8 @@ def test_estimate_params_defaults(capsys, tmp_path):
     assert manifest["command"] == "estimate-params"
     assert manifest["config"]["alpha"] == 0.90
     assert manifest["outputs"]["params"].endswith("params.json")
+    # each search bisects 1..upper after the call at upper: 10,000 and 86,400
+    assert manifest["cdf_calls"] == {"capacity": 14, "timeout": 17}
 
 
 def test_gen_trace_artifacts(tiny_trace):
@@ -507,16 +510,24 @@ def test_too_few_arrivals_exits_two(capsys, tmp_path):
     (["gen-trace", "--repeat-factor", "nan"], ("repeat_factor must be >= 1, got nan",)),
     (["gen-trace", "--user-pool", str(10**30)],
      (f"user_pool must lie in [1, 2^63], got {10**30}",)),
-], ids=["arrivals", "instances", "services", "batches", "repeat-factor-nan", "user-pool"])
+    (["fit-dist", "--values", "VALUES", "--branches", "1", "--max-phases", str(MAX_PHASES + 1)],
+     (f"max_phases {MAX_PHASES + 1} is outside 1..{MAX_PHASES} (MAX_PHASES)",)),
+], ids=["arrivals", "instances", "services", "batches", "repeat-factor-nan", "user-pool",
+        "max-phases"])
 def test_oversized_request_exits_two_before_allocating(capsys, tmp_path, argv, named):
     # refused from the size arguments alone: nothing near the memory cap is taken, and no
-    # value that cannot be drawn (a NaN repeat factor, a user pool past int64) reaches a draw
+    # value that cannot be drawn (a NaN repeat factor, a user pool past int64) reaches a draw;
+    # a fit past MAX_PHASES is refused before its scan over every phase count
     model = tmp_path / "model.json"
     model.write_text(json.dumps({
         "arrival": {"type": "erlang", "lambda": 1.0, "k": 1},
         "service": {"type": "erlang", "lambda": 2.0, "k": 1},
     }))
-    argv = [*(str(model) if a == "MODEL" else a for a in argv), "--out", str(tmp_path / "out")]
+    values = tmp_path / "values.txt"
+    samples = np.random.default_rng(2).gamma(3.0, 1.0, 5000).tolist()  # a full scan: ~0.25 s
+    values.write_text("".join(f"{v!r}\n" for v in samples))
+    argv = [*({"MODEL": str(model), "VALUES": str(values)}.get(a, a) for a in argv),
+            "--out", str(tmp_path / "out")]
     times = []
     for _ in range(3):  # the fastest of three: the command's cost, not the host's
         t0 = time.perf_counter()

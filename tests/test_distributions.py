@@ -5,6 +5,7 @@ route (finite-sum CDFs, Monte Carlo, Kolmogorov distance) or frozen reference
 numbers checked once against their sources and pinned here.
 """
 
+import itertools
 import json
 import math
 
@@ -15,6 +16,7 @@ from scipy.special import gammaln, logsumexp
 from swakit import distributions
 
 from swakit.distributions import (
+    MAX_PHASES,
     ErlangBranch,
     ErlangDist,
     HyperErlangDist,
@@ -327,8 +329,21 @@ def test_em_input_validation():
         fit_hyper_erlang_em(np.ones(30), branches=0)
 
 
+@pytest.mark.parametrize("branches", [1, 2])
+def test_em_refuses_max_phases_over_the_bound_before_any_em(monkeypatch, branches):
+    # a one-branch fit scans every phase count: an unbounded request would run for hours
+    def no_work(*args, **kwargs):
+        raise AssertionError("EM work on a refused request")
+
+    for name in ("_erlang_logpdf", "_em_fixed_phases", "_kmeans_log"):
+        monkeypatch.setattr(distributions, name, no_work)
+    xs = np.random.default_rng(2).gamma(3.0, 1.0, 5000)
+    with pytest.raises(DistributionError, match=rf"outside 1\.\.{MAX_PHASES} \(MAX_PHASES\)"):
+        fit_hyper_erlang_em(xs, branches=branches, max_phases=MAX_PHASES + 1)
+
+
 def _lse_columns(branches, rng):
-    """Columns of ``branches`` log-terms: plain, tied maxima, -inf, all -inf, huge, +inf."""
+    """Columns of ``branches`` log-terms: plain, tied maxima, -inf, all -inf, huge, +inf, NaN."""
     a = rng.normal(0.0, 20.0, (branches, 1200))
     a[:, 200:400] = np.round(a[:, 200:400] / 8.0)  # small integers: many tied maxima
     a[:, 400:500] = a[:1, 400:500]  # every entry tied (m = branches)
@@ -337,6 +352,7 @@ def _lse_columns(branches, rng):
     a[:, 650:800] *= 1e306 / 20.0
     a[:, 800:900] = rng.choice([-745.0, -700.0, 0.0, 700.0, 709.0], (branches, 100))
     a[:, 900:950][rng.random((branches, 50)) < 0.3] = np.inf
+    a[:, 950:1000][rng.random((branches, 50)) < 0.3] = np.nan
     return a
 
 
@@ -349,9 +365,19 @@ def test_logsumexp_agrees_with_scipy(branches):
     assert got.tobytes() == _textbook_logsumexp0(a).tobytes()
     assert np.isneginf(got[600:650]).all()
     if branches < 8:  # numpy sums fewer than 8 terms in sequence, like the axis-0 sum
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want, equal_nan=True)
     else:
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+def test_two_row_logsumexp_is_bitwise_the_textbook_at_corners():
+    # every ordered pair of corner values: ties, signed zeros, infinities, NaN, overflow in
+    # lo - hi and a subnormal; the two-row path must give the general form's bits either way up
+    corners = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 709.0, -745.0, 1e308, -1e308, 5e-324]
+    a = np.array(list(itertools.product(corners, repeat=2))).T
+    got = _logsumexp0(a)
+    assert got.tobytes() == _textbook_logsumexp0(a).tobytes()
+    assert got.tobytes() == _logsumexp0(a[::-1]).tobytes()
 
 
 def _textbook_logsumexp0(a):

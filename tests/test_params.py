@@ -1,8 +1,17 @@
 """Window capacity and timeout estimation from degree/span distributions."""
 
-import pytest
+import math
 
-from swakit.distributions import ErlangBranch, ErlangDist, HyperErlangDist, PointMassDist
+import pytest
+from hypothesis import given, settings, strategies as hs
+
+from swakit.distributions import (
+    ErlangBranch,
+    ErlangDist,
+    HyperErlangDist,
+    PhaseTypeDist,
+    PointMassDist,
+)
 from swakit.errors import ConfigError, NoSolutionError
 from swakit.params import WindowParams, estimate_capacity, estimate_timeout
 
@@ -97,6 +106,48 @@ def test_no_solution_raises():
         with pytest.raises(NoSolutionError):
             estimate(law, level, **limit)
         assert law.calls <= 2
+
+
+def scan_covering(dist, level, upper):
+    """Independent oracle: the first x in 1..upper with CDF(x) >= level, None if none is."""
+    return next((x for x in range(1, upper + 1) if dist.cdf(x) >= level), None)
+
+
+MEANS = hs.floats(0.05, 150.0)
+LAWS = hs.one_of(
+    hs.builds(lambda k, mean: ErlangDist(k / mean, k), hs.integers(1, 40), MEANS),
+    hs.builds(lambda w, k1, m1, k2, m2: HyperErlangDist(
+        [ErlangBranch(w, k1 / m1, k1), ErlangBranch(1.0 - w, k2 / m2, k2)]),
+        hs.floats(0.01, 0.99), hs.integers(1, 12), MEANS, hs.integers(1, 12), MEANS),
+    hs.builds(PointMassDist, hs.floats(0.0, 150.0)),
+    # two phases, the first feeding the second: alpha = (p, 1 - p), T = [[-a, b], [0, -c]]
+    hs.builds(lambda p, a, share, c: PhaseTypeDist([p, 1.0 - p], [[-a, share * a], [0.0, -c]]),
+              hs.floats(0.0, 1.0), hs.floats(0.05, 5.0), hs.floats(0.0, 1.0),
+              hs.floats(0.05, 5.0)),  # means up to 40: each CDF call is one expm
+)
+
+
+@settings(max_examples=500)
+@given(LAWS, hs.floats(0.001, 0.999), hs.integers(1, 120),
+       hs.sampled_from([estimate_capacity, estimate_timeout]))
+def test_search_matches_linear_scan(law, level, upper, estimate):
+    # capacity covers the level itself, timeout 1 - beta
+    want = scan_covering(law, level if estimate is estimate_capacity else 1.0 - level, upper)
+    counted = CountingCdf(law)
+    if want is None:
+        with pytest.raises(NoSolutionError):
+            estimate(counted, level, upper)
+        assert counted.calls == 1
+    else:
+        assert estimate(counted, level, upper) == want
+        assert counted.calls <= 1 + math.ceil(math.log2(upper))
+
+
+def test_ph_timeout_in_a_logarithmic_number_of_cdf_calls():
+    # mean 10^4 s: the 95% point lies near 30,000 s, one expm per CDF call
+    law = CountingCdf(PhaseTypeDist([1.0, 0.0], [[-2e-4, 1e-4], [0.0, -1e-4]]))
+    assert estimate_timeout(law, 0.05) == 29_958
+    assert law.calls <= 1 + math.ceil(math.log2(86_400))
 
 
 def test_threshold_bounds_validated():

@@ -31,7 +31,7 @@ from swakit.queueing import (
     solve_ph_ph_1_n,
     storage_estimate,
 )
-from swakit.queueing import _erlang_c, _fold
+from swakit.queueing import _batched_mean_ci, _ci_half, _erlang_c, _fold
 
 EXP = lambda rate: ErlangDist(rate, 1)  # noqa: E731
 
@@ -462,6 +462,16 @@ def batch_means_ci(values, batches=25):
         start = stop
     t_975_24 = 2.0638985616280245  # Student t, 24 degrees of freedom
     return t_975_24 * statistics.stdev(means) / math.sqrt(batches)
+
+
+@pytest.mark.parametrize("n,batches", [(50, 25), (51, 25), (1_000, 24), (4_999, 95),
+                                       (200_000, 4_096), (200_000, 95_000)])
+def test_batch_means_are_the_array_split_means(n, batches):
+    # two reshapes stand in for one np.array_split view per batch: every mean has the same bits
+    rng = np.random.default_rng(n + batches)
+    values = rng.exponential(3.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    means = np.array([c.mean() for c in np.array_split(values, batches)])
+    assert _batched_mean_ci(values, batches) == (float(values.mean()), _ci_half(means))
 
 
 @pytest.mark.parametrize("arrival,service,seed", [
