@@ -617,7 +617,7 @@ def fit_hyper_erlang_em(
         )
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise DistributionError("samples must be positive and finite")
-    if not 1 <= max_phases <= MAX_PHASES:
+    if max_phases < 1 or (branches == 1 and max_phases > MAX_PHASES):  # the scan over every k
         raise DistributionError(f"max_phases {max_phases} is outside 1..{MAX_PHASES} (MAX_PHASES)")
     if max_iter < 1:
         raise DistributionError("max_iter must be >= 1")

@@ -74,7 +74,8 @@ __all__ = [
 ]
 
 MAX_STATES = 100_000
-MAX_DES_BYTES = 1 << 32  # memory a simulation may plan: 52 bytes per arrival, 16 per batch
+MAX_DES_BYTES = 1 << 32  # memory a simulation may plan, at these bytes per arrival and batch;
+_ARRIVAL_BYTES, _BATCH_BYTES = 52, 64  # a batch traced ~40 (two slice rows, _fold, _ci_half)
 MAX_OFFERED = 1e6  # Erlangs: Erlang-C's recursion takes about this many steps before B falls
 
 
@@ -608,8 +609,8 @@ def des_simulate(
     """
     if arrivals < 100:
         raise ConfigError("need at least 100 arrivals for meaningful statistics")
-    if (need := arrivals * 52 + n_batches * 16) > MAX_DES_BYTES:
-        named = (f"batches {n_batches}" if n_batches * 16 > arrivals * 52
+    if (need := arrivals * _ARRIVAL_BYTES + n_batches * _BATCH_BYTES) > MAX_DES_BYTES:
+        named = (f"batches {n_batches}" if n_batches * _BATCH_BYTES > arrivals * _ARRIVAL_BYTES
                  else f"arrivals {arrivals}")
         raise ConfigError(f"{named} need ~{need} bytes, over {MAX_DES_BYTES}")
     if not (0.0 <= warmup_frac < 0.5):

@@ -3,6 +3,7 @@
 import json
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from swakit.queueing import (
     solve_ph_ph_1_n,
     storage_estimate,
 )
-from swakit.queueing import _batched_mean_ci, _ci_half, _erlang_c, _fold
+from swakit.queueing import _BATCH_BYTES, _batched_mean_ci, _ci_half, _erlang_c, _fold
 
 EXP = lambda rate: ErlangDist(rate, 1)  # noqa: E731
 
@@ -472,6 +473,26 @@ def test_batch_means_are_the_array_split_means(n, batches):
     values = rng.exponential(3.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
     means = np.array([c.mean() for c in np.array_split(values, batches)])
     assert _batched_mean_ci(values, batches) == (float(values.mean()), _ci_half(means))
+
+
+@pytest.mark.parametrize("model", [
+    QueueModel(EXP(1.0), EXP(2.0)),
+    QueueModel(EXP(1.0), EXP(0.3), batch=(2, 4)),
+    QueueModel(EXP(1.0), EXP(2.0), servers="ample"),
+], ids=["plain", "batch", "ample"])
+def test_des_peak_per_batch_is_within_what_the_refusal_counts(model):
+    def peak(arrivals, batches):
+        tracemalloc.start()
+        try:
+            des_simulate(model, arrivals=arrivals, seed=0, n_batches=batches)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # few arrivals and many batches: the slice areas and their temporaries alone
+    assert peak(1_000, 500_000) <= 500_000 * _BATCH_BYTES
+    # samples enough for the batch means as well: what 8,000 more batches add to the peak
+    assert peak(20_000, 8_020) - peak(20_000, 20) <= 8_000 * _BATCH_BYTES
 
 
 @pytest.mark.parametrize("arrival,service,seed", [
