@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import (
+    check_fit,
     dist_from_dict,
     dist_to_dict,
     fit_hyper_erlang_em,
@@ -190,6 +191,7 @@ def _samples_from_args(args) -> np.ndarray:
 
 
 def cmd_fit_dist(args, stages):
+    check_fit(args.branches, args.max_phases, args.max_iter)  # before the samples are read
     with stage(stages, "read"):
         samples = _samples_from_args(args)
     n = stages["read"]["items"] = int(samples.size)
@@ -262,10 +264,11 @@ def cmd_run_pipeline(args, stages):
     members_path = None if args.no_members else _members_path(emitted_path)
     stats_path = out / "operator_stats.json"
     with stage(stages, "write", trace.n_tuples):
-        write_emissions(result.emissions, emitted_path, members_path)
+        columns = write_emissions(result.emissions, emitted_path, members_path)
         write_json(stats_path,
                    {"aggregate": result.aggregate_stats.to_dict(), "config": cfg.to_dict()})
-    outputs = {"emitted": emitted_path, "stats": stats_path}
+    outputs = {"emitted": emitted_path, "stats": stats_path,
+               **dict(zip(("emitted_columns", "members_columns"), columns))}
     if members_path:
         outputs["members"] = members_path
     print(f"{len(result.emissions)} emissions from {result.aggregate_stats.tuples_in} tuples")

@@ -40,6 +40,7 @@ __all__ = [
     "PointMassDist",
     "FitResult",
     "validate_generator",
+    "check_fit",
     "fit_hyper_erlang_em",
     "ph_from_mean_scv",
     "dist_to_dict",
@@ -588,6 +589,16 @@ def _kmeans_log(x, n_clusters, iters=60):
     return labels
 
 
+def check_fit(branches: int, max_phases: int, max_iter: int) -> None:
+    """Raise DistributionError unless a fit with these settings can run; needs no sample."""
+    if branches < 1:
+        raise DistributionError("branches must be >= 1")
+    if max_phases < 1 or (branches == 1 and max_phases > MAX_PHASES):  # the scan over every k
+        raise DistributionError(f"max_phases {max_phases} is outside 1..{MAX_PHASES} (MAX_PHASES)")
+    if max_iter < 1:
+        raise DistributionError("max_iter must be >= 1")
+
+
 def fit_hyper_erlang_em(
     samples,
     branches: int = 2,
@@ -608,19 +619,14 @@ def fit_hyper_erlang_em(
     peaked Erlang available (``max_phases`` stages at the sample mean) with
     ``degenerate=True``.
     """
+    check_fit(branches, max_phases, max_iter)
     x = np.asarray(samples, dtype=float).ravel()
-    if branches < 1:
-        raise DistributionError("branches must be >= 1")
     if x.size < 10 * branches:
         raise DistributionError(
             f"need at least {10 * branches} samples for {branches} branches, got {x.size}"
         )
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise DistributionError("samples must be positive and finite")
-    if max_phases < 1 or (branches == 1 and max_phases > MAX_PHASES):  # the scan over every k
-        raise DistributionError(f"max_phases {max_phases} is outside 1..{MAX_PHASES} (MAX_PHASES)")
-    if max_iter < 1:
-        raise DistributionError("max_iter must be >= 1")
 
     mean = float(x.mean())
     if np.ptp(x) == 0 or x.std() / mean < 1e-12:

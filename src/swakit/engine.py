@@ -16,27 +16,36 @@ then orders the closes by the arrival that triggers them.
 
 Operators never see ground-truth labels; they read the columns of a
 :class:`~swakit.trace.Stream` and key only on head id, instance timestamp,
-and user id, factorized once per strategy into integer key ids.
+and user id, factorized once per strategy into integer key ids by
+:func:`sorted_runs`, one packed ``np.sort``, which also groups the tumbling
+batches by key.  A key's display string is spelled only when ``emitted.csv``
+is written, with a column file beside each emission CSV, which
+:func:`read_emissions` loads instead of parsing the CSV.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Optional
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
 
 from .distributions import json_value
 from .errors import ConfigError
 from .params import WindowParams
-from .trace import Stream, Trace, _codes, csv_blocks, quoted, replay, write_csv
+from .trace import (Stream, Trace, _codes, csv_blocks, load_columns, quoted, replay,
+                    save_columns, write_csv)
 
 __all__ = [
     "Strategy",
+    "sorted_runs",
     "key_ids",
+    "key_names",
     "OperatorStats",
     "Emissions",
     "REASONS",
@@ -53,6 +62,7 @@ __all__ = [
 SWEEP_MS = 100
 _INT64_MAX = (1 << 63) - 1
 _SLIDING_RUN = 1 << 20  # member slots per sliding group-by
+_PACKED_BITS = 63  # a packed sort key stays below 2^63
 
 EMITTED_HEADER = ["key", "k", "close_reason", "closed_at_ms", "avg_response_ms", "span_ms"]
 MEMBERS_HEADER = ["emission", "seq"]
@@ -60,6 +70,10 @@ EMITTED_DTYPE = np.dtype(list(zip(EMITTED_HEADER, ["O", "i8", "O", "i8", "f8", "
 MEMBERS_DTYPE = np.dtype([(h, "i8") for h in MEMBERS_HEADER])
 REASONS = ("full", "timeout", "batch")  # what an emission's reason code indexes
 FULL, TIMEOUT, BATCH = range(len(REASONS))
+# column files: what a read of the CSV gives, keys as character offsets into UTF-8 text
+_EMITTED_LAYOUT = [("<i8", True), ("|i1", True), ("<i8", True), ("<f8", True), ("<i8", True),
+                   ("<i8", False), ("|u1", False)]
+_MEMBERS_LAYOUT = [("<i8", True)] * 2
 
 
 class Strategy(Enum):
@@ -88,30 +102,55 @@ class Strategy(Enum):
             ) from None
 
 
-def key_ids(stream: Stream, strategy: Strategy):
-    """(key id per seq, key per id) under ``strategy``; computed once per stream.
+def sorted_runs(cols):
+    """A stable sort of the rows by the int columns ``cols`` (the first most significant), and
+    where each run of equal rows starts in it: one plain ``np.sort`` of each row's key packed
+    with its row number, ``key << b | row`` for b the bit width of the row count, where the
+    columns' spans (as Python ints) and b fit 63 bits, and ``np.lexsort`` where they do not."""
+    n = len(cols[0])
+    lo = [int(col.min()) if n else 0 for col in cols]
+    spans = [int(col.max()) - low + 1 if n else 1 for col, low in zip(cols, lo)]
+    bits = max(n - 1, 0).bit_length()
+    if math.prod(spans) << bits <= 1 << _PACKED_BITS:
+        key = np.zeros(n, np.int64)
+        for col, low, span in zip(cols, lo, spans):
+            key = key * span + (col - low)  # below the product of the spans so far
+        packed = np.sort(key << bits | np.arange(n))
+        order, new = packed & ((1 << bits) - 1), np.diff(packed >> bits, prepend=-1) != 0
+    else:
+        order = np.lexsort(cols[::-1])
+        new = np.ones(n, bool)
+        new[1:] = np.any([col[order][1:] != col[order][:-1] for col in cols], axis=0)
+    return order, np.flatnonzero(new)
 
-    Ids run in the order of the key columns' codes.  A key is its display
-    string, as ``emitted.csv`` holds it: the head id, then the instance
-    timestamp and/or the user id, as the strategy asks, joined by ``|``.
-    ``stream.keys`` caches both and the seqs in id order, by arrival in a key.
+
+def key_ids(stream: Stream, strategy: Strategy):
+    """(key id per seq, each key's first seq) under ``strategy``; computed once per stream.
+
+    Ids run in the order of the key columns' codes.  ``stream.keys`` caches
+    both and the seqs in id order, by arrival in a key.
     """
     if strategy not in stream.keys:
         cols = [getattr(stream, f) for f in strategy.fields]
         for f, col in zip(strategy.fields, cols):
             if col is None:
                 raise ConfigError(f"strategy {strategy.value} keys on {f}_id, a column not read")
-        order = np.lexsort(cols[::-1])  # stable: each key's seqs in arrival order
-        new = np.ones(len(order), bool)  # where a key's run starts in that order
-        new[1:] = np.diff(np.stack([col[order] for col in cols]), axis=1).any(axis=0)
+        order, start = sorted_runs(cols)  # stable: each key's seqs in arrival order
         ids = np.empty(len(order), np.int64)
-        ids[order] = np.cumsum(new) - 1
-        first = order[new]  # each key's first arrival
-        parts = [map(str, col[first].tolist()) if f == "instance_ts"
-                 else [stream.names[c] for c in col[first].tolist()]
-                 for f, col in zip(strategy.fields, cols)]
-        stream.keys[strategy] = (ids, list(map("|".join, zip(*parts))), order)
+        ids[order] = np.repeat(np.arange(len(start)), np.diff(start, append=len(order)))
+        stream.keys[strategy] = (ids, order[start], order)
     return stream.keys[strategy][:2]
+
+
+def key_names(stream: Stream, strategy: Strategy) -> list:
+    """Each key id's display string, as ``emitted.csv`` holds it: the head id, then the
+    instance timestamp and/or the user id, as ``strategy`` asks, joined by ``|``."""
+    first = key_ids(stream, strategy)[1]
+    parts = [getattr(stream, f)[first].tolist() if f == "instance_ts"
+             else map(stream.names.__getitem__, getattr(stream, f)[first].tolist())
+             for f in strategy.fields]
+    spelled = "|".join("%d" if f == "instance_ts" else "%s" for f in strategy.fields)
+    return list(map(spelled.__mod__, zip(*parts)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +224,14 @@ class Emissions:
     """Closed windows as columns, one row per emission in close order.
 
     These are the ``emitted.csv`` columns: ``key`` holds ids into ``keys``,
-    the keys' display strings, and ``reason`` holds codes into ``REASONS``.
+    the keys' display strings, which ``spell`` gives when first asked for
+    (only writing asks), and ``reason`` holds codes into ``REASONS``.
     Members are CSR: emission ``i`` holds the ``count[i]`` seqs of ``seqs``
     after those of the emissions before it, in arrival order; ``seqs`` is
     None when the emissions were read without their member sidecar.
     """
 
-    keys: list
+    spell: Callable[[], list]
     key: np.ndarray
     count: np.ndarray
     reason: np.ndarray
@@ -203,43 +243,91 @@ class Emissions:
     def __len__(self) -> int:
         return len(self.count)
 
+    @cached_property
+    def keys(self) -> list:
+        return self.spell()
+
     @property
     def owner(self) -> np.ndarray:
         """The emission of each member in ``seqs``."""
         return np.repeat(np.arange(len(self)), self.count)
 
 
-def write_emissions(emissions: Emissions, path, members_path=None) -> None:
-    """Write the emitted-instance CSV (plus the member-seq sidecar, if the members were kept)."""
+def write_emissions(emissions: Emissions, path, members_path=None) -> list:
+    """Write the emitted-instance CSV (plus the member sidecar, if the members were kept), each
+    with a column file of what :func:`read_emissions` parses from it; returns their paths."""
     e = emissions
-    write_csv(path, EMITTED_HEADER, "%s,%d,%s,%d,%.6f,%d", [
-        quoted(e.keys)[e.key], e.count, quoted(REASONS)[e.reason], e.closed_at, e.response_avg,
-        e.span_ms])
+    keys = np.array(e.keys, object)[e.key].tolist()  # each row's key
+    reason = np.arange(len(REASONS), dtype=np.int8)[e.reason]  # as the CSV names them
+    written = [save_columns(path, write_csv(path, EMITTED_HEADER, "%s,%d,%s,%d,%.6f,%d", [
+        quoted(keys), e.count, quoted(REASONS)[reason], e.closed_at, e.response_avg, e.span_ms]),
+        [e.count, reason, e.closed_at, _as_written(e.response_avg), e.span_ms,
+         np.cumsum([0, *map(len, keys)]), np.frombuffer("".join(keys).encode(), np.uint8)],
+        _EMITTED_LAYOUT)]
     if members_path is not None:
-        write_csv(members_path, MEMBERS_HEADER, "%d,%d", [e.owner, e.seqs])
+        cols = [e.owner, e.seqs]
+        sha = write_csv(members_path, MEMBERS_HEADER, "%d,%d", cols)
+        written.append(save_columns(members_path, sha, cols, _MEMBERS_LAYOUT))
+    return written
+
+
+def _as_written(x: np.ndarray) -> np.ndarray:
+    """``float("%.6f" % v)`` for each v of ``x``: rounded at 10^-6 by ``np.rint``, which rounds
+    half to even as the ``%`` formatting does, except near a tie or past 2^51, where the
+    product ``x * 1e6`` may round to the other side and each value is formatted instead."""
+    y = x * 1e6
+    out = np.rint(y) / 1e6  # both exact: the quotient rounds once, as parsing the text does
+    near = ~((np.abs(y - np.floor(y) - 0.5) > np.abs(np.spacing(y))) & (np.abs(y) < 2.0**51))
+    out[near] = [float("%.6f" % v) for v in x[near].tolist()]
+    return out
+
+
+def _emitted_columns(path):
+    """``emitted.csv``'s columns from its column file, the keys as a function spelling one per
+    row; None unless the file checks out (:func:`~swakit.trace.load_columns`), its text is
+    UTF-8 that its offsets span and its reasons are codes."""
+    if (cols := load_columns(path, _EMITTED_LAYOUT)) is None:
+        return None
+    *cols, offsets, text = cols
+    try:
+        text = text.tobytes().decode()
+    except UnicodeDecodeError:
+        return None
+    if (len(offsets) != len(cols[0]) + 1 or offsets[0] != 0 or offsets[-1] != len(text)
+            or not ((cols[1] >= 0) & (cols[1] < len(REASONS))).all()):
+        return None
+    return (lambda: [text[a:b] for a, b in itertools.pairwise(offsets.tolist())]), *cols
 
 
 def read_emissions(path, members_path=None) -> Emissions:
     """Read ``emitted.csv`` back into columns; members only if a sidecar is given.
 
-    Both files go through :func:`~swakit.trace.csv_blocks`.  Errors name the
+    Each file's column file gives its columns when it checks out; otherwise
+    the file goes through :func:`~swakit.trace.csv_blocks`.  Errors name the
     file and the 1-based row: a malformed row (found in the block that holds
     it), an unknown close reason, a member row whose emission index is not a
     row of ``emitted.csv``, and an emission whose ``k`` differs from the
-    number of member rows listing it.  Members keep their file order within an emission.
+    number of member rows listing it.  Members keep their file order within an emission,
+    and keys are not coded: ``keys`` holds one string per row.
     """
-    blocks = [np.empty(0, EMITTED_DTYPE), *csv_blocks(path, EMITTED_DTYPE)]
-    key, count, reason, closed_at, avg, span = [
-        np.concatenate([block[h] for block in blocks]) for h in EMITTED_HEADER]
-    codes = defaultdict(itertools.count(len(REASONS)).__next__, zip(REASONS, itertools.count()))
-    reason = _codes(codes, reason.tolist())
-    if len(codes) > len(REASONS):
-        i = int(np.argmax(reason >= len(REASONS)))
-        raise ConfigError(f"{path}: row {i + 1}: unknown close reason {list(codes)[reason[i]]!r}")
+    if (cols := _emitted_columns(path)) is None:
+        blocks = [np.empty(0, EMITTED_DTYPE), *csv_blocks(path, EMITTED_DTYPE)]
+        key, count, reason, closed_at, avg, span = [
+            np.concatenate([block[h] for block in blocks]) for h in EMITTED_HEADER]
+        codes = defaultdict(itertools.count(len(REASONS)).__next__, zip(REASONS, itertools.count()))
+        reason = _codes(codes, reason.tolist())
+        if len(codes) > len(REASONS):
+            i = int(np.argmax(reason >= len(REASONS)))
+            raise ConfigError(f"{path}: row {i + 1}: unknown close reason "
+                              f"{list(codes)[reason[i]]!r}")
+        cols = key.tolist, count, reason.astype(np.int8), closed_at, avg, span
+    spell, count, *rest = cols
     seqs = None
     if members_path is not None:
-        blocks = [np.empty(0, MEMBERS_DTYPE), *csv_blocks(members_path, MEMBERS_DTYPE)]
-        em, seq = [np.concatenate([block[h] for block in blocks]) for h in MEMBERS_HEADER]
+        if (members := load_columns(members_path, _MEMBERS_LAYOUT)) is None:
+            blocks = [np.empty(0, MEMBERS_DTYPE), *csv_blocks(members_path, MEMBERS_DTYPE)]
+            members = [np.concatenate([block[h] for block in blocks]) for h in MEMBERS_HEADER]
+        em, seq = members
         outside = (em < 0) | (em >= len(count))
         if outside.any():
             i = int(np.argmax(outside))
@@ -251,24 +339,22 @@ def read_emissions(path, members_path=None) -> Emissions:
             raise ConfigError(f"{path}: row {i + 1}: k is {count[i]}, but {members_path} "
                               f"lists {listed[i]} members")
         seqs = seq[np.argsort(em, kind="stable")]
-    keys = defaultdict(itertools.count().__next__)
-    key = _codes(keys, key.tolist())
-    return Emissions(list(keys), key, count, reason, closed_at, avg, span, seqs)
+    return Emissions(spell, np.arange(len(count)), count, *rest, seqs)
 
 
-def _emit(stream, seqs, count, rank, keys, key, reason, closed_at):
+def _emit(stream, strategy, seqs, count, rank, key, reason, closed_at):
     """Emissions from runs of members, and their members' first and mean timestamps.
 
     ``seqs`` holds the runs back to back, run i's ``count[i]`` members in
-    arrival order; emission j is run ``rank[j]``.  ``key`` (ids into
-    ``keys``), ``reason`` and ``closed_at`` are given per emission.
+    arrival order; emission j is run ``rank[j]``.  ``key`` (``strategy``'s
+    key ids), ``reason`` and ``closed_at`` are given per emission.
     """
     run_start, count = (np.cumsum(count) - count)[rank], count[rank]
     start = np.cumsum(count) - count
     seqs = seqs[np.arange(len(seqs)) + np.repeat(run_start - start, count)]  # runs in rank order
     ts = stream.timestamp[seqs]
     first = ts[start]
-    ems = Emissions(keys, key, count, reason, closed_at,
+    ems = Emissions(partial(key_names, stream, strategy), key, count, reason, closed_at,
                     np.add.reduceat(stream.response[seqs], start) / count,
                     ts[start + count - 1] - first, seqs)
     return ems, first, np.add.reduceat(ts, start) / count
@@ -299,7 +385,7 @@ def aggregate_swa(
     arrival the timeouts go first, oldest first, then the window it fills.
     """
     key_ids(stream, strategy)
-    ids, names, order = stream.keys[strategy]  # order: each key's tuples together, by arrival
+    ids, _, order = stream.keys[strategy]  # order: each key's tuples together, by arrival
     ts, n, capacity = stream.timestamp, len(ids), params.capacity
     timeout_ms = min(params.timeout_s * 1000, _INT64_MAX)  # exact for streams spanning < 2^63 ms
     # deadlines saturate: nothing arrives after the int64 maximum
@@ -326,7 +412,7 @@ def aggregate_swa(
     reason = np.where(full, FULL, TIMEOUT).astype(np.int8)
 
     rank = np.lexsort((first, full, trigger))  # windows in close order
-    emissions, opened_at, _ = _emit(stream, order, count, rank, names, ids[first[rank]],
+    emissions, opened_at, _ = _emit(stream, strategy, order, count, rank, ids[first[rank]],
                                     reason[rank], closed_at[rank])
     # open windows at each arrival: a window counts from the arrival after its first,
     # through the one that fills it or up to the one whose sweep times it out
@@ -369,7 +455,7 @@ def aggregate_sliding(
     batch by batch, in the order their first members arrived.
     """
     _check_window(window, step)
-    ids, names = key_ids(stream, strategy)
+    ids = key_ids(stream, strategy)[0]
     n = len(ids)
     # the buffer holds i tuples at arrival i until it first fills, then
     # drops to window - step at every close
@@ -390,13 +476,13 @@ def aggregate_sliding(
         batch = np.repeat(np.arange(len(lo)), size)
         seen[seqs] = True
         # one group per (batch, key): a run of one stable sort, emitted in order of first arrival
-        by_key = np.argsort(group := batch * len(names) + ids[seqs], kind="stable")
-        start = np.flatnonzero(np.diff(group[by_key], prepend=-1))
+        by_key, start = sorted_runs([batch, ids[seqs]])
         rank = np.argsort(by_key[start])
         first = by_key[start[rank]]
         closed_at = np.maximum.reduceat(stream.timestamp[seqs], offset)[batch[first]]
-        ems, _, mean_ts = _emit(stream, seqs[by_key], np.diff(start, append=len(seqs)), rank, names,
-                                ids[seqs[first]], np.full(len(first), BATCH, np.int8), closed_at)
+        ems, _, mean_ts = _emit(stream, strategy, seqs[by_key], np.diff(start, append=len(seqs)),
+                                rank, ids[seqs[first]], np.full(len(first), BATCH, np.int8),
+                                closed_at)
         runs.append(ems)
         stats.residence_ms += (closed_at - mean_ts).tolist()
     # a tuple can land in several overlapping batches; conservation is
@@ -404,7 +490,7 @@ def aggregate_sliding(
     stats.tuples_out = int(seen.sum())
     stats.check_conservation()
     cols = [[getattr(ems, f.name) for ems in runs] for f in fields(Emissions)[1:]]
-    return Emissions(names, *map(np.concatenate, cols)), stats
+    return Emissions(runs[0].spell, *map(np.concatenate, cols)), stats
 
 
 # ---------------------------------------------------------------------------

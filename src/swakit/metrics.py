@@ -23,7 +23,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .engine import Emissions
+from .engine import Emissions, sorted_runs
 from .errors import ConfigError
 from .trace import Trace, TruthTable
 
@@ -49,14 +49,14 @@ def match_instances(emissions: Emissions, truth: TruthTable) -> np.ndarray:
     """Attribute each emission to a truth label code by member majority (-1: no members).
 
     Ties break to the earliest primary arrival, then to the lexicographically
-    smallest label.
+    smallest label (``truth.tie``).
     """
     n_labels = len(truth.labels)
     pairs, votes = np.unique(emissions.owner * n_labels + truth.code[emissions.seqs],
                              return_counts=True)
     owner, label = np.divmod(pairs, n_labels)
-    best = np.lexsort((truth.rank[label], truth.primary[label], -votes, owner))
-    best = best[np.diff(owner[best], prepend=-1) != 0]  # the first of each emission
+    order = sorted_runs([owner, -votes, truth.tie[label]])[0]  # each emission's best first
+    best = order[np.diff(owner[order], prepend=-1) != 0]
     mapping = np.full(len(emissions), -1)
     mapping[owner[best]] = label[best]
     return mapping

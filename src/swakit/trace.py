@@ -17,9 +17,11 @@ Timestamps are integer milliseconds.  Span distributions are sampled in
 seconds (matching how response times are usually modeled) and converted;
 arrival distributions are sampled directly in milliseconds.
 
-:func:`write_columns` leaves beside a CSV the columns a read of it gives,
-coded (``trace.csv.columns``); :func:`read_trace` loads them when the file
-vouches for the CSV's exact bytes and checks out, and parses the CSV if not.
+:func:`save_columns` leaves beside a CSV the arrays a read of it gives
+(``<csv>.columns``), and :func:`load_columns` returns them when the file
+vouches for the CSV's exact bytes and checks out.  :func:`write_columns`
+saves a trace's columns, coded, and :func:`read_trace` loads them, parsing
+the CSV if they do not check out; the emission files use the same format.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ __all__ = [
     "generate_trace",
     "write_trace",
     "write_columns",
+    "save_columns",
+    "load_columns",
     "read_trace",
     "replay",
     "default_degree_dist",
@@ -80,7 +84,8 @@ TRACE_DTYPE = np.dtype([(h, object if h in STRINGS else np.int64) for h in TRACE
 READ_CHUNK = 1 << 14  # rows parsed together by csv_blocks
 COLUMNS_TAG = b"swakit.columns.1"  # 16 bytes, so every record after it starts 8-byte aligned
 _INTS = [h for h in TRACE_HEADER if h not in STRINGS]  # int64 columns, in column-file order
-_LAYOUT = ["<i8"] * 8 + ["<i4"] * 4 + ["|u1"] * 4  # ints, offsets, codes, string tables
+# the column file's arrays: ints, then offsets, codes and UTF-8 bytes per string column
+_LAYOUT = [("<i8", True)] * 4 + [("<i8", False)] * 4 + [("<i4", True)] * 4 + [("|u1", False)] * 4
 MAX_TRACE_BYTES = 1 << 32  # memory a catalog or a trace may plan to take
 _QUOTE = ',"\r\n'  # csv.writer quotes a field holding one of these
 _NEEDS_QUOTES = re.compile(f"[{_QUOTE}]").search
@@ -162,7 +167,8 @@ class TruthTable:
     """Ground truth as arrays: ``code[seq]`` is a tuple's label code, the rest is per code.
 
     ``degree`` counts a label's tuples, ``primary``/``last`` are its first
-    and last timestamps, and ``rank`` is its position in sorted label order.
+    and last timestamps, and ``tie`` is its position when the labels are
+    ordered by first timestamp, then as strings.
     """
 
     labels: List[str]
@@ -170,7 +176,7 @@ class TruthTable:
     degree: np.ndarray
     primary: np.ndarray
     last: np.ndarray
-    rank: np.ndarray
+    tie: np.ndarray
 
 
 @dataclass(eq=False)
@@ -197,16 +203,17 @@ class Trace:
 
     @cached_property
     def truth_table(self) -> TruthTable:
-        """Per-label degree, arrival bounds and rank; built once per trace."""
+        """Per-label degree, arrival bounds and tie position; built once per trace."""
         code, ts = self.truth, self.stream.timestamp
         n = len(self.labels)
         primary = np.full(n, np.iinfo(np.int64).max)
         last = np.full(n, np.iinfo(np.int64).min)
         np.minimum.at(primary, code, ts)
         np.maximum.at(last, code, ts)
-        rank = np.empty(n, np.int64)
+        rank, tie = np.empty(n, np.int64), np.empty(n, np.int64)
         rank[sorted(range(n), key=self.labels.__getitem__)] = np.arange(n)
-        return TruthTable(self.labels, code, np.bincount(code, minlength=n), primary, last, rank)
+        tie[np.lexsort((rank, primary))] = np.arange(n)
+        return TruthTable(self.labels, code, np.bincount(code, minlength=n), primary, last, tie)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +418,10 @@ def quoted(table) -> np.ndarray:
 def write_csv(path, header, fmt, columns) -> bytes:
     """Write ``header``, then ``fmt % row`` for each row of the array ``columns``, as
     ``csv.writer`` would; ``fmt`` has no line end, and string columns come :func:`quoted`.
-    One ``%`` formats READ_CHUNK rows.  Returns the SHA-256 digest of the bytes written."""
+    One ``%`` formats READ_CHUNK rows, boxed as Python objects unless every column is an int
+    column.  Returns the SHA-256 digest of the bytes written."""
     sha = hashlib.sha256()
+    boxed = None if np.result_type(*columns).kind in "iu" else object  # never an int as a float
     with open(path, "wb") as fh:
         def put(text):
             fh.write(data := text.encode("utf-8"))
@@ -420,7 +429,7 @@ def write_csv(path, header, fmt, columns) -> bytes:
 
         put(",".join(header) + "\r\n")  # the csv module's line end
         for lo in range(0, len(columns[0]), READ_CHUNK):
-            rows = np.stack([col[lo:lo + READ_CHUNK].astype(object) for col in columns], 1)
+            rows = np.stack([col[lo:lo + READ_CHUNK] for col in columns], 1, dtype=boxed)
             put(((fmt + "\r\n") * len(rows)) % tuple(rows.ravel().tolist()))
     return sha.digest()
 
@@ -441,10 +450,43 @@ def _utf8(table):
     return np.frombuffer(joined.encode(), "u1"), offsets
 
 
+def save_columns(path, csv_sha: bytes, arrays, layout) -> str:
+    """Write ``<path>.columns`` for the CSV ``path`` (whose digest :func:`write_csv` returned as
+    ``csv_sha``) and return its path: the tag, the digests of the CSV and of the records after
+    them, then one ``np.save`` record per array, cast to its ``layout`` dtype; wider items go
+    first, so that every record stays aligned."""
+    records = io.BytesIO()
+    for array, (dtype, _) in zip(arrays, layout, strict=True):
+        np.save(records, np.asarray(array).astype(dtype, casting="safe", copy=False))
+    with open(out := f"{path}.columns", "wb") as fh:
+        for array in (COLUMNS_TAG, csv_sha + hashlib.sha256(records.getbuffer()).digest()):
+            np.save(fh, np.frombuffer(array, np.uint8), allow_pickle=False)
+        fh.write(records.getbuffer())
+    return out
+
+
+def load_columns(path, layout):
+    """The arrays :func:`save_columns` wrote for the CSV ``path``, as read-only views into one
+    read; None unless the file holds the tag, both digests match, and ``layout``'s ``(dtype,
+    per_row)`` pairs give each array's dtype, the per-row ones having one length."""
+    try:
+        buf = Path(f"{path}.columns").read_bytes()
+        (tag, _), (digests, start), *records = _records(buf)
+        arrays = [array for array, _ in records]
+        if (tag.tobytes() != COLUMNS_TAG or [a.dtype.str for a in arrays] != [d for d, _ in layout]
+                or len({len(a) for a, (_, per_row) in zip(arrays, layout) if per_row}) > 1
+                or digests.tobytes()
+                != _sha256(path) + hashlib.sha256(memoryview(buf)[start:]).digest()):
+            return None
+    except (OSError, ValueError):
+        return None
+    return arrays
+
+
 def write_columns(trace: Trace, path, csv_sha: bytes) -> str:
-    """Write ``<path>.columns`` for the CSV :func:`write_trace` wrote from ``trace`` (digest
-    ``csv_sha``) and return its path.  Each string column is numbered by first appearance into
-    a table of its own, as :func:`_build` codes the CSV; ``np.save`` writes no timestamps."""
+    """:func:`save_columns` for the CSV :func:`write_trace` wrote from ``trace`` (digest
+    ``csv_sha``): its int columns, then per string column the offsets, codes and UTF-8 bytes of
+    a table of its own, numbered by first appearance as :func:`_build` codes the CSV."""
     s, coded = trace.stream, []  # (offsets, codes, UTF-8 bytes) per string column, STRINGS order
     names, labels = _utf8(s.names), _utf8(trace.labels)
     for col, (raw, at) in zip((s.user, s.service, s.head, trace.truth), [names] * 3 + [labels]):
@@ -453,14 +495,8 @@ def write_columns(trace: Trace, path, csv_sha: bytes) -> str:
         offsets = np.concatenate(([0], np.cumsum(size)))
         coded.append((offsets, code, raw[np.repeat(start - offsets[:-1], size)
                                           + np.arange(offsets[-1])]))
-    records = io.BytesIO()  # the int columns in _INTS order, then offsets, codes and bytes
-    for array in chain([s.timestamp, s.instance_ts, s.response, trace.partition], *zip(*coded)):
-        np.save(records, array, allow_pickle=False)  # wider items first: every record aligned
-    with open(out := f"{path}.columns", "wb") as fh:
-        for array in (COLUMNS_TAG, csv_sha + hashlib.sha256(records.getbuffer()).digest()):
-            np.save(fh, np.frombuffer(array, np.uint8), allow_pickle=False)
-        fh.write(records.getbuffer())
-    return out
+    return save_columns(path, csv_sha, chain([s.timestamp, s.instance_ts, s.response,
+                                              trace.partition], *zip(*coded)), _LAYOUT)
 
 
 def csv_blocks(path, dtype, skip=(), error=ConfigError):
@@ -572,28 +608,23 @@ def _sha256(path) -> bytes:
 
 
 def _read_columns(path, strings):
-    """What :func:`_build` builds from the CSV ``path``, from views into one read of its column
-    file; None unless the file holds the tag, both digests match, each array has its dtype and
-    length, each code lies inside its table and :func:`_assemble` takes the columns."""
+    """What :func:`_build` builds from the CSV ``path``, from its column file
+    (:func:`load_columns`); None unless that checks out, each code lies inside its table and
+    :func:`_assemble` takes the columns."""
+    if (arrays := load_columns(path, _LAYOUT)) is None:
+        return None
+    ints, offsets, codes, tables = (arrays[i:i + 4] for i in range(0, 16, 4))
+    if not all(o.size and o[-1] == len(t) and ((c >= 0) & (c < len(o) - 1)).all()
+               for o, c, t in zip(offsets, codes, tables)):
+        return None
     try:
-        buf = Path(f"{path}.columns").read_bytes()
-        (tag, _), (digests, start), *records = _records(buf)
-        arrays = [array for array, _ in records]
-        ints, offsets, codes, tables = (arrays[i:i + 4] for i in range(0, 16, 4))
-        if (tag.tobytes() != COLUMNS_TAG or [a.dtype.str for a in arrays] != _LAYOUT
-                or any(len(a) != len(ints[0]) for a in ints + codes)
-                or not all(o.size and o[-1] == len(t) and ((c >= 0) & (c < len(o) - 1)).all()
-                           for o, c, t in zip(offsets, codes, tables))
-                or digests.tobytes()
-                != _sha256(path) + hashlib.sha256(memoryview(buf)[start:]).digest()):
-            return None
         decoded = {h: [raw[a:b].decode() for a, b in zip(o[:-1].tolist(), o[1:].tolist())]
                    for h, o, t in zip(STRINGS, offsets, tables) if h in strings
                    for raw in [t.tobytes()]}
         cols = dict(zip([*_INTS, *STRINGS], ints + codes))
         return _assemble([cols[h] if h in strings or h in _INTS else None for h in TRACE_HEADER],
                          decoded, checked=True)
-    except (OSError, ValueError):
+    except ValueError:
         return None
 
 

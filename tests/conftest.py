@@ -5,12 +5,16 @@ one execution each.
 """
 
 import csv
+import hashlib
+import io
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from swakit import trace as trace_module
 from swakit.engine import REASONS, PipelineConfig, Strategy, run_pipeline
 from swakit.trace import (
     TRACE_HEADER,
@@ -67,6 +71,24 @@ def write_partition_by_partition(trace, path):
     rows.sort(key=lambda r: -int(r[7]))  # stable: each partition keeps its order
     write_trace_rows(path, rows)
     return rows
+
+
+def revouch(change):
+    """Apply ``change`` to the list of a column file's payload arrays and restore both digests:
+    a file that vouches for its CSV but holds arrays that do not check out."""
+    def edit(path):
+        columns = Path(f"{path}.columns")
+        (tag, _), (digests, _), *records = trace_module._records(columns.read_bytes())
+        arrays = [array.copy() for array, _ in records]
+        change(arrays)
+        payload, head = io.BytesIO(), io.BytesIO()
+        for array in arrays:
+            np.save(payload, array)
+        sha = digests.tobytes()[:32] + hashlib.sha256(payload.getvalue()).digest()
+        for array in (tag, np.frombuffer(sha, np.uint8)):
+            np.save(head, array)
+        columns.write_bytes(head.getvalue() + payload.getvalue())
+    return edit
 
 
 def make_trace(services, instances, *, seed, repeat=1.0, user_pool=5000,

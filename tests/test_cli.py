@@ -8,17 +8,29 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from swakit import cli
+from swakit import cli, engine
 from swakit.distributions import MAX_PHASES
-from swakit.engine import Strategy, key_ids
+from swakit.engine import (
+    REASONS,
+    Emissions,
+    PipelineConfig,
+    Strategy,
+    key_ids,
+    read_emissions,
+    run_pipeline,
+    write_emissions,
+)
+from swakit.errors import ConfigError
 from swakit.trace import read_trace
 
-from conftest import write_partition_by_partition
+from conftest import revouch, write_partition_by_partition
 
 
 def run(capsys, *argv):
@@ -108,6 +120,9 @@ def test_pipeline_then_evaluate_round_trip(capsys, tiny_trace, tmp_path):
     assert (tmp_path / "emitted_members.csv").exists()
     stats = json.loads((tmp_path / "operator_stats.json").read_text())
     assert set(stats) == {"aggregate", "config"}
+    outputs = json.loads((tmp_path / "run_pipeline_manifest.json").read_text())["outputs"]
+    assert outputs["emitted_columns"] == f"{tmp_path / 'emitted.csv'}.columns"
+    assert outputs["members_columns"] == f"{tmp_path / 'emitted_members.csv'}.columns"
     assert stats["aggregate"]["tuples_in"] == stats["aggregate"]["tuples_out"]
     assert stats["config"]["aggregate"]["kind"] == "swa"
 
@@ -211,7 +226,7 @@ def test_projected_reads_keep_artifacts(capsys, tmp_path, monkeypatch, strategy)
                 if p.is_file() and not p.name.endswith("_manifest.json")}
 
     projected = artifacts(tmp_path / "projected")
-    assert len(projected) == 2 * 4 + 1
+    assert len(projected) == 2 * 6 + 1  # both emission CSVs with their column files
     full_read = cli.read_trace
     monkeypatch.setattr(cli, "read_trace", lambda path, strings: full_read(path))
     assert artifacts(tmp_path / "full") == projected
@@ -322,8 +337,7 @@ def test_seeded_artifacts_are_pinned(capsys, tmp_path):
     out = str(tmp_path)
     trace = str(tmp_path / "trace.csv")
     for argv in (
-        ["gen-trace", "--seed", "7", "--instances", "300", "--services", "200",
-         "--partitions", "3", "--user-pool", "400", "--repeat-factor", "1.5"],
+        ["gen-trace", *PINNED_ARGV],
         ["run-pipeline", "--trace", trace],
         ["evaluate", "--trace", trace, "--emitted", str(tmp_path / "emitted.csv")],
         ["compare", "--trace", trace, "--sliding", "100,400"],
@@ -332,6 +346,148 @@ def test_seeded_artifacts_are_pinned(capsys, tmp_path):
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
            for name in PINNED}
     assert got == PINNED
+
+
+# ---------------------------------------------------------------------------
+# the column files beside the emission CSVs
+# ---------------------------------------------------------------------------
+
+PINNED_ARGV = ["--seed", "7", "--instances", "300", "--services", "200", "--partitions", "3",
+               "--user-pool", "400", "--repeat-factor", "1.5"]
+COMPARE_RUNS = {"swa_13_22": PipelineConfig(),
+                **{f"sliding_{w}": PipelineConfig(kind="sliding", window=w, step=w)
+                   for w in (100, 400)}}
+
+
+@pytest.fixture(scope="module")
+def pinned_runs(tmp_path_factory):
+    """Directories of emission files: the PINNED run-pipeline's, a --no-members run's, and one
+    per configuration of the PINNED compare, written by ``write_emissions``."""
+    out = tmp_path_factory.mktemp("pinned")
+    trace = out / "trace.csv"
+    assert cli.main(["gen-trace", *PINNED_ARGV, "--out", str(out)]) == 0
+    runs = {"run_pipeline": out / "run_pipeline", "no_members": out / "no_members"}
+    for label, extra in (("run_pipeline", []), ("no_members", ["--no-members"])):
+        argv = ["run-pipeline", "--trace", str(trace), *extra, "--out", str(runs[label])]
+        assert cli.main(argv) == 0
+    loaded = read_trace(trace)
+    for label, cfg in COMPARE_RUNS.items():
+        runs[label] = out / label
+        runs[label].mkdir()
+        write_emissions(run_pipeline(loaded, cfg).emissions, runs[label] / "emitted.csv",
+                        runs[label] / "emitted_members.csv")
+    return runs
+
+
+def emission_paths(run):
+    """``emitted.csv`` of ``run`` and its member sidecar, or None if the run kept no members."""
+    members = run / "emitted_members.csv"
+    return run / "emitted.csv", members if members.exists() else None
+
+
+def csv_emissions(emitted, members):
+    """What ``read_emissions`` gives from the CSVs alone: the emissions, or the error raised."""
+    columns = [Path(f"{path}.columns") for path in (emitted, members) if path is not None]
+    moved = [path for path in columns if path.exists()]
+    for path in moved:
+        path.rename(f"{path}.aside")
+    try:
+        return read_emissions(emitted, members)
+    except (ConfigError, OSError) as exc:
+        return exc
+    finally:
+        for path in moved:
+            Path(f"{path}.aside").rename(path)
+
+
+def assert_same_emissions(got, want):
+    """Every column equal in dtype and values (or both None), and the keys spelled alike."""
+    for f in fields(Emissions)[1:]:
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        assert (g is None and w is None) or (g.dtype == w.dtype and np.array_equal(g, w)), f.name
+    assert got.keys == want.keys
+
+
+@pytest.mark.parametrize("label", ["run_pipeline", "no_members", *COMPARE_RUNS])
+def test_emission_column_files_read_as_the_csv(pinned_runs, label):
+    emitted, members = emission_paths(pinned_runs[label])
+    assert Path(f"{emitted}.columns").exists()
+    assert members is None or Path(f"{members}.columns").exists()
+    for sidecar in dict.fromkeys([members, None]):  # with the sidecar, if any, then without
+        with mock.patch.object(engine, "csv_blocks") as parse:
+            loaded = read_emissions(emitted, sidecar)
+        assert not parse.called  # every read took the column files
+        assert_same_emissions(loaded, csv_emissions(emitted, sidecar))
+
+
+def edit_field(row, field, value):
+    """Overwrite field ``field`` of data row ``row`` of a CSV with ``value``."""
+    def edit(path):
+        lines = path.read_bytes().split(b"\r\n")
+        fields = lines[row].split(b",")
+        fields[field] = value
+        lines[row] = b",".join(fields)
+        path.write_bytes(b"\r\n".join(lines))
+    return edit
+
+
+def edit_column_file(change):
+    def edit(path):
+        columns = Path(f"{path}.columns")
+        columns.write_bytes(change(columns.read_bytes()))
+    return edit
+
+
+def foreign(path):
+    """The column file of another run's file of the same name."""
+    other = path.parent.parent / "sliding_100" / path.name
+    Path(f"{path}.columns").write_bytes(Path(f"{other}.columns").read_bytes())
+
+
+EMISSION_REFUSED = {
+    "csv-edit-valid": {"emitted.csv": edit_field(3, 3, b"1"),
+                       "emitted_members.csv": edit_field(3, 1, b"0")},
+    "csv-edit-malformed": {"emitted.csv": edit_field(3, 3, b"x"),
+                           "emitted_members.csv": edit_field(3, 1, b"x")},
+    "csv-edit-count": {"emitted.csv": edit_field(3, 1, b"99"),
+                       "emitted_members.csv": edit_field(3, 0, b"99999")},
+    "truncated": edit_column_file(lambda data: data[:len(data) // 2]),
+    "flipped-payload-byte": edit_column_file(
+        lambda data: data[:-5] + bytes([data[-5] ^ 1]) + data[-4:]),
+    "foreign": foreign,
+    # files that vouch for their CSV but hold arrays that do not check out: a reason past
+    # REASONS, text that is not UTF-8, offsets short of the text, a short or retyped column
+    "reason-past-codes": {"emitted.csv": revouch(lambda a: a[1].__setitem__(0, len(REASONS)))},
+    "text-not-utf8": {"emitted.csv": revouch(lambda a: a[6].__setitem__(0, 0xff))},
+    "offsets-short": {"emitted.csv": revouch(lambda a: a[5].__setitem__(-1, a[5][-1] - 1))},
+    "column-too-short": revouch(lambda a: a.__setitem__(0, a[0][:-1])),
+    "wrong-dtype": revouch(lambda a: a.__setitem__(1, a[1].astype(np.int32))),
+}
+
+
+@pytest.mark.parametrize("name", ["emitted.csv", "emitted_members.csv"])
+@pytest.mark.parametrize("case", sorted(EMISSION_REFUSED))
+def test_emission_column_file_that_does_not_check_out_is_ignored(pinned_runs, tmp_path, case,
+                                                                  name):
+    for label in ("sliding_100", "run_pipeline", "no_members"):  # the first lends its files
+        run = tmp_path / label
+        run.mkdir()
+        for path in pinned_runs[label].iterdir():
+            (run / path.name).write_bytes(path.read_bytes())
+        if label == "sliding_100":
+            continue
+        damage = EMISSION_REFUSED[case]
+        damage = damage.get(name) if isinstance(damage, dict) else damage
+        if damage is not None and (run / name).exists():
+            damage(run / name)
+        emitted, members = emission_paths(run)
+        want = csv_emissions(emitted, members)
+        if isinstance(want, Exception):
+            with pytest.raises(type(want)) as got:
+                read_emissions(emitted, members)
+            assert str(got.value) == str(want)
+        else:
+            assert_same_emissions(read_emissions(emitted, members), want)
 
 
 # gen-trace at toy size under catalog and span shapes the default run does not take
@@ -487,6 +643,25 @@ def test_fit_dist_without_iterations_exits_two(capsys, tmp_path, branches):
     assert code == 2
     assert "max_iter" in err
     assert not (tmp_path / "dist.json").exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--branches", "0"], "branches must be >= 1"),
+    (["--max-phases", "0"], "max_phases 0 is outside"),
+    (["--branches", "1", "--max-phases", str(MAX_PHASES + 1)], "(MAX_PHASES)"),
+    (["--max-iter", "0"], "max_iter must be >= 1"),
+], ids=["branches", "max-phases-0", "max-phases-past-cap", "max-iter"])
+def test_refused_fit_never_reads_the_trace(capsys, tmp_path, monkeypatch, argv, named):
+    def no_read(*args):
+        raise AssertionError("the trace was read for a fit that cannot run")
+
+    monkeypatch.setattr(cli, "read_trace", no_read)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "fit-dist", "--trace", str(tmp_path / "trace.csv"), *argv,
+                       "--out", str(out))
+    assert code == 2
+    assert named in err
+    assert not out.exists()
 
 
 def test_too_few_arrivals_exits_two(capsys, tmp_path):

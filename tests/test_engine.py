@@ -21,6 +21,7 @@ from swakit.engine import (
     aggregate_sliding,
     aggregate_swa,
     key_ids,
+    key_names,
     read_emissions,
     run_pipeline,
     write_emissions,
@@ -51,8 +52,7 @@ def feed(*specs):
 
 
 def key(stream, strategy, seq):
-    ids, keys = key_ids(stream, strategy)
-    return keys[ids[seq]]
+    return key_names(stream, strategy)[key_ids(stream, strategy)[0][seq]]
 
 
 def shown(key):
@@ -96,7 +96,9 @@ def test_timestamp_strategy_splits_seconds():
 def test_key_ids_dense_and_consistent(small_trace):
     s = replay(small_trace)
     for strategy in Strategy:
-        ids, keys = key_ids(s, strategy)
+        ids, first = key_ids(s, strategy)
+        keys = key_names(s, strategy)
+        assert len(keys) == len(first) and (ids[first] == np.arange(len(first))).all()
         assert sorted(set(ids.tolist())) == list(range(len(keys)))
         cols = {"head": s.head, "user": s.user, "instance_ts": s.instance_ts}
         rows = list(zip(*(cols[f].tolist() for f in strategy.fields)))
@@ -105,17 +107,22 @@ def test_key_ids_dense_and_consistent(small_trace):
         assert len(set(zip(rows, ids.tolist()))) == len(keys)
 
 
-KEY_ARRIVALS = hs.lists(hs.tuples(hs.sampled_from(["h2", "h1", "u1"]), hs.integers(0, 2),
-                                   hs.sampled_from(["u1", "u0", "h1"])), max_size=30)
+# instance seconds at both int64 ends make the key wider than one packed int64
+KEY_ARRIVALS = hs.lists(hs.tuples(hs.sampled_from(["h2", "h1", "u1"]),
+                                  hs.sampled_from([0, 1, 2, 0, 1, 2, INT64_MIN, INT64_MAX]),
+                                  hs.sampled_from(["u1", "u0", "h1"])), max_size=30)
 
 
 @given(KEY_ARRIVALS, hs.sampled_from(list(Strategy)))
 @example([], Strategy.HEAD_TS_IP)
+@example([("h1", INT64_MAX, "u1"), ("h1", INT64_MIN, "u1"), ("h1", 0, "u0"),
+          ("h1", INT64_MAX, "u1")], Strategy.HEAD_TS_IP)
 def test_key_ids_match_reference(arrivals, strategy):
     """Drawn (head, instance second, user) arrivals against a dict of key tuples."""
     s = Trace.from_rows([(seq, user, "s", head, sec, 4, "i", 0)
                          for seq, (head, sec, user) in enumerate(arrivals)]).stream
-    ids, keys = key_ids(s, strategy)
+    ids, firsts = key_ids(s, strategy)
+    keys = key_names(s, strategy)
     pick = {"head": 0, "instance_ts": 1, "user": 2}
     code_of = {name: code for code, name in enumerate(s.names)}
 
@@ -128,9 +135,28 @@ def test_key_ids_match_reference(arrivals, strategy):
         first.setdefault(key_of(arrival), seq)
     ranked = sorted(first)  # ids run in the lexicographic order of the codes
     assert ids.tolist() == [ranked.index(key_of(a)) for a in arrivals]
+    assert firsts.tolist() == [first[k] for k in ranked]
     assert keys == [shown(arrivals[first[k]][pick[f]] for f in strategy.fields) for k in ranked]
     # the cached order is a stable sort of the ids
     assert s.keys[strategy][2].tolist() == sorted(range(len(ids)), key=ids.tolist().__getitem__)
+
+
+INT_COLUMN = hs.sampled_from([0, 1, 2, 5, -3, INT64_MIN, INT64_MAX, INT64_MAX - 1])
+
+
+@given(hs.integers(1, 3).flatmap(lambda k: hs.lists(hs.tuples(*[INT_COLUMN] * k), max_size=20)),
+       hs.sampled_from([63, 4]))
+@example([], 63)
+@example([(INT64_MAX, 0), (INT64_MIN, 1), (INT64_MAX, 0)], 63)  # spans 2^64: a lexsort
+def test_sorted_runs_match_a_stable_sort(rows, bits):
+    """Packed (or, past ``bits``, lexsorted) runs against Python's stable sort of the rows."""
+    cols = [np.array(col, np.int64) for col in zip(*rows)] or [np.zeros(0, np.int64)]
+    with mock.patch.object(engine, "_PACKED_BITS", bits):
+        order, start = engine.sorted_runs(cols)
+    want = sorted(range(len(rows)), key=rows.__getitem__)
+    assert order.tolist() == want
+    assert start.tolist() == [i for i, r in enumerate(want)
+                              if i == 0 or rows[want[i - 1]] != rows[r]]
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
@@ -143,7 +169,7 @@ def test_key_ids_names_a_key_column_not_read(tmp_path, strategy):
         with pytest.raises(ConfigError, match="keys on user_id"):
             key_ids(stream, strategy)
     else:
-        assert key_ids(stream, strategy)[1] == [shown(("h", 1)[:len(strategy.fields)])]
+        assert key_names(stream, strategy) == [shown(("h", 1)[:len(strategy.fields)])]
 
 
 # ---------------------------------------------------------------------------
@@ -496,15 +522,21 @@ SLIDING_ARRIVALS = hs.lists(hs.tuples(hs.sampled_from([0, 0, 1, 7, 1000]), hs.sa
 
 
 @given(SLIDING_ARRIVALS, hs.integers(1, 12), hs.integers(1, 12), hs.sampled_from(list(Strategy)),
-       hs.sampled_from([1, 5, 1 << 20]))
-@example([(1, "A", "u", 3)] * 10, 1, 1, Strategy.HEAD, 1 << 20)  # window of one
-@example([(1, "A", "u", 3), (0, "B", "v", 5)] * 5, 40, 40, Strategy.HEAD, 1 << 20)  # longer than the stream
-@example([(7, "A", "u", 3), (0, "B", "v", 5), (1, "A", "v", 8)] * 4, 5, 2, Strategy.HEAD_IP, 5)
-def test_sliding_matches_reference(arrivals, window, step, strategy, run):
+       hs.sampled_from([1, 5, 1 << 20]), hs.sampled_from([63, 3]))
+@example([(1, "A", "u", 3)] * 10, 1, 1, Strategy.HEAD, 1 << 20, 63)  # window of one
+# a window longer than the stream
+@example([(1, "A", "u", 3), (0, "B", "v", 5)] * 5, 40, 40, Strategy.HEAD, 1 << 20, 63)
+@example([(7, "A", "u", 3), (0, "B", "v", 5), (1, "A", "v", 8)] * 4, 5, 2, Strategy.HEAD_IP, 5, 63)
+# (batch, key) groups of 3 batches x 3 keys over 12 rows need 8 bits: past 3, a lexsort groups them
+@example([(7, "A", "u", 3), (0, "B", "v", 5), (1, "C", "v", 8)] * 4, 4, 4, Strategy.HEAD, 1 << 20,
+         3)
+def test_sliding_matches_reference(arrivals, window, step, strategy, run, bits):
     window, step = max(window, step), min(window, step)
     rows, stream = drawn(arrivals)
-    # ``run`` bounds the member slots grouped at once; small values split the batches up
-    with mock.patch.object(engine, "_SLIDING_RUN", run):
+    # ``run`` bounds the member slots grouped at once; small values split the batches up.  With
+    # ``bits`` at 3, a sort key wider than 3 bits falls back to a lexsort, as one past 63 would
+    with mock.patch.object(engine, "_SLIDING_RUN", run), \
+            mock.patch.object(engine, "_PACKED_BITS", bits):
         ems, stats = aggregate_sliding(stream, window, step, strategy, tuple_size=135)
     got = [(e.key, e.member_seqs, e.closed_at, e.response_avg) for e in emission_rows(ems)]
     expect, expect_stats = reference_sliding(rows, window, step, strategy, 135)
@@ -650,6 +682,18 @@ def test_emission_files_round_trip(emission_dir, arrivals, capacity, window, ste
     write_emissions(back, p2, mp2)
     assert (p2.read_bytes(), mp2.read_bytes()) == (p.read_bytes(), mp.read_bytes())
     assert evaluate(back, trace).to_dict() == evaluate(ems, trace).to_dict()
+
+
+@given(hs.lists(hs.one_of(
+    hs.floats(-1e12, 1e12),
+    hs.integers(-10**9, 10**9).map(lambda k: k / 128),  # ties at the seventh decimal
+    hs.integers(-10**12, 10**12).map(lambda k: (k + 0.5) / 1e6),  # ties, as near as floats get
+    hs.sampled_from([0.0, -0.0, 2.5e-7, -2.5e-7, 5e-7, 1.5e-6, 2.0**51 / 1e6, 2.0**60, 1e300]))))
+def test_response_columns_hold_what_the_csv_gives(values):
+    x = np.array(values, float)
+    got = engine._as_written(x)
+    want = np.array([float("%.6f" % v) for v in values], float)
+    assert got.tobytes() == want.tobytes()  # bit for bit, the sign of zero included
 
 
 def test_member_rows_keep_file_order_within_an_emission(swa_small_run, tmp_path):

@@ -31,7 +31,7 @@ def columns(emissions, members=True):
     """The ``Emissions`` of ``em`` rows (of no members when ``members`` is false)."""
     n = len(emissions)
     seqs = [s for e in emissions for s in e.member_seqs]
-    return Emissions(["k"], np.zeros(n, np.int64), np.array([e.count for e in emissions], np.int64),
+    return Emissions(lambda: ["k"], np.zeros(n, np.int64), np.array([e.count for e in emissions], np.int64),
                      np.zeros(n, np.int8), np.zeros(n, np.int64), np.ones(n),
                      np.zeros(n, np.int64), np.array(seqs, np.int64) if members else None)
 

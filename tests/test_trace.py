@@ -1,7 +1,6 @@
 """Catalog construction, trace synthesis, CSV round trips, replay."""
 
 import csv
-import hashlib
 import io
 import json
 import shutil
@@ -34,7 +33,7 @@ from swakit.trace import (
     write_trace,
 )
 
-from conftest import make_trace, write_partition_by_partition, write_trace_rows
+from conftest import make_trace, revouch, write_partition_by_partition, write_trace_rows
 
 
 # ---------------------------------------------------------------------------
@@ -495,25 +494,7 @@ def unreadable(path):
     Path(f"{path}.columns").mkdir()
 
 
-def revouch(change):
-    """Apply ``change`` to the column file's payload arrays (int columns, offsets, codes, then
-    tables, four each) and restore both digests: a file that vouches for the CSV but holds
-    arrays that do not check out."""
-    def edit(path):
-        columns = Path(f"{path}.columns")
-        (tag, _), (digests, _), *records = trace_module._records(columns.read_bytes())
-        arrays = [array.copy() for array, _ in records]
-        change(arrays)
-        payload, head = io.BytesIO(), io.BytesIO()
-        for array in arrays:
-            np.save(payload, array)
-        sha = digests.tobytes()[:32] + hashlib.sha256(payload.getvalue()).digest()
-        for array in (tag, np.frombuffer(sha, np.uint8)):
-            np.save(head, array)
-        columns.write_bytes(head.getvalue() + payload.getvalue())
-    return edit
-
-
+# revouch's arrays here: int columns, offsets, codes, then tables, four each
 REFUSED = {
     "csv-edit-valid": edit_csv(b"9"),
     "csv-edit-malformed": edit_csv(b"x"),
@@ -588,7 +569,7 @@ def test_emission_writer_matches_csv_module(tmp_path):
     avg = [0.5, 2.25, -1.0, 1e6, 0.0, 3.125, 1 / 3, 7.0]
     seqs = list(range(sum(count)))[::-1]
     path, members = tmp_path / "e.csv", tmp_path / "e_members.csv"
-    write_emissions(Emissions(ODD, np.array(key), np.array(count), np.array(reason),
+    write_emissions(Emissions(lambda: ODD, np.array(key), np.array(count), np.array(reason),
                               np.array(closed_at), np.array(avg), np.array(span),
                               np.array(seqs)), path, members)
     rows = [(ODD[k], c, REASONS[r], t, f"{a:.6f}", sp)
