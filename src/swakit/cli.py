@@ -6,8 +6,8 @@ configuration, seed, artifact paths, tool version, and wall time.  All
 randomness flows from ``--seed``: two runs with the same inputs and seed
 produce byte-identical artifacts (the manifest differs only in wall time).
 
-Exit codes: 0 success, 1 usage error, 2 configuration/input error,
-3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 configuration/input error or a
+request that ran out of memory (``MemoryError``), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -482,8 +482,8 @@ def main(argv=None) -> int:
     except (NumericalError, StateSpaceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (SwakitError, OSError) as exc:  # every other deliberate error counts as config
-        print(f"error: {exc}", file=sys.stderr)
+    except (SwakitError, OSError, MemoryError) as exc:  # config, as is a request too big to hold
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

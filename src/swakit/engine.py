@@ -17,7 +17,7 @@ then orders the closes by the arrival that triggers them.
 Operators never see ground-truth labels; they read the columns of a
 :class:`~swakit.trace.Stream` and key only on head id, instance timestamp,
 and user id, factorized once per strategy into integer key ids by
-:func:`sorted_runs`, one packed ``np.sort``, which also groups the tumbling
+:func:`~swakit.trace.sorted_runs`, one packed ``np.sort``, which also groups the tumbling
 batches by key.  A key's display string is spelled only when ``emitted.csv``
 is written, with a column file beside each emission CSV, which
 :func:`read_emissions` loads instead of parsing the CSV.
@@ -26,7 +26,6 @@ is written, with a column file beside each emission CSV, which
 from __future__ import annotations
 
 import itertools
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -39,11 +38,10 @@ from .distributions import json_value
 from .errors import ConfigError
 from .params import WindowParams
 from .trace import (Stream, Trace, _codes, csv_blocks, load_columns, quoted, replay,
-                    save_columns, write_csv)
+                    save_columns, sorted_runs, write_csv)
 
 __all__ = [
     "Strategy",
-    "sorted_runs",
     "key_ids",
     "key_names",
     "OperatorStats",
@@ -62,7 +60,6 @@ __all__ = [
 SWEEP_MS = 100
 _INT64_MAX = (1 << 63) - 1
 _SLIDING_RUN = 1 << 20  # member slots per sliding group-by
-_PACKED_BITS = 63  # a packed sort key stays below 2^63
 
 EMITTED_HEADER = ["key", "k", "close_reason", "closed_at_ms", "avg_response_ms", "span_ms"]
 MEMBERS_HEADER = ["emission", "seq"]
@@ -100,28 +97,6 @@ class Strategy(Enum):
                 f"unknown strategy {name!r}, expected one of "
                 f"{[s.value for s in cls]}"
             ) from None
-
-
-def sorted_runs(cols):
-    """A stable sort of the rows by the int columns ``cols`` (the first most significant), and
-    where each run of equal rows starts in it: one plain ``np.sort`` of each row's key packed
-    with its row number, ``key << b | row`` for b the bit width of the row count, where the
-    columns' spans (as Python ints) and b fit 63 bits, and ``np.lexsort`` where they do not."""
-    n = len(cols[0])
-    lo = [int(col.min()) if n else 0 for col in cols]
-    spans = [int(col.max()) - low + 1 if n else 1 for col, low in zip(cols, lo)]
-    bits = max(n - 1, 0).bit_length()
-    if math.prod(spans) << bits <= 1 << _PACKED_BITS:
-        key = np.zeros(n, np.int64)
-        for col, low, span in zip(cols, lo, spans):
-            key = key * span + (col - low)  # below the product of the spans so far
-        packed = np.sort(key << bits | np.arange(n))
-        order, new = packed & ((1 << bits) - 1), np.diff(packed >> bits, prepend=-1) != 0
-    else:
-        order = np.lexsort(cols[::-1])
-        new = np.ones(n, bool)
-        new[1:] = np.any([col[order][1:] != col[order][:-1] for col in cols], axis=0)
-    return order, np.flatnonzero(new)
 
 
 def key_ids(stream: Stream, strategy: Strategy):
@@ -259,14 +234,15 @@ def write_emissions(emissions: Emissions, path, members_path=None) -> list:
     e = emissions
     keys = np.array(e.keys, object)[e.key].tolist()  # each row's key
     reason = np.arange(len(REASONS), dtype=np.int8)[e.reason]  # as the CSV names them
-    written = [save_columns(path, write_csv(path, EMITTED_HEADER, "%s,%d,%s,%d,%.6f,%d", [
-        quoted(keys), e.count, quoted(REASONS)[reason], e.closed_at, e.response_avg, e.span_ms]),
+    avg = quoted(list(map("%.6f".__mod__, e.response_avg.tolist()))), np.arange(len(e))
+    written = [save_columns(path, write_csv(path, EMITTED_HEADER, [
+        (quoted(e.keys), e.key), e.count, (quoted(REASONS), reason), e.closed_at, avg, e.span_ms]),
         [e.count, reason, e.closed_at, _as_written(e.response_avg), e.span_ms,
          np.cumsum([0, *map(len, keys)]), np.frombuffer("".join(keys).encode(), np.uint8)],
         _EMITTED_LAYOUT)]
     if members_path is not None:
         cols = [e.owner, e.seqs]
-        sha = write_csv(members_path, MEMBERS_HEADER, "%d,%d", cols)
+        sha = write_csv(members_path, MEMBERS_HEADER, cols)
         written.append(save_columns(members_path, sha, cols, _MEMBERS_LAYOUT))
     return written
 

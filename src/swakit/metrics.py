@@ -23,9 +23,9 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .engine import Emissions, sorted_runs
+from .engine import Emissions
 from .errors import ConfigError
-from .trace import Trace, TruthTable
+from .trace import Trace, TruthTable, sorted_runs
 
 __all__ = [
     "check_gamma",
@@ -82,13 +82,12 @@ def capture_rate(emissions: Emissions, total_tuples: int):
 
 
 def recall_and_correct_rate(emissions: Emissions, mapping, truth: TruthTable):
-    """((hit, total, recall), (pure, emitted, correct_rate))."""
-    hit = len(np.unique(mapping[mapping >= 0]))
-    owner = emissions.owner
-    impure = np.unique(owner[truth.code[emissions.seqs] != mapping[owner]])
-    pure = int(np.count_nonzero(mapping >= 0)) - len(impure)
-    total = len(truth.labels)
-    emitted = len(mapping)
+    """((hit, total, recall), (pure, emitted, correct_rate)), counted by boolean scatters."""
+    total, emitted, owner = len(truth.labels), len(mapping), emissions.owner
+    hit, impure = np.zeros(total, bool), np.zeros(emitted, bool)
+    hit[mapping[mapping >= 0]] = True
+    impure[owner[truth.code[emissions.seqs] != mapping[owner]]] = True
+    hit, pure = int(np.count_nonzero(hit)), int(np.count_nonzero((mapping >= 0) & ~impure))
     recall = hit / total if total else 0.0
     correct = pure / emitted if emitted else 1.0
     return (hit, total, recall), (pure, emitted, correct)

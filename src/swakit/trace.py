@@ -29,11 +29,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import re
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain, count, islice
 from pathlib import Path
 from typing import List, Optional
@@ -63,6 +64,7 @@ __all__ = [
     "load_columns",
     "read_trace",
     "replay",
+    "sorted_runs",
     "default_degree_dist",
     "default_span_dist",
     "default_arrival_dist",
@@ -87,6 +89,7 @@ _INTS = [h for h in TRACE_HEADER if h not in STRINGS]  # int64 columns, in colum
 # the column file's arrays: ints, then offsets, codes and UTF-8 bytes per string column
 _LAYOUT = [("<i8", True)] * 4 + [("<i8", False)] * 4 + [("<i4", True)] * 4 + [("|u1", False)] * 4
 MAX_TRACE_BYTES = 1 << 32  # memory a catalog or a trace may plan to take
+_PACKED_BITS = 63  # a packed sort key stays below 2^63
 _QUOTE = ',"\r\n'  # csv.writer quotes a field holding one of these
 _NEEDS_QUOTES = re.compile(f"[{_QUOTE}]").search
 _NOT_UTF8 = re.compile("[\udc80-\udcff]").search  # a byte surrogateescape decoding kept
@@ -391,11 +394,33 @@ def _out_of_order(ts, part) -> bool:
     return bool(((ts[1:] < ts[:-1]) | (ts[1:] == ts[:-1]) & (part[1:] < part[:-1])).any())
 
 
+def sorted_runs(cols):
+    """A stable sort of the rows by the int columns ``cols`` (the first most significant), and
+    where each run of equal rows starts in it: one plain ``np.sort`` of each row's key packed
+    with its row number, ``key << b | row`` for b the bit width of the row count, where the
+    columns' spans (as Python ints) and b fit 63 bits, and ``np.lexsort`` where they do not."""
+    n = len(cols[0])
+    lo = [int(col.min()) if n else 0 for col in cols]
+    spans = [int(col.max()) - low + 1 if n else 1 for col, low in zip(cols, lo)]
+    bits = max(n - 1, 0).bit_length()
+    if math.prod(spans) << bits <= 1 << _PACKED_BITS:
+        key = np.zeros(n, np.int64)
+        for col, low, span in zip(cols, lo, spans):
+            key = key * span + (col - low)  # below the product of the spans so far
+        packed = np.sort(key << bits | np.arange(n))
+        order, new = packed & ((1 << bits) - 1), np.diff(packed >> bits, prepend=-1) != 0
+    else:
+        order = np.lexsort(cols[::-1])
+        new = np.ones(n, bool)
+        new[1:] = np.any([col[order][1:] != col[order][:-1] for col in cols], axis=0)
+    return order, np.flatnonzero(new)
+
+
 def _merged(cols, names, labels) -> Trace:
     """Coded columns in ``TRACE_HEADER`` order as a trace, merged by one stable sort on
     (timestamp, partition), which rows already in that order skip."""
     if _out_of_order(cols[0], cols[7]):
-        order = np.lexsort((cols[7], cols[0]))
+        order = sorted_runs([cols[0], cols[7]])[0]
         cols = [None if col is None else col[order] for col in cols]
     ts, user, service, head, inst_ts, resp, label, part = cols
     return Trace(Stream(ts, inst_ts, resp, user, service, head, names), label, labels, part)
@@ -406,40 +431,80 @@ def _merged(cols, names, labels) -> Trace:
 # ---------------------------------------------------------------------------
 
 
-def quoted(table) -> np.ndarray:
+def quoted(table):
     """``table``'s strings as ``csv.writer`` writes them in a row of several fields (in quotes,
-    inner quotes doubled, when one holds a comma, a quote or a line end), as an object array."""
-    if not any(map("".join(table).__contains__, _QUOTE)):  # four scans, not a search per string
-        return np.array(table, object)
-    return np.array(['"%s"' % s.replace('"', '""') if _NEEDS_QUOTES(s) else s for s in table],
-                    object)
+    inner quotes doubled, when one holds a comma, a quote or a line end), as a :func:`_utf8`
+    table: the UTF-8 bytes back to back and the offsets around each."""
+    if any(map("".join(table).__contains__, _QUOTE)):  # four scans, not a search per string
+        table = ['"%s"' % s.replace('"', '""') if _NEEDS_QUOTES(s) else s for s in table]
+    return _utf8(table)
 
 
-def write_csv(path, header, fmt, columns) -> bytes:
-    """Write ``header``, then ``fmt % row`` for each row of the array ``columns``, as
-    ``csv.writer`` would; ``fmt`` has no line end, and string columns come :func:`quoted`.
-    One ``%`` formats READ_CHUNK rows, boxed as Python objects unless every column is an int
-    column.  Returns the SHA-256 digest of the bytes written."""
-    sha = hashlib.sha256()
-    boxed = None if np.result_type(*columns).kind in "iu" else object  # never an int as a float
+def _digits(v, out, keep) -> None:
+    """The int column ``v`` as decimal text into ``out``, a ``(width, len(v))`` uint8 block,
+    right-aligned, with ``keep`` marking each value's bytes: one ``m // 10`` per digit on the
+    magnitudes as uint64, and a ``-`` before the digits of a negative."""
+    m, neg = np.abs(v, dtype=np.int64).view(np.uint64), v < 0  # |-2^63| wraps to 2^63: exact
+    for k in range(len(out) - 1, -1, -1):
+        keep[k] = m > 0
+        q = m // 10
+        out[k] = m - q * 10
+        m = q
+    keep[-1] = True  # 0 is one digit
+    out += 48  # ord("0")
+    at = (len(out) - 1 - np.count_nonzero(keep, axis=0))[neg], np.flatnonzero(neg)  # before them
+    out[at], keep[at] = 45, True  # ord("-")
+
+
+def _gather(table, codes, out, keep) -> None:
+    """The strings of the :func:`quoted` table ``table`` at ``codes`` into ``out``, a ``(width,
+    len(codes))`` uint8 block, left-aligned, with ``keep`` marking each string's bytes."""
+    raw, offsets = table
+    start, j = offsets[codes], np.arange(len(out))[:, None]
+    keep[:] = j < offsets[codes + 1] - start
+    np.take(raw, start + j, out=out, mode="clip")
+
+
+def write_csv(path, header, columns) -> bytes:
+    """Write ``header``, then the rows of ``columns`` as ``csv.writer`` would; returns the
+    SHA-256 digest of the bytes written.  A column is an int array, or a pair of a
+    :func:`quoted` table and codes into it.  Up to READ_CHUNK rows go out together: each
+    column fills rows of one ``(width, rows)`` uint8 block (:func:`_digits`, :func:`_gather`),
+    separators are constant rows, and one compaction of the transposed block by the mask of
+    kept bytes gives the text.  A wide string cuts the rows per block, bounding its size."""
+    fields = []  # (fill, values, width) per column
+    for col in columns:
+        if isinstance(col, tuple):  # (table, codes)
+            size = np.diff(col[0][1])[col[1]]  # of each row's string
+            fields.append((partial(_gather, col[0]), col[1], int(size.max(initial=0))))
+        else:
+            low = int(col.min(initial=0))
+            fields.append((_digits, col, len(str(max(-low, int(col.max(initial=0))))) + (low < 0)))
+    # each field and its comma (CR for the last one), then LF
+    n, total = len(fields[0][1]) if fields else 0, sum(w + 1 for *_, w in fields) + 1
+    sha = hashlib.sha256(head := (",".join(header) + "\r\n").encode())  # csv's line end
     with open(path, "wb") as fh:
-        def put(text):
-            fh.write(data := text.encode("utf-8"))
+        fh.write(head)
+        step = max(1, min(READ_CHUNK, (READ_CHUNK << 7) // total))
+        for lo in range(0, n, step):
+            rows = min(step, n - lo)
+            block, keep = np.full((total, rows), 44, np.uint8), np.ones((total, rows), bool)
+            end = 0
+            for fill, values, width in fields:
+                fill(values[lo:lo + rows], block[end:end + width], keep[end:end + width])
+                end += width + 1
+            block[-2:] = [[13], [10]]  # CR over the last comma, then LF
+            fh.write(data := block.T[keep.T])
             sha.update(data)
-
-        put(",".join(header) + "\r\n")  # the csv module's line end
-        for lo in range(0, len(columns[0]), READ_CHUNK):
-            rows = np.stack([col[lo:lo + READ_CHUNK] for col in columns], 1, dtype=boxed)
-            put(((fmt + "\r\n") * len(rows)) % tuple(rows.ravel().tolist()))
     return sha.digest()
 
 
 def write_trace(trace: Trace, path) -> bytes:
     """Write the trace as a single CSV in ``seq`` order; returns the SHA-256 digest of its bytes."""
     s, names = trace.stream, quoted(trace.stream.names)
-    return write_csv(path, TRACE_HEADER, "%d,%s,%s,%s,%d,%d,%s,%d", [
-        s.timestamp, names[s.user], names[s.service], names[s.head], s.instance_ts, s.response,
-        quoted(trace.labels)[trace.truth], trace.partition])
+    return write_csv(path, TRACE_HEADER, [
+        s.timestamp, (names, s.user), (names, s.service), (names, s.head), s.instance_ts,
+        s.response, (quoted(trace.labels), trace.truth), trace.partition])
 
 
 def _utf8(table):

@@ -610,6 +610,22 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error: out of memory"),
+    (MemoryError("Unable to allocate 8.00 GiB"), "error: Unable to allocate 8.00 GiB"),
+], ids=["bare", "numpy-message"])
+def test_memory_error_exits_two_with_one_line(capsys, tmp_path, monkeypatch, exc, line):
+    def no_memory(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "generate_trace", no_memory)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "gen-trace", "--instances", "20", "--services", "20",
+                       "--out", str(out))
+    assert (code, err) == (2, line + "\n")
+    assert not out.exists()
+
+
 def test_missing_model_file_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "predict", "--model", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path))

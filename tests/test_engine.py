@@ -151,8 +151,8 @@ INT_COLUMN = hs.sampled_from([0, 1, 2, 5, -3, INT64_MIN, INT64_MAX, INT64_MAX - 
 def test_sorted_runs_match_a_stable_sort(rows, bits):
     """Packed (or, past ``bits``, lexsorted) runs against Python's stable sort of the rows."""
     cols = [np.array(col, np.int64) for col in zip(*rows)] or [np.zeros(0, np.int64)]
-    with mock.patch.object(engine, "_PACKED_BITS", bits):
-        order, start = engine.sorted_runs(cols)
+    with mock.patch.object(trace_module, "_PACKED_BITS", bits):
+        order, start = trace_module.sorted_runs(cols)
     want = sorted(range(len(rows)), key=rows.__getitem__)
     assert order.tolist() == want
     assert start.tolist() == [i for i, r in enumerate(want)
@@ -536,7 +536,7 @@ def test_sliding_matches_reference(arrivals, window, step, strategy, run, bits):
     # ``run`` bounds the member slots grouped at once; small values split the batches up.  With
     # ``bits`` at 3, a sort key wider than 3 bits falls back to a lexsort, as one past 63 would
     with mock.patch.object(engine, "_SLIDING_RUN", run), \
-            mock.patch.object(engine, "_PACKED_BITS", bits):
+            mock.patch.object(trace_module, "_PACKED_BITS", bits):
         ems, stats = aggregate_sliding(stream, window, step, strategy, tuple_size=135)
     got = [(e.key, e.member_seqs, e.closed_at, e.response_avg) for e in emission_rows(ems)]
     expect, expect_stats = reference_sliding(rows, window, step, strategy, 135)

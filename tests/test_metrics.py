@@ -176,6 +176,28 @@ def test_recall_and_correct_synthetic():
     assert corr == 0.5
 
 
+def test_recall_and_correct_match_a_loop_per_emission():
+    """The scatter counts against one Python pass per emission, for any attribution: a label
+    not the majority, or none (-1) for an emission with members too."""
+    rng = random.Random(52)
+    for case in range(300):
+        labels = rng.choices("abcd", k=rng.randint(1, 12))
+        entries = [(lbl, i) for i, lbl in enumerate(labels)]
+        emissions = [em(rng.sample(range(len(entries)), rng.randint(0, min(4, len(entries)))))
+                     for _ in range(rng.randint(0, 6) if case else 0)]
+        trace = labelled(*entries)
+        truth, members = trace.truth_table, columns(emissions)
+        mapping = np.array([rng.randrange(-1, len(truth.labels)) for _ in emissions], np.int64)
+        hit, pure = set(), 0
+        for e, m in zip(emissions, mapping.tolist()):
+            if m >= 0:
+                hit.add(m)
+                pure += all(trace.truth[s] == m for s in e.member_seqs)
+        total, n = len(truth.labels), len(emissions)
+        assert recall_and_correct_rate(members, mapping, truth) == (
+            (len(hit), total, len(hit) / total), (pure, n, pure / n if n else 1.0))
+
+
 def test_no_emissions_vacuous_rates():
     members, mapping, _, truth = scored([("A", 0)], [])
     (hit, total, rec), (pure, emitted, corr) = recall_and_correct_rate(members, mapping, truth)

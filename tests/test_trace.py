@@ -1,15 +1,18 @@
 """Catalog construction, trace synthesis, CSV round trips, replay."""
 
 import csv
+import hashlib
 import io
 import json
 import shutil
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as hs
 
 from swakit import cli
 from swakit import trace as trace_module
@@ -585,6 +588,90 @@ def test_emission_writer_matches_csv_module(tmp_path):
         assert back.count.tolist() == count and back.closed_at.tolist() == closed_at
         assert back.span_ms.tolist() == span and back.seqs.tolist() == seqs
         assert back.response_avg.tolist() == pytest.approx(avg, abs=1e-6)
+
+
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+# both int64 ends, 0, and where the digit count changes: +-10^k and +-(10^k - 1)
+EDGES = [INT64_MIN, INT64_MAX, 0,
+         *(sign * (10 ** k - d) for k in range(1, 19) for d in (0, 1) for sign in (1, -1))]
+INT64 = hs.one_of(hs.sampled_from(EDGES), hs.integers(INT64_MIN, INT64_MAX))
+
+
+@pytest.fixture(scope="module")
+def writer_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer")
+
+
+@given(hs.lists(hs.booleans(), min_size=2, max_size=4).flatmap(lambda kinds: hs.tuples(
+           hs.just(kinds),
+           hs.lists(hs.tuples(*[hs.integers(0, len(ODD) - 1) if s else INT64 for s in kinds]),
+                    max_size=8))),
+       hs.sampled_from([trace_module.READ_CHUNK, 1, 2, 3]))
+@example(([False, True], [(v, i % len(ODD)) for i, v in enumerate(EDGES)]), 3)
+@example(([True, False], []), trace_module.READ_CHUNK)
+def test_block_writer_matches_csv_module(writer_dir, drawn, chunk):
+    """Int columns and codes into ``ODD`` against ``csv.writer``'s bytes and their SHA-256; at
+    one, two or three rows per block, block edges fall inside the drawn rows."""
+    kinds, rows = drawn
+    values = [np.array([row[i] for row in rows], np.int64) for i in range(len(kinds))]
+    columns = [(trace_module.quoted(ODD), v) if s else v for s, v in zip(kinds, values)]
+    header = [f"c{i}" for i in range(len(kinds))]
+    path = writer_dir / "block.csv"
+    with mock.patch.object(trace_module, "READ_CHUNK", chunk):
+        sha = trace_module.write_csv(path, header, columns)
+    want = csv_module_bytes(header, [[ODD[v] if s else v for s, v in zip(kinds, row)]
+                                     for row in rows])
+    assert path.read_bytes() == want
+    assert sha == hashlib.sha256(want).digest()
+
+
+def test_block_writer_writes_a_header_alone(writer_dir):
+    path = writer_dir / "header.csv"
+    assert trace_module.write_csv(path, ["a", "b"], []) == hashlib.sha256(b"a,b\r\n").digest()
+    assert path.read_bytes() == b"a,b\r\n"
+
+
+def test_block_writer_bounds_its_blocks_by_row_width(writer_dir):
+    """A wide string cuts the rows per block to keep each block near ``READ_CHUNK << 7`` bytes:
+    at READ_CHUNK 256 that is one 20,000-byte row, where 256 rows would take about 50 MB."""
+    table, rows = ["w" * 20_000, "x"], [(0, i) for i in range(300)]
+    columns = [(trace_module.quoted(table), np.zeros(300, np.int64)), np.arange(300)]
+    path = writer_dir / "wide.csv"
+    with mock.patch.object(trace_module, "READ_CHUNK", 256):
+        tracemalloc.start()
+        try:
+            trace_module.write_csv(path, ["s", "i"], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert path.read_bytes() == csv_module_bytes(["s", "i"], [(table[c], i) for c, i in rows])
+    assert peak < 1 << 20
+
+
+def wrapped(v):
+    """``v`` wrapped into int64, as its two's complement low 64 bits read."""
+    return (v + (1 << 63)) % (1 << 64) - (1 << 63)
+
+
+# offsets from a base near either int64 end; 2^63 lands a row at the other end
+OFFSET = hs.one_of(hs.integers(0, 40), hs.just(1 << 63))
+
+
+@given(hs.sampled_from([INT64_MIN, -20, INT64_MAX - 40]), hs.sampled_from([INT64_MIN, 0, INT64_MAX - 3]),
+       hs.lists(hs.tuples(OFFSET, OFFSET), max_size=30), hs.sampled_from([63, 0]))
+def test_merge_order_is_np_lexsort(ts0, part0, offsets, bits):
+    """``_merged`` orders rows as a stable ``np.lexsort`` on (timestamp, partition): packed, or
+    by the fallback when the spans (here, a row at the other int64 end) or ``bits`` allow no
+    packing."""
+    ts = np.array([wrapped(ts0 + a) for a, _ in offsets], np.int64)
+    part = np.array([wrapped(part0 + b) for _, b in offsets], np.int64)
+    cols = [ts, None, None, None, None, None, np.arange(len(ts)), part]
+    with mock.patch.object(trace_module, "_PACKED_BITS", bits):
+        merged = trace_module._merged(cols, [], [])
+    order = np.lexsort((part, ts))
+    assert merged.truth.tolist() == order.tolist()  # the label column numbers the input rows
+    assert merged.stream.timestamp.tolist() == ts[order].tolist()
+    assert merged.partition.tolist() == part[order].tolist()
 
 
 # ---------------------------------------------------------------------------
