@@ -63,6 +63,8 @@ from .trace import (
     write_trace,
 )
 
+MAX_SLIDING = 64  # ``compare --sliding`` entries, each one full aggregate and score of the trace
+
 class _Parser(argparse.ArgumentParser):
     """argparse that exits 1 (not 2) on usage problems, per our exit-code map."""
 
@@ -159,7 +161,9 @@ def cmd_gen_trace(args, stages):
         trace = generate_trace(catalog, cfg)
     trace_path = _out_dir(args) / "trace.csv"
     with stage(stages, "write", trace.n_tuples):
-        columns_path = write_columns(trace, trace_path, write_trace(trace, trace_path))
+        sha = write_trace(trace, trace_path)
+    with stage(stages, "columns", trace.n_tuples):
+        columns_path = write_columns(trace, trace_path, sha)
     print(f"wrote {trace.n_tuples} tuples ({args.instances} instances) to {trace_path}")
     return {"trace": trace_path, "columns": columns_path}, {}
 
@@ -332,6 +336,8 @@ def cmd_compare(args, stages):
     # every request is checked before the trace is read
     gammas = _gammas(args.gamma)
     strategy = Strategy.parse(args.strategy)
+    if args.sliding.count(",") >= MAX_SLIDING:  # counted before the list is split
+        raise ConfigError(f"--sliding lists more than {MAX_SLIDING} entries (MAX_SLIDING)")
     runs = [(f"swa_{args.capacity}_{args.timeout}",
              PipelineConfig(tuple_size=args.tuple_size, kind="swa", capacity=args.capacity,
                             timeout_s=args.timeout, strategy=strategy))]

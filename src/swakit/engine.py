@@ -318,8 +318,24 @@ def read_emissions(path, members_path=None) -> Emissions:
     return Emissions(spell, np.arange(len(count)), count, *rest, seqs)
 
 
+def _mean(x, start, count):
+    """Each run's mean of the int64 ``x`` (runs at ``start``, ``count`` long), correctly rounded:
+    numpy divides sums below 2^53 in size (exact as floats), Python the exact sum of the other
+    runs, one at a time.  Unless the extremes of ``x`` and ``count`` keep every sum below 2^53,
+    sums go in 32-bit halves, which do not wrap in runs under 2^31."""
+    if max(-int(x.min(initial=0)), int(x.max(initial=0))) * int(count.max(initial=0)) < 1 << 53:
+        return np.add.reduceat(x, start) / count
+    hi, lo = np.add.reduceat(x >> 32, start), np.add.reduceat(x & 0xFFFFFFFF, start)
+    hi, lo = hi + (lo >> 32), lo & 0xFFFFFFFF  # the sum is hi * 2^32 + lo
+    mean, big = ((hi << 32) + lo) / count, np.flatnonzero((hi < -(1 << 21)) | (hi >= 1 << 21))
+    hi, lo, count = (a[big].tolist() for a in (hi, lo, count))
+    mean[big] = [(h << 32 | m) / c for h, m, c in zip(hi, lo, count)]
+    return mean
+
+
 def _emit(stream, strategy, seqs, count, rank, key, reason, closed_at):
-    """Emissions from runs of members, and their members' first and mean timestamps.
+    """Emissions from runs of members, their members' timestamps in emission order, and where
+    each emission's members start among them.
 
     ``seqs`` holds the runs back to back, run i's ``count[i]`` members in
     arrival order; emission j is run ``rank[j]``.  ``key`` (``strategy``'s
@@ -329,11 +345,10 @@ def _emit(stream, strategy, seqs, count, rank, key, reason, closed_at):
     start = np.cumsum(count) - count
     seqs = seqs[np.arange(len(seqs)) + np.repeat(run_start - start, count)]  # runs in rank order
     ts = stream.timestamp[seqs]
-    first = ts[start]
     ems = Emissions(partial(key_names, stream, strategy), key, count, reason, closed_at,
-                    np.add.reduceat(stream.response[seqs], start) / count,
-                    ts[start + count - 1] - first, seqs)
-    return ems, first, np.add.reduceat(ts, start) / count
+                    _mean(stream.response[seqs], start, count),
+                    ts[start + count - 1] - ts[start], seqs)
+    return ems, ts, start
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +403,8 @@ def aggregate_swa(
     reason = np.where(full, FULL, TIMEOUT).astype(np.int8)
 
     rank = np.lexsort((first, full, trigger))  # windows in close order
-    emissions, opened_at, _ = _emit(stream, strategy, order, count, rank, ids[first[rank]],
-                                    reason[rank], closed_at[rank])
+    emissions, member_ts, at = _emit(stream, strategy, order, count, rank, ids[first[rank]],
+                                     reason[rank], closed_at[rank])
     # open windows at each arrival: a window counts from the arrival after its first,
     # through the one that fills it or up to the one whose sweep times it out
     steps = np.bincount(first + 1, minlength=n + 1) - np.bincount(trigger + full, minlength=n + 1)
@@ -397,7 +412,7 @@ def aggregate_swa(
     stats = OperatorStats("aggregate_swa", slot_bytes=capacity * tuple_size, tuples_in=n,
                           tuples_out=int(emissions.count.sum()), occupancy_sum=int(occ.sum()),
                           occupancy_max=int(occ.max(initial=0)),
-                          residence_ms=(emissions.closed_at - opened_at).astype(float).tolist())
+                          residence_ms=(emissions.closed_at - member_ts[at]).astype(float).tolist())
     stats.check_conservation()
     return emissions, stats
 
@@ -456,11 +471,11 @@ def aggregate_sliding(
         rank = np.argsort(by_key[start])
         first = by_key[start[rank]]
         closed_at = np.maximum.reduceat(stream.timestamp[seqs], offset)[batch[first]]
-        ems, _, mean_ts = _emit(stream, strategy, seqs[by_key], np.diff(start, append=len(seqs)),
-                                rank, ids[seqs[first]], np.full(len(first), BATCH, np.int8),
-                                closed_at)
+        ems, member_ts, at = _emit(stream, strategy, seqs[by_key], np.diff(start, append=len(seqs)),
+                                   rank, ids[seqs[first]], np.full(len(first), BATCH, np.int8),
+                                   closed_at)
         runs.append(ems)
-        stats.residence_ms += (closed_at - mean_ts).tolist()
+        stats.residence_ms += (closed_at - _mean(member_ts, at, ems.count)).tolist()
     # a tuple can land in several overlapping batches; conservation is
     # accounted on distinct tuples
     stats.tuples_out = int(seen.sum())

@@ -12,6 +12,9 @@ The :class:`ServiceCatalog` is columns too: a degree per composite service
 (a head invocation plus subordinates) and the sub-ids as CSR into one name
 table; partitions are round-robin over the whole catalog.
 :func:`generate_trace` builds the trace columns from arrays, with no loop.
+Its name tables, like the catalog's, are :class:`Strings`: UTF-8 bytes and
+offsets, spelled by the CSV writer's block formatter (:func:`_spelled`) with
+no format per string, and written to the CSV and the column file as they are.
 
 Timestamps are integer milliseconds.  Span distributions are sampled in
 seconds (matching how response times are usually modeled) and converted;
@@ -33,11 +36,12 @@ import math
 import re
 import warnings
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, count, islice
 from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -95,13 +99,35 @@ _NEEDS_QUOTES = re.compile(f"[{_QUOTE}]").search
 _NOT_UTF8 = re.compile("[\udc80-\udcff]").search  # a byte surrogateescape decoding kept
 
 
+@dataclass(frozen=True, eq=False)
+class Strings(Sequence):
+    """A read-only sequence of strings held as a :func:`_utf8` table, ``table``: their UTF-8
+    bytes back to back and the offsets around each.  A string is decoded when it is indexed."""
+
+    table: tuple
+
+    def __len__(self) -> int:
+        return len(self.table[1]) - 1
+
+    def __getitem__(self, i) -> str:
+        raw, offsets = self._spans
+        i = range(len(self))[i]  # an int; IndexError past either end
+        return raw[offsets[i]:offsets[i + 1]].decode()
+
+    @cached_property
+    def _spans(self):
+        """The table as bytes and a list of offsets, made when a string is first indexed."""
+        return self.table[0].tobytes(), self.table[1].tolist()
+
+
 @dataclass(eq=False)
 class Stream:
     """The operator-facing columns, indexed by ``seq``: no truth label, no partition.
 
     ``timestamp``, ``instance_ts`` and ``response`` are int64; ``user``,
-    ``service`` and ``head`` are codes into ``names``, which holds the
-    strings of those columns only.  A column :func:`read_trace` was not
+    ``service`` and ``head`` are codes into ``names`` (a list once read, a
+    :class:`Strings` once generated), which holds the strings of those
+    columns only.  A column :func:`read_trace` was not
     asked to code is None.  The columns are read-only once built: ``keys``
     caches the engine's key ids per strategy on first use.
     """
@@ -112,7 +138,7 @@ class Stream:
     user: Optional[np.ndarray]
     service: Optional[np.ndarray]
     head: Optional[np.ndarray]
-    names: List[str]
+    names: Sequence[str]
     keys: dict = field(init=False, default_factory=dict, repr=False)
 
     def __len__(self) -> int:
@@ -132,7 +158,7 @@ class ServiceCatalog:
     degree: np.ndarray
     start: np.ndarray
     sub_ids: np.ndarray
-    names: List[str]
+    names: Strings
     n_partitions: int
 
 
@@ -174,7 +200,7 @@ class TruthTable:
     ordered by first timestamp, then as strings.
     """
 
-    labels: List[str]
+    labels: Sequence[str]
     code: np.ndarray
     degree: np.ndarray
     primary: np.ndarray
@@ -192,7 +218,7 @@ class Trace:
 
     stream: Stream
     truth: Optional[np.ndarray]  # label code per seq, into ``labels``
-    labels: List[str]
+    labels: Sequence[str]
     partition: np.ndarray
 
     @property
@@ -279,13 +305,12 @@ def build_catalog(count: int, degree_dist, seed: int, n_partitions: int = 2,
     sub, n_subs = pos > 0, len(sub_ids) - count
     if shared_atomics:
         pool = max(1, n_subs // 2)
-        subs, codes = map("atom%d".__mod__, range(pool)), rng.integers(pool, size=n_subs)
+        subs, codes = [b"atom", np.arange(pool)], rng.integers(pool, size=n_subs)
     else:  # subordinate j of service i
-        subs = map("svc%d.%d".__mod__, zip(sub_ids[sub].tolist(), pos[sub].tolist()))
-        codes = np.arange(n_subs)
+        subs, codes = [b"svc", sub_ids[sub], b".", pos[sub]], np.arange(n_subs)
     sub_ids[sub] = count + codes
-    return ServiceCatalog(degree, start, sub_ids, [*map("svc%d".__mod__, range(count)), *subs],
-                          n_partitions)
+    names = Strings(_spell([b"svc", np.arange(count)], subs))
+    return ServiceCatalog(degree, start, sub_ids, names, n_partitions)
 
 
 def first_seen(values: np.ndarray):
@@ -312,8 +337,9 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
     each instance's subordinates are placed uniformly inside
     [arrival, arrival + span] and routed to their catalog partitions.  The
     seed fully determines the output.  Instance i's rows lie side by side,
-    head first, coded as :func:`_assemble` codes rows: users, then sub-ids, by
-    first appearance; instance i's label is ``inst{i}``, code i.
+    head first, coded as :func:`_assemble` codes rows: users (``u{id}``), then
+    sub-ids (the catalog's names), by first appearance; instance i's label is
+    ``inst{i}``, code i.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.instance_count
@@ -346,9 +372,8 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
     cols = [ts, user.astype(np.int32)[inst], service, service[head_row][inst],
             (np.floor(arrivals).astype(np.int64) // 1000)[inst], np.maximum(0, end.astype(np.int64)[inst] - ts),
             inst, g % catalog.n_partitions]
-    names = [*map("u%d".__mod__, users[first_user].tolist()),
-             *map(catalog.names.__getitem__, sub_ids[first_sub].tolist())]
-    return _merged(cols, names, list(map("inst%d".__mod__, range(n))))
+    names = [b"u", users[first_user]], [(catalog.names.table, sub_ids[first_sub])]
+    return _merged(cols, Strings(_spell(*names)), Strings(_spell([b"inst", np.arange(n)])))
 
 
 def _codes(table: defaultdict, strs: list) -> np.ndarray:
@@ -435,9 +460,10 @@ def quoted(table):
     """``table``'s strings as ``csv.writer`` writes them in a row of several fields (in quotes,
     inner quotes doubled, when one holds a comma, a quote or a line end), as a :func:`_utf8`
     table: the UTF-8 bytes back to back and the offsets around each."""
-    if any(map("".join(table).__contains__, _QUOTE)):  # four scans, not a search per string
-        table = ['"%s"' % s.replace('"', '""') if _NEEDS_QUOTES(s) else s for s in table]
-    return _utf8(table)
+    raw, offsets = _utf8(table)
+    if not any(map(raw.tobytes().__contains__, _QUOTE.encode())):  # no byte needs quotes
+        return raw, offsets
+    return _utf8(['"%s"' % s.replace('"', '""') if _NEEDS_QUOTES(s) else s for s in table])
 
 
 def _digits(v, out, keep) -> None:
@@ -457,7 +483,7 @@ def _digits(v, out, keep) -> None:
 
 
 def _gather(table, codes, out, keep) -> None:
-    """The strings of the :func:`quoted` table ``table`` at ``codes`` into ``out``, a ``(width,
+    """The strings of the :func:`_utf8` table ``table`` at ``codes`` into ``out``, a ``(width,
     len(codes))`` uint8 block, left-aligned, with ``keep`` marking each string's bytes."""
     raw, offsets = table
     start, j = offsets[codes], np.arange(len(out))[:, None]
@@ -465,36 +491,56 @@ def _gather(table, codes, out, keep) -> None:
     np.take(raw, start + j, out=out, mode="clip")
 
 
+def _width(part) -> int:
+    """The bytes that the widest value of a :func:`_spelled` part takes."""
+    if isinstance(part, tuple):  # (table, codes)
+        return int(np.diff(part[0][1])[part[1]].max(initial=0))
+    return len(part) if isinstance(part, bytes) else max(  # a widest int is the least or most
+        len(str(int(part.min(initial=0)))), len(str(int(part.max(initial=0)))))
+
+
+def _spelled(parts):
+    """The rows of ``parts`` spelled side by side, READ_CHUNK at a time (fewer if wide, keeping a
+    block near ``READ_CHUNK << 7`` bytes; one empty block for none): per block, its bytes and
+    the ``(width, rows)`` mask that kept them.  A part (constant bytes, an int column for
+    :func:`_digits` or a :func:`_utf8` table and codes for :func:`_gather`) fills its rows."""
+    widths = list(map(_width, parts))
+    n = max((len(p[1] if isinstance(p, tuple) else p) for p in parts if not isinstance(p, bytes)),
+            default=0)
+    step = max(1, min(READ_CHUNK, (READ_CHUNK << 7) // sum(widths)))
+    for lo in range(0, max(n, 1), step):
+        rows, at, end = min(step, n - lo), slice(lo, lo + step), 0
+        block, keep = np.empty((sum(widths), rows), np.uint8), np.ones((sum(widths), rows), bool)
+        for part, width in zip(parts, widths):
+            out, kept, end = block[end:end + width], keep[end:end + width], end + width
+            if isinstance(part, bytes):
+                out[:] = np.frombuffer(part, np.uint8)[:, None]
+            elif isinstance(part, tuple):
+                _gather(part[0], part[1][at], out, kept)
+            else:
+                _digits(part[at], out, kept)
+        yield block.T[keep.T], keep
+
+
+def _spell(*groups):
+    """The :func:`_utf8` table of the strings that each group of :func:`_spelled` parts spells,
+    one per row, group after group."""
+    raws, sizes = zip(*((raw, np.count_nonzero(keep, axis=0))
+                        for parts in groups for raw, keep in _spelled(parts)))
+    return np.concatenate(raws), np.concatenate([[0], *sizes]).cumsum()
+
+
 def write_csv(path, header, columns) -> bytes:
     """Write ``header``, then the rows of ``columns`` as ``csv.writer`` would; returns the
     SHA-256 digest of the bytes written.  A column is an int array, or a pair of a
-    :func:`quoted` table and codes into it.  Up to READ_CHUNK rows go out together: each
-    column fills rows of one ``(width, rows)`` uint8 block (:func:`_digits`, :func:`_gather`),
-    separators are constant rows, and one compaction of the transposed block by the mask of
-    kept bytes gives the text.  A wide string cuts the rows per block, bounding its size."""
-    fields = []  # (fill, values, width) per column
-    for col in columns:
-        if isinstance(col, tuple):  # (table, codes)
-            size = np.diff(col[0][1])[col[1]]  # of each row's string
-            fields.append((partial(_gather, col[0]), col[1], int(size.max(initial=0))))
-        else:
-            low = int(col.min(initial=0))
-            fields.append((_digits, col, len(str(max(-low, int(col.max(initial=0))))) + (low < 0)))
-    # each field and its comma (CR for the last one), then LF
-    n, total = len(fields[0][1]) if fields else 0, sum(w + 1 for *_, w in fields) + 1
+    :func:`quoted` table and codes into it; :func:`_spelled` spells the rows, a comma between
+    columns and CR LF after them, block by block."""
     sha = hashlib.sha256(head := (",".join(header) + "\r\n").encode())  # csv's line end
     with open(path, "wb") as fh:
         fh.write(head)
-        step = max(1, min(READ_CHUNK, (READ_CHUNK << 7) // total))
-        for lo in range(0, n, step):
-            rows = min(step, n - lo)
-            block, keep = np.full((total, rows), 44, np.uint8), np.ones((total, rows), bool)
-            end = 0
-            for fill, values, width in fields:
-                fill(values[lo:lo + rows], block[end:end + width], keep[end:end + width])
-                end += width + 1
-            block[-2:] = [[13], [10]]  # CR over the last comma, then LF
-            fh.write(data := block.T[keep.T])
+        for data, _ in _spelled([*chain.from_iterable((col, b",") for col in columns)][:-1]
+                                + [b"\r\n"]):
+            fh.write(data)
             sha.update(data)
     return sha.digest()
 
@@ -509,6 +555,8 @@ def write_trace(trace: Trace, path) -> bytes:
 
 def _utf8(table):
     """The strings of ``table`` as UTF-8 bytes back to back, and the offsets around each."""
+    if isinstance(table, Strings):  # held so already
+        return table.table
     joined = "".join(table)
     sizes = map(len, table if joined.isascii() else map(str.encode, table))  # bytes per string
     offsets = np.cumsum(np.fromiter(chain([0], sizes), np.int64, len(table) + 1))
@@ -554,12 +602,10 @@ def write_columns(trace: Trace, path, csv_sha: bytes) -> str:
     a table of its own, numbered by first appearance as :func:`_build` codes the CSV."""
     s, coded = trace.stream, []  # (offsets, codes, UTF-8 bytes) per string column, STRINGS order
     names, labels = _utf8(s.names), _utf8(trace.labels)
-    for col, (raw, at) in zip((s.user, s.service, s.head, trace.truth), [names] * 3 + [labels]):
-        first, code = first_seen_codes(col, len(at) - 1)
-        start, size = at[col[first]], np.diff(at)[col[first]]  # of each string the column holds
-        offsets = np.concatenate(([0], np.cumsum(size)))
-        coded.append((offsets, code, raw[np.repeat(start - offsets[:-1], size)
-                                          + np.arange(offsets[-1])]))
+    for col, table in zip((s.user, s.service, s.head, trace.truth), [names] * 3 + [labels]):
+        first, code = first_seen_codes(col, len(table[1]) - 1)
+        raw, offsets = _spell([(table, col[first])])  # the strings the column holds
+        coded.append((offsets, code, raw))
     return save_columns(path, csv_sha, chain([s.timestamp, s.instance_ts, s.response,
                                               trace.partition], *zip(*coded)), _LAYOUT)
 

@@ -703,12 +703,19 @@ def test_too_few_arrivals_exits_two(capsys, tmp_path):
      (f"user_pool must lie in [1, 2^63], got {10**30}",)),
     (["fit-dist", "--values", "VALUES", "--branches", "1", "--max-phases", str(MAX_PHASES + 1)],
      (f"max_phases {MAX_PHASES + 1} is outside 1..{MAX_PHASES} (MAX_PHASES)",)),
+    (["compare", "--trace", "TRACE", "--sliding", ",".join(["8000"] * (cli.MAX_SLIDING + 1))],
+     (f"--sliding lists more than {cli.MAX_SLIDING} entries (MAX_SLIDING)",)),
+    (["compare", "--trace", "TRACE", "--sliding", "1," * 10**5],
+     (f"--sliding lists more than {cli.MAX_SLIDING} entries (MAX_SLIDING)",)),
 ], ids=["arrivals", "instances", "services", "batches", "repeat-factor-nan", "user-pool",
-        "max-phases"])
-def test_oversized_request_exits_two_before_allocating(capsys, tmp_path, argv, named):
+        "max-phases", "sliding-entries", "sliding-huge"])
+def test_oversized_request_exits_two_before_allocating(capsys, tmp_path, monkeypatch, argv,
+                                                        named):
     # refused from the size arguments alone: nothing near the memory cap is taken, and no
     # value that cannot be drawn (a NaN repeat factor, a user pool past int64) reaches a draw;
-    # a fit past MAX_PHASES is refused before its scan over every phase count
+    # a fit past MAX_PHASES is refused before its scan over every phase count, and a compare
+    # past MAX_SLIDING configurations before the trace is read or the list is split
+    monkeypatch.setattr(cli, "read_trace", lambda *a: pytest.fail("the trace was read"))
     model = tmp_path / "model.json"
     model.write_text(json.dumps({
         "arrival": {"type": "erlang", "lambda": 1.0, "k": 1},
@@ -717,7 +724,8 @@ def test_oversized_request_exits_two_before_allocating(capsys, tmp_path, argv, n
     values = tmp_path / "values.txt"
     samples = np.random.default_rng(2).gamma(3.0, 1.0, 5000).tolist()  # a full scan: ~0.25 s
     values.write_text("".join(f"{v!r}\n" for v in samples))
-    argv = [*({"MODEL": str(model), "VALUES": str(values)}.get(a, a) for a in argv),
+    argv = [*({"MODEL": str(model), "VALUES": str(values), "TRACE": str(tmp_path / "trace.csv")}
+              .get(a, a) for a in argv),
             "--out", str(tmp_path / "out")]
     times = []
     for _ in range(3):  # the fastest of three: the command's cost, not the host's
@@ -732,6 +740,17 @@ def test_oversized_request_exits_two_before_allocating(capsys, tmp_path, argv, n
     assert run(capsys, *argv)[0] == 2
     assert tracemalloc.get_traced_memory()[1] < 1 << 20  # the peak
     tracemalloc.stop()
+
+
+def test_compare_takes_up_to_max_sliding_entries(capsys, tmp_path, tiny_trace, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SLIDING", 2)
+    ok, no = tmp_path / "ok", tmp_path / "no"
+    assert run(capsys, "compare", "--trace", str(tiny_trace), "--sliding", "50,60",
+               "--out", str(ok))[0] == 0
+    assert len(json.loads((ok / "compare.json").read_text())["runs"]) == 3  # swa and both
+    code, _, err = run(capsys, "compare", "--trace", str(tiny_trace), "--sliding", "50,60,70",
+                       "--out", str(no))
+    assert code == 2 and "--sliding lists more than 2 entries" in err and not no.exists()
 
 
 def test_state_space_blowup_exits_three(capsys, tmp_path):
@@ -891,7 +910,8 @@ def test_manifests_carry_stages(capsys, tiny_trace, tmp_path):
                                             "write": n},
         fit / "fit_dist_manifest.json": {"read": samples, "fit": samples, "write": samples},
         est / "estimate_params_manifest.json": {"estimate": 0},
-        tiny_trace.parent / "gen_trace_manifest.json": {"generate": 80, "write": n},
+        tiny_trace.parent / "gen_trace_manifest.json": {"generate": 80, "write": n,
+                                                         "columns": n},
         pred / "predict_manifest.json": {"load": 0, "solve": 0, "write": 0},
         sim / "simulate_queue_manifest.json": {"draw": 2000, "simulate": events, "write": 0},
     }

@@ -392,7 +392,10 @@ def reference_swa(stream, capacity, timeout_s, strategy):
 # gaps hit ties (0), boundaries (99-101) and the 1 s / 2 s deadlines exactly
 GAPS = hs.one_of(hs.sampled_from([0, 0, 1, 99, 100, 101, 1000, 2000]),
                  hs.integers(0, 2500))
-ARRIVALS = hs.lists(hs.tuples(GAPS, hs.sampled_from("ABC"), hs.sampled_from("uv")),
+# responses at both int64 ends and past 2^53, where int64 sums wrap or a float is inexact
+RESPONSES = hs.one_of(hs.integers(0, 50), hs.sampled_from([INT64_MIN, 2**53 + 1, 2**62 + 5,
+                                                             INT64_MAX]))
+ARRIVALS = hs.lists(hs.tuples(GAPS, hs.sampled_from("ABC"), hs.sampled_from("uv"), RESPONSES),
                     max_size=40)
 
 
@@ -413,6 +416,9 @@ def test_swa_matches_reference(arrivals, capacity, timeout_s, strategy, base):
     got = [(e.key, e.member_seqs, e.close_reason, e.closed_at) for e in ems]
     expect, occupancy, residence = reference_swa(rows, capacity, timeout_s, strategy)
     assert got == [(shown(k), *rest) for k, *rest in expect]
+    # the mean response in Python ints, correctly rounded
+    assert [e.response_avg for e in ems] == [
+        sum(rows[s].response_time for s in seqs) / len(seqs) for _, seqs, *_ in expect]
     assert [e.count for e in ems] == [len(e.member_seqs) for e in ems]
     assert stats.tuples_in == len(rows)
     assert (stats.occupancy_sum, stats.occupancy_max) == (sum(occupancy), max(occupancy, default=0))
@@ -518,21 +524,25 @@ def reference_sliding(rows, window, step, strategy, tuple_size):
 
 
 SLIDING_ARRIVALS = hs.lists(hs.tuples(hs.sampled_from([0, 0, 1, 7, 1000]), hs.sampled_from("ABC"),
-                                      hs.sampled_from("uv"), hs.integers(0, 50)), max_size=30)
+                                      hs.sampled_from("uv"), RESPONSES), max_size=30)
 
 
 @given(SLIDING_ARRIVALS, hs.integers(1, 12), hs.integers(1, 12), hs.sampled_from(list(Strategy)),
-       hs.sampled_from([1, 5, 1 << 20]), hs.sampled_from([63, 3]))
-@example([(1, "A", "u", 3)] * 10, 1, 1, Strategy.HEAD, 1 << 20, 63)  # window of one
+       hs.sampled_from([1, 5, 1 << 20]), hs.sampled_from([63, 3]), BASES)
+@example([(1, "A", "u", 3)] * 10, 1, 1, Strategy.HEAD, 1 << 20, 63, 0)  # window of one
 # a window longer than the stream
-@example([(1, "A", "u", 3), (0, "B", "v", 5)] * 5, 40, 40, Strategy.HEAD, 1 << 20, 63)
-@example([(7, "A", "u", 3), (0, "B", "v", 5), (1, "A", "v", 8)] * 4, 5, 2, Strategy.HEAD_IP, 5, 63)
+@example([(1, "A", "u", 3), (0, "B", "v", 5)] * 5, 40, 40, Strategy.HEAD, 1 << 20, 63, 0)
+@example([(7, "A", "u", 3), (0, "B", "v", 5), (1, "A", "v", 8)] * 4, 5, 2, Strategy.HEAD_IP, 5, 63,
+         0)
 # (batch, key) groups of 3 batches x 3 keys over 12 rows need 8 bits: past 3, a lexsort groups them
 @example([(7, "A", "u", 3), (0, "B", "v", 5), (1, "C", "v", 8)] * 4, 4, 4, Strategy.HEAD, 1 << 20,
-         3)
-def test_sliding_matches_reference(arrivals, window, step, strategy, run, bits):
+         3, 0)
+# int64 sums of the member timestamps and of the responses that wrap
+@example([(0, "A", "u", 2**62 + 5), (5, "A", "u", 2**62 + 5)], 2, 2, Strategy.HEAD, 1 << 20, 63,
+         INT64_MAX - 11)
+def test_sliding_matches_reference(arrivals, window, step, strategy, run, bits, base):
     window, step = max(window, step), min(window, step)
-    rows, stream = drawn(arrivals)
+    rows, stream = drawn(arrivals, base)
     # ``run`` bounds the member slots grouped at once; small values split the batches up.  With
     # ``bits`` at 3, a sort key wider than 3 bits falls back to a lexsort, as one past 63 would
     with mock.patch.object(engine, "_SLIDING_RUN", run), \

@@ -90,6 +90,23 @@ def test_catalog_shared_atomics_reuses_subservices():
     assert len(set(heads)) == len(heads)
 
 
+@pytest.mark.parametrize("shared", [False, True], ids=["private", "shared-atomics"])
+def test_catalog_names_are_the_percent_names(shared):
+    """The catalog's table holds the names one ``%`` per name spells: the heads, then
+    ``svc{i}.{j}`` per subordinate in catalog order, or ``atom{k}`` over the shared pool."""
+    cat = build_catalog(300, default_degree_dist(), seed=5, shared_atomics=shared)
+    service = np.repeat(np.arange(len(cat.degree)), cat.degree)
+    pos = np.arange(len(cat.sub_ids)) - cat.start[service]
+    sub = pos > 0
+    subs = (["atom%d" % k for k in range(max(1, int(sub.sum()) // 2))] if shared
+            else list(map("svc%d.%d".__mod__, zip(service[sub].tolist(), pos[sub].tolist()))))
+    want = [*map("svc%d".__mod__, range(len(cat.degree))), *subs]
+    assert isinstance(cat.names, trace_module.Strings) and list(cat.names) == want
+    assert cat.names[-1] == want[-1] and cat.names[-len(want)] == want[0]
+    with pytest.raises(IndexError):
+        cat.names[len(want)]
+
+
 def test_catalog_rejects_zero_count():
     with pytest.raises(ConfigError):
         build_catalog(0, PointMassDist(3.0), seed=0)
@@ -595,6 +612,20 @@ INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 EDGES = [INT64_MIN, INT64_MAX, 0,
          *(sign * (10 ** k - d) for k in range(1, 19) for d in (0, 1) for sign in (1, -1))]
 INT64 = hs.one_of(hs.sampled_from(EDGES), hs.integers(INT64_MIN, INT64_MAX))
+
+
+@given(hs.lists(hs.tuples(INT64.filter(lambda v: v >= 0), INT64.filter(lambda v: v >= 0),
+                          hs.integers(0, len(ODD) - 1)), max_size=40),
+       hs.sampled_from([trace_module.READ_CHUNK, 1, 3]))
+def test_spelled_tables_match_percent_formatting(rows, chunk):
+    """Two groups of rows spelled from constants, int columns of mixed widths and codes into
+    ``ODD``, one to three rows per block, against one ``%`` per string."""
+    a, b, c = (np.array(col, np.int64) for col in zip(*rows)) if rows else [np.zeros(0, int)] * 3
+    with mock.patch.object(trace_module, "READ_CHUNK", chunk):
+        got = trace_module.Strings(trace_module._spell(
+            [b"svc", a, b".", b], [(trace_module._utf8(ODD), c), b"|", a]))
+    assert list(got) == [*("svc%d.%d" % (x, y) for x, y, _ in rows),
+                         *("%s|%d" % (ODD[k], x) for x, _, k in rows)]
 
 
 @pytest.fixture(scope="module")
