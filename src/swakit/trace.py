@@ -102,22 +102,23 @@ _NOT_UTF8 = re.compile("[\udc80-\udcff]").search  # a byte surrogateescape decod
 @dataclass(frozen=True, eq=False)
 class Strings(Sequence):
     """A read-only sequence of strings held as a :func:`_utf8` table, ``table``: their UTF-8
-    bytes back to back and the offsets around each.  A string is decoded when it is indexed."""
+    bytes back to back and the offsets around each.  A string is decoded when it is indexed, a
+    slice is a list, and it equals a list (or a :class:`Strings`) of the same strings."""
 
     table: tuple
 
     def __len__(self) -> int:
         return len(self.table[1]) - 1
 
-    def __getitem__(self, i) -> str:
-        raw, offsets = self._spans
-        i = range(len(self))[i]  # an int; IndexError past either end
-        return raw[offsets[i]:offsets[i + 1]].decode()
+    def __getitem__(self, i):
+        raw, offsets = self.table
+        at = range(len(self))[i]  # an int, or a range for a slice; IndexError past either end
+        if isinstance(at, range):
+            return list(map(self.__getitem__, at))
+        return raw[offsets[at]:offsets[at + 1]].tobytes().decode()
 
-    @cached_property
-    def _spans(self):
-        """The table as bytes and a list of offsets, made when a string is first indexed."""
-        return self.table[0].tobytes(), self.table[1].tolist()
+    def __eq__(self, other):
+        return list(self) == (list(other) if isinstance(other, Strings) else other)
 
 
 @dataclass(eq=False)
@@ -127,9 +128,9 @@ class Stream:
     ``timestamp``, ``instance_ts`` and ``response`` are int64; ``user``,
     ``service`` and ``head`` are codes into ``names`` (a list once read, a
     :class:`Strings` once generated), which holds the strings of those
-    columns only.  A column :func:`read_trace` was not
-    asked to code is None.  The columns are read-only once built: ``keys``
-    caches the engine's key ids per strategy on first use.
+    columns only.  A column :func:`read_trace` was not asked to code is None.
+    The columns are read-only once built: ``keys`` caches the engine's key
+    ids per strategy on first use.
     """
 
     timestamp: np.ndarray
@@ -491,23 +492,22 @@ def _gather(table, codes, out, keep) -> None:
     np.take(raw, start + j, out=out, mode="clip")
 
 
-def _width(part) -> int:
-    """The bytes that the widest value of a :func:`_spelled` part takes."""
-    if isinstance(part, tuple):  # (table, codes)
-        return int(np.diff(part[0][1])[part[1]].max(initial=0))
-    return len(part) if isinstance(part, bytes) else max(  # a widest int is the least or most
-        len(str(int(part.min(initial=0)))), len(str(int(part.max(initial=0)))))
-
-
 def _spelled(parts):
     """The rows of ``parts`` spelled side by side, READ_CHUNK at a time (fewer if wide, keeping a
     block near ``READ_CHUNK << 7`` bytes; one empty block for none): per block, its bytes and
     the ``(width, rows)`` mask that kept them.  A part (constant bytes, an int column for
     :func:`_digits` or a :func:`_utf8` table and codes for :func:`_gather`) fills its rows."""
-    widths = list(map(_width, parts))
-    n = max((len(p[1] if isinstance(p, tuple) else p) for p in parts if not isinstance(p, bytes)),
-            default=0)
-    step = max(1, min(READ_CHUNK, (READ_CHUNK << 7) // sum(widths)))
+    widths, n = [], 0  # the bytes the widest value of each part takes; the rows
+    for p in parts:
+        if isinstance(p, bytes):
+            widths.append(len(p))
+        elif isinstance(p, tuple):  # (table, codes)
+            widths.append(int(np.diff(p[0][1])[p[1]].max(initial=0)))
+            n = len(p[1])
+        else:
+            low, n = int(p.min(initial=0)), len(p)
+            widths.append(len(str(max(-low, int(p.max(initial=0))))) + (low < 0))
+    step = max(1, min(READ_CHUNK, (READ_CHUNK << 7) // max(1, sum(widths))))
     for lo in range(0, max(n, 1), step):
         rows, at, end = min(step, n - lo), slice(lo, lo + step), 0
         block, keep = np.empty((sum(widths), rows), np.uint8), np.ones((sum(widths), rows), bool)

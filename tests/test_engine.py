@@ -332,6 +332,13 @@ REF_KEYS = {
 }
 
 
+def int64_mean(values):
+    """The mean as numpy takes it from the int64 sum, or where that sum wraps, the exact sum's
+    correctly rounded quotient."""
+    total = sum(values)
+    return (float(total) if INT64_MIN <= total <= INT64_MAX else total) / len(values)
+
+
 def drawn(arrivals, base=0):
     """(reference rows, stream) for drawn (gap, head, user[, response]) arrivals.
 
@@ -416,9 +423,8 @@ def test_swa_matches_reference(arrivals, capacity, timeout_s, strategy, base):
     got = [(e.key, e.member_seqs, e.close_reason, e.closed_at) for e in ems]
     expect, occupancy, residence = reference_swa(rows, capacity, timeout_s, strategy)
     assert got == [(shown(k), *rest) for k, *rest in expect]
-    # the mean response in Python ints, correctly rounded
     assert [e.response_avg for e in ems] == [
-        sum(rows[s].response_time for s in seqs) / len(seqs) for _, seqs, *_ in expect]
+        int64_mean([rows[s].response_time for s in seqs]) for _, seqs, *_ in expect]
     assert [e.count for e in ems] == [len(e.member_seqs) for e in ems]
     assert stats.tuples_in == len(rows)
     assert (stats.occupancy_sum, stats.occupancy_max) == (sum(occupancy), max(occupancy, default=0))
@@ -497,8 +503,8 @@ def reference_sliding(rows, window, step, strategy, tuple_size):
             groups.setdefault(REF_KEYS[strategy](t), []).append(t)
         for k, members in groups.items():
             out.append((k, tuple(t.seq for t in members), closed_at,
-                        sum(t.response_time for t in members) / len(members)))
-            residence.append(closed_at - sum(t.timestamp for t in members) / len(members))
+                        int64_mean([t.response_time for t in members])))
+            residence.append(closed_at - int64_mean([t.timestamp for t in members]))
             emitted.update(t.seq for t in members)
 
     for t in rows:

@@ -103,6 +103,10 @@ def test_catalog_names_are_the_percent_names(shared):
     want = [*map("svc%d".__mod__, range(len(cat.degree))), *subs]
     assert isinstance(cat.names, trace_module.Strings) and list(cat.names) == want
     assert cat.names[-1] == want[-1] and cat.names[-len(want)] == want[0]
+    # it compares and slices as the list of its strings does
+    assert cat.names == want and want == cat.names and cat.names != want[:-1]
+    assert cat.names == trace_module.Strings(cat.names.table) and cat.names != tuple(want)
+    assert cat.names[1:7:2] == want[1:7:2] and cat.names[-2:] == want[-2:]
     with pytest.raises(IndexError):
         cat.names[len(want)]
 
@@ -580,6 +584,19 @@ def test_trace_writer_matches_csv_module(tmp_path):
             got = read_trace(path, strings)
         assert not parse.called
         assert_same_trace(got, csv_read(path, strings))
+
+
+@pytest.mark.parametrize("rows", [[], [(i, "", "", "", 0, 1, "", 0) for i in range(3)]],
+                         ids=["no-rows", "empty-strings"])
+def test_column_file_of_empty_tables(tmp_path, rows):
+    """String columns whose strings take no bytes, or that hold no string, write and load."""
+    path, trace = tmp_path / "t.csv", Trace.from_rows(rows)
+    write_columns(trace, path, write_trace(trace, path))
+    assert path.read_bytes() == csv_module_bytes(TRACE_HEADER, rows)
+    with mock.patch.object(trace_module, "csv_blocks") as parse:
+        got = read_trace(path)
+    assert not parse.called
+    assert_same_trace(got, csv_read(path, STRINGS))
 
 
 def test_emission_writer_matches_csv_module(tmp_path):
