@@ -690,7 +690,7 @@ def fit_hyper_erlang_em(
     ll, ks_fin, w, r, trace, iters, conv = best
     order = np.argsort([k / rate for k, rate in zip(ks_fin, r)])  # by branch mean
     branches_out = [ErlangBranch(float(w[i]), float(r[i]), int(ks_fin[i])) for i in order]
-    total = sum(b.weight for b in branches_out)
+    total = float(np.cumsum([b.weight for b in branches_out])[-1])  # left to right on any Python
     branches_out = [ErlangBranch(b.weight / total, b.rate, b.phases) for b in branches_out]
     return FitResult(HyperErlangDist(branches_out), ll, trace, iters, conv,
                      em_runs=len(runs), em_iterations=sum(res[3] for res in runs))

@@ -30,15 +30,15 @@ from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property, partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .distributions import json_value
 from .errors import ConfigError
 from .params import WindowParams
-from .trace import (Stream, Trace, _codes, csv_blocks, load_columns, quoted, replay,
-                    save_columns, sorted_runs, write_csv)
+from .trace import (Stream, Strings, Trace, _codes, _spell, _utf8, csv_blocks, load_columns,
+                    quoted, replay, save_columns, sorted_runs, write_csv)
 
 __all__ = [
     "Strategy",
@@ -67,7 +67,7 @@ EMITTED_DTYPE = np.dtype(list(zip(EMITTED_HEADER, ["O", "i8", "O", "i8", "f8", "
 MEMBERS_DTYPE = np.dtype([(h, "i8") for h in MEMBERS_HEADER])
 REASONS = ("full", "timeout", "batch")  # what an emission's reason code indexes
 FULL, TIMEOUT, BATCH = range(len(REASONS))
-# column files: what a read of the CSV gives, keys as character offsets into UTF-8 text
+# column files: what a read of the CSV gives, keys as byte offsets into UTF-8 text
 _EMITTED_LAYOUT = [("<i8", True), ("|i1", True), ("<i8", True), ("<f8", True), ("<i8", True),
                    ("<i8", False), ("|u1", False)]
 _MEMBERS_LAYOUT = [("<i8", True)] * 2
@@ -117,15 +117,13 @@ def key_ids(stream: Stream, strategy: Strategy):
     return stream.keys[strategy][:2]
 
 
-def key_names(stream: Stream, strategy: Strategy) -> list:
+def key_names(stream: Stream, strategy: Strategy) -> Strings:
     """Each key id's display string, as ``emitted.csv`` holds it: the head id, then the
-    instance timestamp and/or the user id, as ``strategy`` asks, joined by ``|``."""
+    instance timestamp and/or the user id, as ``strategy`` asks, joined by ``|``: one table."""
     first = key_ids(stream, strategy)[1]
-    parts = [getattr(stream, f)[first].tolist() if f == "instance_ts"
-             else map(stream.names.__getitem__, getattr(stream, f)[first].tolist())
-             for f in strategy.fields]
-    spelled = "|".join("%d" if f == "instance_ts" else "%s" for f in strategy.fields)
-    return list(map(spelled.__mod__, zip(*parts)))
+    parts = [getattr(stream, f)[first] if f == "instance_ts"
+             else (_utf8(stream.tables[f]), getattr(stream, f)[first]) for f in strategy.fields]
+    return Strings(_spell([*itertools.chain.from_iterable((p, b"|") for p in parts)][:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +139,8 @@ class OperatorStats:
     the keyed aggregate; ``slot_bytes`` is the storage one unit of occupancy
     reserves (``tuple_size``, or ``capacity * tuple_size`` for the keyed
     aggregate).  Occupancy is kept as a running sum and maximum over
-    ``tuples_in`` arrivals; ``residence_ms`` collects one sample per emission.
+    ``tuples_in`` arrivals; ``residence_ms`` holds one float64 per emission, averaged by
+    a left-to-right sum on every Python (3.12's built-in ``sum`` compensates).
     """
 
     name: str
@@ -150,7 +149,7 @@ class OperatorStats:
     tuples_out: int = 0
     occupancy_sum: int = 0
     occupancy_max: int = 0
-    residence_ms: list = field(default_factory=list)
+    residence_ms: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def occupancy_avg(self):
@@ -167,7 +166,7 @@ class OperatorStats:
     @property
     def residence_avg_ms(self):
         xs = self.residence_ms
-        return sum(xs) / len(xs) if xs else 0.0
+        return float(np.cumsum(xs)[-1] / len(xs)) if len(xs) else 0.0
 
     def check_conservation(self):
         if self.tuples_in != self.tuples_out:
@@ -199,14 +198,14 @@ class Emissions:
     """Closed windows as columns, one row per emission in close order.
 
     These are the ``emitted.csv`` columns: ``key`` holds ids into ``keys``,
-    the keys' display strings, which ``spell`` gives when first asked for
-    (only writing asks), and ``reason`` holds codes into ``REASONS``.
+    the keys' display strings (``Strings``), which ``spell`` gives when first
+    asked for (only writing asks), and ``reason`` holds codes into ``REASONS``.
     Members are CSR: emission ``i`` holds the ``count[i]`` seqs of ``seqs``
     after those of the emissions before it, in arrival order; ``seqs`` is
     None when the emissions were read without their member sidecar.
     """
 
-    spell: Callable[[], list]
+    spell: Callable[[], Sequence[str]]
     key: np.ndarray
     count: np.ndarray
     reason: np.ndarray
@@ -219,12 +218,12 @@ class Emissions:
         return len(self.count)
 
     @cached_property
-    def keys(self) -> list:
-        return self.spell()
+    def keys(self) -> Strings:
+        return Strings(_utf8(self.spell()))
 
-    @property
+    @cached_property
     def owner(self) -> np.ndarray:
-        """The emission of each member in ``seqs``."""
+        """The emission of each member in ``seqs``, built once."""
         return np.repeat(np.arange(len(self)), self.count)
 
 
@@ -232,14 +231,12 @@ def write_emissions(emissions: Emissions, path, members_path=None) -> list:
     """Write the emitted-instance CSV (plus the member sidecar, if the members were kept), each
     with a column file of what :func:`read_emissions` parses from it; returns their paths."""
     e = emissions
-    keys = np.array(e.keys, object)[e.key].tolist()  # each row's key
+    raw, offsets = _spell([(e.keys.table, e.key)])  # each row's key
     reason = np.arange(len(REASONS), dtype=np.int8)[e.reason]  # as the CSV names them
-    avg = quoted(list(map("%.6f".__mod__, e.response_avg.tolist()))), np.arange(len(e))
+    avg, avg_read = _written(e.response_avg)
     written = [save_columns(path, write_csv(path, EMITTED_HEADER, [
         (quoted(e.keys), e.key), e.count, (quoted(REASONS), reason), e.closed_at, avg, e.span_ms]),
-        [e.count, reason, e.closed_at, _as_written(e.response_avg), e.span_ms,
-         np.cumsum([0, *map(len, keys)]), np.frombuffer("".join(keys).encode(), np.uint8)],
-        _EMITTED_LAYOUT)]
+        [e.count, reason, e.closed_at, avg_read, e.span_ms, offsets, raw], _EMITTED_LAYOUT)]
     if members_path is not None:
         cols = [e.owner, e.seqs]
         sha = write_csv(members_path, MEMBERS_HEADER, cols)
@@ -247,32 +244,36 @@ def write_emissions(emissions: Emissions, path, members_path=None) -> list:
     return written
 
 
-def _as_written(x: np.ndarray) -> np.ndarray:
-    """``float("%.6f" % v)`` for each v of ``x``: rounded at 10^-6 by ``np.rint``, which rounds
-    half to even as the ``%`` formatting does, except near a tie or past 2^51, where the
-    product ``x * 1e6`` may round to the other side and each value is formatted instead."""
+def _written(x: np.ndarray):
+    """``"%.6f" % v`` for each v of ``x`` as a ``_utf8`` table and a code per value, and each
+    text's ``float``: the digits of ``np.rint(x * 1e6)`` (half to even, as ``%`` rounds) with a
+    ``.`` before the last six, but ``%`` near a tie or past 2^51, where the product may round
+    to the other side, and where the sign bit is set (``-0.000000`` keeps its sign)."""
     y = x * 1e6
-    out = np.rint(y) / 1e6  # both exact: the quotient rounds once, as parsing the text does
-    near = ~((np.abs(y - np.floor(y) - 0.5) > np.abs(np.spacing(y))) & (np.abs(y) < 2.0**51))
-    out[near] = [float("%.6f" % v) for v in x[near].tolist()]
-    return out
+    slow = np.signbit(x) | ~((np.abs(y - np.floor(y) - 0.5) > np.abs(np.spacing(y)))
+                             & (np.abs(y) < 2.0**51))
+    fast, texts = np.rint(y[~slow]).astype(np.int64), ["%.6f" % v for v in x[slow].tolist()]
+    raw, offsets = _spell([fast // 10**6, fast % 10**6 + 10**6],
+                          [(_utf8(texts), np.arange(len(texts)))])
+    raw[offsets[1:len(fast) + 1] - 7] = ord(".")  # over the 1 before the six digits
+    codes = np.where(slow, np.cumsum(slow) - 1 + len(fast), np.cumsum(~slow) - 1)
+    read = np.rint(y) / 1e6  # both exact: the quotient rounds once, as parsing the text does
+    read[slow] = list(map(float, texts))
+    return ((raw, offsets), codes), read
 
 
 def _emitted_columns(path):
     """``emitted.csv``'s columns from its column file, the keys as a function spelling one per
     row; None unless the file checks out (:func:`~swakit.trace.load_columns`), its text is
     UTF-8 that its offsets span and its reasons are codes."""
-    if (cols := load_columns(path, _EMITTED_LAYOUT)) is None:
-        return None
-    *cols, offsets, text = cols
     try:
-        text = text.tobytes().decode()
-    except UnicodeDecodeError:
+        *cols, offsets, raw = load_columns(path, _EMITTED_LAYOUT)  # a TypeError if None
+        keys = Strings.checked(raw, offsets)
+    except (TypeError, ValueError):
         return None
-    if (len(offsets) != len(cols[0]) + 1 or offsets[0] != 0 or offsets[-1] != len(text)
-            or not ((cols[1] >= 0) & (cols[1] < len(REASONS))).all()):
+    if len(keys) != len(cols[0]) or not ((cols[1] >= 0) & (cols[1] < len(REASONS))).all():
         return None
-    return (lambda: [text[a:b] for a, b in itertools.pairwise(offsets.tolist())]), *cols
+    return (lambda: keys), *cols
 
 
 def read_emissions(path, members_path=None) -> Emissions:
@@ -381,11 +382,12 @@ def aggregate_swa(
     timeout_ms = min(params.timeout_s * 1000, _INT64_MAX)  # exact for streams spanning < 2^63 ms
     # deadlines saturate: nothing arrives after the int64 maximum
     deadline = np.minimum(ts, _INT64_MAX - timeout_ms) + timeout_ms
-    due = np.searchsorted(ts, deadline, "right")  # the first arrival after each deadline
-    # the next window start after each position: capacity on, or the key's first tuple from due
-    run = ids[order] * (n + 1)
-    nxt = np.minimum(np.arange(n) + min(capacity, n),
-                     np.searchsorted(run + order, run + due[order]))
+    # next window start: capacity on, the key run's end, or its first tuple past the deadline
+    end = np.cumsum(np.bincount(run := ids[order]))[run]  # where each position's key run ends
+    nxt = np.minimum(np.arange(n) + min(capacity, n), end)
+    later = ts[order[end - 1]] > deadline[order]  # the key has a tuple past the deadline
+    due = run[later] * (n + 1) + ts.searchsorted(deadline[order[later]], "right")
+    nxt[later] = np.minimum(nxt[later], np.searchsorted(run * (n + 1) + order, due))
     starts, i = [], 0
     while i < n:  # one step per window
         starts.append(i)
@@ -393,9 +395,9 @@ def aggregate_swa(
     starts = np.array(starts, np.int64)
     count = np.diff(starts, append=n)
     first, full = order[starts], count == capacity  # each window's opener, and how it closed
-    trigger = np.where(full, order[starts + count - 1], due[first])  # the arrival that closes it
+    trigger = np.where(full, order[starts + count - 1], ts.searchsorted(deadline[first], "right"))
     edge = deadline[first] // SWEEP_MS  # the first boundary past it is (edge + 1) * SWEEP_MS
-    del deadline, due, run, nxt  # per-tuple columns the group-by below does not need
+    del deadline, run, end, nxt  # per-tuple columns the group-by below does not need
     now = ts[np.minimum(trigger, n - 1)]
     # a timeout closes at that boundary if its sweep comes before the arrival's
     at_edge = ~full & (trigger < n) & (edge < now // SWEEP_MS)
@@ -412,7 +414,7 @@ def aggregate_swa(
     stats = OperatorStats("aggregate_swa", slot_bytes=capacity * tuple_size, tuples_in=n,
                           tuples_out=int(emissions.count.sum()), occupancy_sum=int(occ.sum()),
                           occupancy_max=int(occ.max(initial=0)),
-                          residence_ms=(emissions.closed_at - member_ts[at]).astype(float).tolist())
+                          residence_ms=(emissions.closed_at - member_ts[at]).astype(float))
     stats.check_conservation()
     return emissions, stats
 
@@ -456,7 +458,7 @@ def aggregate_sliding(
                           occupancy_sum=int(occ.sum()), occupancy_max=int(occ.max(initial=0)))
     full = (n - window) // step + 1 if n >= window else 0
     starts = list(range(0, full * step, step)) + ([full * step] if full * step < n else [])
-    runs = []
+    runs, residence = [], []
     seen = np.zeros(n, bool)
     per_run = max(1, _SLIDING_RUN // window)  # batches grouped together, bounding memory
     for r in range(0, max(len(starts), 1), per_run):  # an empty stream makes one empty run
@@ -475,10 +477,10 @@ def aggregate_sliding(
                                    rank, ids[seqs[first]], np.full(len(first), BATCH, np.int8),
                                    closed_at)
         runs.append(ems)
-        stats.residence_ms += (closed_at - _mean(member_ts, at, ems.count)).tolist()
+        residence.append(closed_at - _mean(member_ts, at, ems.count))
     # a tuple can land in several overlapping batches; conservation is
     # accounted on distinct tuples
-    stats.tuples_out = int(seen.sum())
+    stats.tuples_out, stats.residence_ms = int(seen.sum()), np.concatenate(residence)
     stats.check_conservation()
     cols = [[getattr(ems, f.name) for ems in runs] for f in fields(Emissions)[1:]]
     return Emissions(runs[0].spell, *map(np.concatenate, cols)), stats

@@ -49,15 +49,17 @@ def match_instances(emissions: Emissions, truth: TruthTable) -> np.ndarray:
     """Attribute each emission to a truth label code by member majority (-1: no members).
 
     Ties break to the earliest primary arrival, then to the lexicographically
-    smallest label (``truth.tie``).
+    smallest label (``truth.tie``).  An emission whose members share one label
+    maps to it; only the members of mixed emissions are counted and ranked.
     """
-    n_labels = len(truth.labels)
-    pairs, votes = np.unique(emissions.owner * n_labels + truth.code[emissions.seqs],
-                             return_counts=True)
+    n_labels, owner, code = len(truth.labels), emissions.owner, truth.code[emissions.seqs]
+    some, mapping = emissions.count > 0, np.full(len(emissions), -1)
+    mapping[some] = code[np.cumsum(emissions.count[some]) - emissions.count[some]]  # first members'
+    mixed = np.bincount(owner[code != mapping[owner]], minlength=len(mapping))[owner] > 0  # members
+    pairs, votes = np.unique(owner[mixed] * n_labels + code[mixed], return_counts=True)
     owner, label = np.divmod(pairs, n_labels)
     order = sorted_runs([owner, -votes, truth.tie[label]])[0]  # each emission's best first
     best = order[np.diff(owner[order], prepend=-1) != 0]
-    mapping = np.full(len(emissions), -1)
     mapping[owner[best]] = label[best]
     return mapping
 

@@ -21,8 +21,8 @@ seconds (matching how response times are usually modeled) and converted;
 arrival distributions are sampled directly in milliseconds.
 
 :func:`save_columns` leaves beside a CSV the arrays a read of it gives
-(``<csv>.columns``), and :func:`load_columns` returns them when the file
-vouches for the CSV's exact bytes and checks out.  :func:`write_columns`
+(``<csv>.columns``), and :func:`load_columns` returns those a caller asks
+for when the file vouches for the CSV's exact bytes and for theirs.  :func:`write_columns`
 saves a trace's columns, coded, and :func:`read_trace` loads them, parsing
 the CSV if they do not check out; the emission files use the same format.
 """
@@ -88,9 +88,9 @@ TRACE_HEADER = [
 STRINGS = ("user_id", "service_id", "head_id", "truth_instance")  # coded into string tables
 TRACE_DTYPE = np.dtype([(h, object if h in STRINGS else np.int64) for h in TRACE_HEADER])
 READ_CHUNK = 1 << 14  # rows parsed together by csv_blocks
-COLUMNS_TAG = b"swakit.columns.1"  # 16 bytes, so every record after it starts 8-byte aligned
-_INTS = [h for h in TRACE_HEADER if h not in STRINGS]  # int64 columns, in column-file order
-# the column file's arrays: ints, then offsets, codes and UTF-8 bytes per string column
+COLUMNS_TAG = b"swakit.columns.2"  # 16 bytes, so every record after it starts 8-byte aligned
+# the column file's arrays: the int columns in header order, then offsets, codes and UTF-8 bytes
+# per string column
 _LAYOUT = [("<i8", True)] * 4 + [("<i8", False)] * 4 + [("<i4", True)] * 4 + [("|u1", False)] * 4
 MAX_TRACE_BYTES = 1 << 32  # memory a catalog or a trace may plan to take
 _PACKED_BITS = 63  # a packed sort key stays below 2^63
@@ -117,20 +117,37 @@ class Strings(Sequence):
             return list(map(self.__getitem__, at))
         return raw[offsets[at]:offsets[at + 1]].tobytes().decode()
 
+    def __iter__(self):  # one decode of the whole table, split at the offsets in characters
+        raw, offsets = self.table
+        text = raw.tobytes().decode()
+        if len(text) != len(raw):  # a character before an offset may take several bytes
+            offsets = np.cumsum(np.append(0, (raw & 0xC0) != 0x80))[offsets]
+        return map(text.__getitem__, map(slice, offsets[:-1].tolist(), offsets[1:].tolist()))
+
     def __eq__(self, other):
         return list(self) == (list(other) if isinstance(other, Strings) else other)
+
+    @classmethod
+    def checked(cls, raw, offsets):
+        """``(raw, offsets)`` as :class:`Strings`; ValueError unless ``raw`` is UTF-8 text and the
+        offsets go from 0 up to ``len(raw)``, never down or into a character (0b10xxxxxx)."""
+        raw.tobytes().decode()  # a UnicodeDecodeError is a ValueError
+        if (not offsets.size or offsets[0] != 0 or offsets[-1] != len(raw)
+                or (np.diff(offsets) < 0).any()
+                or ((np.append(raw, 0)[offsets] & 0xC0) == 0x80).any()):
+            raise ValueError("not a table of UTF-8 strings")
+        return cls((raw, offsets))
 
 
 @dataclass(eq=False)
 class Stream:
     """The operator-facing columns, indexed by ``seq``: no truth label, no partition.
 
-    ``timestamp``, ``instance_ts`` and ``response`` are int64; ``user``,
-    ``service`` and ``head`` are codes into ``names`` (a list once read, a
-    :class:`Strings` once generated), which holds the strings of those
-    columns only.  A column :func:`read_trace` was not asked to code is None.
-    The columns are read-only once built: ``keys`` caches the engine's key
-    ids per strategy on first use.
+    ``timestamp``, ``instance_ts`` and ``response`` are int64; ``user``, ``service`` and
+    ``head`` are codes into the :class:`Strings` ``tables[column]`` (a generated trace's service
+    and head share one).  A column :func:`read_trace` was not asked to code is None, with no
+    table.  The columns are read-only once built: ``keys`` caches the engine's key ids per
+    strategy on first use.
     """
 
     timestamp: np.ndarray
@@ -139,7 +156,7 @@ class Stream:
     user: Optional[np.ndarray]
     service: Optional[np.ndarray]
     head: Optional[np.ndarray]
-    names: Sequence[str]
+    tables: dict
     keys: dict = field(init=False, default_factory=dict, repr=False)
 
     def __len__(self) -> int:
@@ -240,9 +257,12 @@ class Trace:
         last = np.full(n, np.iinfo(np.int64).min)
         np.minimum.at(primary, code, ts)
         np.maximum.at(last, code, ts)
-        rank, tie = np.empty(n, np.int64), np.empty(n, np.int64)
-        rank[sorted(range(n), key=self.labels.__getitem__)] = np.arange(n)
-        tie[np.lexsort((rank, primary))] = np.arange(n)
+        order, tie = np.argsort(primary, kind="stable"), np.empty(n, np.int64)
+        same = primary[order][1:] == primary[order][:-1]
+        at = np.flatnonzero(np.append(same, False) | np.append(False, same))  # primary shared
+        tied = Strings(_spell([(_utf8(self.labels), order[at])]))  # only those labels decode
+        order[at] = order[[i for *_, i in sorted(zip(primary[order[at]], tied, at.tolist()))]]
+        tie[order] = np.arange(n)
         return TruthTable(self.labels, code, np.bincount(code, minlength=n), primary, last, tie)
 
 
@@ -338,9 +358,9 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
     each instance's subordinates are placed uniformly inside
     [arrival, arrival + span] and routed to their catalog partitions.  The
     seed fully determines the output.  Instance i's rows lie side by side,
-    head first, coded as :func:`_assemble` codes rows: users (``u{id}``), then
-    sub-ids (the catalog's names), by first appearance; instance i's label is
-    ``inst{i}``, code i.
+    head first; users (``u{id}``) and sub-ids (the catalog's names) are coded
+    into two tables by first appearance, the service and head columns sharing
+    the second; instance i's label is ``inst{i}``, code i.
     """
     rng = np.random.default_rng(cfg.seed)
     n = cfg.instance_count
@@ -369,12 +389,12 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
     when[row != head_row[inst]] += rng.random(len(inst) - n) * np.repeat(spans_ms, deg - 1)
     ts = np.floor(when).astype(np.int64)
     first_sub, service = first_seen_codes(sub_ids := catalog.sub_ids[g], len(catalog.names))
-    service += len(first_user)
     cols = [ts, user.astype(np.int32)[inst], service, service[head_row][inst],
             (np.floor(arrivals).astype(np.int64) // 1000)[inst], np.maximum(0, end.astype(np.int64)[inst] - ts),
             inst, g % catalog.n_partitions]
-    names = [b"u", users[first_user]], [(catalog.names.table, sub_ids[first_sub])]
-    return _merged(cols, Strings(_spell(*names)), Strings(_spell([b"inst", np.arange(n)])))
+    subs = Strings(_spell([(catalog.names.table, sub_ids[first_sub])]))
+    tables = {"user": Strings(_spell([b"u", users[first_user]])), "service": subs, "head": subs}
+    return _merged(cols, tables, Strings(_spell([b"inst", np.arange(n)])))
 
 
 def _codes(table: defaultdict, strs: list) -> np.ndarray:
@@ -394,25 +414,21 @@ def _build(blocks, strings=STRINGS, checked=False) -> Trace:
             acc.append(_codes(tables[name], block[name].tolist()) if name in tables
                        else block[name].copy())
     return _assemble([np.concatenate(cols[h]) if h in cols else None for h in TRACE_HEADER],
-                     {h: list(table) for h, table in tables.items()}, checked)
+                     {h: Strings(_utf8(list(table))) for h, table in tables.items()}, checked)
 
 
 def _assemble(cols, tables, checked=False) -> Trace:
-    """Columns in ``TRACE_HEADER`` order, string ones (or None) coded into ``tables[header]``, as a
-    trace: ``names`` merges the user, service and head tables in that order, with work per
-    string, not per row.  If ``checked``, raises ValueError unless, in input order, partitions
-    are >= 0 and each one's timestamps never go back."""
+    """Columns in ``TRACE_HEADER`` order, string ones (or None) coded into the :class:`Strings`
+    ``tables[header]``, as a trace.  If ``checked``, raises ValueError unless, in input order,
+    partitions are >= 0 and each one's timestamps never go back."""
     if checked:  # rows in merged order need no sort: no partition of theirs goes back
         merged = not _out_of_order(cols[0], cols[7])
         by_part = slice(None) if merged else np.argsort(cols[7], kind="stable")
         p, t = cols[7][by_part], cols[0][by_part]
         if (p < 0).any() or ((t[1:] < t[:-1]) & (p[1:] == p[:-1])).any():
             raise ValueError("a partition goes back in time or is negative")
-    names = defaultdict(count().__next__)
-    for i in (1, 2, 3):  # user, service, head
-        if cols[i] is not None:
-            cols[i] = _codes(names, tables[TRACE_HEADER[i]])[cols[i]]
-    return _merged(cols, list(names), tables.get("truth_instance", []))
+    return _merged(cols, {h[:-3]: tables[h] for h in STRINGS[:3] if h in tables},
+                   tables.get("truth_instance", Strings(_utf8([]))))
 
 
 def _out_of_order(ts, part) -> bool:
@@ -442,14 +458,14 @@ def sorted_runs(cols):
     return order, np.flatnonzero(new)
 
 
-def _merged(cols, names, labels) -> Trace:
+def _merged(cols, tables, labels) -> Trace:
     """Coded columns in ``TRACE_HEADER`` order as a trace, merged by one stable sort on
     (timestamp, partition), which rows already in that order skip."""
     if _out_of_order(cols[0], cols[7]):
         order = sorted_runs([cols[0], cols[7]])[0]
         cols = [None if col is None else col[order] for col in cols]
     ts, user, service, head, inst_ts, resp, label, part = cols
-    return Trace(Stream(ts, inst_ts, resp, user, service, head, names), label, labels, part)
+    return Trace(Stream(ts, inst_ts, resp, user, service, head, tables), label, labels, part)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +488,7 @@ def _digits(v, out, keep) -> None:
     right-aligned, with ``keep`` marking each value's bytes: one ``m // 10`` per digit on the
     magnitudes as uint64, and a ``-`` before the digits of a negative."""
     m, neg = np.abs(v, dtype=np.int64).view(np.uint64), v < 0  # |-2^63| wraps to 2^63: exact
+    m = m.astype(np.min_scalar_type(m.max(initial=0)))  # the narrowest type divides fastest
     for k in range(len(out) - 1, -1, -1):
         keep[k] = m > 0
         q = m // 10
@@ -547,10 +564,10 @@ def write_csv(path, header, columns) -> bytes:
 
 def write_trace(trace: Trace, path) -> bytes:
     """Write the trace as a single CSV in ``seq`` order; returns the SHA-256 digest of its bytes."""
-    s, names = trace.stream, quoted(trace.stream.names)
-    return write_csv(path, TRACE_HEADER, [
-        s.timestamp, (names, s.user), (names, s.service), (names, s.head), s.instance_ts,
-        s.response, (quoted(trace.labels), trace.truth), trace.partition])
+    s = trace.stream
+    strings = [(quoted(s.tables[f]), getattr(s, f)) for f in ("user", "service", "head")]
+    return write_csv(path, TRACE_HEADER, [s.timestamp, *strings, s.instance_ts, s.response,
+                                          (quoted(trace.labels), trace.truth), trace.partition])
 
 
 def _utf8(table):
@@ -565,35 +582,41 @@ def _utf8(table):
 
 def save_columns(path, csv_sha: bytes, arrays, layout) -> str:
     """Write ``<path>.columns`` for the CSV ``path`` (whose digest :func:`write_csv` returned as
-    ``csv_sha``) and return its path: the tag, the digests of the CSV and of the records after
-    them, then one ``np.save`` record per array, cast to its ``layout`` dtype; wider items go
-    first, so that every record stays aligned."""
-    records = io.BytesIO()
+    ``csv_sha``) and return its path: the tag, the digests of the CSV and of each record after
+    them (its ``.npy`` header and data), then one ``np.save`` record per array, cast to its
+    ``layout`` dtype; wider items go first, so that every record stays aligned."""
+    records = []
     for array, (dtype, _) in zip(arrays, layout, strict=True):
-        np.save(records, np.asarray(array).astype(dtype, casting="safe", copy=False))
+        np.save(record := io.BytesIO(), np.asarray(array).astype(dtype, casting="safe", copy=False))
+        records.append(record.getbuffer())
+    digests = csv_sha + b"".join(hashlib.sha256(record).digest() for record in records)
     with open(out := f"{path}.columns", "wb") as fh:
-        for array in (COLUMNS_TAG, csv_sha + hashlib.sha256(records.getbuffer()).digest()):
+        for array in (COLUMNS_TAG, digests):
             np.save(fh, np.frombuffer(array, np.uint8), allow_pickle=False)
-        fh.write(records.getbuffer())
+        fh.writelines(records)
     return out
 
 
-def load_columns(path, layout):
-    """The arrays :func:`save_columns` wrote for the CSV ``path``, as read-only views into one
-    read; None unless the file holds the tag, both digests match, and ``layout``'s ``(dtype,
-    per_row)`` pairs give each array's dtype, the per-row ones having one length."""
+def load_columns(path, layout, wanted=None):
+    """The arrays :func:`save_columns` wrote for the CSV ``path``, read-only views into one read,
+    None for each record not ``wanted`` (indices; all by default): that is neither hashed nor
+    checked.  None unless the tag, the CSV's digest and each wanted record's match, and the
+    ``(dtype, per_row)`` pairs of ``layout`` give each wanted array's dtype and length."""
+    wanted = range(len(layout)) if wanted is None else wanted
     try:
         buf = Path(f"{path}.columns").read_bytes()
-        (tag, _), (digests, start), *records = _records(buf)
-        arrays = [array for array, _ in records]
-        if (tag.tobytes() != COLUMNS_TAG or [a.dtype.str for a in arrays] != [d for d, _ in layout]
-                or len({len(a) for a, (_, per_row) in zip(arrays, layout) if per_row}) > 1
-                or digests.tobytes()
-                != _sha256(path) + hashlib.sha256(memoryview(buf)[start:]).digest()):
+        (tag, *_), (sha, *_), *records = _records(buf)
+        kept = [(i, a, begin, end) for i, (a, begin, end) in enumerate(records) if i in wanted]
+        if (tag.tobytes() != COLUMNS_TAG or not len(layout) == len(records) == sha.size / 32 - 1
+                or len({len(a) for i, a, *_ in kept if layout[i][1]}) > 1
+                or any(a.dtype.str != layout[i][0] or sha[32 * i + 32:][:32].tobytes()
+                       != hashlib.sha256(memoryview(buf)[begin:end]).digest()
+                       for i, a, begin, end in kept)
+                or sha[:32].tobytes() != _sha256(path)):
             return None
     except (OSError, ValueError):
         return None
-    return arrays
+    return [a if i in wanted else None for i, (a, *_) in enumerate(records)]
 
 
 def write_columns(trace: Trace, path, csv_sha: bytes) -> str:
@@ -601,10 +624,10 @@ def write_columns(trace: Trace, path, csv_sha: bytes) -> str:
     ``csv_sha``): its int columns, then per string column the offsets, codes and UTF-8 bytes of
     a table of its own, numbered by first appearance as :func:`_build` codes the CSV."""
     s, coded = trace.stream, []  # (offsets, codes, UTF-8 bytes) per string column, STRINGS order
-    names, labels = _utf8(s.names), _utf8(trace.labels)
-    for col, table in zip((s.user, s.service, s.head, trace.truth), [names] * 3 + [labels]):
-        first, code = first_seen_codes(col, len(table[1]) - 1)
-        raw, offsets = _spell([(table, col[first])])  # the strings the column holds
+    for col, table in zip((s.user, s.service, s.head, trace.truth),
+                          (s.tables["user"], s.tables["service"], s.tables["head"], trace.labels)):
+        first, code = first_seen_codes(col, len(table))
+        raw, offsets = _spell([(_utf8(table), col[first])])  # the strings the column holds
         coded.append((offsets, code, raw))
     return save_columns(path, csv_sha, chain([s.timestamp, s.instance_ts, s.response,
                                               trace.partition], *zip(*coded)), _LAYOUT)
@@ -701,12 +724,13 @@ def _read_rows_checked(path) -> None:
 
 
 def _records(buf):
-    """Each ``np.save`` record of ``buf``: a read-only 1-d view into it, and the offset past it."""
+    """Each ``np.save`` record of ``buf``: a read-only 1-d view into it, where it starts, its end."""
     fh = io.BytesIO(buf)
-    while fh.tell() < len(buf):
+    while (begin := fh.tell()) < len(buf):
         np.lib.format.read_magic(fh)
         (n,), _, dtype = np.lib.format.read_array_header_1_0(fh)
-        yield (array := np.frombuffer(buf, dtype, n, fh.tell())), fh.seek(array.nbytes, io.SEEK_CUR)
+        array = np.frombuffer(buf, dtype, n, fh.tell())
+        yield array, begin, fh.seek(array.nbytes, io.SEEK_CUR)
 
 
 def _sha256(path) -> bytes:
@@ -719,23 +743,17 @@ def _sha256(path) -> bytes:
 
 
 def _read_columns(path, strings):
-    """What :func:`_build` builds from the CSV ``path``, from its column file
-    (:func:`load_columns`); None unless that checks out, each code lies inside its table and
-    :func:`_assemble` takes the columns."""
-    if (arrays := load_columns(path, _LAYOUT)) is None:
-        return None
-    ints, offsets, codes, tables = (arrays[i:i + 4] for i in range(0, 16, 4))
-    if not all(o.size and o[-1] == len(t) and ((c >= 0) & (c < len(o) - 1)).all()
-               for o, c, t in zip(offsets, codes, tables)):
-        return None
+    """What :func:`_build` builds from the CSV ``path``, from the column-file records it needs,
+    with no string decoded; None unless :func:`load_columns`, :meth:`Strings.checked` and
+    :func:`_assemble` take them and each code lies inside its table."""
+    read = [i for i, h in enumerate(STRINGS) if h in strings]
+    arrays = load_columns(path, _LAYOUT, {*range(4), *(j + 4 * k for j in read for k in (1, 2, 3))})
     try:
-        decoded = {h: [raw[a:b].decode() for a, b in zip(o[:-1].tolist(), o[1:].tolist())]
-                   for h, o, t in zip(STRINGS, offsets, tables) if h in strings
-                   for raw in [t.tobytes()]}
-        cols = dict(zip([*_INTS, *STRINGS], ints + codes))
-        return _assemble([cols[h] if h in strings or h in _INTS else None for h in TRACE_HEADER],
-                         decoded, checked=True)
-    except ValueError:
+        ints, offsets, codes, raws = (arrays[i:i + 4] for i in range(0, 16, 4))
+        tables = {STRINGS[j]: Strings.checked(raws[j], offsets[j]) for j in read}
+        if all((codes[j].view(np.uint32) < len(tables[STRINGS[j]])).all() for j in read):
+            return _assemble([*ints[:1], *codes[:3], *ints[1:3], codes[3], ints[3]], tables, True)
+    except (TypeError, ValueError):  # no arrays (None), or ones that do not check out
         return None
 
 
@@ -747,9 +765,11 @@ def read_trace(path, strings=STRINGS) -> Trace:
     columns.  After a fault an error-only pass names the first bad row, so
     an order fault comes before a later row's parse fault.
 
-    Only the string columns in ``strings`` are parsed and coded (``names``
-    holds only their strings); the others are None, but every row still has
-    its width, quotes and UTF-8 checked and its int fields parsed.
+    Only the string columns in ``strings`` are parsed and coded, each into a
+    :class:`Strings` table of its own (``Stream.tables``, ``Trace.labels``)
+    that a column-file read never decodes; the others are None, with no table,
+    but every row still has its width, quotes and UTF-8 checked and its int
+    fields parsed.
     ``run-pipeline`` codes its strategy's key columns, ``compare`` those and
     ``truth_instance``, ``evaluate`` and ``fit-dist`` only the latter.
     """

@@ -74,20 +74,22 @@ def write_partition_by_partition(trace, path):
 
 
 def revouch(change):
-    """Apply ``change`` to the list of a column file's payload arrays and restore both digests:
-    a file that vouches for its CSV but holds arrays that do not check out."""
+    """Apply ``change`` to the list of a column file's payload arrays and restore the digests
+    (the CSV's, then one per record): a file that vouches for its CSV but holds arrays that do
+    not check out."""
     def edit(path):
         columns = Path(f"{path}.columns")
-        (tag, _), (digests, _), *records = trace_module._records(columns.read_bytes())
-        arrays = [array.copy() for array, _ in records]
+        (tag, *_), (digests, *_), *records = trace_module._records(columns.read_bytes())
+        arrays = [array.copy() for array, *_ in records]
         change(arrays)
-        payload, head = io.BytesIO(), io.BytesIO()
+        payload, head, sha = [], io.BytesIO(), digests.tobytes()[:32]
         for array in arrays:
-            np.save(payload, array)
-        sha = digests.tobytes()[:32] + hashlib.sha256(payload.getvalue()).digest()
+            np.save(record := io.BytesIO(), array)
+            payload.append(record.getvalue())
+            sha += hashlib.sha256(payload[-1]).digest()
         for array in (tag, np.frombuffer(sha, np.uint8)):
             np.save(head, array)
-        columns.write_bytes(head.getvalue() + payload.getvalue())
+        columns.write_bytes(head.getvalue() + b"".join(payload))
     return edit
 
 

@@ -124,10 +124,10 @@ def test_key_ids_match_reference(arrivals, strategy):
     ids, firsts = key_ids(s, strategy)
     keys = key_names(s, strategy)
     pick = {"head": 0, "instance_ts": 1, "user": 2}
-    code_of = {name: code for code, name in enumerate(s.names)}
+    code_of = {f: {name: code for code, name in enumerate(s.tables[f])} for f in ("head", "user")}
 
     def key_of(arrival):  # the key as a tuple of codes
-        codes = (code_of[arrival[0]], arrival[1], code_of[arrival[2]])
+        codes = (code_of["head"][arrival[0]], arrival[1], code_of["user"][arrival[2]])
         return tuple(codes[pick[f]] for f in strategy.fields)
 
     first = {}  # key -> its first arrival
@@ -186,7 +186,7 @@ def test_union_two_element_merge(tmp_path):
     path = write_trace_rows(tmp_path / "t.csv", [inv(2, "b", 1), inv(1), inv(3)])
     merged = replay(read_trace(path))
     assert merged.timestamp.tolist() == [1, 2, 3]
-    assert [merged.names[c] for c in merged.head.tolist()] == ["h", "b", "h"]
+    assert [merged.tables["head"][c] for c in merged.head.tolist()] == ["h", "b", "h"]
 
 
 def test_union_timestamp_tie_keeps_partition_order(tmp_path):
@@ -194,7 +194,7 @@ def test_union_timestamp_tie_keeps_partition_order(tmp_path):
     # partition wins the tie even when the file lists it last
     path = write_trace_rows(tmp_path / "t.csv", [inv(5, "y", 1), inv(5, "x", 0)])
     merged = replay(read_trace(path))
-    assert [merged.names[c] for c in merged.head.tolist()] == ["x", "y"]
+    assert [merged.tables["head"][c] for c in merged.head.tolist()] == ["x", "y"]
 
 
 def test_union_conservation(small_trace, tmp_path):
@@ -204,10 +204,10 @@ def test_union_conservation(small_trace, tmp_path):
 
     s = replay(read_trace(path))
 
-    def names(codes):
-        return [s.names[c] for c in codes.tolist()]
+    def names(f):
+        return [s.tables[f][c] for c in getattr(s, f).tolist()]
 
-    merged = zip(s.timestamp.tolist(), names(s.user), names(s.service), names(s.head),
+    merged = zip(s.timestamp.tolist(), names("user"), names("service"), names("head"),
                  s.instance_ts.tolist(), s.response.tolist())
     assert sorted(merged) == sorted(
         (int(r[0]), r[1], r[2], r[3], int(r[4]), int(r[5])) for r in rows)
@@ -224,7 +224,7 @@ def test_swa_zero_span_full_close():
     assert len(ems) == 1
     e = emission_rows(ems)[0]
     assert (e.count, e.close_reason, e.closed_at) == (3, "full", 100)
-    assert stats.residence_ms == [0.0]  # opened at 100 too
+    assert stats.residence_ms.tolist() == [0.0]  # opened at 100 too
     assert stats.tuples_in == 3
 
 
@@ -280,7 +280,7 @@ def test_swa_key_purity(swa_small_run, small_trace):
     s = replay(small_trace)
     for e in emission_rows(swa_small_run.emissions):
         for seq in e.member_seqs:
-            assert f"{s.names[s.head[seq]]}|{s.instance_ts[seq]}|{s.names[s.user[seq]]}" == e.key
+            assert f"{s.tables['head'][s.head[seq]]}|{s.instance_ts[seq]}|{s.tables['user'][s.user[seq]]}" == e.key
 
 
 def test_swa_conservation_after_flush(swa_small_run, small_trace):
@@ -330,6 +330,15 @@ REF_KEYS = {
     Strategy.HEAD_IP: lambda t: (t.head_id, t.user_id),
     Strategy.HEAD_TS_IP: lambda t: (t.head_id, t.instance_timestamp, t.user_id),
 }
+
+
+def left_to_right(xs):
+    """The sum of the floats ``xs``, added one at a time from the left: the built-in ``sum`` of
+    floats compensates from Python 3.12 on."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 def int64_mean(values):
@@ -428,7 +437,7 @@ def test_swa_matches_reference(arrivals, capacity, timeout_s, strategy, base):
     assert [e.count for e in ems] == [len(e.member_seqs) for e in ems]
     assert stats.tuples_in == len(rows)
     assert (stats.occupancy_sum, stats.occupancy_max) == (sum(occupancy), max(occupancy, default=0))
-    assert stats.residence_ms == residence
+    assert stats.residence_ms.tolist() == residence
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +461,7 @@ def test_sliding_batch_boundary_splits():
     # X has degree 3 but its best group holds only 2 members
     best_x = max(e.count for e in ems if e.key == "X")
     assert best_x == 2
-    assert [tuples.names[c] for c in tuples.head.tolist()].count("X") == 3
+    assert [tuples.tables["head"][c] for c in tuples.head.tolist()].count("X") == 3
 
 
 def test_sliding_occupancy_and_storage_totals():
@@ -524,7 +533,7 @@ def reference_sliding(rows, window, step, strategy, tuple_size):
         "occupancy_max": max(occupancy, default=0),
         "storage_avg_bytes": sum(occupancy) * tuple_size / n if n else 0.0,
         "storage_max_bytes": max(occupancy, default=0) * tuple_size,
-        "residence_avg_ms": sum(residence) / len(residence) if residence else 0.0,
+        "residence_avg_ms": left_to_right(residence) / len(residence) if residence else 0.0,
     }
     return out, stats
 
@@ -546,6 +555,9 @@ SLIDING_ARRIVALS = hs.lists(hs.tuples(hs.sampled_from([0, 0, 1, 7, 1000]), hs.sa
 # int64 sums of the member timestamps and of the responses that wrap
 @example([(0, "A", "u", 2**62 + 5), (5, "A", "u", 2**62 + 5)], 2, 2, Strategy.HEAD, 1 << 20, 63,
          INT64_MAX - 11)
+# residences [1e16, 1.0, 1.0]: a compensated sum would give (1e16 + 2) / 3, not 1e16 / 3
+@example([(0, "A", "u"), (2 * 10**16, "A", "u"), (1, "B", "u"), (2, "B", "u"), (1, "C", "u"),
+          (2, "C", "u")], 2, 2, Strategy.HEAD, 1 << 20, 63, -2 * 10**16)
 def test_sliding_matches_reference(arrivals, window, step, strategy, run, bits, base):
     window, step = max(window, step), min(window, step)
     rows, stream = drawn(arrivals, base)
@@ -706,9 +718,10 @@ def test_emission_files_round_trip(emission_dir, arrivals, capacity, window, ste
     hs.integers(-10**12, 10**12).map(lambda k: (k + 0.5) / 1e6),  # ties, as near as floats get
     hs.sampled_from([0.0, -0.0, 2.5e-7, -2.5e-7, 5e-7, 1.5e-6, 2.0**51 / 1e6, 2.0**60, 1e300]))))
 def test_response_columns_hold_what_the_csv_gives(values):
-    x = np.array(values, float)
-    got = engine._as_written(x)
-    want = np.array([float("%.6f" % v) for v in values], float)
+    (table, codes), got = engine._written(np.array(values, float))
+    texts = ["%.6f" % v for v in values]
+    assert [trace_module.Strings(table)[c] for c in codes.tolist()] == texts
+    want = np.array(list(map(float, texts)), float)
     assert got.tobytes() == want.tobytes()  # bit for bit, the sign of zero included
 
 

@@ -5,6 +5,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as hs
 
 from swakit.engine import Emissions, read_emissions, write_emissions
 from swakit.errors import ConfigError
@@ -105,6 +106,28 @@ def test_match_agrees_with_brute_force_vote():
             count_ties += len(tied) > 1
             arrival_ties += len({primary[lbl] for lbl in tied}) < len(tied)
     assert count_ties > 100 and arrival_ties > 50
+
+
+LABELS = ["aa", "ab", "b", "ba"]
+
+
+@given(hs.lists(hs.sampled_from([0, 10]), min_size=len(LABELS), max_size=len(LABELS)),
+       hs.lists(hs.one_of(hs.just([]),  # memberless
+                          hs.tuples(hs.sampled_from(LABELS), hs.integers(1, 3)).map(
+                              lambda drawn: [drawn[0]] * drawn[1]),  # unanimous
+                          hs.lists(hs.sampled_from(LABELS), min_size=2, max_size=6)),  # often mixed
+                max_size=8))
+def test_match_mixes_unanimous_mixed_and_memberless_emissions(arrivals, members):
+    """One call over every kind of emission, with count ties and primary-arrival ties (two
+    arrivals for four labels); each label's first tuple sits in no emission."""
+    primary = dict(zip(LABELS, arrivals))
+    entries = sorted(((lbl, primary[lbl]) for lbl in LABELS), key=lambda e: e[1])
+    ems = []
+    for labels in members:
+        ems.append(em(range(len(entries), len(entries) + len(labels))))
+        entries += [(lbl, 20) for lbl in labels]
+    expect = [brute_force_vote(labels, primary) if labels else None for labels in members]
+    assert scored(entries, ems)[2] == expect
 
 
 def test_match_requires_members():

@@ -74,7 +74,7 @@ def test_catalog_round_robin_partitions():
     trace = generate_trace(cat, TraceConfig(instance_count=5, arrival_dist=PointMassDist(10.0),
                                             span_dist=PointMassDist(1.0), user_pool=5, seed=1))
     s = trace.stream
-    part = dict(zip((s.names[c] for c in s.service.tolist()), trace.partition.tolist()))
+    part = dict(zip((s.tables["service"][c] for c in s.service.tolist()), trace.partition.tolist()))
     flat = [part[name] for name in names_of(cat, cat.sub_ids)]
     assert flat == [i % 2 for i in range(len(flat))]
 
@@ -109,6 +109,13 @@ def test_catalog_names_are_the_percent_names(shared):
     assert cat.names[1:7:2] == want[1:7:2] and cat.names[-2:] == want[-2:]
     with pytest.raises(IndexError):
         cat.names[len(want)]
+
+
+@pytest.mark.parametrize("strings", [[], [""], ["plain", "", "ab"], ["naïve → ü", "", "ü", "x€y"]])
+def test_strings_iterate_as_they_index(strings):
+    # one decode of the whole table, split at the offsets counted in characters
+    table = trace_module.Strings(trace_module._utf8(strings))
+    assert list(table) == [table[i] for i in range(len(table))] == strings
 
 
 def test_catalog_rejects_zero_count():
@@ -307,15 +314,13 @@ def test_projected_read_matches_full_read(small_trace, tmp_path, quoted):
             for col in ("timestamp", "instance_ts", "response"):
                 assert getattr(s, col).tolist() == getattr(f, col).tolist()
             assert back.partition.tolist() == full.partition.tolist()
-            coded = set()
             for name, col in columns.items():
-                if name in strings:  # the same strings, under codes that may differ
-                    got = [s.names[c] for c in getattr(s, col).tolist()]
-                    assert got == [f.names[c] for c in getattr(f, col).tolist()]
-                    coded.update(got)
+                if name in strings:  # the same strings; the table holds only the column's
+                    got = [s.tables[col][c] for c in getattr(s, col).tolist()]
+                    assert got == [f.tables[col][c] for c in getattr(f, col).tolist()]
+                    assert sorted(s.tables[col]) == sorted(set(got))
                 else:
-                    assert getattr(s, col) is None
-            assert sorted(s.names) == sorted(coded)  # only the coded columns' strings
+                    assert getattr(s, col) is None and col not in s.tables
             if "truth_instance" in strings:
                 assert back.truth.tolist() == full.truth.tolist() and back.labels == full.labels
             else:
@@ -367,7 +372,7 @@ def test_quoted_line_ends_across_block_edges(tmp_path, chunk, strings):
         assert (got is None) == (name not in strings)
         if got is not None:
             want_col = getattr(w, col).tolist()
-            assert [s.names[c] for c in got.tolist()] == [w.names[c] for c in want_col]
+            assert [s.tables[col][c] for c in got.tolist()] == [w.tables[col][c] for c in want_col]
     if "truth_instance" in strings:
         assert [back.labels[c] for c in back.truth.tolist()] == [r[6] for r in LINE_END_ROWS]
         if strings == STRINGS:  # writing what was read gives back the same bytes
@@ -391,7 +396,7 @@ def test_csv_spellings_read_back(tmp_path, spell):
     path.write_bytes(text.encode())
     back = read_trace(path)
     user = "u\r" if spell.startswith("carriage") else "u"
-    assert back.stream.names[back.stream.user[0]] == user
+    assert back.stream.tables["user"][back.stream.user[0]] == user
     assert back.stream.timestamp.tolist() == [1] and back.labels == ["i"]
 
 
@@ -439,12 +444,12 @@ def gen_trace(out, *argv, seed="1"):
 
 
 def assert_same_trace(got, want):
-    """Every array equal in dtype and values (or both None), ``names`` and ``labels`` equal."""
+    """Every array equal in dtype and values (or both None), the tables and ``labels`` equal."""
     arrays = [(t.stream.timestamp, t.stream.instance_ts, t.stream.response, t.stream.user,
                t.stream.service, t.stream.head, t.truth, t.partition) for t in (got, want)]
     for g, w in zip(*arrays):
         assert (g is None and w is None) or (g.dtype == w.dtype and np.array_equal(g, w))
-    assert got.stream.names == want.stream.names and got.labels == want.labels
+    assert got.stream.tables == want.stream.tables and got.labels == want.labels
 
 
 def csv_read(path, strings):
@@ -548,6 +553,105 @@ def test_column_file_that_does_not_check_out_is_ignored(tmp_path, case):
             assert_same_trace(read_trace(path, strings), want)
 
 
+def record_spans(path):
+    """(start, end) of each ``.npy`` record of ``path``'s column file, the tag and the digests
+    first, found by ``np.load`` reading the records one after the other."""
+    spans, size = [], Path(f"{path}.columns").stat().st_size
+    with open(f"{path}.columns", "rb") as fh:
+        while (start := fh.tell()) < size:
+            np.load(fh)
+            spans.append((start, fh.tell()))
+    return spans
+
+
+def counting_sha256(seen):
+    """A stand-in for ``hashlib.sha256`` that appends to ``seen`` the size of each buffer."""
+    real = hashlib.sha256
+
+    class Sha:
+        def __init__(self, data=b""):
+            self.sha = real()
+            self.update(data)
+
+        def update(self, data):
+            seen.append(memoryview(data).nbytes)
+            self.sha.update(data)
+
+        def digest(self):
+            return self.sha.digest()
+    return Sha
+
+
+def test_column_file_read_hashes_the_csv_and_the_records_it_returns(tmp_path):
+    # every CLI projection (and every other one): the CSV, the four int columns, and the
+    # offsets, codes and bytes of each string column read, nothing else
+    path = gen_trace(tmp_path)
+    sizes = [end - start for start, end in record_spans(path)[2:]]
+    for strings in SUBSETS:
+        seen = []
+        with mock.patch.object(hashlib, "sha256", counting_sha256(seen)), \
+                mock.patch.object(trace_module, "csv_blocks") as parse:
+            back = read_trace(path, strings)
+        assert not parse.called
+        read = [0, 1, 2, 3, *(4 * k + STRINGS.index(h) for h in strings for k in (1, 2, 3))]
+        assert sum(seen) == path.stat().st_size + sum(sizes[i] for i in read)
+        assert sorted(back.stream.tables) == sorted(h[:-3] for h in strings if h[-3:] == "_id")
+
+
+def flip_last_byte(path, record):
+    """Flip a bit of the last byte of payload record ``record`` (0 is the first int column),
+    leaving the digests as they were."""
+    columns = Path(f"{path}.columns")
+    data, (_, end) = bytearray(columns.read_bytes()), record_spans(path)[2 + record]
+    data[end - 1] ^= 1
+    columns.write_bytes(bytes(data))
+
+
+def test_flipped_byte_counts_only_in_a_record_the_read_asks_for(tmp_path):
+    path = gen_trace(tmp_path)
+    keys = ("head_id", "user_id")  # run-pipeline's head_ts_ip projection
+    want = csv_read(path, keys)
+    flip_last_byte(path, 13)  # the service table's bytes: not asked for
+    with mock.patch.object(trace_module, "csv_blocks") as parse:
+        assert_same_trace(read_trace(path, keys), want)
+    assert not parse.called
+    flip_last_byte(path, 10)  # the head codes: asked for, so the CSV is parsed
+    with mock.patch.object(trace_module, "csv_blocks", wraps=trace_module.csv_blocks) as parse:
+        assert_same_trace(read_trace(path, keys), want)
+    assert parse.called
+
+
+def test_version_1_column_file_is_ignored(tmp_path):
+    # the older layout: one digest of all the records after the CSV's, under its own tag
+    path = gen_trace(tmp_path)
+    columns = Path(f"{path}.columns")
+    payload, head = columns.read_bytes()[record_spans(path)[2][0]:], io.BytesIO()
+    np.save(head, np.frombuffer(b"swakit.columns.1", np.uint8))
+    digests = hashlib.sha256(path.read_bytes()).digest() + hashlib.sha256(payload).digest()
+    np.save(head, np.frombuffer(digests, np.uint8))
+    columns.write_bytes(head.getvalue() + payload)
+    with mock.patch.object(trace_module, "csv_blocks", wraps=trace_module.csv_blocks) as parse:
+        got = read_trace(path)
+    assert parse.called
+    assert_same_trace(got, csv_read(path, STRINGS))
+
+
+@pytest.mark.parametrize("change", [lambda a: a[12].__setitem__(0, 0xFF),
+                                    lambda a: a[4].__setitem__(1, 1)],
+                         ids=["table-not-utf8", "offset-inside-a-character"])
+def test_string_table_that_is_not_utf8_sends_the_read_to_the_csv(tmp_path, change):
+    # the user table holds "ü" (two bytes), then "a": its offsets are 0, 2, 3
+    trace, path = Trace.from_rows([(0, "ü", "s", "h", 0, 1, "i", 0),
+                                   (1, "a", "s", "h", 0, 1, "i", 0)]), tmp_path / "t.csv"
+    write_columns(trace, path, write_trace(trace, path))
+    for edit, refused in ((lambda path: None, False), (revouch(change), True)):
+        edit(path)
+        with mock.patch.object(trace_module, "csv_blocks", wraps=trace_module.csv_blocks) as parse:
+            back = read_trace(path, ("user_id",))
+        assert parse.called == refused
+        assert [back.stream.tables["user"][c] for c in back.stream.user.tolist()] == ["ü", "a"]
+
+
 # ---------------------------------------------------------------------------
 # the writers against the csv module
 # ---------------------------------------------------------------------------
@@ -572,9 +676,10 @@ def test_trace_writer_matches_csv_module(tmp_path):
     for chunk in (trace_module.READ_CHUNK, 2):  # one block, then blocks of two lines
         with mock.patch.object(trace_module, "READ_CHUNK", chunk):
             back = read_trace(path)
-        s, names = back.stream, back.stream.names
-        got = zip(s.timestamp.tolist(), (names[c] for c in s.user.tolist()),
-                  (names[c] for c in s.service.tolist()), (names[c] for c in s.head.tolist()),
+        s, names = back.stream, back.stream.tables
+        got = zip(s.timestamp.tolist(), (names["user"][c] for c in s.user.tolist()),
+                  (names["service"][c] for c in s.service.tolist()),
+                  (names["head"][c] for c in s.head.tolist()),
                   s.instance_ts.tolist(), s.response.tolist(),
                   (back.labels[c] for c in back.truth.tolist()), back.partition.tolist())
         assert list(got) == rows
