@@ -266,23 +266,19 @@ class PhaseTypeDist:
                 [f"cannot {what} on invalid generator"] + probs
             )
 
-    def cdf(self, x):
-        self._require_valid("evaluate the cdf")
+    def _expm_form(self, x, what, right):
+        """``alpha @ expm(T * v) @ right`` at each point ``v`` of ``x``, from one stacked ``expm``
+        (scipy takes each matrix alone); the products run per point, as for one point."""
+        self._require_valid(f"evaluate the {what}")
         xa = _check_x(x)
-        one = np.ones(self.order)
-        flat = np.atleast_1d(xa)
-        out = np.array([1.0 - self.alpha @ expm(self.T * v) @ one for v in flat])
-        out = out.reshape(np.shape(xa))
-        return _as_given(out, x)
+        stack = expm(self.T * np.ravel(xa)[:, None, None])
+        return _as_given(np.array([self.alpha @ e @ right for e in stack]).reshape(xa.shape), x)
+
+    def cdf(self, x):
+        return 1.0 - self._expm_form(x, "cdf", np.ones(self.order))
 
     def pdf(self, x):
-        self._require_valid("evaluate the pdf")
-        xa = _check_x(x)
-        t0 = self.exit_rates
-        flat = np.atleast_1d(xa)
-        out = np.array([self.alpha @ expm(self.T * v) @ t0 for v in flat])
-        out = out.reshape(np.shape(xa))
-        return _as_given(out, x)
+        return self._expm_form(x, "pdf", self.exit_rates)
 
     def moment(self, order: int) -> float:
         """Raw moment (-1)**order * order! * alpha @ T**-order @ 1.

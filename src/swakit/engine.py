@@ -477,7 +477,11 @@ def aggregate_sliding(
                                    rank, ids[seqs[first]], np.full(len(first), BATCH, np.int8),
                                    closed_at)
         runs.append(ems)
-        residence.append(closed_at - _mean(member_ts, at, ems.count))
+        residence.append(closed_at - (mean := _mean(member_ts, at, ems.count)))
+        # where either is 2^53 or more in magnitude, so not exact as a float: the exact quotient
+        for i in np.flatnonzero(np.maximum(abs(closed_at.astype(float)), abs(mean)) >= 2**53):
+            c = int(ems.count[i])
+            residence[-1][i] = (int(closed_at[i]) * c - sum(member_ts[at[i]:][:c].tolist())) / c
     # a tuple can land in several overlapping batches; conservation is
     # accounted on distinct tuples
     stats.tuples_out, stats.residence_ms = int(seen.sum()), np.concatenate(residence)

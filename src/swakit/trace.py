@@ -97,6 +97,8 @@ _PACKED_BITS = 63  # a packed sort key stays below 2^63
 _QUOTE = ',"\r\n'  # csv.writer quotes a field holding one of these
 _NEEDS_QUOTES = re.compile(f"[{_QUOTE}]").search
 _NOT_UTF8 = re.compile("[\udc80-\udcff]").search  # a byte surrogateescape decoding kept
+_NPY_HEADER = re.compile(rb"\A(\x93NUMPY\x01\x00..\{'descr': '([<|][a-z]\d)', 'fortran_order': "
+                         rb"False, 'shape': \((\d+),\), \} *\n)", re.S)  # np.save's, 1-d, v1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,8 +395,8 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
             (np.floor(arrivals).astype(np.int64) // 1000)[inst], np.maximum(0, end.astype(np.int64)[inst] - ts),
             inst, g % catalog.n_partitions]
     subs = Strings(_spell([(catalog.names.table, sub_ids[first_sub])]))
-    tables = {"user": Strings(_spell([b"u", users[first_user]])), "service": subs, "head": subs}
-    return _merged(cols, tables, Strings(_spell([b"inst", np.arange(n)])))
+    return _merged(cols, {"user_id": Strings(_spell([b"u", users[first_user]])), "service_id": subs,
+                          "head_id": subs, "truth_instance": Strings(_spell([b"inst", np.arange(n)]))})
 
 
 def _codes(table: defaultdict, strs: list) -> np.ndarray:
@@ -403,8 +405,8 @@ def _codes(table: defaultdict, strs: list) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, strs), np.int32, len(strs))
 
 
-def _build(blocks, strings=STRINGS, checked=False) -> Trace:
-    """Merge ``TRACE_DTYPE`` row blocks into a trace by :func:`_assemble`; string columns not in
+def _build(blocks, strings=STRINGS) -> Trace:
+    """Merge ``TRACE_DTYPE`` row blocks into a trace by :func:`_merged`; string columns not in
     ``strings`` are None.  Strings are coded block by block, so a block's strings can go once
     it is read."""
     tables = {h: defaultdict(count().__next__) for h in STRINGS if h in strings}
@@ -413,27 +415,30 @@ def _build(blocks, strings=STRINGS, checked=False) -> Trace:
         for name, acc in cols.items():  # copies: the block can go
             acc.append(_codes(tables[name], block[name].tolist()) if name in tables
                        else block[name].copy())
-    return _assemble([np.concatenate(cols[h]) if h in cols else None for h in TRACE_HEADER],
-                     {h: Strings(_utf8(list(table))) for h, table in tables.items()}, checked)
-
-
-def _assemble(cols, tables, checked=False) -> Trace:
-    """Columns in ``TRACE_HEADER`` order, string ones (or None) coded into the :class:`Strings`
-    ``tables[header]``, as a trace.  If ``checked``, raises ValueError unless, in input order,
-    partitions are >= 0 and each one's timestamps never go back."""
-    if checked:  # rows in merged order need no sort: no partition of theirs goes back
-        merged = not _out_of_order(cols[0], cols[7])
-        by_part = slice(None) if merged else np.argsort(cols[7], kind="stable")
-        p, t = cols[7][by_part], cols[0][by_part]
-        if (p < 0).any() or ((t[1:] < t[:-1]) & (p[1:] == p[:-1])).any():
-            raise ValueError("a partition goes back in time or is negative")
-    return _merged(cols, {h[:-3]: tables[h] for h in STRINGS[:3] if h in tables},
-                   tables.get("truth_instance", Strings(_utf8([]))))
+    return _merged([np.concatenate(cols[h]) if h in cols else None for h in TRACE_HEADER],
+                   {h: Strings(_utf8(list(table))) for h, table in tables.items()})
 
 
 def _out_of_order(ts, part) -> bool:
     """Whether (timestamp, partition) goes down somewhere: rows not in merged order."""
     return bool(((ts[1:] < ts[:-1]) | (ts[1:] == ts[:-1]) & (part[1:] < part[:-1])).any())
+
+
+def _order_fault(ts, part, latest):
+    """(index, why) of the first of a run of trace rows (int64 columns ``ts``, ``part``) with a
+    negative partition, or else a timestamp before its partition's latest one; None if none is.
+    ``latest`` maps each partition to its latest timestamp before the run, and takes the run's;
+    None stands for rows known to be in merged order with none before: each partition goes on."""
+    prev = ts  # each row's partition's latest timestamp before it, or its own
+    if latest is not None:
+        order, start = sorted_runs([part])  # the rows grouped by partition, each group in order
+        keys, t, prev = part[order[start]].tolist(), ts[order], np.empty_like(ts)
+        prev[order[1:]] = t[:-1]
+        prev[order[start]] = [latest.get(k, v) for k, v in zip(keys, t[start].tolist())]
+        latest.update(zip(keys, np.maximum.reduceat(t, start).tolist()))
+    for i in np.flatnonzero((part < 0) | (ts < prev))[:1].tolist():  # the first, if any
+        why = f"timestamp {ts[i]} precedes {prev[i]} in" if part[i] >= 0 else "negative"
+        return i, f"{why} partition {part[i]}"
 
 
 def sorted_runs(cols):
@@ -458,14 +463,17 @@ def sorted_runs(cols):
     return order, np.flatnonzero(new)
 
 
-def _merged(cols, tables, labels) -> Trace:
-    """Coded columns in ``TRACE_HEADER`` order as a trace, merged by one stable sort on
-    (timestamp, partition), which rows already in that order skip."""
-    if _out_of_order(cols[0], cols[7]):
+def _merged(cols, tables, merged=False) -> Trace:
+    """Columns in ``TRACE_HEADER`` order, string ones (or None) coded into the :class:`Strings`
+    ``tables[header]``, as a trace merged by one stable sort on (timestamp, partition), unless
+    ``merged`` says the rows are in that order; unchecked (a read runs :func:`_order_fault`)."""
+    if not merged and _out_of_order(cols[0], cols[7]):
         order = sorted_runs([cols[0], cols[7]])[0]
         cols = [None if col is None else col[order] for col in cols]
     ts, user, service, head, inst_ts, resp, label, part = cols
-    return Trace(Stream(ts, inst_ts, resp, user, service, head, tables), label, labels, part)
+    stream = Stream(ts, inst_ts, resp, user, service, head,
+                    {h[:-3]: tables[h] for h in STRINGS[:3] if h in tables})
+    return Trace(stream, label, tables.get("truth_instance", Strings(_utf8([]))), part)
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +641,7 @@ def write_columns(trace: Trace, path, csv_sha: bytes) -> str:
                                               trace.partition], *zip(*coded)), _LAYOUT)
 
 
-def csv_blocks(path, dtype, skip=(), error=ConfigError):
+def csv_blocks(path, dtype, skip=(), error=ConfigError, latest=None):
     """The data rows of a CSV file headed by ``dtype``'s field names, READ_CHUNK lines at a time.
 
     ``np.loadtxt`` parses each block into records of the fields not in
@@ -645,7 +653,10 @@ def csv_blocks(path, dtype, skip=(), error=ConfigError):
     the block's offset.  A bad header or row raises ``error`` naming the
     file and the row.  Numpy releases that still read a non-integer integer
     field through a float only warn; that warning is a refusal here, so
-    ``1.5`` or ``2**63`` is not truncated.
+    ``1.5`` or ``2**63`` is not truncated.  Given ``latest`` (a dict), a
+    trace's partition order is checked by :func:`_order_fault` on each block's
+    columns before the next block is read, with each partition's latest
+    timestamp carried from block to block (see :func:`parse_rows`).
     """
     parsed = np.dtype([(f, dtype[f]) for f in dtype.names if f not in skip])
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
@@ -667,32 +678,37 @@ def csv_blocks(path, dtype, skip=(), error=ConfigError):
             except (ValueError, DeprecationWarning):  # csv rows until one takes the last line
                 reader = csv.reader(chain(lines, fh))
                 records = (next(reader) for _ in iter(lambda: reader.line_num < len(lines), False))
-                rows = np.array([*parse_rows(path, records, dtype, done + 1, error)], dtype)
+                rows = np.array([*parse_rows(path, records, dtype, done + 1, error, latest)], dtype)
                 rows = rows[list(parsed.names)]
+            ends = rows[parsed.names[0]], rows[parsed.names[-1]]  # timestamp, partition
+            if latest is not None and (fault := _order_fault(*ends, latest)):
+                raise error(f"{path}: row {done + fault[0] + 1}: {fault[1]}")
             done += len(rows)
             yield rows
 
 
-def parse_rows(path, records, dtype, first, error, check=None):
+def parse_rows(path, records, dtype, first, error, latest=None):
     """Each field list of ``records`` (csv module rows, the first numbered ``first``) as a
     tuple of ``dtype``'s fields, ints by :func:`to_int64`.  The first row the csv module
-    refuses, of the wrong width, not UTF-8 text, rejected by ``check(fields)`` or with a field
-    that does not parse (in that order) raises ``error`` naming the file and the row."""
+    refuses, of the wrong width, not UTF-8 text or with a field that does not parse (in that
+    order) raises ``error`` naming the file and the row, unless, given ``latest``, an order
+    fault (:func:`_order_fault` of the first and last fields, parsed first) comes before it."""
     parse = [{"O": str, "f": float}.get(dtype[f].kind, to_int64) for f in dtype.names]
-    row_no = first - 1
+    row_no, ends = first - 1, []  # each row's timestamp and partition, given ``latest``
     try:
         for row_no, fields in enumerate(records, first):
             if len(fields) != len(parse):
                 raise ValueError(f"{len(fields)} fields, expected {len(parse)}")
             if _NOT_UTF8("".join(fields)):
                 raise ValueError("not UTF-8 text")
-            if check:
-                check(fields)
+            if latest is not None:
+                ends.append((to_int64(fields[0]), to_int64(fields[-1])))
             yield tuple(p(f) for p, f in zip(parse, fields))
-    except csv.Error as exc:  # raised reading the row after the last one numbered
-        raise error(f"{path}: row {row_no + 1}: {exc}") from None
-    except ValueError as exc:
-        raise error(f"{path}: row {row_no}: {exc}") from None
+    except (csv.Error, ValueError) as exc:  # a csv.Error comes reading the row after row_no
+        if latest is not None and (fault := _order_fault(
+                *np.array(ends, np.int64).reshape(-1, 2).T, latest)):
+            raise error(f"{path}: row {first + fault[0]}: {fault[1]}") from None
+        raise error(f"{path}: row {row_no + isinstance(exc, csv.Error)}: {exc}") from None
 
 
 def to_int64(text) -> int:
@@ -703,34 +719,13 @@ def to_int64(text) -> int:
     return value
 
 
-def _read_rows_checked(path) -> None:
-    """Name the first bad row of a trace whose block read failed, never returning data: the
-    csv module reads the rows one by one through :func:`parse_rows`, each row's partition order
-    checked before its other fields.  A bad header returns: the block read's error stands."""
-    last_ts: dict = {}  # partition -> its latest timestamp so far
-
-    def check(fields):
-        ts, part = to_int64(fields[0]), to_int64(fields[7])
-        if part < 0:
-            raise ValueError(f"negative partition {part}")
-        if ts < last_ts.get(part, ts):
-            raise ValueError(f"timestamp {ts} precedes {last_ts[part]} in partition {part}")
-        last_ts[part] = ts
-
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        if next(reader := csv.reader(fh), None) == TRACE_HEADER:
-            for _ in parse_rows(path, reader, TRACE_DTYPE, 1, TraceParseError, check):
-                pass
-
-
 def _records(buf):
     """Each ``np.save`` record of ``buf``: a read-only 1-d view into it, where it starts, its end."""
-    fh = io.BytesIO(buf)
-    while (begin := fh.tell()) < len(buf):
-        np.lib.format.read_magic(fh)
-        (n,), _, dtype = np.lib.format.read_array_header_1_0(fh)
-        array = np.frombuffer(buf, dtype, n, fh.tell())
-        yield array, begin, fh.seek(array.nbytes, io.SEEK_CUR)
+    end = 0
+    while (begin := end) < len(buf):
+        [(header, dtype, n)] = _NPY_HEADER.findall(buf[begin:begin + 256])  # else a ValueError
+        array = np.frombuffer(buf, dtype.decode(), int(n), begin + len(header))
+        yield array, begin, (end := begin + len(header) + array.nbytes)
 
 
 def _sha256(path) -> bytes:
@@ -742,28 +737,13 @@ def _sha256(path) -> bytes:
     return sha.digest()
 
 
-def _read_columns(path, strings):
-    """What :func:`_build` builds from the CSV ``path``, from the column-file records it needs,
-    with no string decoded; None unless :func:`load_columns`, :meth:`Strings.checked` and
-    :func:`_assemble` take them and each code lies inside its table."""
-    read = [i for i, h in enumerate(STRINGS) if h in strings]
-    arrays = load_columns(path, _LAYOUT, {*range(4), *(j + 4 * k for j in read for k in (1, 2, 3))})
-    try:
-        ints, offsets, codes, raws = (arrays[i:i + 4] for i in range(0, 16, 4))
-        tables = {STRINGS[j]: Strings.checked(raws[j], offsets[j]) for j in read}
-        if all((codes[j].view(np.uint32) < len(tables[STRINGS[j]])).all() for j in read):
-            return _assemble([*ints[:1], *codes[:3], *ints[1:3], codes[3], ints[3]], tables, True)
-    except (TypeError, ValueError):  # no arrays (None), or ones that do not check out
-        return None
-
-
 def read_trace(path, strings=STRINGS) -> Trace:
     """Parse a trace CSV into columns, checking every row; errors name the file and the row.
 
-    A column file :func:`_read_columns` takes gives the columns, or else
-    :func:`csv_blocks` reads the rows; partition order is checked on the
-    columns.  After a fault an error-only pass names the first bad row, so
-    an order fault comes before a later row's parse fault.
+    The column file beside it gives the columns, no string decoded, if
+    :func:`load_columns` and :meth:`Strings.checked` take its records, its
+    rows are in merged order and pass :func:`_order_fault`, and each code lies
+    in its table; else :func:`csv_blocks` reads the rows once, checking them.
 
     Only the string columns in ``strings`` are parsed and coded, each into a
     :class:`Strings` table of its own (``Stream.tables``, ``Trace.labels``)
@@ -773,14 +753,18 @@ def read_trace(path, strings=STRINGS) -> Trace:
     ``run-pipeline`` codes its strategy's key columns, ``compare`` those and
     ``truth_instance``, ``evaluate`` and ``fit-dist`` only the latter.
     """
-    if (trace := _read_columns(path, strings)) is not None:
-        return trace
+    read = [i for i, h in enumerate(STRINGS) if h in strings]
+    arrays = load_columns(path, _LAYOUT, {*range(4), *(j + 4 * k for j in read for k in (1, 2, 3))})
     try:
-        return _build(csv_blocks(path, TRACE_DTYPE, set(STRINGS) - set(strings), TraceParseError),
-                      strings, checked=True)
-    except (TraceParseError, ValueError):  # an order fault may come before the row refused
-        _read_rows_checked(path)
-        raise
+        ints, offsets, codes, raws = (arrays[i:i + 4] for i in range(0, 16, 4))
+        tables = {STRINGS[j]: Strings.checked(raws[j], offsets[j]) for j in read}
+        if not (_out_of_order(ints[0], ints[3]) or _order_fault(ints[0], ints[3], None)) and all(
+                (codes[j].view(np.uint32) < len(tables[STRINGS[j]])).all() for j in read):
+            return _merged([*ints[:1], *codes[:3], *ints[1:3], codes[3], ints[3]], tables, True)
+    except (TypeError, ValueError):  # no arrays (None), or ones that do not check out
+        pass
+    return _build(csv_blocks(path, TRACE_DTYPE, set(STRINGS) - set(strings), TraceParseError, {}),
+                  strings)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,18 @@ def test_mixture_as_phase_type_agrees():
     assert ph.mean() == pytest.approx(d.mean(), rel=1e-10)
 
 
+def test_ph_of_an_array_matches_each_point():
+    # one stacked expm for all the points gives what one call per point gives, in any shape
+    ph = HyperErlangDist([ErlangBranch(0.3, 2.0, 3), ErlangBranch(0.7, 0.5, 5)]).as_phase_type()
+    assert ph.order == 8
+    x = np.linspace(0.0, 40.0, 81)
+    for f in (ph.cdf, ph.pdf):
+        stacked, single = f(x), np.array([f(v) for v in x.tolist()])
+        assert np.abs(stacked - single).max() <= 4e-16
+        assert f(x.reshape(9, 9)).tolist() == stacked.reshape(9, 9).tolist()
+        assert isinstance(f(2.5), float) and f(x[:0]).shape == (0,)
+
+
 def test_ph_mean_matches_monte_carlo():
     ph = PhaseTypeDist(*DENSE_ARRIVAL)
     assert ph.is_valid_generator()

@@ -3,6 +3,7 @@
 import csv
 import json
 from collections import namedtuple
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -513,7 +514,11 @@ def reference_sliding(rows, window, step, strategy, tuple_size):
         for k, members in groups.items():
             out.append((k, tuple(t.seq for t in members), closed_at,
                         int64_mean([t.response_time for t in members])))
-            residence.append(closed_at - int64_mean([t.timestamp for t in members]))
+            ts = [t.timestamp for t in members]
+            if max(abs(closed_at), abs(int64_mean(ts))) < 2**53:  # both exact as floats
+                residence.append(closed_at - int64_mean(ts))
+            else:
+                residence.append(float(closed_at - Fraction(sum(ts), len(ts))))
             emitted.update(t.seq for t in members)
 
     for t in rows:
@@ -555,6 +560,8 @@ SLIDING_ARRIVALS = hs.lists(hs.tuples(hs.sampled_from([0, 0, 1, 7, 1000]), hs.sa
 # int64 sums of the member timestamps and of the responses that wrap
 @example([(0, "A", "u", 2**62 + 5), (5, "A", "u", 2**62 + 5)], 2, 2, Strategy.HEAD, 1 << 20, 63,
          INT64_MAX - 11)
+# two tuples at 2^63 - 11 and 2^63 - 6: residence 2.5, which float64 subtraction takes as 0
+@example([(0, "A", "u"), (5, "A", "u")], 2, 2, Strategy.HEAD, 1 << 20, 63, INT64_MAX - 10)
 # residences [1e16, 1.0, 1.0]: a compensated sum would give (1e16 + 2) / 3, not 1e16 / 3
 @example([(0, "A", "u"), (2 * 10**16, "A", "u"), (1, "B", "u"), (2, "B", "u"), (1, "C", "u"),
           (2, "C", "u")], 2, 2, Strategy.HEAD, 1 << 20, 63, -2 * 10**16)
