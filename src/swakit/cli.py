@@ -56,9 +56,9 @@ from .trace import (
     default_arrival_dist,
     default_degree_dist,
     default_span_dist,
-    first_seen_codes,
     generate_trace,
     read_trace,
+    sorted_runs,
     write_columns,
     write_trace,
 )
@@ -179,10 +179,14 @@ def _samples_from_args(args) -> np.ndarray:
     if not args.trace:
         raise ConfigError("fit-dist needs --values or --trace")
     trace = read_trace(args.trace, ("truth_instance",))
-    t = trace.truth_table
-    # instances in the order a partition-by-partition scan meets them; the EM sums depend on it
-    scan = t.code[np.argsort(trace.partition, kind="stable")]
-    met = scan[first_seen_codes(scan, len(t.labels))[0]]
+    t, part = trace.truth_table, trace.partition
+    # instances in the order a partition-by-partition scan meets them (the EM sums depend on
+    # it): by their lowest partition, then their first row in it; labels without rows go last
+    low, first = np.full(len(t.labels), np.iinfo(np.int64).max), np.full(len(t.labels), len(part))
+    np.minimum.at(low, t.code, part)
+    rows = np.flatnonzero(part == low[t.code])
+    np.minimum.at(first, t.code[rows], rows)
+    met = sorted_runs([low, first])[0][:np.count_nonzero(t.degree)]
     if args.field == "degree":
         return t.degree[met].astype(float)
     if args.field == "span_s":

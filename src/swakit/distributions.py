@@ -494,21 +494,21 @@ def _erlang_logpdf(x, log_x, rate, k):
     return k * np.log(rate) + (k - 1) * log_x - rate * x - gammaln(k)
 
 
-def _logsumexp0(a):
-    """``log(sum(exp(a), axis=0))`` in ``scipy.special.logsumexp``'s order: the ``m`` maxima of a
-    column stay out of the shifted sum ``s``, giving ``log1p(s / m) + log(m) + max``, or
-    ``log(sum(exp(a)))`` where that is not finite (an all ``-inf`` column gives ``-inf``).
-
-    Two rows (the EM's default) take ``log1p(exp(lo - hi)) + hi`` where ``lo < hi`` and
-    ``log(2) + hi`` on a tie, with ``hi``/``lo`` a column's max/min: the general form less its
-    zero terms (``exp(0) * 0`` in ``s`` and ``log(1)``; ``s`` is 0.0 on a tie), so every bit
-    is the same, and the same columns fall back."""
+def _logsumexp0(a, out=None, tmp=None):
+    """``log(sum(exp(a), axis=0))`` in ``scipy.special.logsumexp``'s order, and the sum of it as
+    a float: the ``m`` maxima of a column stay out of the shifted sum ``s``, giving
+    ``log1p(s / m) + log(m) + max``, or ``log(sum(exp(a)))`` where that is not finite (an all
+    ``-inf`` column gives ``-inf``).  Two rows take a shorter form with the same bits (see
+    :func:`_em_fixed_phases`) and write into ``out`` and ``tmp`` where given."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if a.shape[0] == 2:
-            hi, lo = np.maximum(a[0], a[1]), np.minimum(a[0], a[1])
-            out = np.log1p(np.exp(lo - hi))
-            np.copyto(out, np.log(2.0), where=lo == hi)
-            out += hi
+            hi = np.maximum(a[0], a[1], out=out)
+            d = np.subtract(np.minimum(a[0], a[1], out=tmp), hi, out=tmp)  # <= 0, or NaN
+            tie = d == 0 if np.fmax.reduce(d, initial=-np.inf) == 0 else None
+            out = np.log1p(np.exp(d, out=d), out=d)
+            if tie is not None:
+                np.copyto(out, np.log(2.0), where=tie)
+            out = np.add(out, hi, out=hi)
         else:
             top = a.max(axis=0)
             is_top = a == top
@@ -521,41 +521,62 @@ def _logsumexp0(a):
             s = (np.exp(a - top) * ~is_top).sum(axis=0)
             m = is_top.sum(axis=0)
             out = np.log1p(s / m) + np.log(np.arange(1, a.shape[0] + 1))[m - 1] + top
-        bad = ~np.isfinite(out)
-        out[bad] = np.log(np.exp(a[:, bad]).sum(axis=0))
-    return out
+        total = float(out.sum())
+        if not math.isfinite(total):  # then some column is not finite
+            bad = ~np.isfinite(out)
+            out[bad] = np.log(np.exp(a[:, bad]).sum(axis=0))
+            total = float(out.sum())
+    return out, total
+
+
+def _cumsum2(rows, z):
+    """``np.cumsum`` of both rows in one pass, as the parts of the complex128 ``z``."""
+    np.copyto(z.real, rows[0])
+    np.copyto(z.imag, rows[1])
+    return np.add.accumulate(z, out=z)
 
 
 def _em_fixed_phases(x, ks, weights, rates, tol, max_iter):
-    """EM updates for a hyper-Erlang with a fixed phase-count vector; array row j is branch j."""
+    """EM updates for a hyper-Erlang with a fixed phase-count vector; array row j is branch j.
+
+    Every float is that of the plain step (``_erlang_logpdf``, the general log-sum-exp,
+    ``np.cumsum``), though two branches fuse operations:
+    - their log-sum-exp is ``log1p(exp(lo - hi)) + hi``, with ``hi``/``lo`` a column's max/min,
+      and ``log(2) + hi`` on a tie (written only when a column ties): the general form less its
+      zero terms (``exp(0) * 0`` in ``s``, ``s`` 0.0 on a tie, and ``log(1)``);
+    - both rows' running sums come from one pass over them interleaved as complex128: a complex
+      add is the two float adds;
+    - the ``log(sum(exp))`` fallback runs only when the log-likelihood (the columns' sum) is not
+      finite, and recomputes only the columns that are not finite."""
     n = x.shape[0]
     k = np.asarray(ks)[:, None]
     w = np.array(weights, float)
     r = np.array(rates, float)
     shape_term = (k - 1) * np.log(x)
     log_gamma_k = gammaln(k)
-    # Each step writes into these two (branches, n) buffers instead of allocating a fresh
-    # temporary per operation; the operations and their grouping are _erlang_logpdf's, so
-    # every float matches it.
-    logd = np.empty(shape_term.shape)
-    resp = np.empty(shape_term.shape)
+    # Each step writes into these buffers instead of allocating a fresh temporary per
+    # operation; the operations and their grouping are _erlang_logpdf's, so every float
+    # matches it.
+    logd, tmp = np.empty(shape_term.shape), np.empty(shape_term.shape)
+    bufs = (np.empty(n), np.empty(n)) if len(k) == 2 else ()  # for the two-row log-sum-exp
+    z = np.empty(n, complex) if bufs else None
     trace = []
     prev = -np.inf
     it = 0
     converged = False
     for it in range(1, max_iter + 1):
         np.add(k * np.log(r[:, None]), shape_term, out=logd)
-        logd -= np.multiply(r[:, None], x, out=resp)
+        logd -= np.multiply(r[:, None], x, out=tmp)
         logd -= log_gamma_k
         logd += np.log(w)[:, None]
-        norm = _logsumexp0(logd)
-        ll = float(norm.sum())
+        norm, ll = _logsumexp0(logd, *bufs)
         trace.append(ll)
-        np.exp(np.subtract(logd, norm, out=resp), out=resp)
+        resp = np.exp(np.subtract(logd, norm, out=logd), out=logd)
         # tot is summed in sequence (cumsum), sum(resp * x) pairwise (sum): both feed the bits
-        tot = np.maximum(np.cumsum(resp, axis=1, out=logd)[:, -1], 1e-300)
+        tot = _cumsum2(resp, z)[-1:].view(float) if bufs else np.cumsum(resp, 1, out=tmp)[:, -1]
+        tot = np.maximum(tot, 1e-300)
         w = tot / n
-        r = k[:, 0] * tot / np.maximum(np.multiply(resp, x, out=logd).sum(axis=1), 1e-300)
+        r = k[:, 0] * tot / np.maximum(np.multiply(resp, x, out=tmp).sum(axis=1), 1e-300)
         if prev > -np.inf and abs(ll - prev) <= tol * max(abs(prev), 1.0):
             converged = True
             break
@@ -625,7 +646,8 @@ def fit_hyper_erlang_em(
         raise DistributionError("samples must be positive and finite")
 
     mean = float(x.mean())
-    if np.ptp(x) == 0 or x.std() / mean < 1e-12:
+    u = x / mean  # moments of u neither overflow nor underflow at the ends of the float64 range
+    if np.ptp(x) == 0 or u.std() < 1e-12:
         dist = ErlangDist(max_phases / mean, max_phases)
         ll = float(np.sum(_erlang_logpdf(x, np.log(x), dist.rate, dist.phases)))
         log.warning("degenerate sample (zero spread): returning near-point-mass fit")
@@ -645,15 +667,13 @@ def fit_hyper_erlang_em(
     labels = _kmeans_log(x, branches)
     ks, weights, rates = [], [], []
     for c in range(branches):
-        sel = x[labels == c]
-        if sel.size == 0:
-            sel = x
-        m = sel.mean()
-        v = sel.var()
+        pick = labels == c
+        sel, su = (x[pick], u[pick]) if pick.any() else (x, u)
+        m, v = su.mean(), su.var()
         k0 = 1 if v <= 0 else int(np.clip(round(m * m / v), 1, max_phases))
         ks.append(k0)
         weights.append(max(sel.size, 1) / x.size)
-        rates.append(k0 / m)
+        rates.append(k0 / sel.mean())
     weights = list(np.array(weights) / np.sum(weights))
 
     runs = []

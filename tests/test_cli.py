@@ -28,7 +28,7 @@ from swakit.engine import (
     write_emissions,
 )
 from swakit.errors import ConfigError
-from swakit.trace import read_trace
+from swakit.trace import Trace, first_seen_codes, read_trace, write_trace
 
 from conftest import revouch, write_partition_by_partition
 
@@ -251,6 +251,64 @@ def test_trace_samples_in_partition_scan_order(tiny_trace, field):
             "span_s": [s for s in spans if s > 0], "gap_ms": [g for g in gaps if g > 0]}[field]
     args = argparse.Namespace(values=None, trace=str(tiny_trace), field=field)
     assert cli._samples_from_args(args).tolist() == want
+
+
+def _scan_samples_by_argsort(path, field):
+    """Span or degree samples in the order a stable argsort of the partitions, then a
+    first-seen pass, meets the instances."""
+    trace = read_trace(path)
+    t = trace.truth_table
+    scan = t.code[np.argsort(trace.partition, kind="stable")]
+    met = scan[first_seen_codes(scan, len(t.labels))[0]]
+    vals = t.degree[met].astype(float) if field == "degree" else (t.last - t.primary)[met] / 1000.0
+    return vals[vals > 0]
+
+
+@pytest.mark.parametrize("parts", [None, (1 << 62, (1 << 62) - 3, (1 << 62) + 5),
+                                   (1 << 62, (1 << 62) + 5, 0, 7)],
+                         ids=["seed3", "near-2^62", "2^62-and-0"])
+@pytest.mark.parametrize("field", ["degree", "span_s"])
+def test_trace_samples_match_the_argsort_scan(capsys, tmp_path, parts, field):
+    # the scan order comes from each label's lowest partition and its first row there, sorted by
+    # sorted_runs (packed keys, or lexsort where the partitions span more than 63 bits)
+    path = tmp_path / "trace.csv"
+    if parts is None:
+        assert run(capsys, "gen-trace", "--seed", "3", "--shared-atomics", "--partitions", "3",
+                   "--instances", "400", "--services", "200", "--out", str(tmp_path))[0] == 0
+    else:
+        rng = np.random.default_rng(len(parts))
+        rows = [(int(ts), "u", "s", "h", 0, 5, f"inst{rng.integers(60)}",
+                 parts[rng.integers(len(parts))]) for ts in rng.integers(0, 10**6, 500)]
+        write_trace(Trace.from_rows(rows), path)
+    args = argparse.Namespace(values=None, trace=str(path), field=field)
+    got, want = cli._samples_from_args(args), _scan_samples_by_argsort(path, field)
+    assert got.tobytes() == want.tobytes() and got.size > 10
+
+
+@pytest.mark.parametrize("kind", ["log-uniform", "mixture"])
+def test_fit_dist_at_the_float64_ends_fits_like_the_unscaled_sample(capsys, tmp_path, kind):
+    # the start's phase counts and the degenerate test read moments of x / mean, so samples
+    # near 1e250 do not overflow m * m and samples near 1e-250 are not called degenerate
+    rng = np.random.default_rng(7)
+    ys = (10.0 ** rng.uniform(-50.0, 50.0, 200) if kind == "log-uniform" else
+          np.where(rng.random(200) < 0.4, rng.gamma(4.0, 0.01, 200), rng.gamma(6.0, 10.0, 200)))
+
+    def fit(c):
+        out = tmp_path / repr(c)
+        out.mkdir()
+        np.savetxt(values := out / "values.txt", ys * c)
+        assert run(capsys, "fit-dist", "--values", str(values), "--out", str(out))[0] == 0
+        report = json.loads((out / "fit_report.json").read_text())
+        assert not report["degenerate"]
+        return report["distribution"]["branches"]
+
+    want = fit(1.0)
+    for c in (1e-250, 1e250):
+        got = fit(c)
+        assert [b["k"] for b in got] == [b["k"] for b in want]
+        for key, scale in (("alpha", 1.0), ("lambda", c)):
+            np.testing.assert_allclose([b[key] * scale for b in got], [b[key] for b in want],
+                                       rtol=1e-3)
 
 
 def test_fit_dist_from_values(capsys, tmp_path):

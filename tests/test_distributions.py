@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hs
 from scipy.special import gammaln, logsumexp
 
 from swakit import distributions
@@ -30,7 +31,7 @@ from swakit.distributions import (
     validate_generator,
     write_json,
 )
-from swakit.distributions import _em_fixed_phases, _logsumexp0
+from swakit.distributions import _cumsum2, _em_fixed_phases, _logsumexp0
 from swakit.errors import DistributionError, GeneratorValidationError
 
 # The default degree law and span mixture used throughout the project.
@@ -375,7 +376,7 @@ def test_logsumexp_agrees_with_scipy(branches):
     a = _lse_columns(branches, np.random.default_rng(branches))
     # scipy on the (samples, branches) layout the EM used before it went branch-major
     want = logsumexp(np.ascontiguousarray(a.T), axis=1)
-    got = _logsumexp0(a)
+    got = _lse(a)
     assert got.tobytes() == _textbook_logsumexp0(a).tobytes()
     assert np.isneginf(got[600:650]).all()
     if branches < 8:  # numpy sums fewer than 8 terms in sequence, like the axis-0 sum
@@ -389,9 +390,9 @@ def test_two_row_logsumexp_is_bitwise_the_textbook_at_corners():
     # lo - hi and a subnormal; the two-row path must give the general form's bits either way up
     corners = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, 709.0, -745.0, 1e308, -1e308, 5e-324]
     a = np.array(list(itertools.product(corners, repeat=2))).T
-    got = _logsumexp0(a)
+    got = _lse(a)
     assert got.tobytes() == _textbook_logsumexp0(a).tobytes()
-    assert got.tobytes() == _logsumexp0(a[::-1]).tobytes()
+    assert got.tobytes() == _lse(a[::-1]).tobytes()
 
 
 @pytest.mark.parametrize("branches", [1, 2, 3, 8])
@@ -402,7 +403,19 @@ def test_logsumexp_nan_columns_are_bitwise_the_textbook(branches):
     a[rng.random(a.shape) < 0.3] = np.nan
     a[:, 200:300][rng.random((branches, 100)) < 0.3] = -np.inf
     a[:, 300:400][rng.random((branches, 100)) < 0.3] = np.inf
-    assert _logsumexp0(a).tobytes() == _textbook_logsumexp0(a).tobytes()
+    assert _lse(a).tobytes() == _textbook_logsumexp0(a).tobytes()
+
+
+def _lse(a):
+    """``_logsumexp0``'s columns, checked against the sum it returns and, on two rows, against
+    the same call writing into the EM's buffers."""
+    got, total = _logsumexp0(a)
+    with np.errstate(invalid="ignore"):  # inf + -inf in a corner case
+        assert np.float64(total).tobytes() == got.sum().tobytes()
+    if a.shape[0] == 2:
+        buffered, _ = _logsumexp0(a, np.empty(a.shape[1]), np.empty(a.shape[1]))
+        assert buffered.tobytes() == got.tobytes()
+    return got
 
 
 def _textbook_logsumexp0(a):
@@ -473,6 +486,60 @@ def test_em_fit_is_bitwise_the_textbook_fit(monkeypatch, kind, branches, max_ite
     monkeypatch.setattr(distributions, "_em_fixed_phases", _textbook_em)
     want = fit_hyper_erlang_em(xs, branches=branches, max_iter=max_iter)
     assert _fit_bits(got) == _fit_bits(want)
+
+
+@settings(max_examples=60)
+@given(hs.integers(1, 2000), hs.integers(0, 2**32 - 1),
+       hs.lists(hs.tuples(hs.integers(0, 3999), hs.floats(0.0, 1e300)), max_size=20))
+def test_complex_running_sums_are_each_rows_cumsum(n, seed, picks):
+    # log-uniform over 5e-324..1e300 (subnormals among them), a tenth zeros, plus drawn values
+    rng = np.random.default_rng(seed)
+    rows = 10.0 ** rng.uniform(-323.3, 300.0, (2, n)) * (rng.random((2, n)) < 0.9)
+    for at, value in picks:
+        rows.flat[at % rows.size] = value
+    z = _cumsum2(rows, np.empty(n, complex))
+    assert z.real.tobytes() == np.cumsum(rows[0]).tobytes()
+    assert z.imag.tobytes() == np.cumsum(rows[1]).tobytes()
+
+
+def _em_with_path_counts(monkeypatch, *args):
+    """``_em_fixed_phases(*args)``, and how often the two-row log-sum-exp wrote ``log(2)`` on a
+    tie (``np.copyto`` with ``where``) and fell back (``np.isfinite``)."""
+    counts = {"tie": 0, "fallback": 0}
+    copyto, isfinite = np.copyto, np.isfinite
+
+    def counted_copyto(*a, **kw):
+        counts["tie"] += "where" in kw
+        return copyto(*a, **kw)
+
+    def counted_isfinite(*a, **kw):
+        counts["fallback"] += 1
+        return isfinite(*a, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "copyto", counted_copyto)
+        m.setattr(np, "isfinite", counted_isfinite)
+        got = _em_fixed_phases(*args)
+    return got, counts
+
+
+@pytest.mark.parametrize("max_iter", [1, 2000])
+@pytest.mark.parametrize("case", ["identical", "zero-weight", "overflow"])
+def test_two_branch_em_is_bitwise_the_textbook_on_its_corner_paths(monkeypatch, case, max_iter):
+    # identical branches tie in every column; a zero weight makes a row -inf; 1e307 * x
+    # overflows past 17.97, so with the zero weight those columns are -inf in both rows
+    xs = _oracle_samples("mixture")
+    w0, r0 = {"identical": ((0.5, 0.5), (0.4, 0.4)), "zero-weight": ((0.0, 1.0), (0.5, 0.3)),
+              "overflow": ((0.0, 1.0), (0.5, 1e307))}[case]
+    ks = (3, 3) if case == "identical" else (2, 5)
+    with np.errstate(all="ignore"):
+        want = _textbook_em(xs, ks, w0, r0, 1e-7, max_iter)
+        got, counts = _em_with_path_counts(monkeypatch, xs, ks, w0, r0, 1e-7, max_iter)
+    assert np.array(got[2]).tobytes() == np.array(want[2]).tobytes()
+    assert (got[0].tobytes(), got[1].tobytes(), got[3:]) == (want[0].tobytes(), want[1].tobytes(),
+                                                             want[3:])
+    assert (counts["tie"] > 0) == (case == "identical")
+    assert (counts["fallback"] > 0) == (case == "overflow")
 
 
 def _em_step_by_hand(xs, ks, weights, rates):
