@@ -20,7 +20,6 @@ import time
 from contextlib import contextmanager
 from functools import cache, partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -199,7 +198,7 @@ def _samples_from_args(args) -> np.ndarray:
 
 
 def cmd_fit_dist(args, stages):
-    check_fit(args.branches, args.max_phases, args.max_iter)  # before the samples are read
+    check_fit(args.branches, args.max_phases, args.max_iter, args.tol)  # before any sample is read
     with stage(stages, "read"):
         samples = _samples_from_args(args)
     n = stages["read"]["items"] = int(samples.size)
@@ -240,21 +239,13 @@ def cmd_fit_dist(args, stages):
 def cmd_estimate_params(args, stages):
     degree = _load_dist_opt(args.degree_dist, default_degree_dist)
     span = _load_dist_opt(args.span_dist, default_span_dist)
-    calls = {"capacity": 0, "timeout": 0}
-
-    def counted(law, name):  # ``law`` with its CDF calls counted, for the manifest
-        def cdf(x):
-            calls[name] += 1
-            return law.cdf(x)
-        return SimpleNamespace(cdf=cdf)
-
     with stage(stages, "estimate"):
-        doc = {"capacity": estimate_capacity(counted(degree, "capacity"), args.alpha),
-               "timeout_s": estimate_timeout(counted(span, "timeout"), args.beta)}
+        doc = {"capacity": estimate_capacity(degree, args.alpha),
+               "timeout_s": estimate_timeout(span, args.beta)}
     params_path = _out_dir(args) / "params.json"
     write_json(params_path, doc)
     print(json.dumps(doc, sort_keys=True))
-    return {"params": params_path}, {"cdf_calls": calls}
+    return {"params": params_path}, {}
 
 
 def cmd_run_pipeline(args, stages):
@@ -381,9 +372,10 @@ def cmd_compare(args, stages):
     with stage(stages, "write", trace.n_tuples):
         cmp_path = _out_dir(args) / "compare.json"
         write_json(cmp_path, doc)
-    for r in rows:
+    for r in rows:  # the completeness at the first gamma listed, if any
+        complete = [f"complete({k[6:]})={v:.4f} " for k, v in r["completeness"].items()][:1]
         print(
-            f"{r['label']:>16}: complete(1)={r['completeness']['gamma_1']:.4f} "
+            f"{r['label']:>16}: {''.join(complete)}"
             f"capture={r['capture_rate']:.4f} occ_avg={r['occupancy_avg']:.1f} "
             f"storage_avg={r['storage_avg_mb']:.3f}MB"
         )

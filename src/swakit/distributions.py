@@ -606,7 +606,7 @@ def _kmeans_log(x, n_clusters, iters=60):
     return labels
 
 
-def check_fit(branches: int, max_phases: int, max_iter: int) -> None:
+def check_fit(branches: int, max_phases: int, max_iter: int, tol: float = 1e-7) -> None:
     """Raise DistributionError unless a fit with these settings can run; needs no sample."""
     if branches < 1:
         raise DistributionError("branches must be >= 1")
@@ -614,6 +614,8 @@ def check_fit(branches: int, max_phases: int, max_iter: int) -> None:
         raise DistributionError(f"max_phases {max_phases} is outside 1..{MAX_PHASES} (MAX_PHASES)")
     if max_iter < 1:
         raise DistributionError("max_iter must be >= 1")
+    if not tol >= 0:  # NaN too: no step would stop the EM
+        raise DistributionError(f"tol must be >= 0, got {tol}")
 
 
 def fit_hyper_erlang_em(
@@ -636,7 +638,7 @@ def fit_hyper_erlang_em(
     peaked Erlang available (``max_phases`` stages at the sample mean) with
     ``degenerate=True``.
     """
-    check_fit(branches, max_phases, max_iter)
+    check_fit(branches, max_phases, max_iter, tol)
     x = np.asarray(samples, dtype=float).ravel()
     if x.size < 10 * branches:
         raise DistributionError(

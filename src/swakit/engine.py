@@ -37,8 +37,8 @@ import numpy as np
 from .distributions import json_value
 from .errors import ConfigError
 from .params import WindowParams
-from .trace import (Stream, Strings, Trace, _codes, _spell, _utf8, csv_blocks, load_columns,
-                    quoted, replay, save_columns, sorted_runs, write_csv)
+from .trace import (Stream, Strings, Trace, _codes, _spell, csv_blocks, load_columns, replay,
+                    save_columns, sorted_runs, write_csv)
 
 __all__ = [
     "Strategy",
@@ -122,8 +122,8 @@ def key_names(stream: Stream, strategy: Strategy) -> Strings:
     instance timestamp and/or the user id, as ``strategy`` asks, joined by ``|``: one table."""
     first = key_ids(stream, strategy)[1]
     parts = [getattr(stream, f)[first] if f == "instance_ts"
-             else (_utf8(stream.tables[f]), getattr(stream, f)[first]) for f in strategy.fields]
-    return Strings(_spell([*itertools.chain.from_iterable((p, b"|") for p in parts)][:-1]))
+             else (stream.tables[f], getattr(stream, f)[first]) for f in strategy.fields]
+    return _spell([*itertools.chain.from_iterable((p, b"|") for p in parts)][:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ class Emissions:
 
     @cached_property
     def keys(self) -> Strings:
-        return Strings(_utf8(self.spell()))
+        return Strings.of(self.spell())
 
     @cached_property
     def owner(self) -> np.ndarray:
@@ -231,12 +231,12 @@ def write_emissions(emissions: Emissions, path, members_path=None) -> list:
     """Write the emitted-instance CSV (plus the member sidecar, if the members were kept), each
     with a column file of what :func:`read_emissions` parses from it; returns their paths."""
     e = emissions
-    raw, offsets = _spell([(e.keys.table, e.key)])  # each row's key
+    keys = _spell([(e.keys, e.key)])  # each row's key
     reason = np.arange(len(REASONS), dtype=np.int8)[e.reason]  # as the CSV names them
-    avg, avg_read = _written(e.response_avg)
+    avg, read = _written(e.response_avg)  # as written, and as a read of the CSV gives them
     written = [save_columns(path, write_csv(path, EMITTED_HEADER, [
-        (quoted(e.keys), e.key), e.count, (quoted(REASONS), reason), e.closed_at, avg, e.span_ms]),
-        [e.count, reason, e.closed_at, avg_read, e.span_ms, offsets, raw], _EMITTED_LAYOUT)]
+        (e.keys, e.key), e.count, (REASONS, reason), e.closed_at, avg, e.span_ms]),
+        [e.count, reason, e.closed_at, read, e.span_ms, keys.offsets, keys.raw], _EMITTED_LAYOUT)]
     if members_path is not None:
         cols = [e.owner, e.seqs]
         sha = write_csv(members_path, MEMBERS_HEADER, cols)
@@ -245,21 +245,21 @@ def write_emissions(emissions: Emissions, path, members_path=None) -> list:
 
 
 def _written(x: np.ndarray):
-    """``"%.6f" % v`` for each v of ``x`` as a ``_utf8`` table and a code per value, and each
-    text's ``float``: the digits of ``np.rint(x * 1e6)`` (half to even, as ``%`` rounds) with a
-    ``.`` before the last six, but ``%`` near a tie or past 2^51, where the product may round
-    to the other side, and where the sign bit is set (``-0.000000`` keeps its sign)."""
+    """``"%.6f" % v`` for each v of ``x`` as a :class:`Strings` table and a code per value, and
+    each text's ``float``: the digits of ``np.rint(x * 1e6)`` (half to even, as ``%`` rounds)
+    with a ``.`` before the last six, but ``%`` near a tie or past 2^51, where the product may
+    round to the other side, and where the sign bit is set (``-0.000000`` keeps its sign)."""
     y = x * 1e6
     slow = np.signbit(x) | ~((np.abs(y - np.floor(y) - 0.5) > np.abs(np.spacing(y)))
                              & (np.abs(y) < 2.0**51))
     fast, texts = np.rint(y[~slow]).astype(np.int64), ["%.6f" % v for v in x[slow].tolist()]
-    raw, offsets = _spell([fast // 10**6, fast % 10**6 + 10**6],
-                          [(_utf8(texts), np.arange(len(texts)))])
-    raw[offsets[1:len(fast) + 1] - 7] = ord(".")  # over the 1 before the six digits
+    table = _spell([fast // 10**6, fast % 10**6 + 10**6],
+                   [(Strings.of(texts), np.arange(len(texts)))])
+    table.raw[table.offsets[1:len(fast) + 1] - 7] = ord(".")  # over the 1 before the six digits
     codes = np.where(slow, np.cumsum(slow) - 1 + len(fast), np.cumsum(~slow) - 1)
     read = np.rint(y) / 1e6  # both exact: the quotient rounds once, as parsing the text does
     read[slow] = list(map(float, texts))
-    return ((raw, offsets), codes), read
+    return (table, codes), read
 
 
 def _emitted_columns(path):

@@ -112,7 +112,9 @@ def storage_estimate(servers: int, capacity: int, tuple_size: int) -> int:
 
 @dataclass(frozen=True)
 class MeanScv:
-    """Service law known only through mean and squared coefficient of variation."""
+    """Service law known only through mean and squared coefficient of variation: the exact
+    chains solve :func:`~swakit.distributions.ph_from_mean_scv`'s law (refusing SCV 0), while
+    :func:`des_simulate` draws a gamma law with the same two moments; they agree at SCV 1/k."""
 
     mean: float
     scv: float

@@ -103,24 +103,24 @@ _NPY_HEADER = re.compile(rb"\A(\x93NUMPY\x01\x00..\{'descr': '([<|][a-z]\d)', 'f
 
 @dataclass(frozen=True, eq=False)
 class Strings(Sequence):
-    """A read-only sequence of strings held as a :func:`_utf8` table, ``table``: their UTF-8
-    bytes back to back and the offsets around each.  A string is decoded when it is indexed, a
+    """A read-only sequence of strings held as a table: ``raw``, their UTF-8 bytes back to back,
+    and ``offsets``, the int64 offsets around each.  A string is decoded when it is indexed, a
     slice is a list, and it equals a list (or a :class:`Strings`) of the same strings."""
 
-    table: tuple
+    raw: np.ndarray
+    offsets: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.table[1]) - 1
+        return len(self.offsets) - 1
 
     def __getitem__(self, i):
-        raw, offsets = self.table
         at = range(len(self))[i]  # an int, or a range for a slice; IndexError past either end
         if isinstance(at, range):
             return list(map(self.__getitem__, at))
-        return raw[offsets[at]:offsets[at + 1]].tobytes().decode()
+        return self.raw[self.offsets[at]:self.offsets[at + 1]].tobytes().decode()
 
     def __iter__(self):  # one decode of the whole table, split at the offsets in characters
-        raw, offsets = self.table
+        raw, offsets = self.raw, self.offsets
         text = raw.tobytes().decode()
         if len(text) != len(raw):  # a character before an offset may take several bytes
             offsets = np.cumsum(np.append(0, (raw & 0xC0) != 0x80))[offsets]
@@ -128,6 +128,16 @@ class Strings(Sequence):
 
     def __eq__(self, other):
         return list(self) == (list(other) if isinstance(other, Strings) else other)
+
+    @classmethod
+    def of(cls, strs) -> "Strings":
+        """The sequence of strings ``strs`` as :class:`Strings` (itself, if it is one)."""
+        if isinstance(strs, Strings):
+            return strs
+        joined = "".join(strs)
+        sizes = map(len, strs if joined.isascii() else map(str.encode, strs))  # bytes per string
+        offsets = np.cumsum(np.fromiter(chain([0], sizes), np.int64, len(strs) + 1))
+        return cls(np.frombuffer(joined.encode(), "u1"), offsets)
 
     @classmethod
     def checked(cls, raw, offsets):
@@ -138,7 +148,7 @@ class Strings(Sequence):
                 or (np.diff(offsets) < 0).any()
                 or ((np.append(raw, 0)[offsets] & 0xC0) == 0x80).any()):
             raise ValueError("not a table of UTF-8 strings")
-        return cls((raw, offsets))
+        return cls(raw, offsets)
 
 
 @dataclass(eq=False)
@@ -220,7 +230,7 @@ class TruthTable:
     ordered by first timestamp, then as strings.
     """
 
-    labels: Sequence[str]
+    labels: Strings
     code: np.ndarray
     degree: np.ndarray
     primary: np.ndarray
@@ -238,7 +248,7 @@ class Trace:
 
     stream: Stream
     truth: Optional[np.ndarray]  # label code per seq, into ``labels``
-    labels: Sequence[str]
+    labels: Strings
     partition: np.ndarray
 
     @property
@@ -262,7 +272,7 @@ class Trace:
         order, tie = np.argsort(primary, kind="stable"), np.empty(n, np.int64)
         same = primary[order][1:] == primary[order][:-1]
         at = np.flatnonzero(np.append(same, False) | np.append(False, same))  # primary shared
-        tied = Strings(_spell([(_utf8(self.labels), order[at])]))  # only those labels decode
+        tied = _spell([(self.labels, order[at])])  # only those labels decode
         order[at] = order[[i for *_, i in sorted(zip(primary[order[at]], tied, at.tolist()))]]
         tie[order] = np.arange(n)
         return TruthTable(self.labels, code, np.bincount(code, minlength=n), primary, last, tie)
@@ -332,21 +342,13 @@ def build_catalog(count: int, degree_dist, seed: int, n_partitions: int = 2,
     else:  # subordinate j of service i
         subs, codes = [b"svc", sub_ids[sub], b".", pos[sub]], np.arange(n_subs)
     sub_ids[sub] = count + codes
-    names = Strings(_spell([b"svc", np.arange(count)], subs))
+    names = _spell([b"svc", np.arange(count)], subs)
     return ServiceCatalog(degree, start, sub_ids, names, n_partitions)
 
 
-def first_seen(values: np.ndarray):
-    """Where each distinct value of ``values`` first appears, in order of appearance, and each
-    value's number in that order."""
-    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    order, number = np.argsort(first), np.empty(len(first), np.int64)
-    number[order] = np.arange(len(order))  # the inverse permutation, by scatter
-    return first[order], number[inverse]
-
-
 def first_seen_codes(codes: np.ndarray, size: int):
-    """:func:`first_seen` of ints in [0, ``size``), by a scatter instead of a sort."""
+    """Where each distinct code of ``codes`` (ints in [0, ``size``)) first appears, in order of
+    appearance, and each row's code's number in that order, by a scatter."""
     rows, first = np.arange(len(codes), dtype=np.int32), np.full(size, len(codes), np.int32)
     np.minimum.at(first, codes, rows)
     at = first[codes]  # the row where each row's code first appears
@@ -378,7 +380,8 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
     end = np.floor(arrivals + spans_ms)  # no tuple of an instance comes later
     if not (end < 2.0**63).all():  # NaN fails too
         raise ConfigError("an instance ends at or past 2^63 ms, beyond int64 timestamps")
-    first_user, user = first_seen(users := rng.integers(0, cfg.user_pool, size=n))
+    users = rng.integers(0, cfg.user_pool, size=n)
+    first_user, user = first_seen_codes(np.unique(users, return_inverse=True)[1], n)
 
     deg = catalog.degree[assignment]
     inst = np.repeat(np.arange(n, dtype=np.int32), deg)  # each row's instance
@@ -391,12 +394,12 @@ def generate_trace(catalog: ServiceCatalog, cfg: TraceConfig) -> Trace:
     when[row != head_row[inst]] += rng.random(len(inst) - n) * np.repeat(spans_ms, deg - 1)
     ts = np.floor(when).astype(np.int64)
     first_sub, service = first_seen_codes(sub_ids := catalog.sub_ids[g], len(catalog.names))
-    cols = [ts, user.astype(np.int32)[inst], service, service[head_row][inst],
+    cols = [ts, user[inst], service, service[head_row][inst],
             (np.floor(arrivals).astype(np.int64) // 1000)[inst], np.maximum(0, end.astype(np.int64)[inst] - ts),
             inst, g % catalog.n_partitions]
-    subs = Strings(_spell([(catalog.names.table, sub_ids[first_sub])]))
-    return _merged(cols, {"user_id": Strings(_spell([b"u", users[first_user]])), "service_id": subs,
-                          "head_id": subs, "truth_instance": Strings(_spell([b"inst", np.arange(n)]))})
+    subs = _spell([(catalog.names, sub_ids[first_sub])])
+    return _merged(cols, {"user_id": _spell([b"u", users[first_user]]), "service_id": subs,
+                          "head_id": subs, "truth_instance": _spell([b"inst", np.arange(n)])})
 
 
 def _codes(table: defaultdict, strs: list) -> np.ndarray:
@@ -416,7 +419,7 @@ def _build(blocks, strings=STRINGS) -> Trace:
             acc.append(_codes(tables[name], block[name].tolist()) if name in tables
                        else block[name].copy())
     return _merged([np.concatenate(cols[h]) if h in cols else None for h in TRACE_HEADER],
-                   {h: Strings(_utf8(list(table))) for h, table in tables.items()})
+                   {h: Strings.of(list(table)) for h, table in tables.items()})
 
 
 def _out_of_order(ts, part) -> bool:
@@ -473,7 +476,7 @@ def _merged(cols, tables, merged=False) -> Trace:
     ts, user, service, head, inst_ts, resp, label, part = cols
     stream = Stream(ts, inst_ts, resp, user, service, head,
                     {h[:-3]: tables[h] for h in STRINGS[:3] if h in tables})
-    return Trace(stream, label, tables.get("truth_instance", Strings(_utf8([]))), part)
+    return Trace(stream, label, tables.get("truth_instance", Strings.of([])), part)
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +484,13 @@ def _merged(cols, tables, merged=False) -> Trace:
 # ---------------------------------------------------------------------------
 
 
-def quoted(table):
-    """``table``'s strings as ``csv.writer`` writes them in a row of several fields (in quotes,
-    inner quotes doubled, when one holds a comma, a quote or a line end), as a :func:`_utf8`
-    table: the UTF-8 bytes back to back and the offsets around each."""
-    raw, offsets = _utf8(table)
-    if not any(map(raw.tobytes().__contains__, _QUOTE.encode())):  # no byte needs quotes
-        return raw, offsets
-    return _utf8(['"%s"' % s.replace('"', '""') if _NEEDS_QUOTES(s) else s for s in table])
+def quoted(table) -> Strings:
+    """The strings of ``table`` as ``csv.writer`` writes them in a row of several fields (in
+    quotes, inner quotes doubled, when one holds a comma, a quote or a line end)."""
+    table = Strings.of(table)
+    if not any(map(table.raw.tobytes().__contains__, _QUOTE.encode())):  # no byte needs quotes
+        return table
+    return Strings.of(['"%s"' % s.replace('"', '""') if _NEEDS_QUOTES(s) else s for s in table])
 
 
 def _digits(v, out, keep) -> None:
@@ -508,26 +510,25 @@ def _digits(v, out, keep) -> None:
     out[at], keep[at] = 45, True  # ord("-")
 
 
-def _gather(table, codes, out, keep) -> None:
-    """The strings of the :func:`_utf8` table ``table`` at ``codes`` into ``out``, a ``(width,
-    len(codes))`` uint8 block, left-aligned, with ``keep`` marking each string's bytes."""
-    raw, offsets = table
-    start, j = offsets[codes], np.arange(len(out))[:, None]
-    keep[:] = j < offsets[codes + 1] - start
-    np.take(raw, start + j, out=out, mode="clip")
+def _gather(table: Strings, codes, out, keep) -> None:
+    """The strings of ``table`` at ``codes`` into ``out``, a ``(width, len(codes))`` uint8 block,
+    left-aligned, with ``keep`` marking each string's bytes."""
+    start, j = table.offsets[codes], np.arange(len(out))[:, None]
+    keep[:] = j < table.offsets[codes + 1] - start
+    np.take(table.raw, start + j, out=out, mode="clip")
 
 
 def _spelled(parts):
     """The rows of ``parts`` spelled side by side, READ_CHUNK at a time (fewer if wide, keeping a
     block near ``READ_CHUNK << 7`` bytes; one empty block for none): per block, its bytes and
     the ``(width, rows)`` mask that kept them.  A part (constant bytes, an int column for
-    :func:`_digits` or a :func:`_utf8` table and codes for :func:`_gather`) fills its rows."""
+    :func:`_digits` or a :class:`Strings` table and codes for :func:`_gather`) fills its rows."""
     widths, n = [], 0  # the bytes the widest value of each part takes; the rows
     for p in parts:
         if isinstance(p, bytes):
             widths.append(len(p))
         elif isinstance(p, tuple):  # (table, codes)
-            widths.append(int(np.diff(p[0][1])[p[1]].max(initial=0)))
+            widths.append(int(np.diff(p[0].offsets)[p[1]].max(initial=0)))
             n = len(p[1])
         else:
             low, n = int(p.min(initial=0)), len(p)
@@ -547,24 +548,24 @@ def _spelled(parts):
         yield block.T[keep.T], keep
 
 
-def _spell(*groups):
-    """The :func:`_utf8` table of the strings that each group of :func:`_spelled` parts spells,
-    one per row, group after group."""
+def _spell(*groups) -> Strings:
+    """The strings that each group of :func:`_spelled` parts spells, one per row, group after
+    group."""
     raws, sizes = zip(*((raw, np.count_nonzero(keep, axis=0))
                         for parts in groups for raw, keep in _spelled(parts)))
-    return np.concatenate(raws), np.concatenate([[0], *sizes]).cumsum()
+    return Strings(np.concatenate(raws), np.concatenate([[0], *sizes]).cumsum())
 
 
 def write_csv(path, header, columns) -> bytes:
     """Write ``header``, then the rows of ``columns`` as ``csv.writer`` would; returns the
-    SHA-256 digest of the bytes written.  A column is an int array, or a pair of a
-    :func:`quoted` table and codes into it; :func:`_spelled` spells the rows, a comma between
-    columns and CR LF after them, block by block."""
+    SHA-256 digest of the bytes written.  A column is an int array, or a pair of a :class:`Strings`
+    table and codes into it, written :func:`quoted`; :func:`_spelled` spells the rows, a comma
+    between columns and CR LF after them, block by block."""
     sha = hashlib.sha256(head := (",".join(header) + "\r\n").encode())  # csv's line end
+    parts = [((quoted(col[0]), col[1]) if isinstance(col, tuple) else col, b",") for col in columns]
     with open(path, "wb") as fh:
         fh.write(head)
-        for data, _ in _spelled([*chain.from_iterable((col, b",") for col in columns)][:-1]
-                                + [b"\r\n"]):
+        for data, _ in _spelled([*chain.from_iterable(parts)][:-1] + [b"\r\n"]):
             fh.write(data)
             sha.update(data)
     return sha.digest()
@@ -573,19 +574,9 @@ def write_csv(path, header, columns) -> bytes:
 def write_trace(trace: Trace, path) -> bytes:
     """Write the trace as a single CSV in ``seq`` order; returns the SHA-256 digest of its bytes."""
     s = trace.stream
-    strings = [(quoted(s.tables[f]), getattr(s, f)) for f in ("user", "service", "head")]
+    strings = [(s.tables[f], getattr(s, f)) for f in ("user", "service", "head")]
     return write_csv(path, TRACE_HEADER, [s.timestamp, *strings, s.instance_ts, s.response,
-                                          (quoted(trace.labels), trace.truth), trace.partition])
-
-
-def _utf8(table):
-    """The strings of ``table`` as UTF-8 bytes back to back, and the offsets around each."""
-    if isinstance(table, Strings):  # held so already
-        return table.table
-    joined = "".join(table)
-    sizes = map(len, table if joined.isascii() else map(str.encode, table))  # bytes per string
-    offsets = np.cumsum(np.fromiter(chain([0], sizes), np.int64, len(table) + 1))
-    return np.frombuffer(joined.encode(), "u1"), offsets
+                                          (trace.labels, trace.truth), trace.partition])
 
 
 def save_columns(path, csv_sha: bytes, arrays, layout) -> str:
@@ -635,8 +626,8 @@ def write_columns(trace: Trace, path, csv_sha: bytes) -> str:
     for col, table in zip((s.user, s.service, s.head, trace.truth),
                           (s.tables["user"], s.tables["service"], s.tables["head"], trace.labels)):
         first, code = first_seen_codes(col, len(table))
-        raw, offsets = _spell([(_utf8(table), col[first])])  # the strings the column holds
-        coded.append((offsets, code, raw))
+        held = _spell([(table, col[first])])  # the strings the column holds
+        coded.append((held.offsets, code, held.raw))
     return save_columns(path, csv_sha, chain([s.timestamp, s.instance_ts, s.response,
                                               trace.partition], *zip(*coded)), _LAYOUT)
 

@@ -83,8 +83,6 @@ def test_estimate_params_defaults(capsys, tmp_path):
     assert manifest["command"] == "estimate-params"
     assert manifest["config"]["alpha"] == 0.90
     assert manifest["outputs"]["params"].endswith("params.json")
-    # each search bisects 1..upper after the call at upper: 10,000 and 86,400
-    assert manifest["cdf_calls"] == {"capacity": 14, "timeout": 17}
 
 
 def test_gen_trace_artifacts(tiny_trace):
@@ -377,6 +375,20 @@ def test_compare_structure(capsys, tiny_trace, tmp_path):
         assert set(row["completeness"]) == {"gamma_1", "gamma_0.85"}
         assert row["occupancy_max"] >= row["occupancy_avg"]
     assert "swa_13_22" in out
+
+
+@pytest.mark.parametrize("gamma,summary", [("0.5", "complete(0.5)="), ("", "swa_13_22: capture=")],
+                         ids=["no-gamma-1", "none"])
+def test_compare_summary_shows_the_first_gamma_listed(capsys, tiny_trace, tmp_path, gamma,
+                                                       summary):
+    code, out, err = run(capsys, "compare", "--trace", str(tiny_trace), "--out", str(tmp_path),
+                         "--sliding", "40", "--gamma", gamma)
+    assert code == 0 and err == ""
+    assert summary in out and ("complete(" in out) == bool(gamma)
+    doc = json.loads((tmp_path / "compare.json").read_text())
+    want = {f"gamma_{gamma}"} if gamma else set()
+    assert [set(row["completeness"]) for row in doc["runs"]] == [want, want]
+    assert json.loads((tmp_path / "compare_manifest.json").read_text())["command"] == "compare"
 
 
 # digests of a seed-7 toy run over three partitions: any byte drift in the
@@ -724,7 +736,10 @@ def test_fit_dist_without_iterations_exits_two(capsys, tmp_path, branches):
     (["--max-phases", "0"], "max_phases 0 is outside"),
     (["--branches", "1", "--max-phases", str(MAX_PHASES + 1)], "(MAX_PHASES)"),
     (["--max-iter", "0"], "max_iter must be >= 1"),
-], ids=["branches", "max-phases-0", "max-phases-past-cap", "max-iter"])
+    # a tolerance no step can meet: the EM would run every iteration of every run
+    (["--tol", "nan"], "tol must be >= 0, got nan"),
+    (["--tol", "-1"], "tol must be >= 0, got -1.0"),
+], ids=["branches", "max-phases-0", "max-phases-past-cap", "max-iter", "tol-nan", "tol-negative"])
 def test_refused_fit_never_reads_the_trace(capsys, tmp_path, monkeypatch, argv, named):
     def no_read(*args):
         raise AssertionError("the trace was read for a fit that cannot run")
@@ -876,13 +891,18 @@ def test_bad_gamma_exits_two_before_reading(capsys, tmp_path, monkeypatch, argv)
     (["run-pipeline", "--trace", "TRACE", "--config", "BAD"], "field 'capacity'"),
     (["evaluate", "--trace", "TRACE", "--emitted", "MISSING"], "sidecar"),
     (["compare", "--trace", "MISSING"], "missing"),
+    # the exact chain needs a phase-type law; the simulator alone draws a zero-variance service
+    (["predict", "--model", "ZERO_SCV"], "zero-variance law is not phase-type"),
 ], ids=["predict", "simulate-queue", "fit-dist", "estimate-params", "span-dist", "run-pipeline",
-        "config", "evaluate", "compare"])
+        "config", "evaluate", "compare", "predict-zero-scv"])
 def test_refused_request_leaves_no_out_dir(capsys, tiny_trace, tmp_path, argv, named):
     # --out is made just before the first artifact is written, after every input is checked
     bad = tmp_path / "bad.json"
     bad.write_text('{"type": "erlang", "lambda": 1.0, "k": 1.5, "aggregate": {"capacity": 1.5}}')
-    files = {"BAD": bad, "TRACE": tiny_trace, "MISSING": tmp_path / "missing"}
+    zero_scv = tmp_path / "zero_scv.json"
+    zero_scv.write_text('{"arrival": {"type": "erlang", "lambda": 1.0, "k": 1}, '
+                        '"service": {"mean": 0.8, "scv": 0}, "buffer": 10}')
+    files = {"BAD": bad, "ZERO_SCV": zero_scv, "TRACE": tiny_trace, "MISSING": tmp_path / "missing"}
     out = tmp_path / "out"
     code, _, err = run(capsys, *(str(files.get(a, a)) for a in argv), "--out", str(out))
     assert code == 2

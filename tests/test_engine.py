@@ -727,7 +727,7 @@ def test_emission_files_round_trip(emission_dir, arrivals, capacity, window, ste
 def test_response_columns_hold_what_the_csv_gives(values):
     (table, codes), got = engine._written(np.array(values, float))
     texts = ["%.6f" % v for v in values]
-    assert [trace_module.Strings(table)[c] for c in codes.tolist()] == texts
+    assert [table[c] for c in codes.tolist()] == texts
     want = np.array(list(map(float, texts)), float)
     assert got.tobytes() == want.tobytes()  # bit for bit, the sign of zero included
 

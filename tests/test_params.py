@@ -14,6 +14,7 @@ from swakit.distributions import (
 )
 from swakit.errors import ConfigError, NoSolutionError
 from swakit.params import WindowParams, estimate_capacity, estimate_timeout
+from swakit.trace import default_degree_dist, default_span_dist
 
 DEGREE_DIST = ErlangDist(8.7963, 100)
 SPAN_DIST = HyperErlangDist(
@@ -91,6 +92,14 @@ class CountingCdf:
     def cdf(self, x):
         self.calls += 1
         return self.dist.cdf(x)
+
+
+def test_default_searches_take_fixed_cdf_calls():
+    # estimate-params' defaults; each search bisects 1..upper after the call at upper:
+    # 10,000 and 86,400
+    degree, span = CountingCdf(default_degree_dist()), CountingCdf(default_span_dist())
+    assert (estimate_capacity(degree, 0.90), estimate_timeout(span, 0.05)) == (13, 22)
+    assert (degree.calls, span.calls) == (14, 17)
 
 
 def test_no_solution_raises():

@@ -395,6 +395,14 @@ def test_predict_routes_by_model_shape():
         predict(QueueModel(EXP(1.0), EXP(5.0), servers=2, buffer=10))
 
 
+@pytest.mark.parametrize("scv", [0.3, 0.5, 1.0, 4.0])
+def test_mean_scv_service_is_solved_as_its_two_moment_ph(scv):
+    # the exact chain solves ph_from_mean_scv's law (the simulator draws a gamma law instead)
+    got = predict(QueueModel(EXP(1.0), MeanScv(0.8, scv), buffer=10))
+    assert got.to_dict() == predict(QueueModel(EXP(1.0), ph_from_mean_scv(0.8, scv),
+                                               buffer=10)).to_dict()
+
+
 # ---------------------------------------------------------------------------
 # simulator
 # ---------------------------------------------------------------------------
