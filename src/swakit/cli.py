@@ -36,6 +36,7 @@ from .engine import (
     REASONS,
     PipelineConfig,
     Strategy,
+    key_ids,
     read_emissions,
     run_pipeline,
     write_emissions,
@@ -56,6 +57,7 @@ from .trace import (
     default_degree_dist,
     default_span_dist,
     generate_trace,
+    on_two_threads,
     read_trace,
     sorted_runs,
     write_columns,
@@ -81,6 +83,12 @@ def stage(stages: dict, name: str, items: int = 0):
     t0 = time.perf_counter()
     yield
     rec["wall_s"] += time.perf_counter() - t0
+
+
+def _timed(fn):
+    """``fn()`` and the seconds it took."""
+    t0 = time.perf_counter()
+    return fn(), time.perf_counter() - t0
 
 
 def _manifest(args, outputs: dict, t0: float, stages: dict, extra_config=None, **extra) -> None:
@@ -282,9 +290,10 @@ def cmd_evaluate(args, stages):
         raise ConfigError(
             f"member sidecar {members} not found; rerun run-pipeline without --no-members"
         )
-    with stage(stages, "read"):
-        emissions = read_emissions(emitted, members)
-        trace = read_trace(args.trace, ("truth_instance",))
+    with stage(stages, "read"):  # both at once; an error in the emissions is raised first
+        emissions, trace = on_two_threads(lambda read: read(), [
+            partial(read_emissions, emitted, members),
+            partial(read_trace, args.trace, ("truth_instance",))])
     stages["read"]["items"] = trace.n_tuples
     with stage(stages, "score", trace.n_tuples):
         report = evaluate(emissions, trace, gammas)
@@ -342,33 +351,30 @@ def cmd_compare(args, stages):
     with stage(stages, "read"):
         trace = read_trace(args.trace, (*_key_strings(strategy), "truth_instance"))
     stages["read"]["items"] = trace.n_tuples
+    # the caches the runs share, built at once before they start: the aggregates' key ids and
+    # the scores' truth table, each timed with its stage
+    warm = on_two_threads(_timed, [partial(key_ids, trace.stream, strategy),
+                                   lambda: trace.truth_table])
 
-    operators = []  # one per row of compare.json, in run order
-
-    def one_run(cfg, label):
-        with stage(stages, "aggregate", trace.n_tuples):
-            result = run_pipeline(trace, cfg)
-        operators.append({"label": label, **_operator(result)})
-        with stage(stages, "score", trace.n_tuples):
-            rep = evaluate(result.emissions, trace, gammas)
+    def one_run(run):  # its compare.json row and operator block, aggregate and score times
+        label, cfg = run
+        result, aggregate_s = _timed(partial(run_pipeline, trace, cfg))
+        rep, score_s = _timed(partial(evaluate, result.emissions, trace, gammas))
         stats = result.aggregate_stats
-        return {
-            "label": label,
-            "config": cfg.to_dict()["aggregate"],
-            "completeness": {f"gamma_{g:g}": rep.completeness[g] for g in gammas},
-            "capture_rate": rep.capture_rate,
-            "recall": rep.recall,
-            "correct_rate": rep.correct_rate,
-            "emissions": rep.emissions,
-            "occupancy_avg": stats.occupancy_avg,
-            "occupancy_max": stats.occupancy_max,
-            "storage_avg_mb": stats.storage_avg / 2**20,
-            "storage_max_mb": stats.storage_max / 2**20,
-            "residence_avg_s": stats.residence_avg_ms / 1000.0,
-        }
+        return {"label": label, "config": cfg.to_dict()["aggregate"],
+                "completeness": {f"gamma_{g:g}": rep.completeness[g] for g in gammas},
+                **{k: getattr(rep, k) for k in ("capture_rate", "recall", "correct_rate",
+                                                "emissions")},
+                "occupancy_avg": stats.occupancy_avg, "occupancy_max": stats.occupancy_max,
+                "storage_avg_mb": stats.storage_avg / 2**20,
+                "storage_max_mb": stats.storage_max / 2**20,
+                "residence_avg_s": stats.residence_avg_ms / 1000.0,
+                }, {"label": label, **_operator(result)}, (aggregate_s, score_s)
 
-    rows = [one_run(cfg, label) for label, cfg in runs]
-    doc = {"strategy": strategy.value, "runs": rows}
+    rows, operators, times = zip(*on_two_threads(one_run, runs))  # two runs at a time
+    for name, (_, warm_s), walls in zip(("aggregate", "score"), warm, zip(*times)):
+        stages[name] = {"wall_s": warm_s + sum(walls), "items": trace.n_tuples * len(runs)}
+    doc = {"strategy": strategy.value, "runs": list(rows)}
     with stage(stages, "write", trace.n_tuples):
         cmp_path = _out_dir(args) / "compare.json"
         write_json(cmp_path, doc)
@@ -379,7 +385,7 @@ def cmd_compare(args, stages):
             f"capture={r['capture_rate']:.4f} occ_avg={r['occupancy_avg']:.1f} "
             f"storage_avg={r['storage_avg_mb']:.3f}MB"
         )
-    return {"report": cmp_path}, {"operators": operators}
+    return {"report": cmp_path}, {"operators": list(operators)}
 
 
 # ---------------------------------------------------------------------------

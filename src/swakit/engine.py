@@ -37,8 +37,8 @@ import numpy as np
 from .distributions import json_value
 from .errors import ConfigError
 from .params import WindowParams
-from .trace import (Stream, Strings, Trace, _codes, _spell, csv_blocks, load_columns, replay,
-                    save_columns, sorted_runs, write_csv)
+from .trace import (Stream, Strings, Trace, _codes, _spell, csv_blocks, load_columns,
+                    on_two_threads, replay, save_columns, sorted_runs, write_csv)
 
 __all__ = [
     "Strategy",
@@ -59,7 +59,7 @@ __all__ = [
 
 SWEEP_MS = 100
 _INT64_MAX = (1 << 63) - 1
-_SLIDING_RUN = 1 << 20  # member slots per sliding group-by
+_SLIDING_RUN = 1 << 16  # member slots per sliding group-by, two of which may run at once
 
 EMITTED_HEADER = ["key", "k", "close_reason", "closed_at_ms", "avg_response_ms", "span_ms"]
 MEMBERS_HEADER = ["emission", "seq"]
@@ -229,19 +229,24 @@ class Emissions:
 
 def write_emissions(emissions: Emissions, path, members_path=None) -> list:
     """Write the emitted-instance CSV (plus the member sidecar, if the members were kept), each
-    with a column file of what :func:`read_emissions` parses from it; returns their paths."""
+    with a column file of what :func:`read_emissions` parses from it, one file on a helper
+    thread (:func:`~swakit.trace.on_two_threads`); returns their paths."""
     e = emissions
-    keys = _spell([(e.keys, e.key)])  # each row's key
-    reason = np.arange(len(REASONS), dtype=np.int8)[e.reason]  # as the CSV names them
-    avg, read = _written(e.response_avg)  # as written, and as a read of the CSV gives them
-    written = [save_columns(path, write_csv(path, EMITTED_HEADER, [
-        (e.keys, e.key), e.count, (REASONS, reason), e.closed_at, avg, e.span_ms]),
-        [e.count, reason, e.closed_at, read, e.span_ms, keys.offsets, keys.raw], _EMITTED_LAYOUT)]
-    if members_path is not None:
+
+    def emitted():
+        keys = _spell([(e.keys, e.key)])  # each row's key
+        reason = np.arange(len(REASONS), dtype=np.int8)[e.reason]  # as the CSV names them
+        avg, read = _written(e.response_avg)  # as written, and as a read of the CSV gives them
+        sha = write_csv(path, EMITTED_HEADER, [(e.keys, e.key), e.count, (REASONS, reason),
+                                               e.closed_at, avg, e.span_ms])
+        return save_columns(path, sha, [e.count, reason, e.closed_at, read, e.span_ms,
+                                        keys.offsets, keys.raw], _EMITTED_LAYOUT)
+
+    def members():
         cols = [e.owner, e.seqs]
-        sha = write_csv(members_path, MEMBERS_HEADER, cols)
-        written.append(save_columns(members_path, sha, cols, _MEMBERS_LAYOUT))
-    return written
+        return save_columns(members_path, write_csv(members_path, MEMBERS_HEADER, cols), cols,
+                            _MEMBERS_LAYOUT)
+    return on_two_threads(lambda write: write(), [emitted] + [members] * (members_path is not None))
 
 
 def _written(x: np.ndarray):
@@ -450,12 +455,12 @@ def aggregate_sliding(
     _check_window(window, step)
     ids = key_ids(stream, strategy)[0]
     n = len(ids)
-    # the buffer holds i tuples at arrival i until it first fills, then
-    # drops to window - step at every close
-    occ = np.arange(n)
-    occ[window:] = window - step + (occ[window:] - window) % step
+    # the buffer holds i tuples at arrival i until it first fills, then window - step plus j % step
+    # at arrival window + j: summed in closed form, and never more than window - 1
+    m, (q, r) = min(n, window), divmod(n - min(n, window), step)
     stats = OperatorStats("aggregate_sliding", slot_bytes=tuple_size, tuples_in=n,
-                          occupancy_sum=int(occ.sum()), occupancy_max=int(occ.max(initial=0)))
+                          occupancy_sum=(m * (m - 1) + q * step * (step - 1) + r * (r - 1)) // 2
+                          + (n - m) * (window - step), occupancy_max=max(m - 1, 0))
     full = (n - window) // step + 1 if n >= window else 0
     starts = list(range(0, full * step, step)) + ([full * step] if full * step < n else [])
     runs, residence = [], []

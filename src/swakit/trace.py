@@ -34,6 +34,7 @@ import hashlib
 import io
 import math
 import re
+import threading
 import warnings
 from collections import defaultdict
 from collections.abc import Sequence
@@ -69,6 +70,7 @@ __all__ = [
     "read_trace",
     "replay",
     "sorted_runs",
+    "on_two_threads",
     "default_degree_dist",
     "default_span_dist",
     "default_arrival_dist",
@@ -92,6 +94,8 @@ COLUMNS_TAG = b"swakit.columns.2"  # 16 bytes, so every record after it starts 8
 # the column file's arrays: the int columns in header order, then offsets, codes and UTF-8 bytes
 # per string column
 _LAYOUT = [("<i8", True)] * 4 + [("<i8", False)] * 4 + [("<i4", True)] * 4 + [("|u1", False)] * 4
+_HELPER = threading.Lock()  # held while a helper thread runs: a nested call gets none
+_WARNINGS = threading.Lock()  # held while csv_blocks sets its warnings filter
 MAX_TRACE_BYTES = 1 << 32  # memory a catalog or a trace may plan to take
 _PACKED_BITS = 63  # a packed sort key stays below 2^63
 _QUOTE = ',"\r\n'  # csv.writer quotes a field holding one of these
@@ -432,13 +436,21 @@ def _order_fault(ts, part, latest):
     negative partition, or else a timestamp before its partition's latest one; None if none is.
     ``latest`` maps each partition to its latest timestamp before the run, and takes the run's;
     None stands for rows known to be in merged order with none before: each partition goes on."""
-    prev = ts  # each row's partition's latest timestamp before it, or its own
-    if latest is not None:
+    prev, n = ts, len(ts)  # each row's partition's latest timestamp before it, or its own
+    if latest is not None and (_out_of_order(ts, part)
+                               or not 0 <= part.min(initial=0) <= part.max(initial=0) < n):
         order, start = sorted_runs([part])  # the rows grouped by partition, each group in order
         keys, t, prev = part[order[start]].tolist(), ts[order], np.empty_like(ts)
         prev[order[1:]] = t[:-1]
         prev[order[start]] = [latest.get(k, v) for k, v in zip(keys, t[start].tolist())]
         latest.update(zip(keys, np.maximum.reduceat(t, start).tolist()))
+    elif latest is not None:  # in merged order only a partition's first row can go back in time
+        first, last, prev = np.full(n, n), np.full(n, -1), ts.copy()
+        np.minimum.at(first, part, np.arange(n))
+        np.maximum.at(last, part, np.arange(n))
+        first, last = first[first < n], last[last >= 0]
+        prev[first] = [latest.get(k, v) for k, v in zip(part[first].tolist(), ts[first].tolist())]
+        latest.update(zip(part[last].tolist(), ts[last].tolist()))
     for i in np.flatnonzero((part < 0) | (ts < prev))[:1].tolist():  # the first, if any
         why = f"timestamp {ts[i]} precedes {prev[i]} in" if part[i] >= 0 else "negative"
         return i, f"{why} partition {part[i]}"
@@ -600,7 +612,8 @@ def load_columns(path, layout, wanted=None):
     """The arrays :func:`save_columns` wrote for the CSV ``path``, read-only views into one read,
     None for each record not ``wanted`` (indices; all by default): that is neither hashed nor
     checked.  None unless the tag, the CSV's digest and each wanted record's match, and the
-    ``(dtype, per_row)`` pairs of ``layout`` give each wanted array's dtype and length."""
+    ``(dtype, per_row)`` pairs of ``layout`` give each wanted array's dtype and length.  The CSV
+    is opened only after the column file is read, and hashed beside the records."""
     wanted = range(len(layout)) if wanted is None else wanted
     try:
         buf = Path(f"{path}.columns").read_bytes()
@@ -608,10 +621,9 @@ def load_columns(path, layout, wanted=None):
         kept = [(i, a, begin, end) for i, (a, begin, end) in enumerate(records) if i in wanted]
         if (tag.tobytes() != COLUMNS_TAG or not len(layout) == len(records) == sha.size / 32 - 1
                 or len({len(a) for i, a, *_ in kept if layout[i][1]}) > 1
-                or any(a.dtype.str != layout[i][0] or sha[32 * i + 32:][:32].tobytes()
-                       != hashlib.sha256(memoryview(buf)[begin:end]).digest()
-                       for i, a, begin, end in kept)
-                or sha[:32].tobytes() != _sha256(path)):
+                or any(a.dtype.str != layout[i][0] for i, a, *_ in kept)
+                or on_two_threads(_sha256, [path, *(memoryview(buf)[b:e] for *_, b, e in kept)])
+                != [sha[32 * i:][:32].tobytes() for i in [0, *(i + 1 for i, *_ in kept)]]):
             return None
     except (OSError, ValueError):
         return None
@@ -660,7 +672,7 @@ def csv_blocks(path, dtype, skip=(), error=ConfigError, latest=None):
                 if (dtype.hasobject and '"' in text or not text.isascii() and _NOT_UTF8(text)
                         or text.count(",") != (len(dtype) - 1) * len(lines)):
                     raise ValueError
-                with warnings.catch_warnings():
+                with _WARNINGS, warnings.catch_warnings():  # process-wide: one thread at a time
                     warnings.simplefilter("error", DeprecationWarning)
                     rows = np.loadtxt(lines, parsed, delimiter=",", comments=None, ndmin=1,
                                       usecols=list(map(dtype.names.index, parsed.names)))
@@ -719,13 +731,48 @@ def _records(buf):
         yield array, begin, (end := begin + len(header) + array.nbytes)
 
 
-def _sha256(path) -> bytes:
-    """The SHA-256 digest of the file ``path``, read 1 MiB at a time into one buffer."""
+def _sha256(source) -> bytes:
+    """The SHA-256 digest of the buffer ``source``, or of the file at the path ``source``, read
+    1 MiB at a time into one buffer."""
+    if isinstance(source, memoryview):
+        return hashlib.sha256(source).digest()
     sha, chunk = hashlib.sha256(), bytearray(1 << 20)
-    with open(path, "rb") as fh:
+    with open(source, "rb") as fh:
         while n := fh.readinto(chunk):
             sha.update(memoryview(chunk)[:n])
     return sha.digest()
+
+
+def on_two_threads(fn, items) -> list:
+    """``[fn(x) for x in items]``, each item taken in turn by this thread or one helper thread
+    (numpy and hashlib release the GIL on large buffers): the results in item order, or the
+    failure of the lowest index once both are done; no item starts after a failure is seen."""
+    items, failed, lock = list(items), {}, threading.Lock()
+    results, todo = [None] * len(items), iter(range(len(items)))
+
+    def work():
+        while True:
+            with lock:  # the next item, unless one has failed
+                if failed or (i := next(todo, None)) is None:
+                    return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:
+                failed[i] = exc
+
+    if not _HELPER.acquire(blocking=False):  # the one helper is busy: a nested call runs alone
+        return [fn(x) for x in items]
+    try:
+        (helper := threading.Thread(target=work)).start()
+        try:
+            work()
+        finally:
+            helper.join()
+    finally:
+        _HELPER.release()
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def read_trace(path, strings=STRINGS) -> Trace:

@@ -7,6 +7,7 @@ one execution each.
 import csv
 import hashlib
 import io
+import threading
 from collections import namedtuple
 from pathlib import Path
 
@@ -31,6 +32,16 @@ from swakit.trace import (
 settings.register_profile("derandomized", derandomize=True, database=None, deadline=None,
                           max_examples=300)
 settings.load_profile("derandomized")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread running: every helper thread is joined before its call
+    returns."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"
 
 
 Emission = namedtuple("Emission", "key count close_reason closed_at response_avg span_ms member_seqs")

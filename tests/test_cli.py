@@ -28,6 +28,7 @@ from swakit.engine import (
     write_emissions,
 )
 from swakit.errors import ConfigError
+from swakit.metrics import evaluate
 from swakit.trace import Trace, first_seen_codes, read_trace, write_trace
 
 from conftest import revouch, write_partition_by_partition
@@ -178,6 +179,24 @@ def test_corrupt_emissions_exit_two(capsys, tiny_trace, tmp_path, name, line, va
         "--trace", str(tiny_trace), "--out", str(tmp_path))
     assert code == 2
     assert name in err and expect in err
+
+
+def test_evaluate_names_the_emissions_before_the_trace(capsys, tiny_trace, tmp_path):
+    # both are read at once, from their CSVs: a bad trace row alone is reported, and with a bad
+    # emitted.csv row as well, the emissions' row is
+    assert run(capsys, "run-pipeline", "--trace", str(tiny_trace), "--out", str(tmp_path))[0] == 0
+    emitted, trace = tmp_path / "emitted.csv", tmp_path / "trace.csv"
+    for path, source, field in ((trace, tiny_trace, 0), (emitted, emitted, 1)):  # int fields
+        lines = source.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[field] = "x" + fields[field]  # in data row 3
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        Path(f"{path}.columns").unlink(missing_ok=True)
+        code, _, err = run(capsys, "evaluate", "--emitted", str(emitted), "--trace", str(trace),
+                           "--out", str(tmp_path))
+        assert code == 2
+        assert f"{path}: row 3: invalid literal" in err
 
 
 @pytest.mark.parametrize("command", ["run-pipeline", "evaluate", "compare", "fit-dist"])
@@ -375,6 +394,30 @@ def test_compare_structure(capsys, tiny_trace, tmp_path):
         assert set(row["completeness"]) == {"gamma_1", "gamma_0.85"}
         assert row["occupancy_max"] >= row["occupancy_avg"]
     assert "swa_13_22" in out
+
+
+def test_compare_rows_are_those_of_one_run_after_another(capsys, tiny_trace, tmp_path):
+    # the runs share the trace on two threads; each row is what a run of its own gives
+    code, _, _ = run(capsys, "compare", "--trace", str(tiny_trace), "--out", str(tmp_path),
+                     "--sliding", "40,120,400", "--gamma", "1,0.75")
+    assert code == 0
+    trace, rows = read_trace(tiny_trace), []
+    tumbling = [(f"sliding_{w}", PipelineConfig(kind="sliding", window=w, step=w))
+                for w in (40, 120, 400)]
+    for label, cfg in [("swa_13_22", PipelineConfig()), *tumbling]:
+        result = run_pipeline(trace, cfg)
+        rep, stats = evaluate(result.emissions, trace, (1.0, 0.75)), result.aggregate_stats
+        rows.append({"label": label, "config": cfg.to_dict()["aggregate"],
+                     "completeness": {"gamma_1": rep.completeness[1.0],
+                                      "gamma_0.75": rep.completeness[0.75]},
+                     "capture_rate": rep.capture_rate, "recall": rep.recall,
+                     "correct_rate": rep.correct_rate, "emissions": rep.emissions,
+                     "occupancy_avg": stats.occupancy_avg, "occupancy_max": stats.occupancy_max,
+                     "storage_avg_mb": stats.storage_avg / 2**20,
+                     "storage_max_mb": stats.storage_max / 2**20,
+                     "residence_avg_s": stats.residence_avg_ms / 1000.0})
+    assert json.loads((tmp_path / "compare.json").read_text()) == {"strategy": "head_ts_ip",
+                                                                   "runs": rows}
 
 
 @pytest.mark.parametrize("gamma,summary", [("0.5", "complete(0.5)="), ("", "swa_13_22: capture=")],

@@ -477,6 +477,18 @@ def test_sliding_occupancy_and_storage_totals():
     assert stats.storage_max == 3 * 135
 
 
+@given(hs.integers(0, 300), hs.integers(1, 60), hs.integers(1, 60))
+@example(5, 20, 7)  # fewer tuples than the window
+@example(100, 8, 8)  # tumbling
+def test_sliding_occupancy_in_closed_form(n, window, step):
+    window, step = max(window, step), min(window, step)
+    _, stats = aggregate_sliding(feed(*[(i, "A", "u") for i in range(n)]), window, step,
+                                 Strategy.HEAD)
+    occ = np.arange(n)  # i tuples at arrival i, then window - step plus j % step at window + j
+    occ[window:] = window - step + (occ[window:] - window) % step
+    assert (stats.occupancy_sum, stats.occupancy_max) == (int(occ.sum()), int(occ.max(initial=0)))
+
+
 def test_sliding_window_of_one():
     tuples = feed((0, "A", "u"), (1, "A", "u"), (2, "B", "u"))
     ems, _ = aggregate_sliding(tuples, window=1, step=1, strategy=Strategy.HEAD)

@@ -6,6 +6,9 @@ import io
 import json
 import re
 import shutil
+import sys
+import threading
+import time
 import tracemalloc
 from contextlib import contextmanager
 from itertools import combinations
@@ -32,6 +35,7 @@ from swakit.trace import (
     default_degree_dist,
     default_span_dist,
     generate_trace,
+    on_two_threads,
     read_trace,
     replay,
     write_columns,
@@ -622,6 +626,8 @@ def respelled_shape(path):
 # revouch's arrays here: int columns, offsets, codes, then tables, four each
 REFUSED = {
     "csv-edit-valid": edit_csv(b"9"),
+    # the last data row's partition, now 9: the CSV's digest, hashed beside the records, refuses
+    "csv-edit-last-row": lambda path: path.write_bytes(path.read_bytes()[:-3] + b"9\r\n"),
     "csv-edit-malformed": edit_csv(b"x"),
     "truncated": edit_columns(lambda data: data[:len(data) // 2]),
     "flipped-payload-byte": edit_columns(lambda data: data[:-5] + bytes([data[-5] ^ 1]) + data[-4:]),
@@ -1003,3 +1009,99 @@ def test_default_distributions_are_consistent():
     arrival = default_arrival_dist()
     assert arrival.is_valid_generator()
     assert arrival.mean() == pytest.approx(9.778, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the helper thread
+# ---------------------------------------------------------------------------
+
+
+def test_two_threads_keep_item_order():
+    # item 0 waits until item 1 has started, so each thread runs at least one item
+    started, ran = threading.Event(), {}
+
+    def double(x):
+        if x == 0:
+            assert started.wait(10)
+        elif x == 1:
+            started.set()
+        ran[x] = threading.get_ident()
+        return 2 * x
+    assert on_two_threads(double, range(9)) == [2 * x for x in range(9)]
+    assert ran[0] != ran[1] and set(ran) == set(range(9))
+
+
+def test_two_threads_raise_the_failure_of_the_lowest_index():
+    # item 1 fails at once, item 0 only after that, on the other thread
+    failed = threading.Event()
+
+    def fail(x):
+        if x == 1:
+            failed.set()
+            raise KeyError("item 1")
+        assert failed.wait(10)
+        raise ValueError("item 0")
+    with pytest.raises(ValueError, match="item 0"):
+        on_two_threads(fail, [0, 1])
+
+
+def test_two_threads_start_no_item_after_a_failure():
+    started, failed = [], threading.Event()
+
+    def fail(x):
+        started.append(x)
+        if x == 1:
+            failed.set()
+            raise ValueError("item 1")
+        if x == 0:  # the failure is seen by the time item 0 ends
+            assert failed.wait(10)
+            time.sleep(0.2)
+    with pytest.raises(ValueError, match="item 1"):
+        on_two_threads(fail, range(8))
+    assert sorted(started) == [0, 1]
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_two_threads_leave_no_thread_running(fail):
+    before = threading.active_count()
+
+    def work(x):
+        if fail and x == 2:
+            raise ValueError("item 2")
+        # a call made inside another gets no second helper: at most one runs beside the caller
+        inner = on_two_threads(lambda y: threading.active_count(), range(3))
+        assert max(inner) <= before + 1
+        return x
+    if fail:
+        with pytest.raises(ValueError):
+            on_two_threads(work, range(4))
+    else:
+        assert on_two_threads(work, range(4)) == list(range(4))
+    assert threading.active_count() == before
+
+
+def test_two_threads_under_callers_on_more_threads_than_cores():
+    # four callers at once, the interpreter switching threads every microsecond: one gets the
+    # helper, the others run alone, and every item runs once, its result in its place
+    calls, lock, got = [], threading.Lock(), {}
+
+    def square(x):
+        with lock:
+            calls.append(x)
+        return x * x
+
+    def caller(k):
+        got[k] = on_two_threads(square, range(k * 1000, (k + 1) * 1000))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert sorted(calls) == list(range(4000))
+    assert got == {k: [x * x for x in range(k * 1000, (k + 1) * 1000)] for k in range(4)}
