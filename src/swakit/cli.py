@@ -2,9 +2,10 @@
 
 Every subcommand reads plain files, writes its artifacts into ``--out``,
 and drops a ``<command>_manifest.json`` beside them recording the exact
-configuration, seed, artifact paths, tool version, and wall time.  All
-randomness flows from ``--seed``: two runs with the same inputs and seed
-produce byte-identical artifacts (the manifest differs only in wall time).
+configuration, seed, artifact paths, tool version, wall time and the minor
+page faults the command took.  All randomness flows from ``--seed``: two runs
+with the same inputs and seed produce byte-identical artifacts (the manifest
+differs only in times and page faults).
 
 Exit codes: 0 success, 1 usage error, 2 configuration/input error or a
 request that ran out of memory (``MemoryError``), 3 numerical failure.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -483,9 +485,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     t0 = time.monotonic()
     stages: dict = {}
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:
         outputs, extra = args.func(args, stages)
-        _manifest(args, outputs, t0, stages, **extra)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        _manifest(args, outputs, t0, stages, minor_faults=faults, **extra)
         return 0
     except (NumericalError, StateSpaceError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -435,40 +435,35 @@ def validate_generator(dist: PhaseTypeDist, policy: str = "strict"):
     return repaired, repairs
 
 
-def ph_from_mean_scv(mean: float, scv: float) -> PhaseTypeDist:
-    """Two-moment phase-type fit: hyperexponential above SCV 1, Erlang mixture below.
+def ph_from_mean_scv(mean: float, scv: float) -> ErlangDist | HyperErlangDist:
+    """Two-moment law: a balanced-means two-phase hyperexponential above SCV 1, an exponential
+    at 1, and below it the mixture of Erlang(k) and Erlang(k+1) with a common rate, which
+    matches mean and SCV exactly whenever 1/(k+1) <= scv <= 1/k.
 
-    For scv <= 1 this uses the classic mixture of Erlang(k) and Erlang(k+1)
-    with a common rate, which matches mean and SCV exactly whenever
-    1/(k+1) <= scv.  For scv > 1 it uses the balanced-means two-phase
-    hyperexponential.
+    The law is an :class:`ErlangDist` where the mixture has one branch and a
+    :class:`HyperErlangDist` otherwise; its ``as_phase_type()`` is the phase-type law.
+    Beyond SCV 1e-9 and 1e9 the weights would keep too few digits, so those are refused.
     """
     if mean <= 0:
         raise DistributionError("mean must be positive")
-    if scv <= 0:
-        raise DistributionError("scv must be positive (use a point mass for zero variance)")
+    if not 1e-9 <= scv <= 1e9:
+        raise DistributionError(f"scv must lie in [1e-9, 1e9] (a point mass has 0), got {scv:g}")
     if abs(scv - 1.0) < 1e-12:
-        return PhaseTypeDist([1.0], [[-1.0 / mean]])
+        return ErlangDist(1.0 / mean, 1)
     if scv > 1.0:
         p = 0.5 * (1.0 + math.sqrt((scv - 1.0) / (scv + 1.0)))
-        l1 = 2.0 * p / mean
-        l2 = 2.0 * (1.0 - p) / mean
-        return PhaseTypeDist([p, 1.0 - p], [[-l1, 0.0], [0.0, -l2]])
+        return HyperErlangDist([ErlangBranch(p, 2.0 * p / mean, 1),
+                                ErlangBranch(1.0 - p, 2.0 * (1.0 - p) / mean, 1)])
     k = int(math.floor(1.0 / scv))
     # guard against floating point putting us just outside [1/(k+1), 1/k]
     if 1.0 / k < scv:
         k -= 1
     kk = k + 1  # order of the larger branch; the weight formula is stated in it
-    p = (kk * scv - math.sqrt(kk * (1.0 + scv) - kk * kk * scv)) / (1.0 + scv)
+    # the root's argument is 0 at scv = 1/k, where rounding can take it just below
+    p = (kk * scv - math.sqrt(max(kk * (1.0 + scv) - kk * kk * scv, 0.0))) / (1.0 + scv)
     lam = (kk - p) / mean
-    mix = []
-    if p > 1e-14:
-        mix.append(ErlangBranch(p, lam, k))
-    if 1.0 - p > 1e-14:
-        mix.append(ErlangBranch(1.0 - p, lam, k + 1))
-    if len(mix) == 1:
-        mix = [ErlangBranch(1.0, lam, mix[0].phases)]
-    return HyperErlangDist(mix).as_phase_type()
+    mix = [ErlangBranch(w, lam, j) for w, j in ((p, k), (1.0 - p, kk)) if w > 1e-14]
+    return HyperErlangDist(mix) if len(mix) == 2 else ErlangDist(lam, mix[0].phases)
 
 
 # ---------------------------------------------------------------------------

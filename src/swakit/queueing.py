@@ -112,18 +112,37 @@ def storage_estimate(servers: int, capacity: int, tuple_size: int) -> int:
 
 @dataclass(frozen=True)
 class MeanScv:
-    """Service law known only through mean and squared coefficient of variation: the exact
-    chains solve :func:`~swakit.distributions.ph_from_mean_scv`'s law (refusing SCV 0), while
-    :func:`des_simulate` draws a gamma law with the same two moments; they agree at SCV 1/k."""
+    """Service law that a model document gives by its mean and squared coefficient of
+    variation alone.  It is one law for every solver, ``law``: a point mass at SCV 0, else
+    :func:`~swakit.distributions.ph_from_mean_scv`'s Erlang or hyper-Erlang.  The exact chains
+    solve its phase-type form (refusing the point mass), :func:`des_simulate` draws from it,
+    and the delay approximations take the given mean and SCV without building it."""
 
-    mean: float
-    scv: float
+    given_mean: float
+    given_scv: float
 
     def __post_init__(self):
-        if self.mean <= 0:
+        if self.given_mean <= 0:
             raise ConfigError("mean must be positive")
-        if self.scv < 0:
+        if self.given_scv < 0:
             raise ConfigError("scv must be non-negative")
+
+    @property
+    def law(self):
+        return (PointMassDist(self.given_mean) if self.given_scv == 0
+                else ph_from_mean_scv(self.given_mean, self.given_scv))
+
+    def mean(self) -> float:
+        return self.given_mean
+
+    def scv(self) -> float:
+        return self.given_scv
+
+    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return self.law.sample(n, rng)
+
+    def as_phase_type(self) -> PhaseTypeDist:
+        return self.law.as_phase_type()
 
 
 @dataclass
@@ -163,7 +182,7 @@ class QueueModel:
 
 def model_to_dict(model: QueueModel) -> dict:
     svc = (
-        {"mean": model.service.mean, "scv": model.service.scv}
+        {"mean": model.service.mean(), "scv": model.service.scv()}
         if isinstance(model.service, MeanScv)
         else dist_to_dict(model.service)
     )
@@ -226,12 +245,6 @@ class PerfIndicators:
         return out
 
 
-def _service_mean_scv(service) -> Tuple[float, float]:
-    if isinstance(service, MeanScv):
-        return service.mean, service.scv
-    return service.mean(), service.scv()
-
-
 def _as_ph(dist, what: str) -> PhaseTypeDist:
     if isinstance(dist, PhaseTypeDist):
         if not dist.is_valid_generator():
@@ -239,15 +252,10 @@ def _as_ph(dist, what: str) -> PhaseTypeDist:
                 f"{what} generator is structurally invalid; run validate_generator first"
             )
         return dist
-    if isinstance(dist, MeanScv):
-        if dist.scv == 0:
-            raise ConfigError(f"{what}: zero-variance law is not phase-type; use a small scv")
-        return ph_from_mean_scv(dist.mean, dist.scv)
-    if isinstance(dist, PointMassDist):
-        raise ConfigError(f"{what}: point mass is not phase-type; the exact solver cannot use it")
-    if hasattr(dist, "as_phase_type"):
-        return dist.as_phase_type()
-    raise ConfigError(f"{what}: cannot interpret {type(dist).__name__} as phase-type")
+    if dist.scv() == 0:
+        raise ConfigError(f"{what}: zero-variance law is not phase-type; the exact solver "
+                          "cannot use it")
+    return dist.as_phase_type()
 
 
 def _arrival_ph(model: QueueModel) -> PhaseTypeDist:
@@ -466,7 +474,7 @@ def predict(model: QueueModel) -> PerfIndicators:
     ``ample`` means infinite servers.
     """
     lam = 1.0 / model.arrival.mean()
-    smean, sscv = _service_mean_scv(model.service)
+    smean, sscv = model.service.mean(), model.service.scv()
     if model.servers == "ample":
         return solve_infinite_servers(lam, smean)
     if model.servers == 1:
@@ -487,16 +495,6 @@ def predict(model: QueueModel) -> PerfIndicators:
 # ---------------------------------------------------------------------------
 # discrete-event simulation oracle
 # ---------------------------------------------------------------------------
-
-
-def _draw_times(dist, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw positive durations from a distribution object or a MeanScv spec."""
-    if isinstance(dist, MeanScv):
-        if dist.scv == 0:
-            return np.full(count, dist.mean)
-        shape = 1.0 / dist.scv
-        return rng.gamma(shape=shape, scale=dist.mean / shape, size=count)
-    return np.asarray(dist.sample(count, rng), dtype=float)
 
 
 _BLOCK = 8192  # arrivals per merge-and-fold block, and per float conversion in the loop
@@ -622,11 +620,11 @@ def des_simulate(
     timer = timer or (lambda name, items=0: nullcontext())
     with timer("draw", arrivals):
         rng = np.random.default_rng(seed)
-        gaps = _draw_times(model.arrival, arrivals, rng)
+        gaps = model.arrival.sample(arrivals, rng)
         if np.any(gaps < 0):
             raise ConfigError("arrival law produced negative gaps")
         at = np.cumsum(gaps, out=gaps)  # the times replace the gaps
-        svc = _draw_times(model.service, arrivals, rng)
+        svc = model.service.sample(arrivals, rng)
     with timer("simulate"):
         return _simulate(model, at, svc, int(arrivals * warmup_frac), n_batches)
 

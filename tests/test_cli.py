@@ -707,6 +707,22 @@ def test_simulation_artifacts_are_pinned(capsys, tmp_path):
     assert got == PINNED_SIM
 
 
+@pytest.mark.parametrize("scv", [0.2, 0.3, 4.0])
+def test_predict_agrees_with_simulate_queue_on_mean_scv_service(capsys, tmp_path, scv):
+    # M/G/1/10 with a mean/SCV service: the exact chain and the simulator solve one law, so
+    # they agree within C5's tolerance, max(3%, CI95), at C5's 1M arrivals
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"arrival": {"type": "erlang", "lambda": 1.0, "k": 1},
+                                 "service": {"mean": 0.8, "scv": scv}, "buffer": 10}))
+    assert run(capsys, "predict", "--model", str(model), "--out", str(tmp_path / "p"))[0] == 0
+    assert run(capsys, "simulate-queue", "--model", str(model), "--arrivals", "1000000",
+               "--out", str(tmp_path / "s"))[0] == 0
+    exact = json.loads((tmp_path / "p" / "predict.json").read_text())
+    sim = json.loads((tmp_path / "s" / "simulate.json").read_text())
+    for k in ("L", "Ploss"):
+        assert abs(sim[k] - exact[k]) <= max(0.03 * exact[k], sim["ci95"].get(k, 0.0)), k
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -1042,6 +1058,9 @@ def test_manifests_carry_stages(capsys, tiny_trace, tmp_path):
         for s in stages.values():
             assert set(s) == {"wall_s", "items", "items_per_s"}
             assert s["wall_s"] >= 0 and s["items_per_s"] >= 0
+    for path in expect:  # the minor page faults taken in the command, beside its stages
+        faults = json.loads(path.read_text())["minor_faults"]
+        assert isinstance(faults, int) and faults >= 0
     # the reported iterations are those of the best run, one of the runs counted
     em = json.loads((fit / "fit_dist_manifest.json").read_text())["em"]
     assert set(em) == {"runs", "iterations"}

@@ -230,10 +230,57 @@ def test_scaled_to_mean_preserves_shape():
 
 def test_ph_from_mean_scv_matches_targets():
     for mean, scv in ((1.0, 4.0), (0.4, 3.0), (2.0, 1.0), (5.0, 0.3)):
-        ph = ph_from_mean_scv(mean, scv)
+        law = ph_from_mean_scv(mean, scv)
+        ph = law.as_phase_type()
         assert ph.is_valid_generator()
-        assert ph.mean() == pytest.approx(mean, rel=1e-9)
-        assert ph.scv() == pytest.approx(scv, rel=1e-6)
+        for d in (law, ph):
+            assert d.mean() == pytest.approx(mean, rel=1e-9)
+            assert d.scv() == pytest.approx(scv, rel=1e-6)
+
+
+@pytest.mark.parametrize("k", range(2, 61))
+def test_ph_from_mean_scv_builds_at_one_over_k(k):
+    # the weight's root has argument 0 at scv = 1/k, which rounds below 0 for some k
+    law = ph_from_mean_scv(0.8, 1.0 / k)
+    for d in (law, law.as_phase_type()):
+        assert d.mean() == pytest.approx(0.8, rel=1e-9)
+        assert d.scv() == pytest.approx(1.0 / k, rel=1e-6)
+
+
+@pytest.mark.parametrize("scv", [1e-9, 1e9])
+def test_ph_from_mean_scv_keeps_its_moments_at_the_ends(scv):
+    law = ph_from_mean_scv(0.8, scv)
+    assert law.mean() == pytest.approx(0.8, rel=1e-6)
+    assert law.scv() == pytest.approx(scv, rel=1e-6)
+
+
+@pytest.mark.parametrize("scv", [-1.0, 0.0, 5e-324, 1e-300, 9e-10, 1.1e9, 1e17])
+def test_ph_from_mean_scv_refuses_scv_out_of_range(scv):
+    # below 1e-9 and above 1e9 the mixture's weights keep too few digits, and the far ends
+    # overflowed or divided by zero; SCV 0 is a point mass, not this law
+    with pytest.raises(DistributionError, match=r"scv must lie in \[1e-9, 1e9\]"):
+        ph_from_mean_scv(0.8, scv)
+
+
+P3 = (1.2 - 0.4 ** 0.5) / 1.3  # at scv 0.3, the Erlang(3) weight of an Erlang(3)/(4) mixture
+
+
+@pytest.mark.parametrize("mean,scv,want", [
+    (2.4, 0.5, ErlangDist(2 / 2.4, 2)),  # one branch: the mixture's other weight is 0
+    (0.8, 1.0, ErlangDist(1 / 0.8, 1)),
+    (0.8, 0.3, HyperErlangDist([(P3, (4 - P3) / 0.8, 3), (1 - P3, (4 - P3) / 0.8, 4)])),
+    (1.0, 4.0, HyperErlangDist([(0.5 + 0.5 * 0.6 ** 0.5, 1 + 0.6 ** 0.5, 1),
+                                (0.5 - 0.5 * 0.6 ** 0.5, 1 - 0.6 ** 0.5, 1)])),
+])
+def test_ph_from_mean_scv_law_is_erlang_or_hyper_erlang(mean, scv, want):
+    law = ph_from_mean_scv(mean, scv)
+    assert type(law) is type(want)
+    if isinstance(want, ErlangDist):
+        assert law == want
+    else:
+        assert [b.phases for b in law.branches] == [b.phases for b in want.branches]
+        for got, exp in zip(law.branches, want.branches):
+            assert (got.weight, got.rate) == pytest.approx((exp.weight, exp.rate), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

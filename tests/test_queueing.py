@@ -397,10 +397,27 @@ def test_predict_routes_by_model_shape():
 
 @pytest.mark.parametrize("scv", [0.3, 0.5, 1.0, 4.0])
 def test_mean_scv_service_is_solved_as_its_two_moment_ph(scv):
-    # the exact chain solves ph_from_mean_scv's law (the simulator draws a gamma law instead)
+    # the exact chain solves the phase-type form of ph_from_mean_scv's law, the one law
+    # that the simulator draws too
     got = predict(QueueModel(EXP(1.0), MeanScv(0.8, scv), buffer=10))
     assert got.to_dict() == predict(QueueModel(EXP(1.0), ph_from_mean_scv(0.8, scv),
                                                buffer=10)).to_dict()
+
+
+@pytest.mark.parametrize("scv", [0.0, 0.2, 0.3, 0.5, 1.0, 4.0])
+def test_mean_scv_service_is_simulated_as_its_law(scv):
+    law = PointMassDist(0.8) if scv == 0 else ph_from_mean_scv(0.8, scv)
+    got = des_simulate(QueueModel(EXP(1.0), MeanScv(0.8, scv), buffer=10), 5_000, seed=3)
+    assert got.to_dict() == des_simulate(QueueModel(EXP(1.0), law, buffer=10), 5_000,
+                                         seed=3).to_dict()
+
+
+def test_mean_scv_service_keeps_its_given_moments():
+    # the delay approximation takes the document's mean and SCV, not the law's rounded ones
+    service = MeanScv(0.8, 0.3)
+    assert (service.mean(), service.scv()) == (0.8, 0.3)
+    assert predict(QueueModel(EXP(1.0), service)).to_dict() == \
+        solve_ggc_approx(1.0, 1.0, 0.8, 0.3, 1).to_dict()
 
 
 # ---------------------------------------------------------------------------
